@@ -3,8 +3,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use trial_bench::SemiNaiveStar;
 use trial_core::builder::queries;
-use trial_eval::{Engine, EvalOptions, NaiveEngine, SmartEngine};
+use trial_eval::{Engine, NaiveEngine, SmartEngine};
 use trial_workloads::{transport_network, TransportConfig};
 
 fn bench_ablation(c: &mut Criterion) {
@@ -18,10 +19,7 @@ fn bench_ablation(c: &mut Criterion) {
     });
     let query = queries::same_company_reachability("E");
     let naive = NaiveEngine::new();
-    let seminaive = SmartEngine::with_options(EvalOptions {
-        use_reach_specialisation: false,
-        ..EvalOptions::default()
-    });
+    let seminaive = SemiNaiveStar;
     let smart = SmartEngine::new();
     let mut group = c.benchmark_group("ablation_query_q");
     group.sample_size(10);

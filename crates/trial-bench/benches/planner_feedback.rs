@@ -113,23 +113,28 @@ fn main() {
 
         // Cold: static heuristics only.
         let cold_engine = SmartEngine::with_options(EvalOptions::default());
-        let cold_plan = cold_engine.plan(&expr, &store).unwrap();
+        let cold_plan = cold_engine
+            .plan_query(&expr, &store, None, None, None)
+            .unwrap();
 
         // Warmed: one analyzed run feeds the per-store statistics; every
         // plan after it draws on the observed cardinalities.
         let stats = Arc::new(StatsStore::new());
         let warmed_engine = SmartEngine::with_stats(EvalOptions::default(), Arc::clone(&stats));
-        let analyzed = warmed_engine
-            .evaluate_analyzed(&expr, &store, None)
+        let first_plan = warmed_engine
+            .plan_query(&expr, &store, None, None, None)
             .unwrap();
+        let analyzed = warmed_engine.analyze(first_plan, &store).unwrap();
         assert!(
             analyzed.feedback.as_ref().is_some_and(|f| f.ingested > 0),
             "{name}: the analyzed run must feed the stats"
         );
-        let warmed_plan = warmed_engine.plan(&expr, &store).unwrap();
+        let warmed_plan = warmed_engine
+            .plan_query(&expr, &store, None, None, None)
+            .unwrap();
         assert!(
-            warmed_engine
-                .estimate_sources(&warmed_plan)
+            warmed_plan
+                .estimate_sources(warmed_engine.stats())
                 .iter()
                 .any(|s| *s),
             "{name}: the warmed plan must draw on observed estimates"

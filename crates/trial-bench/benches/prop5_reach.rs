@@ -3,16 +3,14 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use trial_bench::SemiNaiveStar;
 use trial_core::builder::queries;
-use trial_eval::{Engine, EvalOptions, NaiveEngine, SmartEngine};
+use trial_eval::{Engine, NaiveEngine, SmartEngine};
 use trial_workloads::chain_store;
 
 fn bench_prop5(c: &mut Criterion) {
     let naive = NaiveEngine::new();
-    let seminaive = SmartEngine::with_options(EvalOptions {
-        use_reach_specialisation: false,
-        ..EvalOptions::default()
-    });
+    let seminaive = SemiNaiveStar;
     let reach = SmartEngine::new();
     let query = queries::reach_forward("E");
     for (name, engine) in [

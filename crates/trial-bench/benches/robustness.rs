@@ -21,7 +21,7 @@
 
 use std::time::{Duration, Instant};
 use trial_core::{Error, Expr, Triplestore};
-use trial_eval::{CancelToken, EvalOptions, SmartEngine};
+use trial_eval::{CancelToken, Engine, EvalOptions, SmartEngine};
 use trial_workloads::{chain_store, random_store, RandomStoreConfig};
 
 struct Knobs {
@@ -142,7 +142,7 @@ fn main() {
                 ..EvalOptions::default()
             });
             let started = Instant::now();
-            let result = engine.evaluate_query(&star, &chain, None, None, None);
+            let result = engine.evaluate(&star, &chain);
             let elapsed = started.elapsed();
             match result {
                 Err(Error::Cancelled(reason)) => assert_eq!(reason, "deadline_exceeded"),

@@ -1,8 +1,8 @@
 //! Pull-based streaming operators: the cursor half of the executor.
 //!
-//! The materialize-everything interpreter in [`crate::exec`] computes every
-//! intermediate [`TripleSet`] in full, so a `LIMIT 10` over a million-triple
-//! join pays the whole join. This module provides the alternative: each
+//! The set-at-a-time kernels of [`crate::ops`] compute every intermediate
+//! [`TripleSet`] in full, so a `LIMIT 10` over a million-triple join would
+//! pay the whole join. This module provides the alternative: each
 //! physical operator is compiled into a [`Cursor`] that yields one
 //! [`Triple`] per [`Cursor::next`] call and performs work only when pulled.
 //! Stopping early (a satisfied limit, a closed connection) abandons the
@@ -66,35 +66,6 @@ pub(crate) struct EmptyCursor;
 impl Cursor for EmptyCursor {
     fn next(&mut self, _stats: &mut EvalStats) -> Option<Triple> {
         None
-    }
-}
-
-/// The cancellation shim the planner wraps around exchange morsel-producer
-/// cursors when the evaluation carries an armed
-/// [`CancelToken`](crate::CancelToken): each pull first consults a
-/// stride-amortised [`CancelChecker`](crate::CancelChecker) and reports
-/// exhaustion the moment the token latches. (The root pipeline is not
-/// wrapped — [`QueryStream::next_triple`] carries the same checker without
-/// the extra dispatch layer, which keeps the per-row cost of an armed token
-/// at a counter decrement.)
-///
-/// Cursors are infallible, so cancellation surfaces here as an early `None`
-/// — exactly like a satisfied limit. The owning `Result` layer (the planner
-/// entry points, the server's drain loops) re-checks the shared token after
-/// the stream ends and converts the latch into
-/// [`trial_core::Error::Cancelled`], so a truncated stream is never mistaken
-/// for a complete result.
-pub(crate) struct CancelCursor<'a> {
-    pub(crate) input: BoxCursor<'a>,
-    pub(crate) checker: crate::cancel::CancelChecker,
-}
-
-impl Cursor for CancelCursor<'_> {
-    fn next(&mut self, stats: &mut EvalStats) -> Option<Triple> {
-        if self.checker.should_stop() {
-            return None;
-        }
-        self.input.next(stats)
     }
 }
 
@@ -818,6 +789,41 @@ impl Cursor for SkipCursor<'_> {
     }
 }
 
+/// The one pull loop of a [`QueryStream`] — the root pipeline's and every
+/// exchange morsel pipeline's: a cursor behind a stride-amortised
+/// cancellation checkpoint and, when the plan can emit duplicates, a
+/// seen-set. The checkpoint sits here rather than in a wrapper cursor, so an
+/// armed token costs a counter decrement per row and no extra dispatch.
+///
+/// Cursors are infallible, so cancellation surfaces as an early `None` —
+/// exactly like a satisfied limit. The owning `Result` layer (the planner
+/// entry points, the server's drain loops) re-checks the shared token after
+/// the stream ends and converts the latch into
+/// [`trial_core::Error::Cancelled`], so a truncated stream is never mistaken
+/// for a complete result.
+struct Pull<'a> {
+    cursor: BoxCursor<'a>,
+    seen: Option<HashSet<Triple>>,
+    checker: crate::cancel::CancelChecker,
+}
+
+impl Pull<'_> {
+    fn next(&mut self, stats: &mut EvalStats) -> Option<Triple> {
+        loop {
+            if self.checker.should_stop() {
+                return None;
+            }
+            let t = self.cursor.next(stats)?;
+            if let Some(seen) = &mut self.seen {
+                if !seen.insert(t) {
+                    continue;
+                }
+            }
+            return Some(t);
+        }
+    }
+}
+
 /// A fully-compiled streaming query: the chosen [`Plan`], the root cursor,
 /// and the work counters accumulated so far.
 ///
@@ -829,31 +835,31 @@ impl Cursor for SkipCursor<'_> {
 /// everything else.
 pub struct QueryStream<'a> {
     plan: Plan,
-    root: BoxCursor<'a>,
+    pull: Pull<'a>,
     stats: EvalStats,
-    seen: Option<HashSet<Triple>>,
     /// Optional exchange fan-out: independently drainable morsel pipelines
     /// whose in-order concatenation equals the root's row sequence, plus the
     /// limit peeled off the root (morsel pipelines are limit-less — the
     /// consumer side enforces it). Only attached for ordered, morselizable
     /// roots (see `Executor::morsel_cursors`); `channel()` falls back to the
     /// single root pipeline otherwise.
-    morsels: Option<(Vec<BoxCursor<'a>>, Option<usize>)>,
+    morsels: Option<(Vec<Pull<'a>>, Option<usize>)>,
     /// Read handle onto the per-node profiler, when active (see
     /// [`QueryStream::profile`]).
     profile: Option<crate::profile::QueryProfile>,
-    /// Cancellation token consulted every [`crate::CANCEL_CHECK_STRIDE`]
-    /// pulls — directly in [`QueryStream::next_triple`] rather than through
-    /// a wrapper cursor. The countdown is paid unconditionally (one u32
-    /// decrement per row, identical for inert and armed tokens), so arming
-    /// a deadline adds only the strided atomic load.
-    cancel: crate::cancel::CancelToken,
-    /// Rows until the next real [`CancelToken::is_cancelled`] consult.
-    until_check: u32,
 }
 
 impl<'a> QueryStream<'a> {
-    pub(crate) fn new(plan: Plan, root: BoxCursor<'a>, stats: EvalStats) -> Self {
+    /// A stream over `root`, the compiled `plan.root`. `cancel` is consulted
+    /// as the stream is pulled; `profile` is the read handle onto the
+    /// per-node profiler the cursors were compiled with, if any.
+    pub(crate) fn new(
+        plan: Plan,
+        root: BoxCursor<'a>,
+        stats: EvalStats,
+        profile: Option<crate::profile::QueryProfile>,
+        cancel: &crate::cancel::CancelToken,
+    ) -> Self {
         // Roots ordered under *any* permutation key are distinct by
         // construction (the key orders all three components), and limit /
         // top-k roots deduplicate internally; everything else needs a
@@ -861,48 +867,41 @@ impl<'a> QueryStream<'a> {
         let distinct = plan.root.ordering().is_some()
             || matches!(plan.root, PlanNode::Limit { .. } | PlanNode::TopK { .. });
         QueryStream {
-            seen: (!distinct).then(HashSet::new),
+            pull: Pull {
+                cursor: root,
+                seen: (!distinct).then(HashSet::new),
+                checker: cancel.checker(),
+            },
             plan,
-            root,
             stats,
             morsels: None,
-            profile: None,
-            cancel: crate::cancel::CancelToken::none(),
-            until_check: crate::cancel::CANCEL_CHECK_STRIDE,
+            profile,
         }
     }
 
-    /// Installs the cancellation checkpoint the stream consults as it is
-    /// pulled (see the `cancel` field). Cursors are infallible, so
-    /// cancellation surfaces as an early `None` — exactly like a satisfied
-    /// limit; the owning `Result` layer re-checks the shared token after
-    /// the stream ends and converts the latch into
-    /// [`trial_core::Error::Cancelled`].
-    pub(crate) fn with_cancel(mut self, token: crate::cancel::CancelToken) -> Self {
-        self.cancel = token;
-        self
-    }
-
-    /// Attaches exchange morsel pipelines (see the `morsels` field).
+    /// Attaches exchange morsel pipelines (see the `morsels` field). Every
+    /// producer checks the stream's token, so a deadline or consumer hang-up
+    /// unwinds all lanes.
     pub(crate) fn with_morsels(
         mut self,
         cursors: Vec<BoxCursor<'a>>,
         limit: Option<usize>,
     ) -> Self {
-        self.morsels = Some((cursors, limit));
-        self
-    }
-
-    /// Attaches the per-node profiler handle.
-    pub(crate) fn with_profile(mut self, profile: Option<crate::profile::QueryProfile>) -> Self {
-        self.profile = profile;
+        let token = self.pull.checker.token();
+        let lanes = cursors.into_iter().map(|cursor| Pull {
+            cursor,
+            // Ordered morsels are duplicate-free.
+            seen: None,
+            checker: token.checker(),
+        });
+        self.morsels = Some((lanes.collect(), limit));
         self
     }
 
     /// A handle onto the stream's per-node wall-clock profiler, present when
-    /// the compiling [`EvalOptions`](crate::EvalOptions) had
-    /// `collect_node_stats` or a positive `profile_sample`. Clone it before
-    /// consuming the stream (e.g. with [`QueryStream::channel`]) and read
+    /// the compiling [`EvalOptions`](crate::EvalOptions) had a positive
+    /// `profile_sample`. Clone it before consuming the stream (e.g. with
+    /// [`QueryStream::channel`]) and read
     /// [`QueryProfile::snapshot`](crate::profile::QueryProfile::snapshot)
     /// once the stream has finished — cursors flush their measurements on
     /// exhaustion and drop.
@@ -930,22 +929,7 @@ impl<'a> QueryStream<'a> {
     /// The next distinct result triple, or `None` once the query is
     /// exhausted (or its limit reached).
     pub fn next_triple(&mut self) -> Option<Triple> {
-        self.until_check -= 1;
-        if self.until_check == 0 {
-            self.until_check = crate::cancel::CANCEL_CHECK_STRIDE;
-            if self.cancel.is_cancelled() {
-                return None;
-            }
-        }
-        loop {
-            let t = self.root.next(&mut self.stats)?;
-            if let Some(seen) = &mut self.seen {
-                if !seen.insert(t) {
-                    continue;
-                }
-            }
-            return Some(t);
-        }
+        self.pull.next(&mut self.stats)
     }
 
     /// Drains the stream, returning only the number of distinct triples —
@@ -994,12 +978,12 @@ impl<'a> QueryStream<'a> {
                     let mut lanes = Vec::with_capacity(cursors.len());
                     let handles: Vec<_> = cursors
                         .into_iter()
-                        .map(|mut cursor| {
+                        .map(|mut morsel| {
                             let (tx, rx) = sync_channel(depth);
                             lanes.push(rx);
                             scope.spawn(move || {
                                 let mut local = EvalStats::new();
-                                crate::parallel::pump(|s| cursor.next(s), &tx, &mut local);
+                                crate::parallel::pump(|s| morsel.next(s), &tx, &mut local);
                                 local
                             })
                         })
@@ -1029,37 +1013,13 @@ impl<'a> QueryStream<'a> {
                 // the plan needs one) moves onto one worker thread, so even
                 // a sequential evaluation overlaps with the consumer.
                 let QueryStream {
-                    mut root,
-                    stats,
-                    mut seen,
-                    cancel,
-                    mut until_check,
-                    ..
+                    mut pull, stats, ..
                 } = self;
                 std::thread::scope(|scope| {
                     let (tx, rx) = sync_channel(depth);
                     let handle = scope.spawn(move || {
                         let mut local = stats;
-                        crate::parallel::pump(
-                            |s| loop {
-                                until_check -= 1;
-                                if until_check == 0 {
-                                    until_check = crate::cancel::CANCEL_CHECK_STRIDE;
-                                    if cancel.is_cancelled() {
-                                        return None;
-                                    }
-                                }
-                                let t = root.next(s)?;
-                                if let Some(seen) = &mut seen {
-                                    if !seen.insert(t) {
-                                        continue;
-                                    }
-                                }
-                                return Some(t);
-                            },
-                            &tx,
-                            &mut local,
-                        );
+                        crate::parallel::pump(|s| pull.next(s), &tx, &mut local);
                         local
                     });
                     let mut exchange = crate::parallel::Exchange::new(vec![rx], None);
@@ -1074,13 +1034,16 @@ impl<'a> QueryStream<'a> {
         }
     }
 
-    /// Drains the stream into a [`TripleSet`] (plus final counters).
+    /// Drains the stream into a [`TripleSet`] (plus final counters). Like
+    /// every drain, a cancelled one ends early: re-check the token before
+    /// trusting the set.
     pub fn collect_set(mut self) -> (TripleSet, EvalStats) {
         let ordered = self.plan.root.ordered();
         let mut out = Vec::new();
-        // Drain the raw root: a trailing `from_vec` deduplicates more
-        // cheaply than the per-triple seen-set.
-        while let Some(t) = self.root.next(&mut self.stats) {
+        // A trailing `from_vec` deduplicates more cheaply than the
+        // per-triple seen-set.
+        self.pull.seen = None;
+        while let Some(t) = self.next_triple() {
             out.push(t);
         }
         let set = if ordered {

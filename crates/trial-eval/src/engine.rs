@@ -83,7 +83,7 @@ pub struct Evaluation {
     pub stats: EvalStats,
 }
 
-/// Tunable limits and switches for evaluation.
+/// Tunable limits and resources for evaluation.
 ///
 /// Not `Copy`: the embedded [`CancelToken`] is reference-counted, so options
 /// propagate through the engine by (cheap) `clone()`.
@@ -98,41 +98,10 @@ pub struct EvalOptions {
     /// at most `|adom|³` rounds (Procedure 2 of the paper); the default is
     /// effectively unlimited and exists to catch engine bugs.
     pub max_fixpoint_rounds: u64,
-    /// If `true` (default), the [`crate::SmartEngine`] may route
-    /// reachability-shaped stars to the Proposition 5 procedures.
-    pub use_reach_specialisation: bool,
-    /// If `true` (default), the [`crate::SmartEngine`] memoises repeated
-    /// sub-expressions (as [`crate::plan::PlanNode::Memo`] nodes).
-    pub use_memo: bool,
-    /// If `true` (default), the planner applies its cost-based rewrites —
-    /// selection pushdown into index scans, join-argument swapping, index
-    /// nested-loop joins, and build-once star tables. When `false` the plan
-    /// mirrors the written expression operator by operator (every join
-    /// rebuilds its hash table, stars included), which is the baseline the
-    /// `planned_vs_unplanned` benchmark measures against.
-    pub optimize_plans: bool,
-    /// If `true` (default), the [`crate::SmartEngine`] executes plans as a
-    /// pull-based cursor pipeline (see the *Execution model* section of the
-    /// crate docs): operators stream and only genuine pipeline breakers
-    /// materialise, so limit-bounded queries terminate early. When `false`
-    /// every operator materialises its full result — the reference
-    /// interpreter the `streaming_vs_materialized` bench and the
-    /// differential suite compare against.
-    pub streaming: bool,
-    /// If `true` (default), the planner may compile a join into a
-    /// [`crate::plan::PlanNode::MergeJoin`] when both inputs can stream in a
-    /// sort order keyed on the join component — typically two index scans
-    /// served from complementary permutations (POS ⋈ SPO on a shared
-    /// component). Merge joins are fully pipelined and build **no hash
-    /// table** ([`EvalStats::hash_tables_built`] stays untouched). When
-    /// `false` the planner falls back to hash / index nested-loop joins —
-    /// the differential arm the ordered test-suite compares against.
-    pub use_merge_join: bool,
     /// Degree of intra-query parallelism: the number of worker threads
     /// morsel-parallel operators may use (see the *Parallel execution*
-    /// section of the crate docs). `1` (the built-in default) is exactly the
-    /// historical single-threaded path and stays the differential reference;
-    /// `n > 1` lets qualifying operators — hash-join builds and probes,
+    /// section of the crate docs). `1` (the built-in default) is the
+    /// single-threaded path; `n > 1` lets qualifying operators — hash-join builds and probes,
     /// index/plain nested-loop joins, filtered scans, star fixpoint rounds,
     /// reachability BFS fan-outs, and the blocking sides of
     /// difference/intersection/complement — split their input into morsels
@@ -155,17 +124,9 @@ pub struct EvalOptions {
     /// below it, thread spawn/join overhead dwarfs the work. Tests set it to
     /// 0 to force the parallel code paths on tiny stores.
     pub parallel_min_rows: usize,
-    /// If `true`, the executor records each plan node's **actual** output
-    /// cardinality alongside the planner's estimate (surfaced by
-    /// [`crate::SmartEngine::evaluate_analyzed`] and the server's
-    /// `/explain?analyze=1`), making cost-model mis-estimates that would
-    /// mislead morsel sizing observable — and runs the per-node wall-clock
-    /// profiler at stride 1 (every cursor pull timed), so `EXPLAIN ANALYZE`
-    /// reports exact `elapsed_us` per operator. Off by default: the counters
-    /// cost a hash-map insert per operator plus two clock reads per row.
-    pub collect_node_stats: bool,
     /// Sampling stride for per-node wall-clock profiling on **regular**
-    /// (non-analyze) evaluations: `0` disables the profiler entirely (the
+    /// evaluations ([`crate::SmartEngine::analyze`] always profiles at
+    /// stride 1, whatever this says): `0` disables the profiler entirely (the
     /// default — zero overhead), `n ≥ 1` wraps every cursor in a timing
     /// shim that measures one in `n` pulls and scales the estimate by `n`
     /// (see [`crate::profile::NodeProfile`]). Row counts stay exact at any
@@ -218,14 +179,8 @@ impl Default for EvalOptions {
         EvalOptions {
             max_universe: 20_000_000,
             max_fixpoint_rounds: u64::MAX,
-            use_reach_specialisation: true,
-            use_memo: true,
-            optimize_plans: true,
-            streaming: true,
-            use_merge_join: true,
             threads: default_threads(),
             parallel_min_rows: 2048,
-            collect_node_stats: false,
             profile_sample: default_profile_sample(),
             cancel: CancelToken::none(),
         }
@@ -294,11 +249,6 @@ mod tests {
     #[test]
     fn default_options_are_permissive() {
         let opts = EvalOptions::default();
-        assert!(opts.use_reach_specialisation);
-        assert!(opts.use_memo);
-        assert!(opts.optimize_plans);
-        assert!(opts.streaming);
-        assert!(opts.use_merge_join);
         assert!(opts.max_universe >= 1_000_000);
         assert_eq!(opts.max_fixpoint_rounds, u64::MAX);
         // The default degree comes from TRIAL_EVAL_THREADS (or 1), so the
@@ -306,7 +256,6 @@ mod tests {
         assert!(opts.threads >= 1);
         assert_eq!(opts.threads, default_threads());
         assert!(opts.parallel_min_rows > 0);
-        assert!(!opts.collect_node_stats);
         // The default stride comes from TRIAL_PROFILE_SAMPLE (or 0), so CI
         // can rerun the suite with the profiling shims active.
         assert_eq!(opts.profile_sample, default_profile_sample());

@@ -1,30 +1,37 @@
-//! The plan executor: compiles a [`PlanNode`] tree into a streaming cursor
-//! pipeline, or interprets it with full materialisation.
+//! The plan executor: two walks over a [`PlanNode`] tree.
 //!
 //! This is the only evaluation path of the [`crate::SmartEngine`] — the
 //! logical `Expr` tree is consumed by the planner and never inspected here.
 //! The executor owns the per-query memo slots and threads the shared
 //! [`EvalStats`] counters through every physical operator.
 //!
-//! Two execution modes share the executor:
+//! * **Compile to cursors** ([`Executor::cursor`]) — each operator becomes a
+//!   pull-based [`Cursor`](crate::cursor::Cursor): work happens as rows are
+//!   pulled and stops the moment the consumer stops (a satisfied
+//!   [`PlanNode::Limit`], a closed connection). Pipeline breakers (hash-join
+//!   build sides, difference/intersection right sides, star fixpoints, memo
+//!   slots, complement inputs, sorts) fill their blocking input at
+//!   cursor-construction time through the other walk. A [`ScanAccess`] says
+//!   which part of an index scan's run the pipeline reads — all of it, the
+//!   rows after a key (resumable pagination) or one morsel (the exchange
+//!   fan-out) — and only the scan interprets it.
+//! * **Evaluate to a set** ([`Executor::materialize`]) — each operator
+//!   computes its full [`TripleSet`] with the set-at-a-time kernels of
+//!   [`crate::ops`], which also carry the morsel parallelism. A bounded
+//!   subtree ([`PlanNode::Limit`], [`PlanNode::TopK`]) switches back to a
+//!   cursor pipeline so it still terminates early.
 //!
-//! * **streaming** (the default) — [`Executor::cursor`] compiles each
-//!   operator into a pull-based [`Cursor`](crate::cursor::Cursor): work
-//!   happens as rows are pulled and stops the moment the consumer stops (a
-//!   satisfied [`PlanNode::Limit`], a closed connection). Pipeline breakers
-//!   (hash-join build sides, difference/intersection right sides, star
-//!   fixpoints, memo slots, complement inputs) are materialised at
-//!   cursor-construction time via [`Executor::materialize`]; everything
-//!   else streams. When a full result must be collected,
-//!   [`Executor::materialize`] runs set-at-a-time operators *above* any
-//!   limit boundary (building a set row-by-row through cursors would tax
-//!   full-result queries for nothing) and switches to cursors beneath it.
-//! * **materialised** ([`Executor::run`], kept as the reference
-//!   implementation behind [`EvalOptions::streaming`]` = false`) — every
-//!   operator computes its full [`TripleSet`] before the parent starts, and
-//!   limits take the canonical prefix of the full result. The differential
-//!   test-suite holds the two modes (and the naive engine) to identical
-//!   results.
+//! The plan shape and the consumer pick the walk, never an option: a limit,
+//! a top-k bound or a streamed consumer compiles cursors; a breaker input or
+//! a full result runs the kernels.
+//!
+//! Both stay because each wins somewhere. Only cursors can stop early. And
+//! draining cursors into a set in place of the sequential kernels was
+//! measured: it left the `engine_mix` benchmark workload where it was
+//! (`latency_p50_ms` 19.9 → 19.2, bodies there are top-k bounded) but ran a
+//! 500k-row join at 0.89× and a 600k-row union at 0.80× the kernels' speed —
+//! a virtual call and a set insertion per row against slice loops and one
+//! linear merge.
 
 use crate::compile::CompiledConditions;
 use crate::cursor::{
@@ -73,6 +80,25 @@ fn records_build_time(node: &PlanNode) -> bool {
     )
 }
 
+/// Which part of an index scan's permutation run a compiled pipeline reads.
+/// Only [`PlanNode::IndexScan`] interprets it; the operators that forward it
+/// (and what the others answer) are spelled out in the cursor walk.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ScanAccess {
+    /// The whole run.
+    Whole,
+    /// The rows whose key under the permutation is strictly greater than
+    /// the given one.
+    After(Permutation, [ObjectId; 3]),
+    /// The `index`-th of `of` contiguous morsels of the run.
+    Morsel {
+        /// Position of the morsel in run order.
+        index: usize,
+        /// How many morsels the run is carved into (at most).
+        of: usize,
+    },
+}
+
 /// Memo slots shared by an executor and its worker-thread siblings: one
 /// mutex-guarded slot per [`PlanNode::Memo`]. The slot's lock is **held
 /// while the shared sub-expression is computed**, so exactly one executor
@@ -88,28 +114,30 @@ pub(crate) struct Executor<'a> {
     store: &'a Triplestore,
     options: EvalOptions,
     memo: MemoSlots,
-    /// Per-node wall timers and actual-cardinality records, active when
-    /// [`EvalOptions::collect_node_stats`] is set (exact, stride 1) or
-    /// [`EvalOptions::profile_sample`] is positive (sampled).
+    /// Per-node wall timers and actual-cardinality records: every pull timed
+    /// for an analyzed run, one in [`EvalOptions::profile_sample`] when that
+    /// is positive, absent otherwise.
     profiler: Option<Profiler>,
 }
 
 impl<'a> Executor<'a> {
     /// Creates an executor with one empty memo slot per [`PlanNode::Memo`]
-    /// in the plan.
-    pub(crate) fn new(store: &'a Triplestore, options: EvalOptions, plan: &Plan) -> Self {
-        let profiler = if options.collect_node_stats {
-            Some(Profiler::new(1))
-        } else if options.profile_sample > 0 {
-            Some(Profiler::new(options.profile_sample))
-        } else {
-            None
-        };
+    /// in the plan. `analyze` turns on the `EXPLAIN ANALYZE` bookkeeping:
+    /// every node's actual output cardinality is recorded and the wall-clock
+    /// profiler times every pull instead of one in
+    /// [`EvalOptions::profile_sample`].
+    pub(crate) fn new(
+        store: &'a Triplestore,
+        options: EvalOptions,
+        plan: &Plan,
+        analyze: bool,
+    ) -> Self {
+        let stride = if analyze { 1 } else { options.profile_sample };
         Executor {
             store,
             options,
             memo: Arc::new((0..plan.memo_slots).map(|_| Default::default()).collect()),
-            profiler,
+            profiler: (stride > 0).then(|| Profiler::new(stride)),
         }
     }
 
@@ -190,54 +218,115 @@ impl<'a> Executor<'a> {
             .map(|profiler| QueryProfile::new(profiler.clone(), plan))
     }
 
-    /// Compiles a plan node into a streaming cursor, materialising exactly
-    /// the pipeline-breaking inputs. With the profiler active every compiled
-    /// operator is wrapped in a [`ProfiledCursor`] shim, and pipeline
-    /// breakers additionally record their blocking construction work as
-    /// build time.
+    /// Compiles a plan node into a streaming cursor over its whole output,
+    /// materialising exactly the pipeline-breaking inputs.
     pub(crate) fn cursor(
         &mut self,
         node: &PlanNode,
         stats: &mut EvalStats,
     ) -> Result<BoxCursor<'a>> {
+        let cursor = self.cursor_at(node, ScanAccess::Whole, stats)?;
+        Ok(cursor.expect("every operator compiles for whole-run access"))
+    }
+
+    /// Compiles `node` into independently drainable **morsel pipelines**
+    /// whose in-order concatenation yields exactly the rows of
+    /// [`Executor::cursor`] on the same node — the producer side of
+    /// [`crate::QueryStream::channel`]'s ordered multi-lane exchange. `None`
+    /// when the node is not morselizable (see [`ScanAccess::Morsel`]) and the
+    /// exchange must fall back to a single producer. Every morsel instance
+    /// shares the node's timer: rows and time sum across the fan-out
+    /// (elapsed reads as worker time, not wall time).
+    pub(crate) fn morsel_cursors(
+        &mut self,
+        node: &PlanNode,
+        parts: usize,
+        stats: &mut EvalStats,
+    ) -> Result<Option<Vec<BoxCursor<'a>>>> {
+        let mut cursors = Vec::with_capacity(parts);
+        for index in 0..parts {
+            let access = ScanAccess::Morsel { index, of: parts };
+            match self.cursor_at(node, access, stats)? {
+                Some(cursor) => cursors.push(cursor),
+                // The scanned run carved into fewer morsels than asked for.
+                None => break,
+            }
+        }
+        Ok((!cursors.is_empty()).then_some(cursors))
+    }
+
+    /// The compile-to-cursor walk: `node` as a pull-based pipeline reading
+    /// the part of its scan selected by `access`, or `None` when `access` is
+    /// a morsel the node cannot serve. A seek needs `node` ordered under the
+    /// seek permutation. With the profiler active every compiled operator is
+    /// wrapped in a [`ProfiledCursor`] shim, and pipeline breakers
+    /// additionally record their blocking construction work as build time.
+    pub(crate) fn cursor_at(
+        &mut self,
+        node: &PlanNode,
+        access: ScanAccess,
+        stats: &mut EvalStats,
+    ) -> Result<Option<BoxCursor<'a>>> {
         let Some(profiler) = self.profiler.clone() else {
-            return self.cursor_inner(node, stats);
+            return self.cursor_inner(node, access, stats);
         };
         let start = Instant::now();
-        let inner = self.cursor_inner(node, stats)?;
+        let Some(inner) = self.cursor_inner(node, access, stats)? else {
+            return Ok(None);
+        };
         let timer = profiler.timer(node_key(node));
         if records_build_time(node) {
             timer.add_build(start.elapsed());
         }
-        Ok(Box::new(ProfiledCursor::new(
+        Ok(Some(Box::new(ProfiledCursor::new(
             inner,
             timer,
             profiler.stride(),
-        )))
+        ))))
     }
 
-    fn cursor_inner(&mut self, node: &PlanNode, stats: &mut EvalStats) -> Result<BoxCursor<'a>> {
-        Ok(match node {
-            PlanNode::IndexScan {
-                relation,
-                bound,
-                residual,
-                order,
-                ..
-            } => {
+    fn cursor_inner(
+        &mut self,
+        node: &PlanNode,
+        access: ScanAccess,
+        stats: &mut EvalStats,
+    ) -> Result<Option<BoxCursor<'a>>> {
+        let cursor: BoxCursor<'a> = match (node, access) {
+            (
+                PlanNode::IndexScan {
+                    relation,
+                    bound,
+                    residual,
+                    order,
+                    ..
+                },
+                _,
+            ) => {
                 let (base, index) = self
                     .store
                     .relation_with_index(relation)
                     .ok_or_else(|| Error::UnknownRelation(relation.clone()))?;
-                let run = match bound {
+                let mut run = match bound {
                     None => index.scan_cursor(base, *order),
                     Some((component, value)) => index.matching_cursor(base, *component, *value),
                 };
+                match access {
+                    ScanAccess::Whole => {}
+                    // `O(log n)` on the permutation run.
+                    ScanAccess::After(order, after) => run.seek(order, after),
+                    // Contiguous, disjoint, non-empty sub-ranges of the run.
+                    ScanAccess::Morsel { index, of } => {
+                        match run.split(of).into_iter().nth(index) {
+                            Some(morsel) => run = morsel,
+                            None => return Ok(None),
+                        }
+                    }
+                }
                 let residual = (!residual.is_empty())
                     .then(|| CompiledConditions::compile(residual, self.store));
                 Box::new(ScanCursor {
-                    // Mirror the materialized interpreter's instrumentation:
-                    // plain relation passthroughs are free, indexed runs and
+                    // Mirror the set kernels' instrumentation: plain
+                    // relation passthroughs are free, indexed runs and
                     // filtered scans count their rows.
                     instrument: bound.is_some() || residual.is_some(),
                     run,
@@ -245,27 +334,72 @@ impl<'a> Executor<'a> {
                     store: self.store,
                 })
             }
-            PlanNode::Universe { .. } => {
-                let adom = ops::universe_domain(self.store, &self.options)?;
-                Box::new(UniverseCursor::new(adom))
-            }
-            PlanNode::Empty => Box::new(EmptyCursor),
-            PlanNode::Filter { input, cond, .. } => {
-                let input = self.cursor(input, stats)?;
+            // Filters distribute over any access to their input.
+            (PlanNode::Filter { input, cond, .. }, _) => {
+                let Some(input) = self.cursor_at(input, access, stats)? else {
+                    return Ok(None);
+                };
                 Box::new(FilterCursor {
                     input,
                     cond: CompiledConditions::compile(cond, self.store),
                     store: self.store,
                 })
             }
-            PlanNode::HashJoin {
-                left,
-                right,
-                output,
-                cond,
-                keys,
-                ..
-            } => {
+            // A limit passes a seek through (the countdown restarts fresh
+            // for the resumed page) but not a morsel: per-morsel countdowns
+            // would not concatenate to the whole stream's.
+            (PlanNode::Limit { input, limit, .. }, ScanAccess::Whole | ScanAccess::After(..)) => {
+                if *limit == 0 {
+                    return Ok(Some(Box::new(EmptyCursor)));
+                }
+                // A stream sorted under *any* permutation key is strictly
+                // increasing in a total order, hence duplicate-free: the
+                // countdown needs no seen-set.
+                let seen = input
+                    .ordering()
+                    .is_none()
+                    .then(std::collections::HashSet::new);
+                let Some(input) = self.cursor_at(input, access, stats)? else {
+                    return Ok(None);
+                };
+                Box::new(LimitCursor {
+                    input,
+                    remaining: *limit,
+                    seen,
+                })
+            }
+            // No other operator can hand a partial access down to a scan.
+            // Only contiguous ranges of one permutation run are morsels...
+            (_, ScanAccess::Morsel { .. }) => return Ok(None),
+            // ...and a seek degrades to dropping the already-served prefix:
+            // correct for any ordered root, linear in the rows skipped.
+            (_, ScanAccess::After(order, after)) => {
+                let Some(input) = self.cursor_inner(node, ScanAccess::Whole, stats)? else {
+                    return Ok(None);
+                };
+                Box::new(SkipCursor {
+                    input,
+                    order,
+                    after,
+                    skipping: true,
+                })
+            }
+            (PlanNode::Universe { .. }, ScanAccess::Whole) => {
+                let adom = ops::universe_domain(self.store, &self.options)?;
+                Box::new(UniverseCursor::new(adom))
+            }
+            (PlanNode::Empty, ScanAccess::Whole) => Box::new(EmptyCursor),
+            (
+                PlanNode::HashJoin {
+                    left,
+                    right,
+                    output,
+                    cond,
+                    keys,
+                    ..
+                },
+                ScanAccess::Whole,
+            ) => {
                 // Build side: the one genuine materialisation of a hash
                 // join. The build itself shards across workers when large;
                 // the probe side stays a sequential pull-based stream (its
@@ -295,14 +429,17 @@ impl<'a> Executor<'a> {
                     buf_pos: 0,
                 })
             }
-            PlanNode::MergeJoin {
-                left,
-                right,
-                output,
-                cond,
-                key,
-                ..
-            } => {
+            (
+                PlanNode::MergeJoin {
+                    left,
+                    right,
+                    output,
+                    cond,
+                    key,
+                    ..
+                },
+                ScanAccess::Whole,
+            ) => {
                 // Both inputs stream pre-sorted on the join-key component
                 // (the planner guarantees it); the join is a synchronized
                 // pass with no build side and no hash table.
@@ -326,14 +463,17 @@ impl<'a> Executor<'a> {
                     primed: false,
                 })
             }
-            PlanNode::IndexNestedLoopJoin {
-                outer,
-                relation,
-                probe,
-                output,
-                cond,
-                ..
-            } => {
+            (
+                PlanNode::IndexNestedLoopJoin {
+                    outer,
+                    relation,
+                    probe,
+                    output,
+                    cond,
+                    ..
+                },
+                ScanAccess::Whole,
+            ) => {
                 let (base, index) = self
                     .store
                     .relation_with_index(relation)
@@ -353,13 +493,16 @@ impl<'a> Executor<'a> {
                     run_pos: 0,
                 })
             }
-            PlanNode::NestedLoopJoin {
-                left,
-                right,
-                output,
-                cond,
-                ..
-            } => {
+            (
+                PlanNode::NestedLoopJoin {
+                    left,
+                    right,
+                    output,
+                    cond,
+                    ..
+                },
+                ScanAccess::Whole,
+            ) => {
                 let right = self.materialize(right, stats)?;
                 let left = self.cursor(left, stats)?;
                 stats.joins_executed += 1;
@@ -373,7 +516,7 @@ impl<'a> Executor<'a> {
                     r_pos: 0,
                 })
             }
-            PlanNode::Union { left, right, .. } => {
+            (PlanNode::Union { left, right, .. }, ScanAccess::Whole) => {
                 let l = self.cursor(left, stats)?;
                 let r = self.cursor(right, stats)?;
                 // Merge whenever the two sides share *any* sort order (not
@@ -397,17 +540,17 @@ impl<'a> Executor<'a> {
                     })
                 }
             }
-            PlanNode::Diff { left, right, .. } => {
+            (PlanNode::Diff { left, right, .. }, ScanAccess::Whole) => {
                 let rhs = self.materialize(right, stats)?;
                 let input = self.cursor(left, stats)?;
                 Box::new(DiffCursor { input, rhs })
             }
-            PlanNode::Intersect { left, right, .. } => {
+            (PlanNode::Intersect { left, right, .. }, ScanAccess::Whole) => {
                 let rhs = self.materialize(right, stats)?;
                 let input = self.cursor(left, stats)?;
                 Box::new(IntersectCursor { input, rhs })
             }
-            PlanNode::Complement { input, .. } => {
+            (PlanNode::Complement { input, .. }, ScanAccess::Whole) => {
                 let exclude = self.materialize(input, stats)?;
                 let adom = ops::universe_domain(self.store, &self.options)?;
                 Box::new(ComplementCursor {
@@ -415,13 +558,16 @@ impl<'a> Executor<'a> {
                     exclude,
                 })
             }
-            PlanNode::StarSemiNaive {
-                input,
-                output,
-                cond,
-                direction,
-                ..
-            } => {
+            (
+                PlanNode::StarSemiNaive {
+                    input,
+                    output,
+                    cond,
+                    direction,
+                    ..
+                },
+                ScanAccess::Whole,
+            ) => {
                 let base = self.materialize(input, stats)?;
                 let result = semi_naive_star(
                     &base,
@@ -434,49 +580,37 @@ impl<'a> Executor<'a> {
                 )?;
                 Box::new(SetCursor::new(result))
             }
-            PlanNode::StarReach {
-                input,
-                same_label,
-                relation,
-                ..
-            } => {
+            (
+                PlanNode::StarReach {
+                    input,
+                    same_label,
+                    relation,
+                    ..
+                },
+                ScanAccess::Whole,
+            ) => {
                 let base = self.materialize(input, stats)?;
                 let result = self.star_reach(&base, *same_label, relation.as_deref(), stats)?;
                 Box::new(SetCursor::new(result))
             }
-            PlanNode::PathNfa {
-                relation,
-                path,
-                max_hops,
-                ..
-            } => {
+            (
+                PlanNode::PathNfa {
+                    relation,
+                    path,
+                    max_hops,
+                    ..
+                },
+                ScanAccess::Whole,
+            ) => {
                 let result = self.path_nfa(relation, path, *max_hops, stats)?;
                 Box::new(SetCursor::new(result))
             }
-            PlanNode::Memo { slot, input } => {
+            (PlanNode::Memo { slot, input }, ScanAccess::Whole) => {
                 let set =
                     self.memo_slot(*slot, stats, |this, stats| this.materialize(input, stats))?;
                 Box::new(ArcSetCursor { set, pos: 0 })
             }
-            PlanNode::Limit { input, limit, .. } => {
-                if *limit == 0 {
-                    return Ok(Box::new(EmptyCursor));
-                }
-                // A stream sorted under *any* permutation key is strictly
-                // increasing in a total order, hence duplicate-free: the
-                // countdown needs no seen-set.
-                let seen = input
-                    .ordering()
-                    .is_none()
-                    .then(std::collections::HashSet::new);
-                let input = self.cursor(input, stats)?;
-                Box::new(LimitCursor {
-                    input,
-                    remaining: *limit,
-                    seen,
-                })
-            }
-            PlanNode::Sort { input, order, .. } => {
+            (PlanNode::Sort { input, order, .. }, ScanAccess::Whole) => {
                 // The order breaker: materialise the input (set-at-a-time,
                 // breakers beneath still parallelise), then re-emit in the
                 // requested permutation's key order.
@@ -489,11 +623,14 @@ impl<'a> Executor<'a> {
                     Box::new(RowsCursor { rows, pos: 0 })
                 }
             }
-            PlanNode::TopK {
-                input, k, order, ..
-            } => {
+            (
+                PlanNode::TopK {
+                    input, k, order, ..
+                },
+                ScanAccess::Whole,
+            ) => {
                 if *k == 0 {
-                    return Ok(Box::new(EmptyCursor));
+                    return Ok(Some(Box::new(EmptyCursor)));
                 }
                 let input = self.cursor(input, stats)?;
                 Box::new(TopKCursor {
@@ -506,283 +643,37 @@ impl<'a> Executor<'a> {
                     cancel: self.options.cancel.checker(),
                 })
             }
-        })
-    }
-
-    /// Compiles `node` into independently drainable **morsel pipelines**
-    /// whose in-order concatenation yields exactly the rows of
-    /// [`Executor::cursor`] on the same node — the producer side of
-    /// [`crate::QueryStream::channel`]'s ordered multi-lane exchange.
-    ///
-    /// Only operators whose parallel instances are contiguous ranges of one
-    /// permutation run qualify: index scans (bound or not, residuals
-    /// included) carve via the storage layer's partitioned cursors, and
-    /// filters distribute over a morselizable input. Everything else returns
-    /// `None` and the exchange falls back to a single producer.
-    pub(crate) fn morsel_cursors(
-        &mut self,
-        node: &PlanNode,
-        parts: usize,
-    ) -> Result<Option<Vec<BoxCursor<'a>>>> {
-        let morsels = self.morsel_cursors_inner(node, parts)?;
-        let Some(profiler) = self.profiler.clone() else {
-            return Ok(morsels);
         };
-        // Every morsel instance shares the node's timer: rows and time sum
-        // across the fan-out (elapsed reads as worker time, not wall time).
-        Ok(morsels.map(|cursors| {
-            cursors
-                .into_iter()
-                .map(|cursor| {
-                    let timer = profiler.timer(node_key(node));
-                    Box::new(ProfiledCursor::new(cursor, timer, profiler.stride())) as BoxCursor<'a>
-                })
-                .collect()
-        }))
+        Ok(Some(cursor))
     }
 
-    fn morsel_cursors_inner(
-        &mut self,
-        node: &PlanNode,
-        parts: usize,
-    ) -> Result<Option<Vec<BoxCursor<'a>>>> {
-        Ok(match node {
-            PlanNode::IndexScan {
-                relation,
-                bound,
-                residual,
-                order,
-                ..
-            } => {
-                let (base, index) = self
-                    .store
-                    .relation_with_index(relation)
-                    .ok_or_else(|| Error::UnknownRelation(relation.clone()))?;
-                let runs = match bound {
-                    None => index.partition_cursors(base, *order, parts),
-                    Some((component, value)) => {
-                        index.partition_matching_cursors(base, *component, *value, parts)
-                    }
-                };
-                let instrument = bound.is_some() || !residual.is_empty();
-                Some(
-                    runs.into_iter()
-                        .map(|run| {
-                            let residual = (!residual.is_empty())
-                                .then(|| CompiledConditions::compile(residual, self.store));
-                            Box::new(ScanCursor {
-                                instrument,
-                                run,
-                                residual,
-                                store: self.store,
-                            }) as BoxCursor<'a>
-                        })
-                        .collect(),
-                )
-            }
-            PlanNode::Filter { input, cond, .. } => {
-                self.morsel_cursors(input, parts)?.map(|inputs| {
-                    inputs
-                        .into_iter()
-                        .map(|input| {
-                            Box::new(FilterCursor {
-                                input,
-                                cond: CompiledConditions::compile(cond, self.store),
-                                store: self.store,
-                            }) as BoxCursor<'a>
-                        })
-                        .collect()
-                })
-            }
-            _ => None,
-        })
-    }
-
-    /// Compiles `node` — whose stream must be ordered under `order`'s key —
-    /// into a cursor resumed strictly **after** the key `after`: the
-    /// executor half of resumable pagination.
-    ///
-    /// The seek is pushed into the storage layer where the root shape allows
-    /// it (index scans seek their permutation run in `O(log n)`, filters and
-    /// limits pass the seek through), and otherwise degrades to a
-    /// [`SkipCursor`] that drops the already-served prefix — correct for any
-    /// ordered root, linear in the rows skipped.
-    pub(crate) fn cursor_seek(
-        &mut self,
-        node: &PlanNode,
-        order: Permutation,
-        after: [ObjectId; 3],
-        stats: &mut EvalStats,
-    ) -> Result<BoxCursor<'a>> {
-        let Some(profiler) = self.profiler.clone() else {
-            return self.cursor_seek_inner(node, order, after, stats);
-        };
-        let inner = self.cursor_seek_inner(node, order, after, stats)?;
-        let timer = profiler.timer(node_key(node));
-        Ok(Box::new(ProfiledCursor::new(
-            inner,
-            timer,
-            profiler.stride(),
-        )))
-    }
-
-    fn cursor_seek_inner(
-        &mut self,
-        node: &PlanNode,
-        order: Permutation,
-        after: [ObjectId; 3],
-        stats: &mut EvalStats,
-    ) -> Result<BoxCursor<'a>> {
-        debug_assert_eq!(
-            node.ordering(),
-            Some(order),
-            "cursor_seek requires a root ordered on the seek permutation"
-        );
-        Ok(match node {
-            PlanNode::Limit { input, limit, .. } => {
-                if *limit == 0 {
-                    return Ok(Box::new(EmptyCursor));
-                }
-                // The limit's input is ordered (it delivers this node's
-                // order), hence distinct: no seen-set, and the countdown
-                // restarts fresh for the resumed page.
-                let input = self.cursor_seek(input, order, after, stats)?;
-                Box::new(LimitCursor {
-                    input,
-                    remaining: *limit,
-                    seen: None,
-                })
-            }
-            PlanNode::IndexScan {
-                relation,
-                bound,
-                residual,
-                order: scan_order,
-                ..
-            } => {
-                let (base, index) = self
-                    .store
-                    .relation_with_index(relation)
-                    .ok_or_else(|| Error::UnknownRelation(relation.clone()))?;
-                let mut run = match bound {
-                    None => index.scan_cursor(base, *scan_order),
-                    Some((component, value)) => index.matching_cursor(base, *component, *value),
-                };
-                run.seek(order, after);
-                let residual = (!residual.is_empty())
-                    .then(|| CompiledConditions::compile(residual, self.store));
-                Box::new(ScanCursor {
-                    instrument: bound.is_some() || residual.is_some(),
-                    run,
-                    residual,
-                    store: self.store,
-                })
-            }
-            PlanNode::Filter { input, cond, .. } => {
-                let input = self.cursor_seek(input, order, after, stats)?;
-                Box::new(FilterCursor {
-                    input,
-                    cond: CompiledConditions::compile(cond, self.store),
-                    store: self.store,
-                })
-            }
-            other => Box::new(SkipCursor {
-                input: self.cursor(other, stats)?,
-                order,
-                after,
-                skipping: true,
-            }),
-        })
-    }
-
-    /// Materialises a plan node for the streaming execution mode: set-at-a-
-    /// time operators everywhere **except** under [`PlanNode::Limit`], whose
-    /// subtree is compiled to a cursor pipeline and drained with early
-    /// termination.
+    /// The evaluate-to-set walk: `node`'s full output as a [`TripleSet`].
     ///
     /// This is how pipeline breakers consume their blocking inputs and how
-    /// an unlimited evaluation collects its result: operators whose output
-    /// is naturally a full [`TripleSet`] build it directly (pulling a
-    /// million triples one-by-one through a cursor just to rebuild the set
-    /// would tax full-result queries for no benefit), while a limit boundary
-    /// switches the subtree beneath it to pull-based cursors.
+    /// an unbounded evaluation collects its result: operators whose output
+    /// is naturally a full set build it directly with the set-at-a-time
+    /// kernels (see the module docs for what pulling it row by row through
+    /// cursors would cost). Records per-node actual cardinalities when the
+    /// profiler is active.
     pub(crate) fn materialize(
         &mut self,
         node: &PlanNode,
         stats: &mut EvalStats,
     ) -> Result<TripleSet> {
-        if matches!(node, PlanNode::Limit { .. } | PlanNode::TopK { .. }) {
-            // Streaming limit semantics: the first `limit` distinct triples
-            // the pipeline yields, evaluation stops at the boundary. This is
-            // the **explicit sequential fallback** of the parallel executor:
-            // a limited subtree runs as a single pull-based pipeline because
-            // a parallel drain would race workers past the limit and forfeit
-            // early termination (breakers beneath the limit still
-            // parallelise inside their own materialisation).
-            //
-            // Top-k subtrees take the same route for a different reason: the
-            // cursor's bounded heap is what keeps memory at ≤ k buffered
-            // rows above the deepest breaker — the set-at-a-time reference
-            // (`run`) would materialise the whole input first.
-            let ordered = node.ordered();
-            let mut cursor = self.cursor(node, stats)?;
-            // Seed capacity from the estimate, capped so a wild estimate
-            // cannot over-allocate.
-            let mut out = Vec::with_capacity(node.est().min(1 << 16));
-            // The drain is a cancellation checkpoint: the limit/top-k subtree
-            // can be long-running and this loop is its only pull site.
-            let mut checker = self.options.cancel.checker();
-            while let Some(t) = cursor.next(stats) {
-                if checker.should_stop() {
-                    self.options.cancel.check()?;
-                }
-                out.push(t);
-            }
-            // A cancelled pipeline ends its stream early (cursors are
-            // infallible); convert the latch into the structured error
-            // before the truncated drain can pass for a complete result.
-            self.options.cancel.check()?;
-            let result = if ordered {
-                TripleSet::from_sorted_vec(out)
-            } else {
-                TripleSet::from_vec(out)
-            };
-            self.record(node, result.len());
-            return Ok(result);
-        }
-        self.eval_set(node, stats, true)
-    }
-
-    /// Executes a plan node with full materialisation everywhere, including
-    /// canonical-prefix limits. This is the reference interpreter the
-    /// streaming pipeline is differentially tested against
-    /// ([`EvalOptions::streaming`]` = false`).
-    pub(crate) fn run(&mut self, node: &PlanNode, stats: &mut EvalStats) -> Result<TripleSet> {
-        self.eval_set(node, stats, false)
-    }
-
-    /// The set-at-a-time interpreter shared by both execution modes;
-    /// `stream_limits` selects how [`PlanNode::Limit`] subtrees run
-    /// (cursor pipeline with early termination vs. canonical prefix of the
-    /// fully evaluated input). Records per-node actual cardinalities when
-    /// [`EvalOptions::collect_node_stats`] is on.
-    fn eval_set(
-        &mut self,
-        node: &PlanNode,
-        stats: &mut EvalStats,
-        stream_limits: bool,
-    ) -> Result<TripleSet> {
-        // Per-node checkpoint of the set-at-a-time interpreter: every
-        // operator (and every fixpoint base, breaker input, memo fill)
-        // passes through here, so a latched token stops the evaluation at
-        // the next node boundary — and discards any partial morsel output a
-        // cancelled `run_tasks` fan-out may have produced.
+        // Per-node checkpoint: every operator (and every fixpoint base,
+        // breaker input, memo fill) passes through here, so a latched token
+        // stops the evaluation at the next node boundary — and discards any
+        // partial morsel output a cancelled `run_tasks` fan-out may have
+        // produced.
         self.options.cancel.check()?;
-        let start = self.profiler.is_some().then(Instant::now);
-        let result = self.eval_set_inner(node, stats, stream_limits)?;
-        // Re-check on the way out: a morsel fan-out cancelled mid-node
-        // delivers a truncated set, which must surface as the error, not as
-        // this node's result.
+        // A bounded subtree runs as a cursor pipeline whose profiling shims
+        // time it already.
+        let bounded = matches!(node, PlanNode::Limit { .. } | PlanNode::TopK { .. });
+        let start = (self.profiler.is_some() && !bounded).then(Instant::now);
+        let result = self.eval_set(node, stats)?;
+        // Re-check on the way out: a morsel fan-out (or a bounded drain)
+        // cancelled mid-node delivers a truncated set, which must surface as
+        // the error, not as this node's result.
         self.options.cancel.check()?;
         if let (Some(profiler), Some(start)) = (&self.profiler, start) {
             // Inclusive wall time: a parent's measurement covers its
@@ -804,55 +695,26 @@ impl<'a> Executor<'a> {
         left: &PlanNode,
         right: &PlanNode,
         stats: &mut EvalStats,
-        stream_limits: bool,
     ) -> Result<(TripleSet, TripleSet)> {
         let overlap = self.options.threads > 1
             && left.est().min(right.est()) >= self.options.parallel_min_rows;
         if !overlap {
-            let l = self.eval_mode(left, stats, stream_limits)?;
-            let r = self.eval_mode(right, stats, stream_limits)?;
+            let l = self.materialize(left, stats)?;
+            let r = self.materialize(right, stats)?;
             return Ok((l, r));
         }
         let mut far = self.child();
         // The sibling shares the profiler: its per-node measurements land in
         // the same timers, so nothing needs merging back.
         let (l, r) = parallel::join_pair(
-            |stats| self.eval_mode(left, stats, stream_limits),
-            move |stats| far.eval_mode(right, stats, stream_limits),
+            |stats| self.materialize(left, stats),
+            move |stats| far.materialize(right, stats),
             stats,
         );
         Ok((l?, r?))
     }
 
-    /// Dispatches to the execution mode selected by `stream_limits`:
-    /// [`Executor::materialize`] (streaming limits) or [`Executor::run`]
-    /// (canonical-prefix limits).
-    fn eval_mode(
-        &mut self,
-        node: &PlanNode,
-        stats: &mut EvalStats,
-        stream_limits: bool,
-    ) -> Result<TripleSet> {
-        if stream_limits {
-            self.materialize(node, stats)
-        } else {
-            self.run(node, stats)
-        }
-    }
-
-    fn eval_set_inner(
-        &mut self,
-        node: &PlanNode,
-        stats: &mut EvalStats,
-        stream_limits: bool,
-    ) -> Result<TripleSet> {
-        let recurse = |this: &mut Self, n: &PlanNode, stats: &mut EvalStats| {
-            if stream_limits {
-                this.materialize(n, stats)
-            } else {
-                this.run(n, stats)
-            }
-        };
+    fn eval_set(&mut self, node: &PlanNode, stats: &mut EvalStats) -> Result<TripleSet> {
         match node {
             PlanNode::IndexScan {
                 relation,
@@ -863,7 +725,7 @@ impl<'a> Executor<'a> {
             PlanNode::Universe { .. } => ops::universe(self.store, &self.options, stats),
             PlanNode::Empty => Ok(TripleSet::new()),
             PlanNode::Filter { input, cond, .. } => {
-                let input = recurse(self, input, stats)?;
+                let input = self.materialize(input, stats)?;
                 let cond = CompiledConditions::compile(cond, self.store);
                 let degree = self.degree(input.len());
                 Ok(if degree > 1 {
@@ -887,7 +749,7 @@ impl<'a> Executor<'a> {
                 keys,
                 ..
             } => {
-                let (l, r) = self.eval_pair(left, right, stats, stream_limits)?;
+                let (l, r) = self.eval_pair(left, right, stats)?;
                 let cond = CompiledConditions::compile(cond, self.store);
                 // Build on the planner's chosen keys so execution always
                 // matches what explain() displays; shard the build and
@@ -935,7 +797,7 @@ impl<'a> Executor<'a> {
                 key,
                 ..
             } => {
-                let (l, r) = self.eval_pair(left, right, stats, stream_limits)?;
+                let (l, r) = self.eval_pair(left, right, stats)?;
                 let cond = CompiledConditions::compile(cond, self.store);
                 let lc = key.0.component_index();
                 let rc = key.1.component_index();
@@ -972,7 +834,7 @@ impl<'a> Executor<'a> {
                 cond,
                 ..
             } => {
-                let outer = recurse(self, outer, stats)?;
+                let outer = self.materialize(outer, stats)?;
                 let (base, index) = self
                     .store
                     .relation_with_index(relation)
@@ -1005,7 +867,7 @@ impl<'a> Executor<'a> {
                 cond,
                 ..
             } => {
-                let (l, r) = self.eval_pair(left, right, stats, stream_limits)?;
+                let (l, r) = self.eval_pair(left, right, stats)?;
                 let cond = CompiledConditions::compile(cond, self.store);
                 let degree = self.degree(l.len());
                 Ok(if degree > 1 {
@@ -1024,19 +886,19 @@ impl<'a> Executor<'a> {
                 })
             }
             PlanNode::Union { left, right, .. } => {
-                let (l, r) = self.eval_pair(left, right, stats, stream_limits)?;
+                let (l, r) = self.eval_pair(left, right, stats)?;
                 stats.triples_scanned += (l.len() + r.len()) as u64;
                 Ok(l.union(&r))
             }
             PlanNode::Diff { left, right, .. } => {
                 // The right side materialises concurrently with the left
                 // when parallelism is on (see eval_pair).
-                let (l, r) = self.eval_pair(left, right, stats, stream_limits)?;
+                let (l, r) = self.eval_pair(left, right, stats)?;
                 stats.triples_scanned += (l.len() + r.len()) as u64;
                 Ok(l.difference(&r))
             }
             PlanNode::Intersect { left, right, .. } => {
-                let (l, r) = self.eval_pair(left, right, stats, stream_limits)?;
+                let (l, r) = self.eval_pair(left, right, stats)?;
                 stats.triples_scanned += (l.len() + r.len()) as u64;
                 Ok(l.intersection(&r))
             }
@@ -1049,12 +911,12 @@ impl<'a> Executor<'a> {
                     let mut far = self.child();
                     let (u, e) = parallel::join_pair(
                         |stats| ops::universe(self.store, &self.options, stats),
-                        move |stats| far.eval_mode(input, stats, stream_limits),
+                        move |stats| far.materialize(input, stats),
                         stats,
                     );
                     (e?, u?)
                 } else {
-                    let e = recurse(self, input, stats)?;
+                    let e = self.materialize(input, stats)?;
                     (e, ops::universe(self.store, &self.options, stats)?)
                 };
                 stats.triples_scanned += (e.len() + u.len()) as u64;
@@ -1067,7 +929,7 @@ impl<'a> Executor<'a> {
                 direction,
                 ..
             } => {
-                let base = recurse(self, input, stats)?;
+                let base = self.materialize(input, stats)?;
                 semi_naive_star(
                     &base,
                     output,
@@ -1084,7 +946,7 @@ impl<'a> Executor<'a> {
                 relation,
                 ..
             } => {
-                let base = recurse(self, input, stats)?;
+                let base = self.materialize(input, stats)?;
                 self.star_reach(&base, *same_label, relation.as_deref(), stats)
             }
             PlanNode::PathNfa {
@@ -1095,62 +957,44 @@ impl<'a> Executor<'a> {
             } => self.path_nfa(relation, path, *max_hops, stats),
             PlanNode::Memo { slot, input } => {
                 let set =
-                    self.memo_slot(*slot, stats, |this, stats| recurse(this, input, stats))?;
+                    self.memo_slot(*slot, stats, |this, stats| this.materialize(input, stats))?;
                 Ok((*set).clone())
             }
-            PlanNode::Limit { input, limit, .. } => {
-                // Materialised limit semantics: the *ordered* prefix — the
-                // `limit` smallest triples of the full result under the
-                // input's delivered order (canonical SPO when the input is
-                // unordered). For ordered inputs this is exactly what the
-                // streaming pipeline's first `limit` rows are — the two
-                // modes agree deterministically, which is what lets the
-                // planner collapse a top-k over an ordered input to a plain
-                // limit.
-                let result = recurse(self, input, stats)?;
-                if result.len() <= *limit {
-                    return Ok(result);
-                }
-                match input.ordering() {
-                    Some(perm) if perm != Permutation::Spo => {
-                        let mut rows = result.into_vec();
-                        rows.sort_unstable_by_key(|t| perm.key(t));
-                        rows.truncate(*limit);
-                        Ok(TripleSet::from_vec(rows))
+            PlanNode::Limit { .. } | PlanNode::TopK { .. } => {
+                // The first `limit` distinct triples the pipeline yields
+                // (the `k` smallest for a top-k), with evaluation stopping at
+                // the boundary. This is the **explicit sequential fallback**
+                // of the parallel executor: a parallel drain would race
+                // workers past the limit and forfeit early termination, and
+                // the top-k cursor's bounded heap is what keeps memory at
+                // ≤ k buffered rows above the deepest breaker (breakers
+                // beneath still parallelise inside their own
+                // materialisation).
+                let mut cursor = self.cursor(node, stats)?;
+                // Seed capacity from the estimate, capped so a wild estimate
+                // cannot over-allocate.
+                let mut out = Vec::with_capacity(node.est().min(1 << 16));
+                // The drain is a cancellation checkpoint: the subtree can be
+                // long-running and this loop is its only pull site. Cursors
+                // are infallible, so a cancelled pipeline just ends early;
+                // `materialize` turns the latch into the structured error
+                // before the truncated drain can pass for a complete result.
+                let mut checker = self.options.cancel.checker();
+                while let Some(t) = cursor.next(stats) {
+                    if checker.should_stop() {
+                        break;
                     }
-                    _ => Ok(TripleSet::from_sorted_vec(
-                        result.into_vec().into_iter().take(*limit).collect(),
-                    )),
+                    out.push(t);
                 }
+                Ok(if node.ordered() {
+                    TripleSet::from_sorted_vec(out)
+                } else {
+                    TripleSet::from_vec(out)
+                })
             }
-            PlanNode::Sort { input, .. } => {
-                // Sets carry no order: a sort is an emit-order directive for
-                // the streaming pipeline and the identity on materialised
-                // results.
-                recurse(self, input, stats)
-            }
-            PlanNode::TopK {
-                input, k, order, ..
-            } => {
-                // Reference top-k semantics: the k smallest triples of the
-                // fully evaluated input under the permutation key. Unlike a
-                // streamed limit this is deterministic — permutation keys
-                // are total, so the streaming heap must produce exactly this
-                // set (the ordered differential suite holds it to that).
-                let result = recurse(self, input, stats)?;
-                if result.len() <= *k {
-                    return Ok(result);
-                }
-                if *order == Permutation::Spo {
-                    return Ok(TripleSet::from_sorted_vec(
-                        result.into_vec().into_iter().take(*k).collect(),
-                    ));
-                }
-                let mut rows = result.into_vec();
-                rows.sort_unstable_by_key(|t| order.key(t));
-                rows.truncate(*k);
-                Ok(TripleSet::from_vec(rows))
-            }
+            // Sets carry no order: a sort is an emit-order directive for
+            // the cursor walk and the identity here.
+            PlanNode::Sort { input, .. } => self.materialize(input, stats),
         }
     }
 
@@ -1368,5 +1212,326 @@ impl<'a> Executor<'a> {
             &self.options.cancel,
             stats,
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The properties the two walks are held to, over a fixed corpus that
+    //! reaches every operator and over random stores × expressions × bounds,
+    //! each at threads 1/2/4 with the morsel threshold off.
+
+    use super::*;
+    use crate::planner::tests::expression_zoo;
+    use crate::{Engine, NaiveEngine, QueryStream, SmartEngine};
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+    use trial_core::builder::queries;
+    use trial_core::{output, Conditions, Expr, Pos, StarDirection, TriplestoreBuilder};
+
+    /// `(order, limit, top-k)` of one query.
+    type Knobs = (Option<Permutation>, Option<usize>, Option<usize>);
+
+    fn engine(threads: usize) -> SmartEngine {
+        SmartEngine::with_options(EvalOptions {
+            threads,
+            parallel_min_rows: 0,
+            ..EvalOptions::default()
+        })
+    }
+
+    fn drain(mut cursor: BoxCursor<'_>, stats: &mut EvalStats) -> Vec<Triple> {
+        std::iter::from_fn(|| cursor.next(stats)).collect()
+    }
+
+    fn drain_stream(mut stream: QueryStream<'_>) -> Vec<Triple> {
+        std::iter::from_fn(|| stream.next_triple()).collect()
+    }
+
+    /// Holds one query — `planner` builds its plan for given knobs, `naive`
+    /// is its unbounded result by the independent engine — to every walk
+    /// property at threads 1/2/4. Returns the operators both walks were
+    /// started from and the morsels the workers executed.
+    fn check(
+        store: &Triplestore,
+        naive: &TripleSet,
+        planner: &dyn Fn(&SmartEngine, Knobs) -> Plan,
+        (order, limit, topk): Knobs,
+    ) -> (BTreeSet<String>, u64) {
+        let mut operators = BTreeSet::new();
+        let mut stats = EvalStats::new();
+        for threads in [1, 2, 4] {
+            let engine = engine(threads);
+            let plan = planner(&engine, (order, limit, topk));
+            let mut executor = Executor::new(store, engine.options.clone(), &plan, false);
+            for node in plan.root.preorder() {
+                let label = node.label();
+                operators.extend(label.split_whitespace().next().map(str::to_owned));
+                // Started at any node, the set walk and the drained cursor
+                // walk agree, and a claimed order is the order rows come in.
+                let set = executor.materialize(node, &mut stats).unwrap();
+                let rows = drain(executor.cursor(node, &mut stats).unwrap(), &mut stats);
+                assert_eq!(
+                    set,
+                    rows.iter().copied().collect(),
+                    "walks diverge at {label}"
+                );
+                if let Some(perm) = node.ordering() {
+                    let sorted = rows.windows(2).all(|w| perm.key(&w[0]) < perm.key(&w[1]));
+                    assert!(sorted, "{label} is not in its claimed {perm} order");
+                }
+                // Concatenated morsel cursors are the whole cursor.
+                if let Some(morsels) = executor.morsel_cursors(node, 3, &mut stats).unwrap() {
+                    let glued: Vec<Triple> = morsels
+                        .into_iter()
+                        .flat_map(|morsel| drain(morsel, &mut stats))
+                        .collect();
+                    assert_eq!(glued, rows, "morsels diverge at {label}");
+                }
+            }
+            // The root against the reference: the naive result sorted by the
+            // delivered order's key and cut at the bound; an unordered limit
+            // may be any subset of that size.
+            let result = executor.materialize(&plan.root, &mut stats).unwrap();
+            let bound = topk.or(limit).unwrap_or(usize::MAX);
+            if let Some(perm) = plan.root.ordering() {
+                let mut want = naive.as_slice().to_vec();
+                want.sort_unstable_by_key(|t| perm.key(t));
+                want.truncate(bound);
+                assert_eq!(result, want.into_iter().collect(), "{}", plan.explain());
+            } else {
+                assert_eq!(result.len(), naive.len().min(bound), "{}", plan.explain());
+                assert!(
+                    result.iter().all(|t| naive.contains(t)),
+                    "{}",
+                    plan.explain()
+                );
+            }
+            // A stream resumed after its i-th key is the rest of the
+            // unlimited ordered stream, one page of it under a limit (a
+            // zero-row page plans to `Empty` and has nothing to resume).
+            let (Some(order), None, false) = (order, topk, limit == Some(0)) else {
+                continue;
+            };
+            let unlimited = planner(&engine, (Some(order), None, None));
+            let all = drain_stream(engine.stream(unlimited, store).unwrap());
+            for i in [0, all.len() / 2].into_iter().filter(|&i| i < all.len()) {
+                let after = order.key(&all[i]);
+                let resumed = engine.stream_after(plan.clone(), store, order, after);
+                let page = limit.unwrap_or(usize::MAX).min(all.len() - i - 1);
+                let want = &all[i + 1..][..page];
+                assert_eq!(drain_stream(resumed.unwrap()), want, "{}", plan.explain());
+            }
+        }
+        (operators, stats.parallel_morsels)
+    }
+
+    fn check_expr(store: &Triplestore, expr: &Expr, knobs: Knobs) -> (BTreeSet<String>, u64) {
+        let naive = NaiveEngine::new().run(expr, store).unwrap();
+        let planner = |engine: &SmartEngine, (order, limit, topk): Knobs| {
+            engine.plan_query(expr, store, limit, order, topk).unwrap()
+        };
+        check(store, &naive, &planner, knobs)
+    }
+
+    #[test]
+    fn the_corpus_reaches_every_operator_through_both_walks() {
+        let mut b = TriplestoreBuilder::new();
+        for (s, p, o) in [
+            ("a", "p", "b"),
+            ("b", "p", "c"),
+            ("c", "q", "a"),
+            ("p", "part_of", "q"),
+        ] {
+            b.add_triple("E", s, p, o);
+        }
+        let store = b.finish();
+        let hop = |l: Expr, r: Expr| {
+            l.join(
+                r,
+                output(Pos::L1, Pos::L2, Pos::R3),
+                Conditions::new().obj_eq(Pos::L3, Pos::R1),
+            )
+        };
+        let mut corpus = expression_zoo();
+        corpus.extend([
+            // Unordered join outputs on both sides: a hash join.
+            hop(queries::example2("E"), queries::reach_down("E")),
+            // An unordered outer against a stored relation: an index probe.
+            hop(queries::example2("E"), Expr::rel("E")),
+            // A selection no scan can absorb: a filter.
+            queries::example2("E").select(Conditions::new().obj_neq(Pos::L1, Pos::L3)),
+            Expr::rel("E").intersect(queries::reach_forward("E")),
+        ]);
+        let knobs = [
+            (None, None, None),
+            (Some(Permutation::Pos), None, None),
+            (Some(Permutation::Osp), Some(2), None),
+            (None, Some(2), None),
+            (Some(Permutation::Pos), None, Some(2)),
+        ];
+        let (mut operators, mut morsels) = (BTreeSet::new(), 0);
+        for (expr, knobs) in corpus.iter().flat_map(|e| knobs.map(|k| (e, k))) {
+            let (ran, fanned) = check_expr(&store, expr, knobs);
+            operators.extend(ran);
+            morsels += fanned;
+        }
+        // The NFA strategy of a path query, against its TriAL lowering.
+        let path = trial_parser::parse_path("p+/q").unwrap();
+        let naive = NaiveEngine::new()
+            .run(&crate::rpq::lower(&path, "E"), &store)
+            .unwrap();
+        let planner = |engine: &SmartEngine, (order, limit, topk): Knobs| {
+            engine
+                .plan_path_query(&path, "E", &store, None, limit, order, topk)
+                .unwrap()
+        };
+        for knobs in knobs {
+            operators.extend(check(&store, &naive, &planner, knobs).0);
+        }
+        let all = "Complement Diff Empty Filter HashJoin IndexNestedLoopJoin IndexScan Intersect \
+                   Limit Memo MergeJoin NestedLoopJoin PathNfa Sort StarReach StarSemiNaive TopK \
+                   Union Universe";
+        let all: BTreeSet<String> = all.split(' ').map(str::to_owned).collect();
+        assert_eq!(operators, all);
+        assert!(morsels > 0, "the parallel paths never ran");
+    }
+
+    fn arb_store() -> impl Strategy<Value = Triplestore> {
+        (
+            3u32..8,
+            prop::collection::vec((0u32..8, 0u32..8, 0u32..8), 1..30),
+        )
+            .prop_map(|(n, triples)| {
+                let mut b = TriplestoreBuilder::new();
+                for i in 0..n {
+                    b.object_with_value(format!("o{i}"), trial_core::Value::int((i % 3) as i64));
+                }
+                b.relation("E");
+                for (s, p, o) in triples {
+                    b.add_triple(
+                        "E",
+                        format!("o{}", s % n),
+                        format!("o{}", p % n),
+                        format!("o{}", o % n),
+                    );
+                }
+                b.finish()
+            })
+    }
+
+    fn arb_pos() -> impl Strategy<Value = Pos> {
+        prop::sample::select(Pos::ALL.to_vec())
+    }
+
+    fn arb_expr() -> impl Strategy<Value = Expr> {
+        let leaf = prop_oneof![Just(Expr::rel("E")), Just(Expr::Empty)];
+        leaf.prop_recursive(3, 10, 2, |inner| {
+            prop_oneof![
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| a.union(b)),
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| a.minus(b)),
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| a.intersect(b)),
+                inner.clone().prop_map(|a| a.complement()),
+                (
+                    inner.clone(),
+                    inner.clone(),
+                    (arb_pos(), arb_pos(), arb_pos()),
+                    (arb_pos(), arb_pos()),
+                )
+                    .prop_map(|(a, b, (i, j, k), (x, y))| a.join(
+                        b,
+                        output(i, j, k),
+                        Conditions::new().obj_eq(x, y.mirrored())
+                    )),
+                // Stars: reach-shaped (plain, same-label) and general, in
+                // both directions.
+                (inner.clone(), 0u32..4).prop_map(|(a, shape)| {
+                    let hop = Conditions::new().obj_eq(Pos::L3, Pos::R1);
+                    match shape {
+                        0 => a.right_star(output(Pos::L1, Pos::L2, Pos::R3), hop),
+                        1 => a.right_star(
+                            output(Pos::L1, Pos::L2, Pos::R3),
+                            hop.obj_eq(Pos::L2, Pos::R2),
+                        ),
+                        2 => a.right_star(output(Pos::L1, Pos::L2, Pos::R2), hop),
+                        _ => a.left_star(output(Pos::L1, Pos::L2, Pos::R2), hop),
+                    }
+                }),
+                inner
+                    .clone()
+                    .prop_map(|a| a.select(Conditions::new().data_eq(Pos::L1, Pos::L3))),
+                (inner.clone(), any::<bool>()).prop_map(|(a, known)| {
+                    let name = if known { "o1" } else { "zzz" };
+                    a.select(Conditions::new().obj_eq_const(Pos::L2, name))
+                }),
+            ]
+        })
+    }
+
+    fn arb_knobs() -> impl Strategy<Value = Knobs> {
+        let order = prop::sample::select(vec![
+            None,
+            Some(Permutation::Spo),
+            Some(Permutation::Pos),
+            Some(Permutation::Osp),
+        ]);
+        (order, 0u32..3, 0usize..6).prop_map(|(order, kind, k)| match kind {
+            0 => (order, None, None),
+            1 => (order, Some(k), None),
+            _ => (order, None, Some(k)),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn the_walks_agree_on_random_queries(
+            store in arb_store(),
+            expr in arb_expr(),
+            knobs in arb_knobs(),
+        ) {
+            check_expr(&store, &expr, knobs);
+        }
+
+        /// On a reach-shaped star the generic fixpoint and the Proposition 5
+        /// procedures are interchangeable.
+        #[test]
+        fn semi_naive_and_reach_stars_agree(store in arb_store(), base in arb_expr()) {
+            let base = NaiveEngine::new().run(&base, &store).unwrap();
+            let cancel = crate::CancelToken::none();
+            let hop = Conditions::new().obj_eq(Pos::L3, Pos::R1);
+            let mut stats = EvalStats::new();
+            let plain = crate::reach::reach_star_plain(
+                &base,
+                &Adjacency::from_triples(base.iter()),
+                &cancel,
+                &mut stats,
+            );
+            let same_label = crate::reach::reach_star_same_label(
+                &base,
+                &crate::reach::label_adjacency(&base),
+                &cancel,
+                &mut stats,
+            );
+            for threads in [1, 2, 4] {
+                let options = engine(threads).options;
+                for (cond, reach) in [
+                    (hop.clone(), &plain),
+                    (hop.clone().obj_eq(Pos::L2, Pos::R2), &same_label),
+                ] {
+                    let star = semi_naive_star(
+                        &base,
+                        &output(Pos::L1, Pos::L2, Pos::R3),
+                        &cond,
+                        StarDirection::Right,
+                        &store,
+                        &options,
+                        &mut stats,
+                    );
+                    prop_assert_eq!(&star.unwrap(), reach, "threads={}", threads);
+                }
+            }
+        }
     }
 }

@@ -18,8 +18,8 @@
 //!
 //! The [`SmartEngine`] never interprets the logical
 //! [`Expr`](trial_core::Expr) tree directly. Each evaluation first runs
-//! [`planner::plan`], which compiles the expression into a tree of physical
-//! [`PlanNode`]s over the store's lazily-cached permutation indexes
+//! [`SmartEngine::plan_query`], which compiles the expression into a tree of
+//! physical [`PlanNode`]s over the store's lazily-cached permutation indexes
 //! ([`trial_core::index`]): selections with constants become index-scan
 //! bindings, joins with cross equalities become hash joins (the
 //! Proposition 4 optimisation) or index nested-loop joins probing a stored
@@ -57,12 +57,29 @@
 //!
 //! # Execution model
 //!
-//! Plans execute as a **pull-based cursor pipeline** ([`cursor`]): every
-//! physical operator is compiled into a [`Cursor`] that yields one triple
-//! per pull and performs work only when pulled. The paper's Theorem 3 prices
-//! evaluation per triple produced, and the pipeline makes that price real —
-//! a consumer that stops after ten triples pays for ten triples, not for the
-//! full intermediate relations.
+//! The executor ([`exec`]) walks a plan in exactly two ways, and the plan
+//! shape and the consumer — never an option — pick between them:
+//!
+//! * **Compile to cursors** ([`cursor`]) — every physical operator becomes a
+//!   [`Cursor`] that yields one triple per pull and performs work only when
+//!   pulled. The paper's Theorem 3 prices evaluation per triple produced,
+//!   and the pipeline makes that price real: a consumer that stops after ten
+//!   triples pays for ten triples, not for the full intermediate relations.
+//!   This walk runs under every limit and top-k bound and behind every
+//!   [`QueryStream`] ([`SmartEngine::stream`]).
+//! * **Evaluate to a set** ([`ops`]) — every operator computes its full
+//!   [`TripleSet`](trial_core::TripleSet) with set-at-a-time kernels, which
+//!   also carry the morsel parallelism. This walk fills the blocking input
+//!   of a pipeline breaker and collects a full result
+//!   ([`SmartEngine::execute`]).
+//!
+//! Both stay because each wins somewhere. Only cursors terminate early; and
+//! draining cursors into sets in place of the kernels was measured at 0.89×
+//! on a 500k-row join and 0.80× on a 600k-row union (the repo benchmark's
+//! `engine_mix` workload, whose bodies are top-k bounded, did not move:
+//! `latency_p50_ms` 19.9 → 19.2). The reference that the differential suites
+//! hold both walks to is the independent [`NaiveEngine`], not a second mode
+//! of this engine.
 //!
 //! **Streaming operators** (first row costs O(1) beyond their children):
 //! index scans (over the store's cached SPO/POS/OSP permutation runs,
@@ -77,15 +94,12 @@
 //! [`PlanNode::pipelined`] exposes the distinction and `explain()` tags
 //! every node `[pipelined]` or `[breaker]`.
 //!
-//! **Limit pushdown** ([`plan_limited`]): a result-cardinality bound becomes
-//! a [`PlanNode::Limit`] that folds into nested limits and distributes
-//! through unions; the streaming executor then terminates the entire
-//! pipeline after `k` *distinct* triples. Constant selections likewise
-//! distribute through union/difference/intersection down to index-scan
-//! bindings. [`SmartEngine::stream`] is the pull-based entry point
-//! ([`QueryStream`]); `EvalOptions { streaming: false, .. }` restores the
-//! materialize-everything reference interpreter that the differential suite
-//! and the `streaming_vs_materialized` benchmark compare against.
+//! **Limit pushdown** ([`SmartEngine::plan_query`] with a limit): a
+//! result-cardinality bound becomes a [`PlanNode::Limit`] that folds into
+//! nested limits and distributes through unions; the cursor pipeline then
+//! terminates the entire pipeline after `k` *distinct* triples. Constant
+//! selections likewise distribute through union/difference/intersection down
+//! to index-scan bindings.
 //!
 //! # Ordered execution
 //!
@@ -109,8 +123,8 @@
 //!   The set-at-a-time executor runs merge joins morsel-parallel by carving
 //!   the left run at key-run boundaries (aligned sorted runs), each worker
 //!   binary-searching its matching right sub-run.
-//! * **Order delivery** (`plan_query` with an order) — requesting an output
-//!   order rewrites the plan so the root streams in that permutation's key
+//! * **Order delivery** ([`SmartEngine::plan_query`] with an order) —
+//!   requesting an output order rewrites the plan so the root streams in that permutation's key
 //!   order: unbound scans switch permutation, filters / difference and
 //!   intersection left sides / merge unions pass the requirement down, and
 //!   only when nothing below can deliver does an explicit
@@ -126,8 +140,8 @@
 //!   the first `k` rows of an ordered stream *are* the `k` smallest, so
 //!   `?topk=` over a scan terminates early without any heap. Unlike a
 //!   streamed limit, a top-k result is **deterministic** (permutation keys
-//!   are total), so the streaming heap and the materialized reference are
-//!   held to set equality by `tests/ordered_differential.rs`.
+//!   are total), so the heap is held to set equality with the `k` smallest
+//!   rows of the naive engine's result by `tests/ordered_differential.rs`.
 //!
 //! Ordering metadata is deliberately conservative: joins never claim an
 //! order (duplicate emissions break strictness even when the projection
@@ -146,8 +160,8 @@
 //!   costs nothing physically and unlocks merge joins between two bound
 //!   scans — shapes that previously always built hash tables — as well as
 //!   sort-free `?order=` delivery over selections.
-//! * **interesting orders** — [`plan_query`] pushes the requested root
-//!   order down into join planning, so an identity-output join picks the
+//! * **interesting orders** — [`SmartEngine::plan_query`] pushes the
+//!   requested root order down into join planning, so an identity-output join picks the
 //!   merge key (and prefers a merge over an index probe) that makes the
 //!   root stream in the requested order natively, dissolving the final
 //!   [`PlanNode::Sort`].
@@ -157,7 +171,7 @@
 //! The planner's selectivity constants are only a cold-start default: a
 //! [`SmartEngine`] built via [`SmartEngine::with_stats`] shares a
 //! [`stats::StatsStore`] that closes the feedback loop. Every
-//! `evaluate_analyzed` run ingests its per-node **actual** row counts,
+//! [`SmartEngine::analyze`] run ingests its per-node **actual** row counts,
 //! keyed by a normalized plan-shape fingerprint ([`stats::fingerprint`]:
 //! scanned relation + binding + condition shapes; estimates, scan orders
 //! and physical join variants are deliberately excluded, and the two join
@@ -200,8 +214,7 @@
 //! strategies are held to byte-identical result sets by
 //! `tests/rpq_differential.rs` (against an independent reachability
 //! reference) and the planner-level entry points are
-//! [`SmartEngine::plan_path_query`] / [`SmartEngine::stream_path_query`]
-//! (and [`plan_path`]).
+//! [`SmartEngine::plan_path_query`] / [`SmartEngine::stream_path_query`].
 //!
 //! # Parallel execution
 //!
@@ -211,8 +224,7 @@
 //! storage layer, [`parallel`]'s slice chunking above it — and executed on a
 //! scoped `std::thread` worker pool, synchronising at the pipeline breakers
 //! that already exist in the streaming model. The default is 1 (the
-//! single-threaded path, unchanged, and the differential reference);
-//! `TRIAL_EVAL_THREADS` overrides the process default, which is how CI runs
+//! single-threaded path); `TRIAL_EVAL_THREADS` overrides the process default, which is how CI runs
 //! the suite a second time with parallelism on.
 //!
 //! **What parallelises** (tagged `[parallel×N]` by `explain()`):
@@ -241,8 +253,8 @@
 //! **identical** at every degree: morsels are contiguous and their outputs
 //! concatenate in input order, so even pre-deduplication row sequences match
 //! the single-threaded run (`tests/parallel_differential.rs` proves result
-//! equality across `threads ∈ {1, 2, 4}` against the materialized reference
-//! and the naive engine; counter totals are exact sums, with
+//! equality across `threads ∈ {1, 2, 4}` against the naive engine; counter
+//! totals are exact sums, with
 //! [`EvalStats::parallel_morsels`] recording the fan-out).
 //!
 //! # Instrumentation
@@ -298,10 +310,7 @@ pub use engine::{
 pub use naive::NaiveEngine;
 pub use parallel::{available_threads, Exchange};
 pub use plan::{Plan, PlanNode};
-pub use planner::{
-    evaluate, evaluate_with, explain, plan_limited, plan_path, plan_query, AnalyzedEvaluation,
-    SmartEngine,
-};
+pub use planner::{evaluate, explain, AnalyzedEvaluation, SmartEngine};
 pub use profile::{NodeProfile, QueryProfile};
 pub use rpq::PathStrategy;
 pub use stats::{ObserveSummary, StatsStore};

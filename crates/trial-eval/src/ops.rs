@@ -346,25 +346,6 @@ pub fn hash_join_probe_parallel(
     TripleSet::from_vec(parts.concat())
 }
 
-/// Hash join keyed on the cross equalities of `θ` (build + probe in one
-/// call). When the condition set has no cross equalities this degenerates to
-/// a nested-loop join (there is no key to hash on).
-pub fn hash_join(
-    left: &TripleSet,
-    right: &TripleSet,
-    output: &OutputSpec,
-    cond: &CompiledConditions,
-    store: &Triplestore,
-    stats: &mut EvalStats,
-) -> TripleSet {
-    let keys = cond.cross_equalities();
-    if keys.is_empty() {
-        return nested_loop_join(left, right, output, cond, store, stats);
-    }
-    let table = JoinTable::build(right, &keys, stats);
-    hash_join_probe(left, &table, output, cond, store, stats)
-}
-
 /// The index-probe kernel over one morsel of the outer side.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn index_nested_loop_join_slice(
@@ -654,23 +635,6 @@ pub fn universe(
     Ok(TripleSet::from_sorted_vec(out))
 }
 
-/// Joins `left ✶ right` picking the strategy by whether the condition set has
-/// usable hash keys.
-pub fn join_auto(
-    left: &TripleSet,
-    right: &TripleSet,
-    output: &OutputSpec,
-    cond: &CompiledConditions,
-    store: &Triplestore,
-    stats: &mut EvalStats,
-) -> TripleSet {
-    if cond.cross_equalities().is_empty() {
-        nested_loop_join(left, right, output, cond, store, stats)
-    } else {
-        hash_join(left, right, output, cond, store, stats)
-    }
-}
-
 /// Positions of a hash key restricted to one side, as component indices.
 pub fn key_components(keys: &[(Pos, Pos)], left: bool) -> Vec<usize> {
     keys.iter()
@@ -701,6 +665,19 @@ mod tests {
 
     fn rel(store: &Triplestore) -> TripleSet {
         store.require_relation("E").unwrap().clone()
+    }
+
+    /// Build + probe in one call, keyed on the condition's cross equalities.
+    fn hash_join(
+        left: &TripleSet,
+        right: &TripleSet,
+        output: &OutputSpec,
+        cond: &CompiledConditions,
+        store: &Triplestore,
+        stats: &mut EvalStats,
+    ) -> TripleSet {
+        let table = JoinTable::build(right, &cond.cross_equalities(), stats);
+        hash_join_probe(left, &table, output, cond, store, stats)
     }
 
     #[test]
@@ -795,20 +772,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_join_without_keys_falls_back() {
-        let store = store();
-        let e = rel(&store);
-        let out_spec = OutputSpec::new(Pos::L1, Pos::L2, Pos::R3);
-        // Only an inequality: no hash key available.
-        let cond =
-            CompiledConditions::compile(&Conditions::new().obj_neq(Pos::L1, Pos::R1), &store);
-        let mut s = EvalStats::new();
-        let out = hash_join(&e, &e, &out_spec, &cond, &store, &mut s);
-        assert_eq!(s.pairs_considered, 9);
-        assert_eq!(out.len(), 6); // ordered pairs of distinct triples, all projections distinct
-    }
-
-    #[test]
     fn join_with_data_condition() {
         let store = store();
         let e = rel(&store);
@@ -843,22 +806,6 @@ mod tests {
         };
         let err = universe(&store, &tight, &mut s).unwrap_err();
         assert!(matches!(err, Error::LimitExceeded(_)));
-    }
-
-    #[test]
-    fn join_auto_picks_strategy() {
-        let store = store();
-        let e = rel(&store);
-        let out_spec = OutputSpec::new(Pos::L1, Pos::L2, Pos::R3);
-        let eq_cond =
-            CompiledConditions::compile(&Conditions::new().obj_eq(Pos::L3, Pos::R1), &store);
-        let neq_cond =
-            CompiledConditions::compile(&Conditions::new().obj_neq(Pos::L3, Pos::R1), &store);
-        let mut s = EvalStats::new();
-        let a = join_auto(&e, &e, &out_spec, &eq_cond, &store, &mut s);
-        let b = join_auto(&e, &e, &out_spec, &neq_cond, &store, &mut s);
-        assert_eq!(a.len(), 2);
-        assert_eq!(b.len(), 9 - 2); // complement of the equality matches, before dedup
     }
 
     #[test]

@@ -754,6 +754,18 @@ impl Plan {
         self.root.render(&mut out, "", None, self.threads.max(1));
         out
     }
+
+    /// Per plan node (indexed like [`PlanNode::preorder`]), whether the
+    /// node's estimate would come from observed statistics (`true`,
+    /// `est_src=stats`) rather than the static heuristics — what the
+    /// server's `/explain` reports. All `false` without statistics.
+    pub fn estimate_sources(&self, stats: Option<&crate::StatsStore>) -> Vec<bool> {
+        self.root
+            .preorder()
+            .into_iter()
+            .map(|node| stats.is_some_and(|stats| stats.estimate_node(node).is_some()))
+            .collect()
+    }
 }
 
 impl fmt::Display for Plan {

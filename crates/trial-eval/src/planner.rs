@@ -28,13 +28,16 @@
 //! distinct counts (from [`trial_core::RelationIndex::distinct_counts`]) and
 //! textbook selectivity heuristics everywhere else.
 //!
-//! The free functions [`evaluate`] and [`evaluate_with`] are the main entry
-//! points used by examples, tests and downstream crates; [`explain`] renders
-//! the chosen plan without running it.
+//! There is one way in per query kind — [`SmartEngine::plan_query`] for an
+//! expression, [`SmartEngine::plan_path_query`] for an NFA path walk — and
+//! everything after planning consumes the [`Plan`]: [`SmartEngine::stream`],
+//! [`SmartEngine::stream_after`], [`SmartEngine::execute`] and
+//! [`SmartEngine::analyze`]. The free functions [`evaluate`] and [`explain`]
+//! are shorthands over a default engine.
 
-use crate::cursor::{CancelCursor, QueryStream};
+use crate::cursor::QueryStream;
 use crate::engine::{Engine, EvalOptions, EvalStats, Evaluation};
-use crate::exec::Executor;
+use crate::exec::{Executor, ScanAccess};
 use crate::plan::{Plan, PlanNode};
 use crate::stats::{ObserveSummary, StatsStore};
 use std::collections::{HashMap, HashSet};
@@ -51,15 +54,16 @@ use trial_parser::PathExpr;
 /// An engine built with [`SmartEngine::with_stats`] also carries a shared
 /// [`StatsStore`]: planning substitutes observed cardinalities for the
 /// heuristic estimates wherever a plan shape has been executed before, and
-/// every `evaluate_analyzed` run feeds its actual row counts back in — the
-/// adaptive-planning feedback loop (see [`crate::stats`]).
+/// every [`SmartEngine::analyze`] run feeds its actual row counts back in —
+/// the adaptive-planning feedback loop (see [`crate::stats`]).
 #[derive(Debug, Clone, Default)]
 pub struct SmartEngine {
-    /// Evaluation options (limits and strategy switches).
+    /// Evaluation options (limits, parallelism, profiling, cancellation).
     pub options: EvalOptions,
     /// Feedback statistics consulted while planning and fed by
-    /// `evaluate_analyzed`, with the store epoch captured at construction
-    /// (observations are dropped if the epoch moved underneath the request).
+    /// [`SmartEngine::analyze`], with the store epoch captured at
+    /// construction (observations are dropped if the epoch moved underneath
+    /// the request).
     stats: Option<(Arc<StatsStore>, u64)>,
 }
 
@@ -80,8 +84,8 @@ impl SmartEngine {
 
     /// Creates the engine with explicit options and a shared feedback
     /// [`StatsStore`]. The store's current epoch is captured here: an
-    /// `evaluate_analyzed` observation is only ingested if the store is
-    /// still at that epoch (see [`StatsStore::observe_plan`]).
+    /// analyzed run's observation is only ingested if the store is still at
+    /// that epoch (see [`StatsStore::observe_plan`]).
     pub fn with_stats(options: EvalOptions, stats: Arc<StatsStore>) -> Self {
         let epoch = stats.epoch();
         SmartEngine {
@@ -95,40 +99,31 @@ impl SmartEngine {
         self.stats.as_ref().map(|(stats, _)| &**stats)
     }
 
-    /// Per plan node (indexed like [`PlanNode::preorder`]), whether the
-    /// node's estimate would come from observed statistics (`true`,
-    /// `est_src=stats`) rather than the static heuristics — what the
-    /// server's `/explain` reports.
-    pub fn estimate_sources(&self, plan: &Plan) -> Vec<bool> {
-        let nodes = plan.root.preorder();
-        match self.stats() {
-            Some(stats) => nodes
-                .iter()
-                .map(|node| stats.estimate_node(node).is_some())
-                .collect(),
-            None => vec![false; nodes.len()],
-        }
-    }
-
-    /// Plans `expr` over `store` without executing it.
-    pub fn plan(&self, expr: &Expr, store: &Triplestore) -> Result<Plan> {
-        plan_with(expr, store, &self.options, self.stats(), None)
-    }
-
-    /// Plans `expr` with a result-cardinality limit pushed into the plan
-    /// (see [`plan_limited`]). `None` plans for the full result.
-    pub fn plan_limited(
-        &self,
-        expr: &Expr,
-        store: &Triplestore,
-        limit: Option<usize>,
-    ) -> Result<Plan> {
-        plan_query_with(expr, store, &self.options, self.stats(), limit, None, None)
-    }
-
-    /// Plans `expr` with an output order, a top-k bound and/or a limit
-    /// compiled into the plan (see [`plan_query`]). With all three `None`
-    /// this is identical to [`SmartEngine::plan`].
+    /// Plans `expr` over `store` without executing it, compiling an output
+    /// order, a top-k bound and/or a result-cardinality limit into the plan
+    /// — the planner behind the server's `?order=`/`?topk=`/`?limit=`
+    /// parameters. With all three `None` the plan computes the full result.
+    ///
+    /// * With `topk = Some(k)` the plan computes the `k` smallest distinct
+    ///   triples under `order`'s permutation key (`order` defaults to
+    ///   `spo`): [`push_topk`] distributes the bound through unions, folds
+    ///   nested top-ks, and turns it into a plain [`PlanNode::Limit`]
+    ///   wherever the input already streams in the target order (the first
+    ///   `k` of an ordered stream *are* the `k` smallest — early termination
+    ///   for free). Elsewhere a [`PlanNode::TopK`] bounded heap does the
+    ///   work; no sort is ever inserted on this path.
+    /// * With only `order = Some(p)` the plan's root is rewritten to stream
+    ///   in `p`'s key order: unbound scans switch permutation and
+    ///   order-preserving operators pass the requirement down
+    ///   ([`ensure_order`]); if no operator below can deliver, an explicit
+    ///   [`PlanNode::Sort`] breaker is inserted at the root.
+    /// * `limit` is then pushed as deep as set semantics allow
+    ///   ([`push_limit`]); it never disturbs the delivered order.
+    ///
+    /// The requested order (explicit, or the key a top-k bound ranks by) is
+    /// also the planner's **interesting order**: join planning can choose
+    /// merge keys that deliver it natively, so the rewrites above find an
+    /// already-ordered root instead of inserting a breaker.
     pub fn plan_query(
         &self,
         expr: &Expr,
@@ -137,39 +132,92 @@ impl SmartEngine {
         order: Option<Permutation>,
         topk: Option<usize>,
     ) -> Result<Plan> {
-        plan_query_with(expr, store, &self.options, self.stats(), limit, order, topk)
+        expr.validate()?;
+        let rank = topk.map(|_| order.unwrap_or(Permutation::Spo));
+        let mut planner = Planner {
+            store,
+            stats: self.stats(),
+            interesting: rank.or(order),
+            used_stats: false,
+            universe_est: None,
+            repeated: repeated_subexpressions(expr),
+            slots: HashMap::new(),
+        };
+        let root = planner.plan_expr(expr)?;
+        if planner.used_stats {
+            if let Some(stats) = self.stats() {
+                stats.note_replan();
+            }
+        }
+        Ok(self.bounded_plan(root, planner.slots.len(), limit, order, topk))
     }
 
-    /// Evaluates `expr` through a [`plan_query`] plan: the result set of an
-    /// ordered query equals the unordered one (sets carry no order), and a
-    /// top-k query returns exactly the `k` smallest distinct triples under
-    /// `order`'s permutation key — deterministic in both execution modes,
-    /// which is what the ordered differential suite exploits.
-    pub fn evaluate_query(
+    /// Plans a path query executed as an NFA product walk: a
+    /// [`PlanNode::PathNfa`] leaf over `relation`, with the same
+    /// limit/order/top-k rewrites as [`SmartEngine::plan_query`] applied on
+    /// top. The leaf materialises in canonical SPO order, so `?order=spo` and
+    /// SPO top-k bounds collapse to plain streaming limits; other orders
+    /// insert the usual sort breaker.
+    ///
+    /// This is the **NFA strategy** entry point. Path queries whose strategy
+    /// resolves to the TriAL lowering instead go through
+    /// [`SmartEngine::plan_query`] with [`crate::rpq::lower`]'s output — that
+    /// is the whole point of the lowering.
+    ///
+    /// Fails fast when `relation` is not stored — the walk has nothing to
+    /// traverse, and the server wants the 404-equivalent before streaming.
+    #[allow(clippy::too_many_arguments)]
+    pub fn plan_path_query(
         &self,
-        expr: &Expr,
+        path: &PathExpr,
+        relation: &str,
         store: &Triplestore,
+        max_hops: Option<usize>,
         limit: Option<usize>,
         order: Option<Permutation>,
         topk: Option<usize>,
-    ) -> Result<Evaluation> {
-        let plan = self.plan_query(expr, store, limit, order, topk)?;
-        let mut stats = EvalStats::new();
-        let mut executor = Executor::new(store, self.options.clone(), &plan);
-        let result = if self.options.streaming {
-            executor.materialize(&plan.root, &mut stats)?
-        } else {
-            executor.run(&plan.root, &mut stats)?
+    ) -> Result<Plan> {
+        let base = store.require_relation(relation)?;
+        let root = PlanNode::PathNfa {
+            relation: relation.to_owned(),
+            path: path.clone(),
+            max_hops,
+            // Stats-free estimate: one pair per (root, reachable node) is
+            // bounded by nodes², but on sparse graphs the edge count is the
+            // better proxy — and the leaf has no join above it that the
+            // number could mislead.
+            est: base.len().max(1),
         };
-        Ok(Evaluation { result, stats })
+        Ok(self.bounded_plan(root, 0, limit, order, topk))
     }
 
-    /// Compiles `expr` into a streaming [`QueryStream`] whose rows arrive in
-    /// `order`'s key order (when requested) and honour a top-k bound — the
-    /// pull-based face of [`plan_query`] behind the server's
-    /// `?order=`/`?topk=` parameters. Row order is deterministic whenever an
-    /// order is requested: the root either delivers the permutation order
-    /// natively or sits above an explicit sort/top-k operator.
+    /// Applies the top-k / order / limit rewrites to a planned root — the
+    /// one place an expression plan and a path plan stop differing.
+    fn bounded_plan(
+        &self,
+        mut root: PlanNode,
+        memo_slots: usize,
+        limit: Option<usize>,
+        order: Option<Permutation>,
+        topk: Option<usize>,
+    ) -> Plan {
+        if let Some(k) = topk {
+            root = push_topk(root, k, order.unwrap_or(Permutation::Spo));
+        } else if let Some(perm) = order {
+            root = ensure_order(root, perm);
+        }
+        if let Some(k) = limit {
+            root = push_limit(root, k);
+        }
+        Plan {
+            root,
+            memo_slots,
+            threads: self.options.threads.max(1),
+        }
+    }
+
+    /// Plans `expr` ([`SmartEngine::plan_query`]) and compiles the plan into
+    /// a [`QueryStream`] ([`SmartEngine::stream`]).
     pub fn stream_query<'s>(
         &self,
         expr: &Expr,
@@ -178,16 +226,38 @@ impl SmartEngine {
         order: Option<Permutation>,
         topk: Option<usize>,
     ) -> Result<QueryStream<'s>> {
-        let plan = self.plan_query(expr, store, limit, order, topk)?;
-        self.stream_plan(plan, store)
+        self.stream(self.plan_query(expr, store, limit, order, topk)?, store)
     }
 
-    /// Compiles an already-built plan into a streaming [`QueryStream`] —
-    /// the shared tail of [`SmartEngine::stream_query`] and
-    /// [`SmartEngine::stream_path_query`].
-    fn stream_plan<'s>(&self, plan: Plan, store: &'s Triplestore) -> Result<QueryStream<'s>> {
+    /// [`SmartEngine::stream_query`] for the NFA path strategy.
+    #[allow(clippy::too_many_arguments)]
+    pub fn stream_path_query<'s>(
+        &self,
+        path: &PathExpr,
+        relation: &str,
+        store: &'s Triplestore,
+        max_hops: Option<usize>,
+        limit: Option<usize>,
+        order: Option<Permutation>,
+        topk: Option<usize>,
+    ) -> Result<QueryStream<'s>> {
+        let plan = self.plan_path_query(path, relation, store, max_hops, limit, order, topk)?;
+        self.stream(plan, store)
+    }
+
+    /// Compiles `plan` into a streaming [`QueryStream`] over `store` — the
+    /// pull-based way to run a plan.
+    ///
+    /// Pipeline breakers (hash-join build sides, star fixpoints, difference
+    /// right sides, memo slots, sorts) run here, at compile time; everything
+    /// else runs as the caller pulls. Dropping the stream abandons all
+    /// remaining work, so a bounded consumer pays for the triples it reads,
+    /// not for the full result. Row order is deterministic whenever the plan
+    /// was built for an order: the root either delivers the permutation
+    /// order natively or sits above an explicit sort/top-k operator.
+    pub fn stream<'s>(&self, plan: Plan, store: &'s Triplestore) -> Result<QueryStream<'s>> {
         let mut stats = EvalStats::new();
-        let mut executor = Executor::new(store, self.options.clone(), &plan);
+        let mut executor = Executor::new(store, self.options.clone(), &plan, false);
         let root = executor.cursor(&plan.root, &mut stats)?;
         // Exchange fan-out for `QueryStream::channel`: when parallelism is
         // on and the root (beneath any peeled limit) is an ordered,
@@ -196,7 +266,8 @@ impl SmartEngine {
         // in-order concatenation is exactly the sequential row sequence, so
         // the exchange changes *when* rows are computed, never which or in
         // what order.
-        let morsels = if self.options.threads > 1 {
+        let mut morsels = None;
+        if self.options.threads > 1 {
             let (inner, peeled) = match &plan.root {
                 PlanNode::Limit { input, limit, .. } => (&**input, Some(*limit)),
                 other => (other, None),
@@ -216,164 +287,91 @@ impl SmartEngine {
                         .div_ceil(self.options.parallel_min_rows)
                         .clamp(2, self.options.threads)
                 };
-                executor.morsel_cursors(inner, parts)?.map(|cursors| {
-                    // Every exchange producer checks the shared token, so a
-                    // deadline or consumer hang-up unwinds all lanes.
-                    let cursors = cursors
-                        .into_iter()
-                        .map(|cursor| wrap_cancel(cursor, &self.options))
-                        .collect();
-                    (cursors, peeled)
-                })
-            } else {
-                None
+                morsels = executor
+                    .morsel_cursors(inner, parts, &mut stats)?
+                    .map(|cursors| (cursors, peeled));
             }
-        } else {
-            None
-        };
+        }
         let profile = executor.query_profile(&plan);
-        let stream = QueryStream::new(plan, root, stats)
-            .with_profile(profile)
-            .with_cancel(self.options.cancel.clone());
+        let stream = QueryStream::new(plan, root, stats, profile, &self.options.cancel);
         Ok(match morsels {
             Some((cursors, peeled)) => stream.with_morsels(cursors, peeled),
             None => stream,
         })
     }
 
-    /// Compiles `expr` like [`SmartEngine::stream_query`] but **resumed
-    /// strictly after** the row whose key under `order` is `after` — the
-    /// engine half of cursor pagination. The plan is identical to the
-    /// non-resumed ordered query's; the executor then seeks the root
-    /// (`O(log n)` on index scans via
-    /// [`trial_core::RangeCursor::seek`], linear skip otherwise), so page
-    /// `n+1` never re-evaluates page `n`'s rows. Top-k queries cannot resume
-    /// (their result is a bounded set, not a stream position): callers gate
-    /// that out.
-    pub fn stream_query_after<'s>(
-        &self,
-        expr: &Expr,
-        store: &'s Triplestore,
-        limit: Option<usize>,
-        order: Permutation,
-        after: [trial_core::ObjectId; 3],
-    ) -> Result<QueryStream<'s>> {
-        let plan = self.plan_query(expr, store, limit, Some(order), None)?;
-        self.stream_plan_after(plan, store, order, after)
-    }
-
-    /// Seeks an already-built ordered plan strictly past `after` and wraps
-    /// it in a [`QueryStream`] — the shared tail of the two `…_after` resume
-    /// entry points.
-    fn stream_plan_after<'s>(
+    /// Compiles `plan` like [`SmartEngine::stream`] but **resumed strictly
+    /// after** the row whose key under `order` is `after` — the engine half
+    /// of cursor pagination. `plan` is the ordered query's own plan (its
+    /// root must deliver `order`); the executor seeks the root (`O(log n)`
+    /// on index scans via [`trial_core::RangeCursor::seek`], linear skip
+    /// otherwise), so page `n+1` never re-evaluates page `n`'s rows. Top-k
+    /// queries cannot resume (their result is a bounded set, not a stream
+    /// position): callers gate that out.
+    pub fn stream_after<'s>(
         &self,
         plan: Plan,
         store: &'s Triplestore,
         order: Permutation,
-        after: [trial_core::ObjectId; 3],
+        after: [ObjectId; 3],
     ) -> Result<QueryStream<'s>> {
         let mut stats = EvalStats::new();
-        let mut executor = Executor::new(store, self.options.clone(), &plan);
-        let root = executor.cursor_seek(&plan.root, order, after, &mut stats)?;
+        let mut executor = Executor::new(store, self.options.clone(), &plan, false);
+        debug_assert_eq!(
+            plan.root.ordering(),
+            Some(order),
+            "a seek needs an ordered root"
+        );
+        let root = executor
+            .cursor_at(&plan.root, ScanAccess::After(order, after), &mut stats)?
+            .expect("every operator compiles for a seek");
         let profile = executor.query_profile(&plan);
-        Ok(QueryStream::new(plan, root, stats)
-            .with_profile(profile)
-            .with_cancel(self.options.cancel.clone()))
+        Ok(QueryStream::new(
+            plan,
+            root,
+            stats,
+            profile,
+            &self.options.cancel,
+        ))
     }
 
-    /// Evaluates `expr` with a limit pushed into the physical plan: at most
-    /// `limit` distinct triples are returned (`None` = unlimited).
+    /// Runs `plan` to its full result set.
     ///
-    /// With streaming execution (the default) the result is the first
-    /// `limit` distinct triples the cursor pipeline yields, and evaluation
-    /// terminates the moment the limit is reached. With
-    /// [`EvalOptions::streaming`]` = false` the full result is materialised
-    /// and the **ordered prefix** is returned: the `limit` smallest triples
-    /// under the limit input's delivered stream order — the canonical SPO
-    /// prefix when the input is unordered. For ordered inputs this is
-    /// exactly what the streaming pipeline yields, so the two modes agree
-    /// deterministically; the differential suite checks both.
-    pub fn evaluate_limited(
-        &self,
-        expr: &Expr,
-        store: &Triplestore,
-        limit: Option<usize>,
-    ) -> Result<Evaluation> {
-        let plan = self.plan_limited(expr, store, limit)?;
+    /// Operators whose output is naturally a set (scans, set operations,
+    /// joins, stars) build it with the set-at-a-time kernels; a limited or
+    /// top-k subtree runs as a cursor pipeline and terminates the moment its
+    /// bound is reached. A limited result is the first `limit` distinct
+    /// triples that pipeline yields — for an ordered input exactly the
+    /// `limit` smallest under its order — and a top-k result is the `k`
+    /// smallest distinct triples under the permutation key.
+    pub fn execute(&self, plan: &Plan, store: &Triplestore) -> Result<Evaluation> {
         let mut stats = EvalStats::new();
-        let mut executor = Executor::new(store, self.options.clone(), &plan);
-        let result = if self.options.streaming {
-            // `materialize` runs the streaming pipeline but lets operators
-            // whose output is naturally a set (scans, set ops, stars) build
-            // it directly — full-result evaluations stay at materialized
-            // speed while limited subtrees still terminate early.
-            executor.materialize(&plan.root, &mut stats)?
-        } else {
-            executor.run(&plan.root, &mut stats)?
-        };
+        let mut executor = Executor::new(store, self.options.clone(), plan, false);
+        let result = executor.materialize(&plan.root, &mut stats)?;
         Ok(Evaluation { result, stats })
     }
 
-    /// Evaluates `expr` like [`SmartEngine::evaluate_limited`] while also
-    /// recording every plan node's **actual** output cardinality — the
-    /// `EXPLAIN ANALYZE` entry point behind the server's
+    /// [`SmartEngine::execute`] while also recording every plan node's
+    /// **actual** output cardinality and an exact per-node wall-clock
+    /// profile — the `EXPLAIN ANALYZE` entry point behind the server's
     /// `/explain?analyze=1`.
     ///
     /// Actuals are the cost-model feedback loop: comparing them to the
     /// per-node `est` exposes the selectivity mis-estimates that would
-    /// mislead morsel sizing (and build-side choices). Node indexing follows
+    /// mislead morsel sizing (and build-side choices), and an engine built
+    /// [`SmartEngine::with_stats`] ingests them. Node indexing follows
     /// [`PlanNode::preorder`] of the returned plan; a node is `None` when it
-    /// was not individually materialised — the subtree beneath a streaming
+    /// was not individually materialised — the subtree beneath a
     /// [`PlanNode::Limit`] runs as one pull-based pipeline and only the
     /// limit node itself observes a row count.
-    pub fn evaluate_analyzed(
-        &self,
-        expr: &Expr,
-        store: &Triplestore,
-        limit: Option<usize>,
-    ) -> Result<AnalyzedEvaluation> {
-        self.evaluate_analyzed_query(expr, store, limit, None, None)
-    }
-
-    /// [`SmartEngine::evaluate_analyzed`] over a [`plan_query`] plan: the
-    /// `EXPLAIN ANALYZE` path for ordered / top-k queries, behind the
-    /// server's `/explain?analyze=1&order=…&topk=…`.
-    pub fn evaluate_analyzed_query(
-        &self,
-        expr: &Expr,
-        store: &Triplestore,
-        limit: Option<usize>,
-        order: Option<Permutation>,
-        topk: Option<usize>,
-    ) -> Result<AnalyzedEvaluation> {
-        let options = EvalOptions {
-            collect_node_stats: true,
-            ..self.options.clone()
-        };
-        let plan = plan_query_with(expr, store, &options, self.stats(), limit, order, topk)?;
-        self.analyzed_run(plan, store, options)
-    }
-
-    /// Executes an already-built plan with per-node actuals, profiles and
-    /// feedback ingestion — the shared tail of the `EXPLAIN ANALYZE` entry
-    /// points.
-    fn analyzed_run(
-        &self,
-        plan: Plan,
-        store: &Triplestore,
-        options: EvalOptions,
-    ) -> Result<AnalyzedEvaluation> {
+    pub fn analyze(&self, plan: Plan, store: &Triplestore) -> Result<AnalyzedEvaluation> {
         // Captured before execution: ingesting this run's actuals below
         // would otherwise make a cold (heuristic) plan report itself as
         // stats-sourced.
-        let est_sources = self.estimate_sources(&plan);
+        let est_sources = plan.estimate_sources(self.stats());
         let mut stats = EvalStats::new();
-        let mut executor = Executor::new(store, options.clone(), &plan);
-        let result = if options.streaming {
-            executor.materialize(&plan.root, &mut stats)?
-        } else {
-            executor.run(&plan.root, &mut stats)?
-        };
+        let mut executor = Executor::new(store, self.options.clone(), &plan, true);
+        let result = executor.materialize(&plan.root, &mut stats)?;
         let actuals = executor.node_actuals(&plan);
         let profiles = executor
             .query_profile(&plan)
@@ -395,137 +393,9 @@ impl SmartEngine {
             feedback,
         })
     }
-
-    /// Compiles `expr` into a streaming [`QueryStream`] over `store`,
-    /// optionally bounded to `limit` distinct result triples.
-    ///
-    /// This is the pull-based entry point: pipeline breakers (hash-join
-    /// build sides, star fixpoints, difference right sides, memo slots) run
-    /// at compile time, everything else runs as the caller pulls. Dropping
-    /// the stream abandons all remaining work, so a bounded consumer pays
-    /// for the triples it reads, not for the full result — the behaviour the
-    /// `streaming_vs_materialized` benchmark quantifies.
-    pub fn stream<'s>(
-        &self,
-        expr: &Expr,
-        store: &'s Triplestore,
-        limit: Option<usize>,
-    ) -> Result<QueryStream<'s>> {
-        self.stream_query(expr, store, limit, None, None)
-    }
-
-    /// Plans a path query executed as a [`PlanNode::PathNfa`] product walk
-    /// over `relation`, with the same limit/order/top-k machinery as
-    /// [`SmartEngine::plan_query`] applied on top (see [`plan_path`]).
-    ///
-    /// This is the **NFA strategy** entry point. Path queries whose strategy
-    /// resolves to the TriAL lowering instead go through the ordinary
-    /// expression entry points with [`crate::rpq::lower`]'s output — that is
-    /// the whole point of the lowering.
-    #[allow(clippy::too_many_arguments)]
-    pub fn plan_path_query(
-        &self,
-        path: &PathExpr,
-        relation: &str,
-        store: &Triplestore,
-        max_hops: Option<usize>,
-        limit: Option<usize>,
-        order: Option<Permutation>,
-        topk: Option<usize>,
-    ) -> Result<Plan> {
-        plan_path(
-            path,
-            relation,
-            store,
-            &self.options,
-            max_hops,
-            limit,
-            order,
-            topk,
-        )
-    }
-
-    /// [`SmartEngine::stream_query`] for the NFA path strategy: compiles the
-    /// [`PlanNode::PathNfa`] plan and streams it with the same
-    /// ordered/top-k/limit semantics.
-    #[allow(clippy::too_many_arguments)]
-    pub fn stream_path_query<'s>(
-        &self,
-        path: &PathExpr,
-        relation: &str,
-        store: &'s Triplestore,
-        max_hops: Option<usize>,
-        limit: Option<usize>,
-        order: Option<Permutation>,
-        topk: Option<usize>,
-    ) -> Result<QueryStream<'s>> {
-        let plan = self.plan_path_query(path, relation, store, max_hops, limit, order, topk)?;
-        self.stream_plan(plan, store)
-    }
-
-    /// [`SmartEngine::stream_query_after`] for the NFA path strategy — the
-    /// engine half of cursor pagination over `POST /path` responses.
-    #[allow(clippy::too_many_arguments)]
-    pub fn stream_path_query_after<'s>(
-        &self,
-        path: &PathExpr,
-        relation: &str,
-        store: &'s Triplestore,
-        max_hops: Option<usize>,
-        limit: Option<usize>,
-        order: Permutation,
-        after: [trial_core::ObjectId; 3],
-    ) -> Result<QueryStream<'s>> {
-        let plan =
-            self.plan_path_query(path, relation, store, max_hops, limit, Some(order), None)?;
-        self.stream_plan_after(plan, store, order, after)
-    }
-
-    /// [`SmartEngine::evaluate_analyzed_query`] for the NFA path strategy:
-    /// `EXPLAIN ANALYZE` over a [`PlanNode::PathNfa`] plan. The feedback
-    /// ingestion is a no-op (NFA walks carry no reusable plan-shape
-    /// fingerprint) but actuals and profiles report like any other plan.
-    #[allow(clippy::too_many_arguments)]
-    pub fn evaluate_analyzed_path_query(
-        &self,
-        path: &PathExpr,
-        relation: &str,
-        store: &Triplestore,
-        max_hops: Option<usize>,
-        limit: Option<usize>,
-        order: Option<Permutation>,
-        topk: Option<usize>,
-    ) -> Result<AnalyzedEvaluation> {
-        let options = EvalOptions {
-            collect_node_stats: true,
-            ..self.options.clone()
-        };
-        let plan = plan_path(
-            path, relation, store, &options, max_hops, limit, order, topk,
-        )?;
-        self.analyzed_run(plan, store, options)
-    }
 }
 
-/// Installs the cancellation checkpoint on an exchange producer pipeline:
-/// with an armed [`crate::CancelToken`] every pull first consults the
-/// stride-amortised checker and the lane ends early once the token latches;
-/// the inert token wraps nothing and costs nothing. (The root pipeline is
-/// not wrapped — [`QueryStream::next_triple`] carries its own checker.)
-fn wrap_cancel<'s>(
-    cursor: crate::cursor::BoxCursor<'s>,
-    options: &EvalOptions,
-) -> crate::cursor::BoxCursor<'s> {
-    if !options.cancel.is_armed() {
-        return cursor;
-    }
-    Box::new(CancelCursor {
-        input: cursor,
-        checker: options.cancel.checker(),
-    })
-}
-
-/// The outcome of [`SmartEngine::evaluate_analyzed`]: the executed plan, the
+/// The outcome of [`SmartEngine::analyze`]: the executed plan, the
 /// evaluation itself, and each node's actual output cardinality.
 #[derive(Debug, Clone)]
 pub struct AnalyzedEvaluation {
@@ -561,7 +431,7 @@ impl Engine for SmartEngine {
     }
 
     fn evaluate(&self, expr: &Expr, store: &Triplestore) -> Result<Evaluation> {
-        self.evaluate_limited(expr, store, None)
+        self.execute(&self.plan_query(expr, store, None, None, None)?, store)
     }
 }
 
@@ -570,106 +440,14 @@ pub fn evaluate(expr: &Expr, store: &Triplestore) -> Result<Evaluation> {
     SmartEngine::new().evaluate(expr, store)
 }
 
-/// Evaluates `expr` over `store` with explicit [`EvalOptions`].
-pub fn evaluate_with(expr: &Expr, store: &Triplestore, options: EvalOptions) -> Result<Evaluation> {
-    SmartEngine::with_options(options).evaluate(expr, store)
-}
-
 /// Plans `expr` and renders the physical plan in `EXPLAIN` style.
 pub fn explain(expr: &Expr, store: &Triplestore) -> Result<String> {
-    Ok(SmartEngine::new().plan(expr, store)?.explain())
+    let plan = SmartEngine::new().plan_query(expr, store, None, None, None)?;
+    Ok(plan.explain())
 }
 
-/// Builds the physical plan for `expr` over `store`.
-pub fn plan(expr: &Expr, store: &Triplestore, options: &EvalOptions) -> Result<Plan> {
-    plan_with(expr, store, options, None, None)
-}
-
-/// [`plan`] with the adaptive-planner inputs: optional feedback statistics
-/// (observed cardinalities override the heuristic estimates wherever a plan
-/// shape has been executed before) and an optional **interesting order** —
-/// the root output order the query will be asked for, pushed down so join
-/// strategy and merge-key choice can deliver it without a final sort.
-fn plan_with(
-    expr: &Expr,
-    store: &Triplestore,
-    options: &EvalOptions,
-    stats: Option<&StatsStore>,
-    interesting: Option<Permutation>,
-) -> Result<Plan> {
-    expr.validate()?;
-    let mut planner = Planner {
-        store,
-        options,
-        stats,
-        interesting,
-        used_stats: false,
-        universe_est: None,
-        repeated: repeated_subexpressions(expr),
-        slots: HashMap::new(),
-    };
-    let root = planner.plan_expr(expr)?;
-    if planner.used_stats {
-        if let Some(stats) = stats {
-            stats.note_replan();
-        }
-    }
-    Ok(Plan {
-        root,
-        memo_slots: planner.slots.len(),
-        threads: options.threads.max(1),
-    })
-}
-
-/// Builds the physical plan for a path query executed as an NFA product
-/// walk: a [`PlanNode::PathNfa`] leaf over `relation`, with the ordinary
-/// order / top-k / limit rewrites applied on top. The leaf materialises in
-/// canonical SPO order, so `?order=spo` and SPO top-k bounds collapse to
-/// plain streaming limits; other orders insert the usual sort breaker.
-///
-/// Fails fast when `relation` is not stored — the walk has nothing to
-/// traverse, and the server wants the 404-equivalent before streaming.
-#[allow(clippy::too_many_arguments)]
-pub fn plan_path(
-    path: &PathExpr,
-    relation: &str,
-    store: &Triplestore,
-    options: &EvalOptions,
-    max_hops: Option<usize>,
-    limit: Option<usize>,
-    order: Option<Permutation>,
-    topk: Option<usize>,
-) -> Result<Plan> {
-    let base = store.require_relation(relation)?;
-    // Stats-free estimate: one pair per (root, reachable node) is bounded by
-    // nodes², but on sparse graphs the edge count is the better proxy — and
-    // the leaf has no join above it that the number could mislead.
-    let est = base.len().max(1);
-    let mut root = PlanNode::PathNfa {
-        relation: relation.to_owned(),
-        path: path.clone(),
-        max_hops,
-        est,
-    };
-    if let Some(k) = topk {
-        root = push_topk(root, k, order.unwrap_or(Permutation::Spo));
-    } else if let Some(perm) = order {
-        root = ensure_order(root, perm);
-    }
-    if let Some(k) = limit {
-        root = push_limit(root, k);
-    }
-    Ok(Plan {
-        root,
-        memo_slots: 0,
-        threads: options.threads.max(1),
-    })
-}
-
-/// Builds the physical plan for `expr` with a [`PlanNode::Limit`] pushed as
-/// deep as set semantics allow (`None` = unlimited, identical to [`plan`]).
-///
-/// Pushdown rules:
+/// Rewrites `node` so at most `k` distinct triples are ever produced, with
+/// a [`PlanNode::Limit`] pushed as deep as set semantics allow:
 ///
 /// * nested limits fold to the smaller bound;
 /// * a limit distributes through **union** — `limitₖ(a ∪ b)` needs at most
@@ -679,22 +457,8 @@ pub fn plan_path(
 /// * a limit of `0` folds the subtree to [`PlanNode::Empty`];
 /// * everything else keeps the limit **above** it: limits never cross
 ///   filters, joins, differences or stars (those need to see rows the limit
-///   would cut), but the streaming executor still terminates them early
+///   would cut), but the cursor pipeline still terminates them early
 ///   because the limit stops *pulling*.
-pub fn plan_limited(
-    expr: &Expr,
-    store: &Triplestore,
-    options: &EvalOptions,
-    limit: Option<usize>,
-) -> Result<Plan> {
-    let mut plan = plan(expr, store, options)?;
-    if let Some(k) = limit {
-        plan.root = push_limit(plan.root, k);
-    }
-    Ok(plan)
-}
-
-/// Rewrites `node` so at most `k` distinct triples are ever produced.
 fn push_limit(node: PlanNode, k: usize) -> PlanNode {
     if k == 0 {
         return PlanNode::Empty;
@@ -727,66 +491,6 @@ fn limit_over(input: PlanNode, k: usize) -> PlanNode {
         limit: k,
         est,
     }
-}
-
-/// Builds the physical plan for an **ordered** (and optionally top-k /
-/// limited) query — the entry point behind the server's
-/// `?order=`/`?topk=`/`?limit=` parameters.
-///
-/// * With `topk = Some(k)` the plan computes the `k` smallest distinct
-///   triples under `order`'s permutation key (`order` defaults to `spo`):
-///   [`push_topk`] distributes the bound through unions, folds nested
-///   top-ks, and turns it into a plain [`PlanNode::Limit`] wherever the
-///   input already streams in the target order (the first `k` of an ordered
-///   stream *are* the `k` smallest — early termination for free). Elsewhere
-///   a [`PlanNode::TopK`] bounded heap does the work; no sort is ever
-///   inserted on this path.
-/// * With only `order = Some(p)` the plan's root is rewritten to stream in
-///   `p`'s key order: unbound scans switch permutation and order-preserving
-///   operators pass the requirement down ([`ensure_order`]); if no operator
-///   below can deliver, an explicit [`PlanNode::Sort`] breaker is inserted
-///   at the root.
-/// * `limit` is then pushed as in [`plan_limited`] (it never disturbs the
-///   delivered order — limits are order-preserving).
-pub fn plan_query(
-    expr: &Expr,
-    store: &Triplestore,
-    options: &EvalOptions,
-    limit: Option<usize>,
-    order: Option<Permutation>,
-    topk: Option<usize>,
-) -> Result<Plan> {
-    plan_query_with(expr, store, options, None, limit, order, topk)
-}
-
-/// [`plan_query`] with feedback statistics. The requested order (explicit,
-/// or the key a top-k bound ranks by) is handed to [`plan_with`] as the
-/// **interesting order**, so the join planner can choose merge keys that
-/// deliver it natively and the `ensure_order`/`push_topk` rewrites below
-/// find an already-ordered root instead of inserting a breaker.
-fn plan_query_with(
-    expr: &Expr,
-    store: &Triplestore,
-    options: &EvalOptions,
-    stats: Option<&StatsStore>,
-    limit: Option<usize>,
-    order: Option<Permutation>,
-    topk: Option<usize>,
-) -> Result<Plan> {
-    let interesting = match topk {
-        Some(_) => Some(order.unwrap_or(Permutation::Spo)),
-        None => order,
-    };
-    let mut plan = plan_with(expr, store, options, stats, interesting)?;
-    if let Some(k) = topk {
-        plan.root = push_topk(plan.root, k, order.unwrap_or(Permutation::Spo));
-    } else if let Some(perm) = order {
-        plan.root = ensure_order(plan.root, perm);
-    }
-    if let Some(k) = limit {
-        plan.root = push_limit(plan.root, k);
-    }
-    Ok(plan)
 }
 
 /// Rewrites a scan to stream sorted on `component`: an unbound scan
@@ -1039,7 +743,6 @@ fn repeated_subexpressions(expr: &Expr) -> HashSet<Expr> {
 
 struct Planner<'a> {
     store: &'a Triplestore,
-    options: &'a EvalOptions,
     /// Observed-cardinality feedback consulted for every node built.
     stats: Option<&'a StatsStore>,
     /// The root output order the query will be asked for (interesting
@@ -1053,10 +756,6 @@ struct Planner<'a> {
 }
 
 impl Planner<'_> {
-    fn optimize(&self) -> bool {
-        self.options.optimize_plans
-    }
-
     /// `|adom|³`, the cardinality of the universal relation.
     fn universe_est(&mut self) -> usize {
         *self.universe_est.get_or_insert_with(|| {
@@ -1090,7 +789,7 @@ impl Planner<'_> {
     }
 
     fn plan_expr(&mut self, expr: &Expr) -> Result<PlanNode> {
-        if self.options.use_memo && memoizable(expr) && self.repeated.contains(expr) {
+        if memoizable(expr) && self.repeated.contains(expr) {
             let slot = match self.slots.get(expr) {
                 Some(&slot) => slot,
                 None => {
@@ -1179,9 +878,7 @@ impl Planner<'_> {
             } => {
                 let input_plan = self.plan_expr(input)?;
                 let est = star_est(input_plan.est(), self.universe_est());
-                if self.options.use_reach_specialisation
-                    && is_reachability_star(output, cond, *direction)
-                {
+                if is_reachability_star(output, cond, *direction) {
                     // Distinguish the two reachTA⁼ shapes by whether the
                     // label equality 2=2' is part of the condition.
                     let same_label = cond
@@ -1214,11 +911,9 @@ impl Planner<'_> {
         // Merge σ_c1(σ_c2(e)) into σ_{c1 ∧ c2}(e).
         let mut combined = cond.clone();
         let mut inner = input;
-        if self.optimize() {
-            while let Expr::Select { input, cond } = inner {
-                combined = combined.and(cond.clone());
-                inner = input;
-            }
+        while let Expr::Select { input, cond } = inner {
+            combined = combined.and(cond.clone());
+            inner = input;
         }
         let input_plan = self.plan_expr(inner)?;
         Ok(self.attach_selection(input_plan, combined))
@@ -1230,140 +925,138 @@ impl Planner<'_> {
         if cond.is_empty() {
             return input;
         }
-        if self.optimize() {
-            // Selections distribute through the order-preserving set
-            // operations — σ(a ∪ b) = σ(a) ∪ σ(b), σ(a − b) = σ(a) − σ(b),
-            // σ(a ∩ b) = σ(a) ∩ σ(b) — which carries constant equalities all
-            // the way down to the index scans on both sides.
-            match input {
-                PlanNode::Union { left, right, .. } => {
-                    let left = self.attach_selection(*left, cond.clone());
-                    let right = self.attach_selection(*right, cond);
-                    let est = left.est().saturating_add(right.est());
-                    return PlanNode::Union {
-                        left: Box::new(left),
-                        right: Box::new(right),
-                        est,
-                    };
-                }
-                PlanNode::Diff { left, right, .. } => {
-                    let left = self.attach_selection(*left, cond.clone());
-                    let right = self.attach_selection(*right, cond);
-                    let est = left.est();
-                    return PlanNode::Diff {
-                        left: Box::new(left),
-                        right: Box::new(right),
-                        est,
-                    };
-                }
-                PlanNode::Intersect { left, right, .. } => {
-                    let left = self.attach_selection(*left, cond.clone());
-                    let right = self.attach_selection(*right, cond);
-                    let est = left.est().min(right.est());
-                    return PlanNode::Intersect {
-                        left: Box::new(left),
-                        right: Box::new(right),
-                        est,
-                    };
-                }
-                _ => {}
+        // Selections distribute through the order-preserving set
+        // operations — σ(a ∪ b) = σ(a) ∪ σ(b), σ(a − b) = σ(a) − σ(b),
+        // σ(a ∩ b) = σ(a) ∩ σ(b) — which carries constant equalities all
+        // the way down to the index scans on both sides.
+        match input {
+            PlanNode::Union { left, right, .. } => {
+                let left = self.attach_selection(*left, cond.clone());
+                let right = self.attach_selection(*right, cond);
+                let est = left.est().saturating_add(right.est());
+                return PlanNode::Union {
+                    left: Box::new(left),
+                    right: Box::new(right),
+                    est,
+                };
             }
-            if let PlanNode::IndexScan {
-                relation,
-                bound: None,
-                residual,
-                est,
-                ..
-            } = &input
-            {
-                // An equality with an object name absent from the store can
-                // never hold: the whole selection is empty.
-                if cond.theta.iter().any(|a| {
-                    a.cmp == Cmp::Eq
-                        && matches!(&a.rhs, ObjOperand::Const(name)
-                            if self.store.object_id(name).is_none())
-                }) {
-                    return PlanNode::Empty;
+            PlanNode::Diff { left, right, .. } => {
+                let left = self.attach_selection(*left, cond.clone());
+                let right = self.attach_selection(*right, cond);
+                let est = left.est();
+                return PlanNode::Diff {
+                    left: Box::new(left),
+                    right: Box::new(right),
+                    est,
+                };
+            }
+            PlanNode::Intersect { left, right, .. } => {
+                let left = self.attach_selection(*left, cond.clone());
+                let right = self.attach_selection(*right, cond);
+                let est = left.est().min(right.est());
+                return PlanNode::Intersect {
+                    left: Box::new(left),
+                    right: Box::new(right),
+                    est,
+                };
+            }
+            _ => {}
+        }
+        if let PlanNode::IndexScan {
+            relation,
+            bound: None,
+            residual,
+            est,
+            ..
+        } = &input
+        {
+            // An equality with an object name absent from the store can
+            // never hold: the whole selection is empty.
+            if cond.theta.iter().any(|a| {
+                a.cmp == Cmp::Eq
+                    && matches!(&a.rhs, ObjOperand::Const(name)
+                        if self.store.object_id(name).is_none())
+            }) {
+                return PlanNode::Empty;
+            }
+            let stats = self
+                .store
+                .relation_with_index(relation)
+                .map(|(base, ix)| ix.distinct_counts(base));
+            // Bind the most selective constant equality (the component
+            // with the most distinct values) through the permutation
+            // index; everything else stays as a residual filter.
+            let mut best: Option<(usize, ObjectId, usize)> = None;
+            for atom in &cond.theta {
+                if atom.cmp != Cmp::Eq {
+                    continue;
                 }
-                let stats = self
-                    .store
-                    .relation_with_index(relation)
-                    .map(|(base, ix)| ix.distinct_counts(base));
-                // Bind the most selective constant equality (the component
-                // with the most distinct values) through the permutation
-                // index; everything else stays as a residual filter.
-                let mut best: Option<(usize, ObjectId, usize)> = None;
-                for atom in &cond.theta {
-                    if atom.cmp != Cmp::Eq {
-                        continue;
-                    }
-                    let ObjOperand::Const(name) = &atom.rhs else {
-                        continue;
-                    };
-                    let Some(id) = self.store.object_id(name) else {
-                        continue;
-                    };
-                    let component = atom.lhs.component_index();
-                    let distinct = stats.map(|d| d[component]).unwrap_or(1);
-                    if best.map(|(_, _, d)| distinct > d).unwrap_or(true) {
-                        best = Some((component, id, distinct));
-                    }
+                let ObjOperand::Const(name) = &atom.rhs else {
+                    continue;
+                };
+                let Some(id) = self.store.object_id(name) else {
+                    continue;
+                };
+                let component = atom.lhs.component_index();
+                let distinct = stats.map(|d| d[component]).unwrap_or(1);
+                if best.map(|(_, _, d)| distinct > d).unwrap_or(true) {
+                    best = Some((component, id, distinct));
                 }
-                if let Some((component, id, distinct)) = best {
-                    let residual_cond = Conditions {
-                        theta: cond
-                            .theta
-                            .iter()
-                            .filter(|a| {
-                                !(a.cmp == Cmp::Eq
-                                    && a.lhs.component_index() == component
-                                    && matches!(&a.rhs, ObjOperand::Const(n)
-                                        if self.store.object_id(n) == Some(id)))
-                            })
-                            .cloned()
-                            .collect::<Vec<ObjAtom>>(),
-                        eta: cond.eta.clone(),
-                    };
-                    // Integer division underflows a nonzero relation to 0
-                    // bound rows whenever `est < distinct`; clamp so only a
-                    // provably empty relation estimates empty.
-                    let bound_est = (est / distinct.max(1)).max(usize::from(*est > 0));
-                    let est = selectivity_est(bound_est, &residual_cond);
-                    return PlanNode::IndexScan {
-                        relation: relation.clone(),
-                        bound: Some((component, id)),
-                        residual: residual_cond.and(residual.clone()),
-                        order: Permutation::Spo,
-                        est: est.max(1),
-                    };
-                }
-                // No bindable constant: fold the whole selection into the
-                // scan's residual — one filtered pass over the relation
-                // instead of a scan followed by a Filter operator.
-                let est = selectivity_est(*est, &cond);
+            }
+            if let Some((component, id, distinct)) = best {
+                let residual_cond = Conditions {
+                    theta: cond
+                        .theta
+                        .iter()
+                        .filter(|a| {
+                            !(a.cmp == Cmp::Eq
+                                && a.lhs.component_index() == component
+                                && matches!(&a.rhs, ObjOperand::Const(n)
+                                    if self.store.object_id(n) == Some(id)))
+                        })
+                        .cloned()
+                        .collect::<Vec<ObjAtom>>(),
+                    eta: cond.eta.clone(),
+                };
+                // Integer division underflows a nonzero relation to 0
+                // bound rows whenever `est < distinct`; clamp so only a
+                // provably empty relation estimates empty.
+                let bound_est = (est / distinct.max(1)).max(usize::from(*est > 0));
+                let est = selectivity_est(bound_est, &residual_cond);
                 return PlanNode::IndexScan {
                     relation: relation.clone(),
-                    bound: None,
-                    residual: cond.and(residual.clone()),
+                    bound: Some((component, id)),
+                    residual: residual_cond.and(residual.clone()),
                     order: Permutation::Spo,
                     est: est.max(1),
                 };
             }
-            // Merge stacked filters produced by earlier planning stages.
-            if let PlanNode::Filter {
+            // No bindable constant: fold the whole selection into the
+            // scan's residual — one filtered pass over the relation
+            // instead of a scan followed by a Filter operator.
+            let est = selectivity_est(*est, &cond);
+            return PlanNode::IndexScan {
+                relation: relation.clone(),
+                bound: None,
+                residual: cond.and(residual.clone()),
+                order: Permutation::Spo,
+                est: est.max(1),
+            };
+        }
+        // Merge stacked filters produced by earlier planning stages.
+        if let PlanNode::Filter {
+            input: deeper,
+            cond: existing,
+            ..
+        } = input
+        {
+            let merged = existing.and(cond);
+            let est = selectivity_est(deeper.est(), &merged);
+            return PlanNode::Filter {
                 input: deeper,
-                cond: existing,
-                ..
-            } = input
-            {
-                let merged = existing.and(cond);
-                let est = selectivity_est(deeper.est(), &merged);
-                return PlanNode::Filter {
-                    input: deeper,
-                    cond: merged,
-                    est,
-                };
-            }
+                cond: merged,
+                est,
+            };
         }
         let est = selectivity_est(input.est(), &cond);
         PlanNode::Filter {
@@ -1398,18 +1091,6 @@ impl Planner<'_> {
                 est,
             });
         }
-        if !self.optimize() {
-            return Ok(PlanNode::HashJoin {
-                left: Box::new(left_plan),
-                right: Box::new(right_plan),
-                output: *output,
-                cond: cond.clone(),
-                keys,
-                swapped: false,
-                est,
-            });
-        }
-
         // Index nested-loop join: probe a stored relation's cached
         // permutation index instead of building a per-query hash table. The
         // inner side must be an unfiltered stored relation and should not be
@@ -1444,7 +1125,7 @@ impl Planner<'_> {
         // sort (or top-k heap) dissolves. When that is on the table it
         // outbids the index nested-loop probe, whose scrambled output would
         // force a sort breaker back in at the root.
-        let interesting_key = if self.options.use_merge_join && keys.len() == 1 {
+        let interesting_key = if keys.len() == 1 {
             self.interesting
                 .filter(|_| *output == trial_core::OutputSpec::IDENTITY)
                 .and_then(|perm| {
@@ -1466,7 +1147,7 @@ impl Planner<'_> {
         let prefer_inlj = (right_inner || left_inner)
             && inlj_outer_est.saturating_mul(8) < merge_cost
             && interesting_key.is_none();
-        if self.options.use_merge_join && keys.len() == 1 && !prefer_inlj {
+        if keys.len() == 1 && !prefer_inlj {
             let chosen = interesting_key.or_else(|| {
                 keys.iter().copied().find(|&(l, r)| {
                     deliverable(&left_plan, l.component_index())
@@ -1646,7 +1327,7 @@ fn selectivity_est(input_est: usize, cond: &Conditions) -> usize {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::naive::NaiveEngine;
     use trial_core::builder::{queries, ExprBuilderExt};
@@ -1668,8 +1349,30 @@ mod tests {
         b.finish()
     }
 
+    fn eval_query(
+        engine: &SmartEngine,
+        q: &Expr,
+        store: &Triplestore,
+        limit: Option<usize>,
+        order: Option<Permutation>,
+        topk: Option<usize>,
+    ) -> Evaluation {
+        let plan = engine.plan_query(q, store, limit, order, topk).unwrap();
+        engine.execute(&plan, store).unwrap()
+    }
+
+    fn analyze(
+        engine: &SmartEngine,
+        q: &Expr,
+        store: &Triplestore,
+        limit: Option<usize>,
+    ) -> AnalyzedEvaluation {
+        let plan = engine.plan_query(q, store, limit, None, None).unwrap();
+        engine.analyze(plan, store).unwrap()
+    }
+
     /// A mixed bag of expressions covering every operator.
-    fn expression_zoo() -> Vec<Expr> {
+    pub(crate) fn expression_zoo() -> Vec<Expr> {
         vec![
             Expr::rel("E"),
             queries::example2("E"),
@@ -1805,80 +1508,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_query_after_resumes_without_replay() {
-        let store = grid(500);
-        let engine = SmartEngine::new();
-        let exprs = [
-            Expr::rel("E"),
-            Expr::rel("E").select(Conditions::new().obj_eq_const(trial_core::Pos::L2, "p3")),
-            // Join output needs an explicit sort: exercises the skip
-            // fallback rather than the storage-layer seek.
-            queries::example2("E"),
-        ];
-        for expr in &exprs {
-            for order in Permutation::ALL {
-                let mut full = engine
-                    .stream_query(expr, &store, None, Some(order), None)
-                    .unwrap();
-                let mut all = Vec::new();
-                while let Some(t) = full.next_triple() {
-                    all.push(t);
-                }
-                assert!(!all.is_empty(), "empty reference for {expr}");
-                for i in [0, all.len() / 2, all.len() - 1] {
-                    let after = order.key(&all[i]);
-                    let mut resumed = engine
-                        .stream_query_after(expr, &store, None, order, after)
-                        .unwrap();
-                    let mut rest = Vec::new();
-                    while let Some(t) = resumed.next_triple() {
-                        rest.push(t);
-                    }
-                    assert_eq!(rest, all[i + 1..].to_vec(), "{expr} order={order} i={i}");
-                    // A limited resume yields the next page exactly.
-                    let mut page = engine
-                        .stream_query_after(expr, &store, Some(3), order, after)
-                        .unwrap();
-                    let mut rows = Vec::new();
-                    while let Some(t) = page.next_triple() {
-                        rows.push(t);
-                    }
-                    let want: Vec<trial_core::Triple> =
-                        all[i + 1..].iter().take(3).copied().collect();
-                    assert_eq!(rows, want, "{expr} order={order} i={i} (paged)");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn smart_and_naive_agree_on_figure1() {
-        let store = figure1();
-        let smart = SmartEngine::new();
-        let naive = NaiveEngine::new();
-        for expr in expression_zoo() {
-            let a = smart.run(&expr, &store).unwrap();
-            let b = naive.run(&expr, &store).unwrap();
-            assert_eq!(a, b, "engines disagree on {expr}");
-        }
-    }
-
-    #[test]
-    fn unoptimized_plans_agree_too() {
-        let store = figure1();
-        let smart = SmartEngine::with_options(EvalOptions {
-            optimize_plans: false,
-            ..EvalOptions::default()
-        });
-        let naive = NaiveEngine::new();
-        for expr in expression_zoo() {
-            let a = smart.run(&expr, &store).unwrap();
-            let b = naive.run(&expr, &store).unwrap();
-            assert_eq!(a, b, "engines disagree on {expr}");
-        }
-    }
-
-    #[test]
     fn smart_engine_does_less_join_work() {
         let store = figure1();
         let q = queries::same_company_reachability("E");
@@ -1889,55 +1518,13 @@ mod tests {
     }
 
     #[test]
-    fn reach_specialisation_can_be_disabled() {
-        let store = figure1();
-        let q = queries::reach_forward("E");
-        let with = SmartEngine::new().evaluate(&q, &store).unwrap();
-        let without = SmartEngine::with_options(EvalOptions {
-            use_reach_specialisation: false,
-            ..EvalOptions::default()
-        })
-        .evaluate(&q, &store)
-        .unwrap();
-        assert_eq!(with.result, without.result);
-        // The specialised path traverses edges; the generic path does joins.
-        assert!(with.stats.reach_edges_traversed > 0);
-        assert_eq!(without.stats.reach_edges_traversed, 0);
-        assert!(without.stats.fixpoint_rounds > 0);
-    }
-
-    #[test]
     fn memo_avoids_recomputation() {
         let store = figure1();
         // example2_extended evaluates example2 twice.
         let q = queries::example2_extended("E");
         let with = SmartEngine::new().evaluate(&q, &store).unwrap();
         assert!(with.stats.memo_hits >= 1);
-        let without = SmartEngine::with_options(EvalOptions {
-            use_memo: false,
-            ..EvalOptions::default()
-        })
-        .evaluate(&q, &store)
-        .unwrap();
-        assert_eq!(with.result, without.result);
-        assert_eq!(without.stats.memo_hits, 0);
-    }
-
-    #[test]
-    fn top_level_helpers() {
-        let store = figure1();
-        let eval = evaluate(&queries::example2("E"), &store).unwrap();
-        assert_eq!(eval.result.len(), 3);
-        let eval2 = evaluate_with(
-            &queries::example2("E"),
-            &store,
-            EvalOptions {
-                use_memo: false,
-                ..EvalOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(eval.result, eval2.result);
+        assert_eq!(with.result, NaiveEngine::new().run(&q, &store).unwrap());
     }
 
     #[test]
@@ -1955,7 +1542,9 @@ mod tests {
         let store = figure1();
         let q =
             Expr::rel("E").select(Conditions::new().obj_eq_const(trial_core::Pos::L2, "part_of"));
-        let plan = SmartEngine::new().plan(&q, &store).unwrap();
+        let plan = SmartEngine::new()
+            .plan_query(&q, &store, None, None, None)
+            .unwrap();
         match &plan.root {
             PlanNode::IndexScan {
                 bound: Some((component, _)),
@@ -1969,7 +1558,9 @@ mod tests {
         }
         // An unknown constant folds the scan to Empty.
         let q = Expr::rel("E").select(Conditions::new().obj_eq_const(trial_core::Pos::L2, "nope"));
-        let plan = SmartEngine::new().plan(&q, &store).unwrap();
+        let plan = SmartEngine::new()
+            .plan_query(&q, &store, None, None, None)
+            .unwrap();
         assert_eq!(plan.root, PlanNode::Empty);
         assert!(SmartEngine::new().run(&q, &store).unwrap().is_empty());
     }
@@ -1980,7 +1571,9 @@ mod tests {
         let q = Expr::rel("E")
             .select(Conditions::new().obj_eq_const(trial_core::Pos::L2, "part_of"))
             .select(Conditions::new().obj_neq(trial_core::Pos::L1, trial_core::Pos::L3));
-        let plan = SmartEngine::new().plan(&q, &store).unwrap();
+        let plan = SmartEngine::new()
+            .plan_query(&q, &store, None, None, None)
+            .unwrap();
         match &plan.root {
             PlanNode::IndexScan {
                 bound: Some(_),
@@ -2001,7 +1594,7 @@ mod tests {
         // permutations deliver the key order for free, so the planner merges
         // POS against SPO instead of probing or hashing.
         let plan = SmartEngine::new()
-            .plan(&queries::example2("E"), &store)
+            .plan_query(&queries::example2("E"), &store, None, None, None)
             .unwrap();
         match &plan.root {
             PlanNode::MergeJoin {
@@ -2012,23 +1605,6 @@ mod tests {
                 assert_eq!(right.ordering(), Some(trial_core::Permutation::Spo));
             }
             other => panic!("expected MergeJoin, got:\n{}", other.explain()),
-        }
-        // With merge joins disabled the same query probes the cached
-        // permutation index (the historical plan shape).
-        let plan = SmartEngine::with_options(EvalOptions {
-            use_merge_join: false,
-            ..EvalOptions::default()
-        })
-        .plan(&queries::example2("E"), &store)
-        .unwrap();
-        match &plan.root {
-            PlanNode::IndexNestedLoopJoin {
-                relation, probe, ..
-            } => {
-                assert_eq!(relation, "E");
-                assert_eq!(*probe, (Pos::L2, Pos::R1));
-            }
-            other => panic!("expected IndexNestedLoopJoin, got:\n{}", other.explain()),
         }
         // A bound scan (pinned to the bound component's POS run) delivers
         // the key component 3 through its *secondary* order — a bound POS
@@ -2042,7 +1618,9 @@ mod tests {
                 trial_core::output(Pos::L1, Pos::L2, Pos::R3),
                 Conditions::new().obj_eq(Pos::L3, Pos::R1),
             );
-        let plan = SmartEngine::new().plan(&probing, &store).unwrap();
+        let plan = SmartEngine::new()
+            .plan_query(&probing, &store, None, None, None)
+            .unwrap();
         match &plan.root {
             PlanNode::MergeJoin {
                 left, right, key, ..
@@ -2061,19 +1639,27 @@ mod tests {
         }
         big.add_triple("E", "TrainOp1", "part_of", "EastCoast");
         let big = big.finish();
-        let plan = SmartEngine::new().plan(&probing, &big).unwrap();
-        assert!(
-            matches!(plan.root, PlanNode::IndexNestedLoopJoin { .. }),
-            "expected IndexNestedLoopJoin, got:\n{}",
-            plan.root.explain()
-        );
+        let plan = SmartEngine::new()
+            .plan_query(&probing, &big, None, None, None)
+            .unwrap();
+        match &plan.root {
+            PlanNode::IndexNestedLoopJoin {
+                relation, probe, ..
+            } => {
+                assert_eq!(relation, "E");
+                assert_eq!(probe, &(Pos::L3, Pos::R1));
+            }
+            other => panic!("expected IndexNestedLoopJoin, got:\n{}", other.explain()),
+        }
         // Without a hashable key the join stays a nested loop.
         let neq = Expr::rel("E").join(
             Expr::rel("E"),
             trial_core::output(Pos::L1, Pos::L2, Pos::R3),
             Conditions::new().obj_neq(Pos::L1, Pos::R1),
         );
-        let plan = SmartEngine::new().plan(&neq, &store).unwrap();
+        let plan = SmartEngine::new()
+            .plan_query(&neq, &store, None, None, None)
+            .unwrap();
         assert!(matches!(plan.root, PlanNode::NestedLoopJoin { .. }));
     }
 
@@ -2097,7 +1683,9 @@ mod tests {
             trial_core::output(Pos::L1, Pos::L2, Pos::R3),
             Conditions::new().obj_eq(Pos::L3, Pos::R1),
         );
-        let plan = SmartEngine::new().plan(&q, &store).unwrap();
+        let plan = SmartEngine::new()
+            .plan_query(&q, &store, None, None, None)
+            .unwrap();
         match &plan.root {
             PlanNode::HashJoin {
                 left,
@@ -2140,26 +1728,11 @@ mod tests {
     }
 
     #[test]
-    fn streaming_and_materialized_execution_agree() {
-        let store = figure1();
-        let streaming = SmartEngine::new();
-        let materialized = SmartEngine::with_options(EvalOptions {
-            streaming: false,
-            ..EvalOptions::default()
-        });
-        for expr in expression_zoo() {
-            let a = streaming.run(&expr, &store).unwrap();
-            let b = materialized.run(&expr, &store).unwrap();
-            assert_eq!(a, b, "execution modes disagree on {expr}");
-        }
-    }
-
-    #[test]
     fn limits_push_through_unions_and_fold() {
         let store = figure1();
         let q = Expr::rel("E").union(queries::example2("E"));
         let plan = SmartEngine::new()
-            .plan_limited(&q, &store, Some(2))
+            .plan_query(&q, &store, Some(2), None, None)
             .unwrap();
         // Limit(2) over the union, and each union child individually limited.
         let PlanNode::Limit {
@@ -2178,12 +1751,19 @@ mod tests {
         assert!(matches!(&**right, PlanNode::Limit { limit: 2, .. }));
         // Limit 0 folds the whole tree to Empty.
         let empty = SmartEngine::new()
-            .plan_limited(&q, &store, Some(0))
+            .plan_query(&q, &store, Some(0), None, None)
             .unwrap();
         assert_eq!(empty.root, PlanNode::Empty);
         // No limit plans identically to plan().
-        let unlimited = SmartEngine::new().plan_limited(&q, &store, None).unwrap();
-        assert_eq!(unlimited, SmartEngine::new().plan(&q, &store).unwrap());
+        let unlimited = SmartEngine::new()
+            .plan_query(&q, &store, None, None, None)
+            .unwrap();
+        assert_eq!(
+            unlimited,
+            SmartEngine::new()
+                .plan_query(&q, &store, None, None, None)
+                .unwrap()
+        );
     }
 
     #[test]
@@ -2193,7 +1773,9 @@ mod tests {
         for expr in expression_zoo() {
             let full = engine.run(&expr, &store).unwrap();
             for limit in [0usize, 1, 3, usize::MAX] {
-                let mut stream = engine.stream(&expr, &store, Some(limit)).unwrap();
+                let mut stream = engine
+                    .stream_query(&expr, &store, Some(limit), None, None)
+                    .unwrap();
                 let mut got = Vec::new();
                 while let Some(t) = stream.next_triple() {
                     got.push(t);
@@ -2206,7 +1788,10 @@ mod tests {
                 assert!(got.iter().all(|t| full.contains(t)));
             }
             // An unlimited stream reproduces the full result exactly.
-            let (set, _) = engine.stream(&expr, &store, None).unwrap().collect_set();
+            let (set, _) = engine
+                .stream_query(&expr, &store, None, None, None)
+                .unwrap()
+                .collect_set();
             assert_eq!(set, full, "unlimited stream diverges on {expr}");
         }
     }
@@ -2217,7 +1802,9 @@ mod tests {
         let engine = SmartEngine::new();
         let q = queries::example2("E");
         let full = engine.evaluate(&q, &store).unwrap();
-        let mut stream = engine.stream(&q, &store, Some(1)).unwrap();
+        let mut stream = engine
+            .stream_query(&q, &store, Some(1), None, None)
+            .unwrap();
         assert!(stream.next_triple().is_some());
         assert!(
             stream.stats().work() < full.stats.work(),
@@ -2226,7 +1813,10 @@ mod tests {
             full.stats.work()
         );
         // Counting drains everything without building a result set.
-        let (count, _) = engine.stream(&q, &store, None).unwrap().count();
+        let (count, _) = engine
+            .stream_query(&q, &store, None, None, None)
+            .unwrap()
+            .count();
         assert_eq!(count as usize, full.result.len());
     }
 
@@ -2235,7 +1825,9 @@ mod tests {
         let store = figure1();
         let cond = Conditions::new().obj_eq_const(trial_core::Pos::L2, "part_of");
         let q = Expr::rel("E").union(Expr::rel("E")).select(cond.clone());
-        let plan = SmartEngine::new().plan(&q, &store).unwrap();
+        let plan = SmartEngine::new()
+            .plan_query(&q, &store, None, None, None)
+            .unwrap();
         // The selection reaches both scans as index bindings.
         let PlanNode::Union { left, right, .. } = &plan.root else {
             panic!("expected Union at the root, got:\n{}", plan.root.explain());
@@ -2270,53 +1862,12 @@ mod tests {
         let store = figure1();
         let q = queries::example2("E").union(queries::reach_forward("E"));
         let plan = SmartEngine::new()
-            .plan_limited(&q, &store, Some(5))
+            .plan_query(&q, &store, Some(5), None, None)
             .unwrap();
         let text = plan.explain();
         assert!(text.contains("Limit 5"), "{text}");
         assert!(text.contains("[pipelined]"), "{text}");
         assert!(text.contains("[breaker]"), "{text}");
-    }
-
-    #[test]
-    fn parallel_execution_agrees_with_every_engine() {
-        let store = figure1();
-        let sequential = SmartEngine::with_options(EvalOptions {
-            threads: 1,
-            ..EvalOptions::default()
-        });
-        for threads in [2usize, 4] {
-            // parallel_min_rows: 0 forces the morsel paths even on the tiny
-            // Figure 1 store, so this exercises the real worker pool.
-            let parallel = SmartEngine::with_options(EvalOptions {
-                threads,
-                parallel_min_rows: 0,
-                ..EvalOptions::default()
-            });
-            let mut saw_morsels = false;
-            for expr in expression_zoo() {
-                let seq = sequential.evaluate(&expr, &store).unwrap();
-                let par = parallel.evaluate(&expr, &store).unwrap();
-                assert_eq!(
-                    seq.result, par.result,
-                    "parallel diverges at {threads} threads on {expr}"
-                );
-                assert_eq!(seq.stats.parallel_morsels, 0);
-                saw_morsels |= par.stats.parallel_morsels > 0;
-                // The non-streaming reference interpreter parallelises too.
-                let par_mat = SmartEngine::with_options(EvalOptions {
-                    streaming: false,
-                    ..parallel.options.clone()
-                })
-                .evaluate(&expr, &store)
-                .unwrap();
-                assert_eq!(
-                    seq.result, par_mat.result,
-                    "materialized diverges on {expr}"
-                );
-            }
-            assert!(saw_morsels, "the parallel paths never ran");
-        }
     }
 
     #[test]
@@ -2354,41 +1905,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_streams_respect_limits() {
-        let store = figure1();
-        let parallel = SmartEngine::with_options(EvalOptions {
-            threads: 4,
-            parallel_min_rows: 0,
-            ..EvalOptions::default()
-        });
-        let sequential = SmartEngine::with_options(EvalOptions {
-            threads: 1,
-            ..EvalOptions::default()
-        });
-        for expr in expression_zoo() {
-            let full = sequential.run(&expr, &store).unwrap();
-            for limit in [0usize, 1, 3, usize::MAX] {
-                let par = parallel
-                    .evaluate_limited(&expr, &store, Some(limit))
-                    .unwrap()
-                    .result;
-                let seq = sequential
-                    .evaluate_limited(&expr, &store, Some(limit))
-                    .unwrap()
-                    .result;
-                assert_eq!(
-                    par.len(),
-                    full.len().min(limit),
-                    "length for {expr}@{limit}"
-                );
-                // The limited pipeline is the sequential fallback, so the
-                // *same* triples come back regardless of the thread count.
-                assert_eq!(par, seq, "limited results diverge on {expr}@{limit}");
-            }
-        }
-    }
-
-    #[test]
     fn explain_tags_parallel_operators() {
         let store = figure1();
         let q = queries::example2("E");
@@ -2396,22 +1912,28 @@ mod tests {
             threads: 4,
             ..EvalOptions::default()
         });
-        let text = parallel.plan(&q, &store).unwrap().explain();
+        let text = parallel
+            .plan_query(&q, &store, None, None, None)
+            .unwrap()
+            .explain();
         assert!(text.contains("[parallel×4]"), "missing tag in:\n{text}");
         let sequential = SmartEngine::with_options(EvalOptions {
             threads: 1,
             ..EvalOptions::default()
         });
-        let text = sequential.plan(&q, &store).unwrap().explain();
+        let text = sequential
+            .plan_query(&q, &store, None, None, None)
+            .unwrap()
+            .explain();
         assert!(!text.contains("parallel"), "unexpected tag in:\n{text}");
     }
 
     #[test]
-    fn evaluate_analyzed_reports_per_node_actuals() {
+    fn analyze_reports_per_node_actuals() {
         let store = figure1();
         let engine = SmartEngine::new();
         let q = queries::example2("E");
-        let analyzed = engine.evaluate_analyzed(&q, &store, None).unwrap();
+        let analyzed = analyze(&engine, &q, &store, None);
         let nodes = analyzed.plan.root.preorder();
         assert_eq!(analyzed.actuals.len(), nodes.len());
         // Every node materialised individually: all actuals present, and the
@@ -2425,7 +1947,7 @@ mod tests {
         assert_eq!(analyzed.evaluation.result, engine.run(&q, &store).unwrap());
         // Under a limit, the limit node reports its actual while the
         // streamed subtree beneath it reports None.
-        let analyzed = engine.evaluate_analyzed(&q, &store, Some(1)).unwrap();
+        let analyzed = analyze(&engine, &q, &store, Some(1));
         assert!(matches!(analyzed.plan.root, PlanNode::Limit { .. }));
         assert_eq!(analyzed.actuals[0], Some(1));
         assert!(analyzed.actuals[1..].iter().all(Option::is_none));
@@ -2435,17 +1957,17 @@ mod tests {
             parallel_min_rows: 0,
             ..EvalOptions::default()
         });
-        let a = parallel.evaluate_analyzed(&q, &store, None).unwrap();
+        let a = analyze(&parallel, &q, &store, None);
         assert!(a.actuals.iter().all(Option::is_some));
         assert_eq!(a.evaluation.result, engine.run(&q, &store).unwrap());
     }
 
     #[test]
-    fn evaluate_analyzed_reports_per_node_profiles() {
+    fn analyze_reports_per_node_profiles() {
         let store = figure1();
         let engine = SmartEngine::new();
         let q = queries::example2("E");
-        let analyzed = engine.evaluate_analyzed(&q, &store, None).unwrap();
+        let analyzed = analyze(&engine, &q, &store, None);
         let nodes = analyzed.plan.root.preorder();
         assert_eq!(analyzed.profiles.len(), nodes.len());
         // Materialised analyze: profile rows mirror the actuals exactly.
@@ -2461,7 +1983,7 @@ mod tests {
         // Under a limit the subtree streams: actuals are None but the
         // profiles still report rows pulled through each cursor, and the
         // root's streamed row count equals the limit.
-        let analyzed = engine.evaluate_analyzed(&q, &store, Some(1)).unwrap();
+        let analyzed = analyze(&engine, &q, &store, Some(1));
         assert!(matches!(analyzed.plan.root, PlanNode::Limit { .. }));
         assert_eq!(analyzed.profiles[0].rows, Some(1));
         assert!(analyzed.profiles.iter().all(|p| p.rows.is_some()));
@@ -2476,7 +1998,7 @@ mod tests {
             ..EvalOptions::default()
         });
         let q = queries::example2("E");
-        let mut stream = engine.stream(&q, &store, None).unwrap();
+        let mut stream = engine.stream_query(&q, &store, None, None, None).unwrap();
         let profile = stream.profile().expect("profiler active");
         let preorder_len = stream.plan().root.preorder().len();
         let mut rows = 0u64;
@@ -2493,7 +2015,11 @@ mod tests {
             profile_sample: 0,
             ..EvalOptions::default()
         });
-        assert!(plain.stream(&q, &store, None).unwrap().profile().is_none());
+        assert!(plain
+            .stream_query(&q, &store, None, None, None)
+            .unwrap()
+            .profile()
+            .is_none());
     }
 
     #[test]
@@ -2501,22 +2027,15 @@ mod tests {
         let store = figure1();
         let q = queries::example2("E");
         let merged = SmartEngine::new().evaluate(&q, &store).unwrap();
-        let hashed = SmartEngine::with_options(EvalOptions {
-            use_merge_join: false,
-            ..EvalOptions::default()
-        })
-        .evaluate(&q, &store)
-        .unwrap();
         let naive = NaiveEngine::new().run(&q, &store).unwrap();
         assert_eq!(merged.result, naive);
-        assert_eq!(hashed.result, naive);
         // The acceptance bar: a two-sided ordered scan join allocates no
         // hash table at all.
         assert_eq!(merged.stats.hash_tables_built, 0);
         assert_eq!(merged.stats.joins_executed, 1);
         // The streaming cursor path is equally allocation-free.
         let (set, stats) = SmartEngine::new()
-            .stream(&q, &store, None)
+            .stream_query(&q, &store, None, None, None)
             .unwrap()
             .collect_set();
         assert_eq!(set, naive);
@@ -2578,62 +2097,10 @@ mod tests {
     }
 
     #[test]
-    fn ordered_streams_yield_sorted_rows() {
+    fn topk_folds_to_a_limit_over_ordered_input() {
         use trial_core::Permutation;
         let store = figure1();
         let engine = SmartEngine::new();
-        for q in [
-            Expr::rel("E"),
-            Expr::rel("E").union(Expr::rel("E")),
-            queries::example2("E"),
-            queries::reach_forward("E"),
-        ] {
-            let full = engine.run(&q, &store).unwrap();
-            for perm in Permutation::ALL {
-                let mut stream = engine
-                    .stream_query(&q, &store, None, Some(perm), None)
-                    .unwrap();
-                let mut rows = Vec::new();
-                while let Some(t) = stream.next_triple() {
-                    rows.push(t);
-                }
-                assert!(
-                    rows.windows(2).all(|w| perm.key(&w[0]) < perm.key(&w[1])),
-                    "rows not strictly {perm}-sorted for {q}"
-                );
-                let as_set: trial_core::TripleSet = rows.iter().copied().collect();
-                assert_eq!(
-                    as_set, full,
-                    "ordered stream lost rows for {q} under {perm}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn topk_returns_the_k_smallest_and_folds_to_limits_when_ordered() {
-        use trial_core::Permutation;
-        let store = figure1();
-        let engine = SmartEngine::new();
-        let q = queries::example2("E");
-        let full = engine.run(&q, &store).unwrap();
-        for perm in Permutation::ALL {
-            let mut expected = full.as_slice().to_vec();
-            expected.sort_unstable_by_key(|t| perm.key(t));
-            for k in [0usize, 1, 2, full.len(), full.len() + 5] {
-                let eval = engine
-                    .evaluate_query(&q, &store, None, Some(perm), Some(k))
-                    .unwrap();
-                let want: trial_core::TripleSet = expected.iter().take(k).copied().collect();
-                assert_eq!(eval.result, want, "top-{k} under {perm} diverges");
-                // The bounded heap never buffers more than k rows.
-                assert!(
-                    eval.stats.topk_buffered_peak <= k as u64,
-                    "heap exceeded k: {} > {k}",
-                    eval.stats.topk_buffered_peak
-                );
-            }
-        }
         // Over an input that already streams in the requested order, the
         // planner collapses top-k to a plain limit: early termination, no
         // heap at all.
@@ -2651,30 +2118,19 @@ mod tests {
             "{}",
             plan.explain()
         );
-        let eval = engine
-            .evaluate_query(
-                &Expr::rel("E"),
-                &store,
-                None,
-                Some(Permutation::Pos),
-                Some(3),
-            )
-            .unwrap();
+        let eval = eval_query(
+            &engine,
+            &Expr::rel("E"),
+            &store,
+            None,
+            Some(Permutation::Pos),
+            Some(3),
+        );
         assert_eq!(
             eval.stats.topk_buffered_peak, 0,
             "limit path must skip the heap"
         );
         assert_eq!(eval.result.len(), 3);
-    }
-
-    #[test]
-    fn plans_stay_stable_for_repeated_calls() {
-        let store = figure1();
-        let q = queries::same_company_reachability("E");
-        let p1 = SmartEngine::new().plan(&q, &store).unwrap();
-        let p2 = SmartEngine::new().plan(&q, &store).unwrap();
-        assert_eq!(p1, p2);
-        assert_eq!(p1.explain(), p2.explain());
     }
 
     #[test]
@@ -2701,7 +2157,9 @@ mod tests {
                 trial_core::OutputSpec::IDENTITY,
                 Conditions::new().obj_eq(Pos::L3, Pos::R3),
             );
-        let plan = SmartEngine::new().plan(&q, &store).unwrap();
+        let plan = SmartEngine::new()
+            .plan_query(&q, &store, None, None, None)
+            .unwrap();
         match &plan.root {
             PlanNode::MergeJoin {
                 left, right, key, ..
@@ -2722,9 +2180,7 @@ mod tests {
             "no sort should be needed:\n{}",
             plan.explain()
         );
-        let eval = SmartEngine::new()
-            .evaluate_query(&q, &store, None, None, None)
-            .unwrap();
+        let eval = eval_query(&SmartEngine::new(), &q, &store, None, None, None);
         assert_eq!(eval.stats.hash_tables_built, 0);
         let naive = NaiveEngine::new().run(&q, &store).unwrap();
         assert_eq!(eval.result, naive);
@@ -2749,7 +2205,7 @@ mod tests {
                 Conditions::new().obj_eq(Pos::L3, Pos::R1),
             );
         let engine = SmartEngine::new();
-        let cold = engine.plan(&q, &store).unwrap();
+        let cold = engine.plan_query(&q, &store, None, None, None).unwrap();
         assert!(
             matches!(cold.root, PlanNode::IndexNestedLoopJoin { .. }),
             "without an order request the probe should win:\n{}",
@@ -2780,9 +2236,7 @@ mod tests {
         // Both shapes agree with the naive engine.
         let naive = NaiveEngine::new().run(&q, &store).unwrap();
         assert_eq!(engine.run(&q, &store).unwrap(), naive);
-        let eval = engine
-            .evaluate_query(&q, &store, None, Some(Permutation::Osp), None)
-            .unwrap();
+        let eval = eval_query(&engine, &q, &store, None, Some(Permutation::Osp), None);
         assert_eq!(eval.result, naive);
     }
 
@@ -2804,48 +2258,14 @@ mod tests {
         // estimate and does not fold to an Empty node.
         let store = figure1();
         let q = Expr::rel("E").select(cond);
-        let plan = SmartEngine::new().plan(&q, &store).unwrap();
+        let plan = SmartEngine::new()
+            .plan_query(&q, &store, None, None, None)
+            .unwrap();
         assert!(
             plan.root.est() >= 1,
             "nonempty input must keep est >= 1:\n{}",
             plan.explain()
         );
         assert!(!matches!(plan.root, PlanNode::Empty));
-    }
-
-    #[test]
-    fn feedback_stats_shrink_estimate_errors_without_changing_results() {
-        let store = grid(4_000);
-        let stats = Arc::new(StatsStore::new());
-        let engine = SmartEngine::with_stats(EvalOptions::default(), Arc::clone(&stats));
-        // The heuristic badly over-estimates this self-equality filter
-        // (20% of 4 007 rows vs. 0 actual matches), so the first analyzed
-        // run reports a large error and teaches the stats store better.
-        let q = Expr::rel("E").select(Conditions::new().obj_eq(Pos::L1, Pos::L3));
-        let cold = engine.evaluate_analyzed(&q, &store, None).unwrap();
-        assert!(
-            cold.est_sources.iter().all(|s| !s),
-            "a cold engine has no stats to draw on"
-        );
-        let cold_feedback = cold.feedback.as_ref().expect("stats engine gives feedback");
-        assert!(cold_feedback.ingested > 0);
-        let warm = engine.evaluate_analyzed(&q, &store, None).unwrap();
-        assert!(
-            warm.est_sources.iter().any(|s| *s),
-            "the second run must use observed estimates"
-        );
-        assert!(stats.replans() >= 1, "stats-driven replans are counted");
-        let err_sum = |s: &crate::stats::ObserveSummary| s.est_errors.iter().sum::<u64>();
-        let warm_feedback = warm.feedback.as_ref().unwrap();
-        assert!(
-            err_sum(warm_feedback) < err_sum(cold_feedback),
-            "estimate error must shrink: cold {:?} vs warm {:?}",
-            cold_feedback.est_errors,
-            warm_feedback.est_errors
-        );
-        // Feedback changes estimates, never answers.
-        assert_eq!(cold.evaluation.result, warm.evaluation.result);
-        let naive = NaiveEngine::new().run(&q, &store).unwrap();
-        assert_eq!(warm.evaluation.result, naive);
     }
 }

@@ -11,10 +11,8 @@
 //! On top of delta iteration, the base relation's side of the join is
 //! invariant across rounds, so its hash table is built **once** before the
 //! loop and probed by every delta (left closures are normalised to the same
-//! orientation through the mirroring identity). Disabling
-//! [`EvalOptions::optimize_plans`] restores the historical
-//! rebuild-every-round behaviour, which the `planned_vs_unplanned` benchmark
-//! measures against.
+//! orientation through the mirroring identity). A condition without a cross
+//! equality has no key to hash on and runs each round as a nested loop.
 //!
 //! With [`EvalOptions::threads`]` > 1` each round's delta is carved into
 //! morsels probed concurrently against the shared read-only [`JoinTable`]
@@ -53,11 +51,7 @@ pub fn semi_naive_star(
     };
     let compiled = CompiledConditions::compile(&cond, store);
     let keys = compiled.cross_equalities();
-    let table = if options.optimize_plans && !keys.is_empty() {
-        Some(JoinTable::build(base, &keys, stats))
-    } else {
-        None
-    };
+    let table = (!keys.is_empty()).then(|| JoinTable::build(base, &keys, stats));
     let mut acc = base.clone();
     let mut delta = base.clone();
     let mut rounds: u64 = 0;
@@ -91,7 +85,7 @@ pub fn semi_naive_star(
                 stats,
             ),
             Some(table) => ops::hash_join_probe(&delta, table, &output, &compiled, store, stats),
-            None => ops::join_auto(&delta, base, &output, &compiled, store, stats),
+            None => ops::nested_loop_join(&delta, base, &output, &compiled, store, stats),
         };
         let fresh = joined.difference(&acc);
         if fresh.is_empty() {
@@ -156,41 +150,6 @@ mod tests {
         // A chain of 12 edges yields 12·13/2 = 78 reachability triples.
         assert_eq!(semi.len(), 78);
         assert!(stats.fixpoint_rounds >= 11);
-    }
-
-    #[test]
-    fn agrees_with_naive_on_left_star() {
-        let mut b = TriplestoreBuilder::new();
-        b.add_triple("E", "a", "b", "c");
-        b.add_triple("E", "c", "d", "e");
-        b.add_triple("E", "d", "e", "f");
-        let store = b.finish();
-        let out = trial_core::output(Pos::L1, Pos::L2, Pos::R2);
-        let cond = Conditions::new().obj_eq(Pos::L3, Pos::R1);
-        let left = Expr::rel("E").left_star(out, cond.clone());
-        let right = Expr::rel("E").right_star(out, cond);
-        for q in [left, right] {
-            let naive = NaiveEngine::new().run(&q, &store).unwrap();
-            let (semi, _) = run_star(&q, &store);
-            assert_eq!(naive, semi, "mismatch for {q}");
-        }
-    }
-
-    #[test]
-    fn build_once_tables_match_rebuild_per_round() {
-        let store = chain(16);
-        let q = queries::reach_forward("E");
-        let reuse = EvalOptions::default();
-        let rebuild = EvalOptions {
-            optimize_plans: false,
-            ..EvalOptions::default()
-        };
-        let (with_table, table_stats) = run_star_with(&q, &store, &reuse);
-        let (without_table, rebuild_stats) = run_star_with(&q, &store, &rebuild);
-        assert_eq!(with_table, without_table);
-        // Rebuilding hashes the base every round; the build-once path scans
-        // it exactly once.
-        assert!(table_stats.triples_scanned < rebuild_stats.triples_scanned);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! The planner's heuristics (the textbook 0.2/0.8 selectivities in
 //! `selectivity_est`, the `|L|·|R|/max(V)` join formula) are static — they
 //! never learn from the exact per-node actual row counts that
-//! [`SmartEngine::evaluate_analyzed`](crate::SmartEngine::evaluate_analyzed)
+//! [`SmartEngine::analyze`](crate::SmartEngine::analyze)
 //! already produces. A [`StatsStore`] closes that loop:
 //!
 //! * **ingest** — [`StatsStore::observe_plan`] walks an executed plan in
@@ -147,7 +147,7 @@ impl StatsStore {
 
     /// Ingests an executed plan's actual row counts (indexed like
     /// [`PlanNode::preorder`], as produced by
-    /// [`SmartEngine::evaluate_analyzed`](crate::SmartEngine::evaluate_analyzed)).
+    /// [`SmartEngine::analyze`](crate::SmartEngine::analyze)).
     ///
     /// `epoch` is the store epoch the evaluation ran against: observations
     /// from any other epoch are dropped whole, so a slow `analyze` completing

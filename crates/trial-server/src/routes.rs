@@ -78,9 +78,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use trial_core::{Error, Expr, Permutation, Triplestore, TriplestoreBuilder, Value};
-use trial_eval::{
-    AnalyzedEvaluation, CancelToken, EvalStats, NodeProfile, PathStrategy, QueryStream, SmartEngine,
-};
+use trial_eval::{CancelToken, EvalStats, NodeProfile, PathStrategy, SmartEngine};
 use trial_parser::PathExpr;
 use trial_rdf::{parse_ntriples_iter, Term};
 
@@ -752,43 +750,6 @@ impl Compiled {
         }
     }
 
-    fn stream<'s>(
-        &self,
-        engine: &SmartEngine,
-        store: &'s Triplestore,
-        limit: Option<usize>,
-        order: Option<Permutation>,
-        topk: Option<usize>,
-    ) -> trial_core::Result<QueryStream<'s>> {
-        match self {
-            Compiled::Trial(expr) => engine.stream_query(expr, store, limit, order, topk),
-            Compiled::Path {
-                path,
-                relation,
-                max_hops,
-            } => engine.stream_path_query(path, relation, store, *max_hops, limit, order, topk),
-        }
-    }
-
-    fn stream_after<'s>(
-        &self,
-        engine: &SmartEngine,
-        store: &'s Triplestore,
-        limit: Option<usize>,
-        order: Permutation,
-        after: [trial_core::ObjectId; 3],
-    ) -> trial_core::Result<QueryStream<'s>> {
-        match self {
-            Compiled::Trial(expr) => engine.stream_query_after(expr, store, limit, order, after),
-            Compiled::Path {
-                path,
-                relation,
-                max_hops,
-            } => engine
-                .stream_path_query_after(path, relation, store, *max_hops, limit, order, after),
-        }
-    }
-
     fn plan(
         &self,
         engine: &SmartEngine,
@@ -804,27 +765,6 @@ impl Compiled {
                 relation,
                 max_hops,
             } => engine.plan_path_query(path, relation, store, *max_hops, limit, order, topk),
-        }
-    }
-
-    fn analyzed(
-        &self,
-        engine: &SmartEngine,
-        store: &Triplestore,
-        limit: Option<usize>,
-        order: Option<Permutation>,
-        topk: Option<usize>,
-    ) -> trial_core::Result<AnalyzedEvaluation> {
-        match self {
-            Compiled::Trial(expr) => {
-                engine.evaluate_analyzed_query(expr, store, limit, order, topk)
-            }
-            Compiled::Path {
-                path,
-                relation,
-                max_hops,
-            } => engine
-                .evaluate_analyzed_path_query(path, relation, store, *max_hops, limit, order, topk),
         }
     }
 }
@@ -1103,7 +1043,10 @@ fn query(state: &ServerState, req: &Request, kind: QueryKind, trace: &mut Trace)
             let plan_limit = requested_limit.filter(|&k| k > 0);
             if analyze {
                 let eval_started = trace.now();
-                match compiled.analyzed(&engine, snapshot.store(), plan_limit, order, topk) {
+                let analyzed = compiled
+                    .plan(&engine, snapshot.store(), plan_limit, order, topk)
+                    .and_then(|plan| engine.analyze(plan, snapshot.store()));
+                match analyzed {
                     Ok(analyzed) => {
                         // Analyze runs plan + evaluation in one call; the
                         // combined wall time lands in the `eval` phase.
@@ -1144,7 +1087,7 @@ fn query(state: &ServerState, req: &Request, kind: QueryKind, trace: &mut Trace)
                 };
                 trace.phase("plan", plan_started);
                 trace.set_plan(|| plan.explain().trim_end().to_owned());
-                let est_sources = engine.estimate_sources(&plan);
+                let est_sources = plan.estimate_sources(engine.stats());
                 let mut index = 0;
                 let tree = plan_tree_json(
                     &plan.root,
@@ -1241,7 +1184,8 @@ fn render_query_fragment(
         // still changes the count and keeps its order).
         let plan_order = if topk.is_some() { order } else { None };
         let plan_started = trace.now();
-        let stream = compiled.stream(engine, store, None, plan_order, topk)?;
+        let plan = compiled.plan(engine, store, None, plan_order, topk)?;
+        let stream = engine.stream(plan, store)?;
         trace.phase("plan", plan_started);
         trace.set_plan(|| stream.plan().explain().trim_end().to_owned());
         trace.set_profile(stream.profile());
@@ -1270,7 +1214,8 @@ fn render_query_fragment(
     // delivers it from an index permutation or sits above an explicit
     // sort/top-k), so the response sequence is deterministic.
     let plan_started = trace.now();
-    let mut stream = compiled.stream(engine, store, Some(limit.saturating_add(1)), order, topk)?;
+    let plan = compiled.plan(engine, store, Some(limit.saturating_add(1)), order, topk)?;
+    let mut stream = engine.stream(plan, store)?;
     trace.phase("plan", plan_started);
     trace.set_plan(|| stream.plan().explain().trim_end().to_owned());
     trace.set_profile(stream.profile());
@@ -1333,13 +1278,14 @@ fn render_ordered_rows(
     trace: &mut Trace,
 ) -> trial_core::Result<(Vec<String>, bool, String, EvalStats)> {
     let plan_started = trace.now();
-    let mut stream = compiled.stream(
+    let plan = compiled.plan(
         engine,
         store,
         Some(limit.saturating_add(1)),
         Some(order),
         None,
     )?;
+    let mut stream = engine.stream(plan, store)?;
     trace.phase("plan", plan_started);
     trace.set_plan(|| stream.plan().explain().trim_end().to_owned());
     trace.set_profile(stream.profile());
@@ -1568,16 +1514,16 @@ impl StreamingQuery {
         let store = self.snapshot.store();
         let probe_limit = Some(self.limit.saturating_add(1));
         let plan_started = trace.now();
-        let stream = match self.resume {
-            Some(after) => {
-                let order = self.order.expect("cursor tokens always carry an order");
-                self.compiled
-                    .stream_after(&engine, store, probe_limit, order, after)
-            }
-            None => self
-                .compiled
-                .stream(&engine, store, probe_limit, self.order, self.topk),
-        };
+        let stream = self
+            .compiled
+            .plan(&engine, store, probe_limit, self.order, self.topk)
+            .and_then(|plan| match self.resume {
+                Some(after) => {
+                    let order = self.order.expect("cursor tokens always carry an order");
+                    engine.stream_after(plan, store, order, after)
+                }
+                None => engine.stream(plan, store),
+            });
         let stream = match stream {
             Ok(stream) => stream,
             Err(e) => {

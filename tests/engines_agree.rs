@@ -1,10 +1,13 @@
-//! Cross-engine agreement: the Theorem-3 naive engine, the semi-naive
-//! engine and the Proposition-5 specialised engine must compute identical
-//! answers on every expression and workload.
+//! Cross-engine agreement: the Theorem-3 naive engine and the planned
+//! engine (semi-naive fixpoints, Proposition 5 reachability) must compute
+//! identical answers on every expression and workload. That the generic
+//! semi-naive fixpoint and the Proposition 5 procedures agree with each
+//! other on reachability stars is held by `trial-eval`'s in-crate walk
+//! properties (`exec::tests`).
 
 use trial_core::builder::{queries, ExprBuilderExt};
 use trial_core::{Conditions, Expr, Pos};
-use trial_eval::{Engine, EvalOptions, NaiveEngine, SmartEngine};
+use trial_eval::{Engine, NaiveEngine, SmartEngine};
 use trial_workloads::{
     chain_store, cycle_store, figure1_store, grid_store, random_store, social_network,
     transport_network, RandomStoreConfig, SocialConfig, TransportConfig,
@@ -13,14 +16,6 @@ use trial_workloads::{
 fn engines() -> Vec<(&'static str, Box<dyn Engine>)> {
     vec![
         ("naive", Box::new(NaiveEngine::new())),
-        (
-            "seminaive",
-            Box::new(SmartEngine::with_options(EvalOptions {
-                use_reach_specialisation: false,
-                use_memo: false,
-                ..EvalOptions::default()
-            })),
-        ),
         ("smart", Box::new(SmartEngine::new())),
     ]
 }

@@ -151,7 +151,8 @@ fn render(case: &Case, store: &Triplestore, warmed: bool) -> String {
     let engine = if warmed {
         let engine = SmartEngine::with_stats(options, Arc::new(StatsStore::new()));
         engine
-            .evaluate_analyzed_query(&expr, store, case.limit, case.order, case.topk)
+            .plan_query(&expr, store, case.limit, case.order, case.topk)
+            .and_then(|plan| engine.analyze(plan, store))
             .unwrap_or_else(|e| panic!("case `{}` does not warm up: {e}", case.name));
         engine
     } else {

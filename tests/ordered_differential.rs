@@ -1,7 +1,7 @@
-//! Differential property tests for ordered execution: merge-join plans,
-//! hash/index-join plans, the materialize-everything reference interpreter
-//! and the naive Theorem-3 evaluator must agree on randomized stores and
-//! expressions (both star directions, threads 1/2/4); `?order=`-style
+//! Differential property tests for ordered execution: the planner's
+//! merge-, hash- and index-join plans and the naive Theorem-3 evaluator
+//! must agree on randomized stores and expressions (both star directions,
+//! threads 1/2/4); `?order=`-style
 //! streams must be *exactly* sorted under the requested permutation key;
 //! and top-k (k ∈ {0, 1, n, ∞}) must return precisely the k smallest
 //! distinct triples under the key — deterministically, with the heap never
@@ -104,30 +104,11 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
     })
 }
 
-/// The production engine: merge joins on, streaming, at a given degree.
+/// The production engine at a given degree, morsel thresholds disabled.
 fn merging(threads: usize) -> SmartEngine {
     SmartEngine::with_options(EvalOptions {
         threads,
         parallel_min_rows: 0,
-        ..EvalOptions::default()
-    })
-}
-
-/// The differential arm with merge joins disabled: every join hashes or
-/// index-probes, exactly the pre-ordered-execution planner.
-fn hashing() -> SmartEngine {
-    SmartEngine::with_options(EvalOptions {
-        use_merge_join: false,
-        threads: 1,
-        ..EvalOptions::default()
-    })
-}
-
-/// The materialize-everything reference interpreter (merge joins on).
-fn reference() -> SmartEngine {
-    SmartEngine::with_options(EvalOptions {
-        streaming: false,
-        threads: 1,
         ..EvalOptions::default()
     })
 }
@@ -137,17 +118,11 @@ const DEGREES: [usize; 3] = [1, 2, 4];
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Full results: merge-join plans, hash-join plans, the materialized
-    /// reference and the naive evaluator all produce identical sets, at
-    /// every thread count, and merge-join work totals match the reference
-    /// pair-for-pair.
+    /// Full results: the planner's merge-join (and every other) plans
+    /// produce the naive evaluator's set at every thread count.
     #[test]
-    fn merge_and_hash_plans_agree(store in arb_store(), expr in arb_expr()) {
+    fn merge_plans_agree_with_naive(store in arb_store(), expr in arb_expr()) {
         let naive = NaiveEngine::new().run(&expr, &store).unwrap();
-        let hashed = hashing().evaluate(&expr, &store).unwrap();
-        prop_assert_eq!(&hashed.result, &naive, "hash plans vs naive diverge on {}", expr);
-        let materialized = reference().run(&expr, &store).unwrap();
-        prop_assert_eq!(&materialized, &naive, "reference diverges on {}", expr);
         for threads in DEGREES {
             let merged = merging(threads).evaluate(&expr, &store).unwrap();
             prop_assert_eq!(
@@ -163,7 +138,7 @@ proptest! {
     /// explicit sort breaker.
     #[test]
     fn ordered_streams_are_exactly_sorted(store in arb_store(), expr in arb_expr()) {
-        let full = reference().run(&expr, &store).unwrap();
+        let full = NaiveEngine::new().run(&expr, &store).unwrap();
         for perm in Permutation::ALL {
             let mut stream = merging(1)
                 .stream_query(&expr, &store, None, Some(perm), None)
@@ -182,42 +157,27 @@ proptest! {
     }
 
     /// Top-k (k ∈ {0, 1, half, ∞}) returns exactly the k smallest distinct
-    /// triples under the permutation key — identical across the streaming
-    /// heap, the materialized reference, and every thread count, with the
-    /// heap bounded by k and ordered scan joins building no hash tables.
+    /// triples of the naive result under the permutation key — at every
+    /// thread count, with the heap bounded by k.
     #[test]
     fn topk_is_exactly_the_k_smallest(store in arb_store(), expr in arb_expr()) {
-        let full = reference().run(&expr, &store).unwrap();
+        let full = NaiveEngine::new().run(&expr, &store).unwrap();
         for perm in Permutation::ALL {
             let mut sorted = full.as_slice().to_vec();
             sorted.sort_unstable_by_key(|t| perm.key(t));
             for k in [0usize, 1, full.len() / 2, usize::MAX] {
                 let want: TripleSet = sorted.iter().take(k).copied().collect();
-                let streamed = merging(1)
-                    .evaluate_query(&expr, &store, None, Some(perm), Some(k))
-                    .unwrap();
-                prop_assert_eq!(
-                    &streamed.result, &want,
-                    "streamed top-{} under {} diverges on {}", k, perm, expr
-                );
-                prop_assert!(
-                    (streamed.stats.topk_buffered_peak as usize) <= k,
-                    "heap exceeded k={} on {}", k, expr
-                );
-                let materialized = reference()
-                    .evaluate_query(&expr, &store, None, Some(perm), Some(k))
-                    .unwrap();
-                prop_assert_eq!(
-                    &materialized.result, &want,
-                    "materialized top-{} under {} diverges on {}", k, perm, expr
-                );
                 for threads in DEGREES {
-                    let parallel = merging(threads)
-                        .evaluate_query(&expr, &store, None, Some(perm), Some(k))
-                        .unwrap();
+                    let engine = merging(threads);
+                    let plan = engine.plan_query(&expr, &store, None, Some(perm), Some(k)).unwrap();
+                    let eval = engine.execute(&plan, &store).unwrap();
                     prop_assert_eq!(
-                        &parallel.result, &want,
-                        "top-{} diverges at threads={} on {}", k, threads, expr
+                        &eval.result, &want,
+                        "top-{} under {} diverges at threads={} on {}", k, perm, threads, expr
+                    );
+                    prop_assert!(
+                        (eval.stats.topk_buffered_peak as usize) <= k,
+                        "heap exceeded k={} on {}", k, expr
                     );
                 }
             }
@@ -225,36 +185,35 @@ proptest! {
     }
 
     /// The ordering-metadata regression: every plan root that **claims** an
-    /// order really streams strictly key-ascending rows — with merge joins
-    /// on and off, and with an explicitly requested order. A hash join
+    /// order really streams strictly key-ascending rows — with and without
+    /// an explicitly requested order. A hash join
     /// whose mirrored build side scrambles the probe order (or any join
     /// duplicating projected rows) must therefore claim `None`.
     #[test]
     fn every_claimed_order_is_real(store in arb_store(), expr in arb_expr()) {
-        for engine in [merging(1), hashing()] {
-            for requested in [None, Some(Permutation::Spo), Some(Permutation::Pos), Some(Permutation::Osp)] {
-                let plan = engine.plan_query(&expr, &store, None, requested, None).unwrap();
-                if let Some(requested) = requested {
-                    prop_assert_eq!(
-                        plan.root.ordering(), Some(requested),
-                        "requested order not delivered for {}", expr
+        let engine = merging(1);
+        for requested in [None, Some(Permutation::Spo), Some(Permutation::Pos), Some(Permutation::Osp)] {
+            let plan = engine.plan_query(&expr, &store, None, requested, None).unwrap();
+            if let Some(requested) = requested {
+                prop_assert_eq!(
+                    plan.root.ordering(), Some(requested),
+                    "requested order not delivered for {}", expr
+                );
+            }
+            let Some(claimed) = plan.root.ordering() else { continue };
+            let mut stream = engine
+                .stream_query(&expr, &store, None, requested, None)
+                .unwrap();
+            let mut prev: Option<trial_core::Triple> = None;
+            while let Some(t) = stream.next_triple() {
+                if let Some(p) = prev {
+                    prop_assert!(
+                        claimed.key(&p) < claimed.key(&t),
+                        "{} claims {} order but emitted {:?} before {:?}",
+                        expr, claimed, p, t
                     );
                 }
-                let Some(claimed) = plan.root.ordering() else { continue };
-                let mut stream = engine
-                    .stream_query(&expr, &store, None, requested, None)
-                    .unwrap();
-                let mut prev: Option<trial_core::Triple> = None;
-                while let Some(t) = stream.next_triple() {
-                    if let Some(p) = prev {
-                        prop_assert!(
-                            claimed.key(&p) < claimed.key(&t),
-                            "{} claims {} order but emitted {:?} before {:?}",
-                            expr, claimed, p, t
-                        );
-                    }
-                    prev = Some(t);
-                }
+                prev = Some(t);
             }
         }
     }
@@ -275,7 +234,7 @@ proptest! {
             output(Pos::L1, Pos::L2, Pos::R3),
             Conditions::new().obj_eq(key.0, key.1),
         );
-        let plan = merging(1).plan(&expr, &store).unwrap();
+        let plan = merging(1).plan_query(&expr, &store, None, None, None).unwrap();
         prop_assert!(
             matches!(plan.root, trial_eval::PlanNode::MergeJoin { .. }),
             "two-sided scan join did not merge:\n{}", plan.explain()

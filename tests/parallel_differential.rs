@@ -1,7 +1,7 @@
 //! Differential property tests for morsel-driven parallel execution: at
 //! every tested degree (`threads ∈ {1, 2, 4}`) the parallel executor must
-//! produce exactly the result sets of the single-threaded materialized
-//! reference and the naive Theorem-3 evaluator, over randomized stores and
+//! produce exactly the result sets of the single-threaded run and of the
+//! independent naive Theorem-3 evaluator, over randomized stores and
 //! expressions — including both star directions, limits, and the
 //! empty/singleton-morsel edge cases — and must be deterministic across
 //! repeated runs.
@@ -111,7 +111,7 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
     })
 }
 
-/// The single-threaded streaming engine (the production default).
+/// The single-threaded engine (the production default).
 fn sequential() -> SmartEngine {
     SmartEngine::with_options(EvalOptions {
         threads: 1,
@@ -119,13 +119,15 @@ fn sequential() -> SmartEngine {
     })
 }
 
-/// The single-threaded materialize-everything reference interpreter.
-fn reference() -> SmartEngine {
-    SmartEngine::with_options(EvalOptions {
-        threads: 1,
-        streaming: false,
-        ..EvalOptions::default()
-    })
+/// `expr` collected under a limit of `k`.
+fn limited(
+    engine: &SmartEngine,
+    expr: &Expr,
+    store: &trial_core::Triplestore,
+    k: usize,
+) -> TripleSet {
+    let plan = engine.plan_query(expr, store, Some(k), None, None).unwrap();
+    engine.execute(&plan, store).unwrap().result
 }
 
 /// A parallel engine at the given degree with morsel thresholds disabled, so
@@ -144,13 +146,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Full results: every thread count produces exactly the result set of
-    /// the materialized single-threaded reference and the naive evaluator,
-    /// twice in a row (determinism), with identical work counters.
+    /// the naive evaluator, twice in a row (determinism), with the work
+    /// counters of the single-threaded run.
     #[test]
     fn parallel_engines_agree_on_full_results(store in arb_store(), expr in arb_expr()) {
-        let reference = reference().evaluate(&expr, &store).unwrap();
+        let reference = sequential().evaluate(&expr, &store).unwrap();
         let naive = NaiveEngine::new().run(&expr, &store).unwrap();
-        prop_assert_eq!(&reference.result, &naive, "reference vs naive diverge on {}", expr);
+        prop_assert_eq!(&reference.result, &naive, "sequential vs naive diverge on {}", expr);
         for threads in DEGREES {
             let engine = parallel(threads);
             let first = engine.evaluate(&expr, &store).unwrap();
@@ -184,28 +186,24 @@ proptest! {
     /// is the explicit sequential fallback), at every degree.
     #[test]
     fn limits_are_thread_count_invariant(store in arb_store(), expr in arb_expr()) {
-        let full = reference().run(&expr, &store).unwrap();
+        let full = NaiveEngine::new().run(&expr, &store).unwrap();
         let half = full.len() / 2;
         for k in [0usize, 1, half, usize::MAX] {
-            let seq = sequential()
-                .evaluate_limited(&expr, &store, Some(k))
-                .unwrap()
-                .result;
+            let seq = limited(&sequential(), &expr, &store, k);
             prop_assert_eq!(seq.len(), full.len().min(k), "length for {} @ {}", expr, k);
             for t in seq.iter() {
                 prop_assert!(full.contains(t), "phantom triple {:?} for {}", t, expr);
             }
             for threads in DEGREES {
-                let par = parallel(threads)
-                    .evaluate_limited(&expr, &store, Some(k))
-                    .unwrap()
-                    .result;
+                let par = limited(&parallel(threads), &expr, &store, k);
                 prop_assert_eq!(
                     &par, &seq,
                     "limited results diverge at threads={} on {} @ {}", threads, expr, k
                 );
                 // Streams agree triple-for-triple too.
-                let mut stream = parallel(threads).stream(&expr, &store, Some(k)).unwrap();
+                let mut stream = parallel(threads)
+                    .stream_query(&expr, &store, Some(k), None, None)
+                    .unwrap();
                 let mut rows = Vec::new();
                 while let Some(t) = stream.next_triple() {
                     rows.push(t);
@@ -229,7 +227,7 @@ proptest! {
         prop_assert_eq!(eval.stats.parallel_morsels, 0, "tiny input fanned out on {}", expr);
         prop_assert_eq!(
             &eval.result,
-            &reference().run(&expr, &store).unwrap(),
+            &NaiveEngine::new().run(&expr, &store).unwrap(),
             "threshold path diverges on {}",
             expr
         );

@@ -66,7 +66,11 @@ fn feedback_shrinks_estimate_errors_and_never_changes_answers() {
     let stats = Arc::new(StatsStore::new());
     let engine = SmartEngine::with_stats(EvalOptions::default(), Arc::clone(&stats));
 
-    let cold = engine.evaluate_analyzed(&q, &store, None).unwrap();
+    let analyze = || {
+        let plan = engine.plan_query(&q, &store, None, None, None).unwrap();
+        engine.analyze(plan, &store).unwrap()
+    };
+    let cold = analyze();
     assert!(
         cold.est_sources.iter().all(|s| !s),
         "the first plan must be purely heuristic"
@@ -77,7 +81,7 @@ fn feedback_shrinks_estimate_errors_and_never_changes_answers() {
         .expect("stats engine reports feedback");
     assert!(cold_feedback.ingested > 0, "analyze must feed the stats");
 
-    let warm = engine.evaluate_analyzed(&q, &store, None).unwrap();
+    let warm = analyze();
     assert!(
         warm.est_sources.iter().any(|s| *s),
         "the second plan must draw on observed estimates"

@@ -14,7 +14,7 @@
 
 use trial_core::{Permutation, Triplestore};
 use trial_eval::rpq::{self, PathStrategy};
-use trial_eval::SmartEngine;
+use trial_eval::{EvalOptions, SmartEngine};
 use trial_workloads::labeled_chain_store;
 
 /// One golden case: a path expression plus the `/path` endpoint knobs.
@@ -97,7 +97,12 @@ fn store() -> Triplestore {
 fn render(case: &Case, store: &Triplestore) -> String {
     let path = trial_parser::parse_path(case.path)
         .unwrap_or_else(|e| panic!("case `{}` does not parse: {e}", case.name));
-    let engine = SmartEngine::new();
+    // Pinned to one thread: the goldens carry no `[parallel×N]` tags, and
+    // the default degree follows `TRIAL_EVAL_THREADS`.
+    let engine = SmartEngine::with_options(EvalOptions {
+        threads: 1,
+        ..EvalOptions::default()
+    });
     let to_nfa = case.strategy.resolves_to_nfa(&path, case.max_hops);
     let plan = if to_nfa {
         engine.plan_path_query(

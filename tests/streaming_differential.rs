@@ -1,12 +1,11 @@
 //! Differential property tests for the streaming cursor pipeline: the
-//! streaming executor, the materialize-everything reference interpreter and
-//! the naive Theorem-3 evaluator must agree on randomized stores and
-//! expressions — and limits must behave like limits (exactly `min(k, |e(T)|)`
+//! cursor walk, the set-at-a-time walk and the independent naive Theorem-3
+//! evaluator must agree on randomized stores and expressions — and limits must behave like limits (exactly `min(k, |e(T)|)`
 //! distinct result triples, early termination, no phantom or missing rows).
 
 use proptest::prelude::*;
 use trial_core::{output, Conditions, Expr, Pos, TripleSet, TriplestoreBuilder};
-use trial_eval::{Engine, EvalOptions, NaiveEngine, SmartEngine};
+use trial_eval::{Engine, NaiveEngine, SmartEngine};
 
 /// Strategy for a random store over at most 10 named objects, with data
 /// values on some objects so η-conditions bite.
@@ -96,46 +95,48 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
     })
 }
 
-fn streaming() -> SmartEngine {
-    SmartEngine::new()
-}
-
-fn materialized() -> SmartEngine {
-    SmartEngine::with_options(EvalOptions {
-        streaming: false,
-        ..EvalOptions::default()
-    })
+/// `expr` collected under a limit of `k`: set kernels above the limit node,
+/// one cursor pipeline beneath it.
+fn limited(expr: &Expr, store: &trial_core::Triplestore, k: usize) -> TripleSet {
+    let engine = SmartEngine::new();
+    let plan = engine.plan_query(expr, store, Some(k), None, None).unwrap();
+    engine.execute(&plan, store).unwrap().result
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Full results: the streaming pipeline, the materialized reference
-    /// interpreter and the naive evaluator produce identical `TripleSet`s.
+    /// Full results: the executor's two walks — evaluated to a set, and
+    /// compiled to cursors and drained — and the independent naive
+    /// evaluator produce identical `TripleSet`s.
     #[test]
     fn three_evaluators_agree_on_full_results(store in arb_store(), expr in arb_expr()) {
-        let s = streaming().run(&expr, &store).unwrap();
-        let m = materialized().run(&expr, &store).unwrap();
         let n = NaiveEngine::new().run(&expr, &store).unwrap();
-        prop_assert_eq!(&s, &m, "streaming vs materialized diverge on {}", expr);
-        prop_assert_eq!(&s, &n, "streaming vs naive diverge on {}", expr);
+        let set = SmartEngine::new().run(&expr, &store).unwrap();
+        let (drained, _) = SmartEngine::new()
+            .stream_query(&expr, &store, None, None, None)
+            .unwrap()
+            .collect_set();
+        prop_assert_eq!(&set, &n, "set walk vs naive diverge on {}", expr);
+        prop_assert_eq!(&drained, &n, "cursor walk vs naive diverge on {}", expr);
     }
 
-    /// Limits 0 / 1 / n / ∞: a limit-`k` stream yields exactly
-    /// `min(k, |e(T)|)` distinct triples, all drawn from the full result;
-    /// when `k` covers the whole result the stream reproduces it exactly;
-    /// and the materialized limited execution (the **ordered prefix**: the
-    /// `k` smallest triples under the limit input's delivered stream order,
-    /// canonical SPO when the input is unordered) agrees on cardinality and
-    /// membership and is deterministic.
+    /// Limits 0 / 1 / n / ∞ against the naive result: a limit-`k` stream
+    /// yields exactly `min(k, |e(T)|)` distinct triples, all drawn from the
+    /// full result; when `k` covers the whole result the stream reproduces
+    /// it exactly; an unordered limit may be any `k`-subset but is
+    /// deterministic; and a limit over an ordered input is exactly the `k`
+    /// smallest triples under that order.
     #[test]
     fn limits_truncate_consistently(store in arb_store(), expr in arb_expr()) {
-        let full = materialized().run(&expr, &store).unwrap();
+        let full = NaiveEngine::new().run(&expr, &store).unwrap();
         let half = full.len() / 2;
         for k in [0usize, 1, half, usize::MAX] {
             // Stream triple-by-triple so duplicate emissions would be caught
             // before any set-level deduplication can hide them.
-            let mut stream = streaming().stream(&expr, &store, Some(k)).unwrap();
+            let mut stream = SmartEngine::new()
+                .stream_query(&expr, &store, Some(k), None, None)
+                .unwrap();
             let mut rows = Vec::new();
             while let Some(t) = stream.next_triple() {
                 rows.push(t);
@@ -150,36 +151,28 @@ proptest! {
             if k >= full.len() {
                 prop_assert_eq!(&as_set, &full, "covering limit lost rows for {}", expr);
             }
-            // The materialized limited execution: right cardinality, a
-            // subset of the full result, deterministic across reruns.
-            let m = materialized().evaluate_limited(&expr, &store, Some(k)).unwrap().result;
+            // The collected limited evaluation: right cardinality, a subset
+            // of the full result, the same rows as the stream, and the same
+            // again on a rerun.
+            let m = limited(&expr, &store, k);
             prop_assert_eq!(m.len(), expected);
             for t in m.iter() {
-                prop_assert!(full.contains(t), "materialized phantom {:?} for {}", t, expr);
+                prop_assert!(full.contains(t), "collected phantom {:?} for {}", t, expr);
             }
-            let m2 = materialized().evaluate_limited(&expr, &store, Some(k)).unwrap().result;
-            prop_assert_eq!(&m2, &m, "materialized limit is nondeterministic for {}", expr);
-            // When the limited plan's root claims a delivered order, both
-            // modes must return exactly the k smallest under that order —
+            prop_assert_eq!(&m, &as_set, "collected limit diverges from the stream for {}", expr);
+            prop_assert_eq!(&limited(&expr, &store, k), &m, "limit is nondeterministic for {}", expr);
+            // When the limited plan's root claims a delivered order, the
+            // result must be exactly the k smallest under that order —
             // which for SPO-ordered roots is the canonical prefix.
-            let plan = materialized().plan_limited(&expr, &store, Some(k)).unwrap();
+            let plan = SmartEngine::new()
+                .plan_query(&expr, &store, Some(k), None, None)
+                .unwrap();
             if let Some(perm) = plan.root.ordering() {
                 let mut sorted = full.as_slice().to_vec();
                 sorted.sort_unstable_by_key(|t| perm.key(t));
                 let want: TripleSet = sorted.iter().take(expected).copied().collect();
-                prop_assert_eq!(
-                    &m, &want,
-                    "materialized limit is not the ordered prefix for {}", expr
-                );
-                prop_assert_eq!(
-                    &as_set, &want,
-                    "streamed ordered limit diverges from the ordered prefix for {}", expr
-                );
+                prop_assert_eq!(&m, &want, "ordered limit is not the ordered prefix for {}", expr);
             }
-            // And the streaming limited evaluation agrees with itself on a
-            // rerun (determinism).
-            let again = streaming().evaluate_limited(&expr, &store, Some(k)).unwrap().result;
-            prop_assert_eq!(&again, &as_set, "limited stream is nondeterministic for {}", expr);
         }
     }
 
@@ -187,8 +180,10 @@ proptest! {
     /// of the same expression.
     #[test]
     fn bounded_streams_do_no_extra_work(store in arb_store(), expr in arb_expr()) {
-        let full = streaming().evaluate(&expr, &store).unwrap();
-        let mut stream = streaming().stream(&expr, &store, Some(1)).unwrap();
+        let full = SmartEngine::new().evaluate(&expr, &store).unwrap();
+        let mut stream = SmartEngine::new()
+            .stream_query(&expr, &store, Some(1), None, None)
+            .unwrap();
         let _ = stream.next_triple();
         prop_assert!(
             stream.stats().work() <= full.stats.work(),
