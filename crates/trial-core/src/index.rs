@@ -18,7 +18,13 @@
 //!
 //! Indexes are caches, not state: cloning a store (e.g. via
 //! [`Triplestore::with_relation`]) starts from an empty cache so a derived
-//! store can never observe stale indexes.
+//! store can never observe stale indexes. An **append** is the exception
+//! that carries them: a store finished from
+//! [`TriplestoreBuilder::append_to`](crate::TriplestoreBuilder::append_to)
+//! receives whatever its base had *already built* — the POS / OSP runs with
+//! the new triples merged in (one pass per run, no re-sort), the distinct
+//! counts and the active domain updated from the delta — while runs and
+//! adjacency lists the base never built stay lazy.
 
 use crate::object::ObjectId;
 use crate::triple::{Triple, TripleSet};
@@ -349,6 +355,80 @@ fn count_runs(sorted: &[Triple], component: usize) -> usize {
     runs
 }
 
+/// Merges `delta` into `run` — both strictly sorted under `perm` and
+/// disjoint — in one pass: each delta triple binary-searches its slot in
+/// what is left of `run`, and the gap before it is copied as one block. The
+/// cost is `O(|delta| · log |run|)` comparisons plus one copy of `run`.
+pub(crate) fn merge_run(run: &[Triple], delta: &[Triple], perm: Permutation) -> Vec<Triple> {
+    let mut out = Vec::with_capacity(run.len() + delta.len());
+    let mut rest = run;
+    for t in delta {
+        let key = perm.key(t);
+        let cut = rest.partition_point(|r| perm.key(r) < key);
+        out.extend_from_slice(&rest[..cut]);
+        out.push(*t);
+        rest = &rest[cut..];
+    }
+    out.extend_from_slice(rest);
+    out
+}
+
+/// How many distinct values of `component` among `novel` never occur in
+/// that component of `keyed`, a run whose primary sort key it is.
+fn unseen_values(keyed: &[Triple], novel: &[Triple], component: usize) -> usize {
+    let mut values: Vec<ObjectId> = novel.iter().map(|t| t.0[component]).collect();
+    values.sort_unstable();
+    values.dedup();
+    values
+        .into_iter()
+        .filter(|&v| {
+            let at = keyed.partition_point(|t| t.0[component] < v);
+            keyed.get(at).is_none_or(|t| t.0[component] != v)
+        })
+        .count()
+}
+
+/// The active domain as a membership bitmap over object ids, with its exact
+/// size kept beside it so [`Triplestore::active_domain_len`] is `O(1)`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ActiveDomain {
+    bits: Vec<u64>,
+    len: usize,
+}
+
+impl ActiveDomain {
+    /// Marks every component of every triple as active.
+    fn extend<'a>(&mut self, triples: impl IntoIterator<Item = &'a Triple>) {
+        for t in triples {
+            for id in t.0 {
+                let (word, mask) = (id.index() / 64, 1u64 << (id.index() % 64));
+                if word >= self.bits.len() {
+                    self.bits.resize(word + 1, 0);
+                }
+                if self.bits[word] & mask == 0 {
+                    self.bits[word] |= mask;
+                    self.len += 1;
+                }
+            }
+        }
+    }
+
+    /// The active objects in ascending id order.
+    pub(crate) fn ids(&self) -> Vec<ObjectId> {
+        let mut out = Vec::with_capacity(self.len);
+        for (word, &bits) in self.bits.iter().enumerate() {
+            let mut rest = bits;
+            while rest != 0 {
+                out.push(ObjectId::from_index(
+                    word * 64 + rest.trailing_zeros() as usize,
+                ));
+                rest &= rest - 1;
+            }
+        }
+        out
+    }
+}
+
 impl RelationIndex {
     /// Creates an index shell with nothing materialised yet.
     pub fn new() -> Self {
@@ -359,6 +439,46 @@ impl RelationIndex {
         let mut v: Vec<Triple> = base.as_slice().to_vec();
         v.sort_unstable_by_key(|t| perm.key(t));
         v
+    }
+
+    /// Whether the run in the given permutation's order is already
+    /// materialised (`Spo` always is) — a probe only, it builds nothing.
+    pub fn is_built(&self, perm: Permutation) -> bool {
+        match perm {
+            Permutation::Spo => true,
+            Permutation::Pos => self.pos.get().is_some(),
+            Permutation::Osp => self.osp.get().is_some(),
+        }
+    }
+
+    /// The index of `old ∪ novel`, given this index over `old` and the
+    /// `novel` triples (SPO-sorted, duplicate-free, disjoint from `old`):
+    /// each built run gets the delta merged in, built distinct counts grow
+    /// by the delta's unseen values, and everything unbuilt stays lazy.
+    pub(crate) fn append(&self, old: &TripleSet, novel: &[Triple]) -> RelationIndex {
+        let carry = |slot: &OnceLock<Vec<Triple>>, perm: Permutation| match slot.get() {
+            Some(run) => {
+                let mut delta = novel.to_vec();
+                delta.sort_unstable_by_key(|t| perm.key(t));
+                OnceLock::from(merge_run(run, &delta, perm))
+            }
+            None => OnceLock::new(),
+        };
+        let distinct = match (self.distinct.get(), self.pos.get(), self.osp.get()) {
+            (Some(counts), Some(pos), Some(osp)) => {
+                let keyed = [old.as_slice(), pos, osp];
+                OnceLock::from(std::array::from_fn(|c| {
+                    counts[c] + unseen_values(keyed[c], novel, c)
+                }))
+            }
+            _ => OnceLock::new(),
+        };
+        RelationIndex {
+            pos: carry(&self.pos, Permutation::Pos),
+            osp: carry(&self.osp, Permutation::Osp),
+            distinct,
+            ..RelationIndex::default()
+        }
     }
 
     /// The triples of `base` in the given permutation's order.
@@ -476,10 +596,12 @@ impl RelationIndex {
     }
 }
 
-/// All per-relation indexes of one store, keyed by relation name.
+/// All per-relation indexes of one store, keyed by relation name, plus the
+/// store-wide active domain.
 #[derive(Debug, Default)]
 pub struct StoreIndexes {
     relations: HashMap<String, RelationIndex>,
+    active: OnceLock<ActiveDomain>,
 }
 
 impl StoreIndexes {
@@ -490,6 +612,7 @@ impl StoreIndexes {
                 .into_iter()
                 .map(|n| (n.to_owned(), RelationIndex::new()))
                 .collect(),
+            active: OnceLock::new(),
         }
     }
 
@@ -497,13 +620,42 @@ impl StoreIndexes {
     pub fn relation(&self, name: &str) -> Option<&RelationIndex> {
         self.relations.get(name)
     }
+
+    /// The indexes of a store that extends `base` (whose indexes these
+    /// are) by `novel`: one `(relation, triples)` entry per relation of the
+    /// new store, each SPO-sorted, duplicate-free and disjoint from the
+    /// base's relation of that name. Relations new to the store get an
+    /// empty shell.
+    pub(crate) fn append(&self, base: &Triplestore, novel: &[(String, Vec<Triple>)]) -> Self {
+        let relations = novel
+            .iter()
+            .map(|(name, delta)| {
+                let index = match (self.relations.get(name), base.relation(name)) {
+                    (Some(ix), Some(old)) => ix.append(old.triples(), delta),
+                    _ => RelationIndex::new(),
+                };
+                (name.clone(), index)
+            })
+            .collect();
+        let active = match self.active.get() {
+            Some(active) => {
+                let mut active = active.clone();
+                active.extend(novel.iter().flat_map(|(_, delta)| delta));
+                OnceLock::from(active)
+            }
+            None => OnceLock::new(),
+        };
+        StoreIndexes { relations, active }
+    }
 }
 
 /// The lazily-initialised index slot embedded in every [`Triplestore`].
 ///
 /// Cloning yields an *empty* cache (indexes are derived data and a cloned
-/// store is usually about to diverge from the original); equality always
-/// holds (caches never participate in store identity).
+/// store is usually about to diverge from the original); an append builds
+/// its slot from the base's instead, so what the base had built stays
+/// built. Equality always holds (caches never participate in store
+/// identity).
 #[derive(Default)]
 pub struct IndexCache(OnceLock<Box<StoreIndexes>>);
 
@@ -511,6 +663,17 @@ impl IndexCache {
     /// The indexes, building the per-relation shells on first use.
     pub fn get_or_init(&self, init: impl FnOnce() -> StoreIndexes) -> &StoreIndexes {
         self.0.get_or_init(|| Box::new(init()))
+    }
+
+    /// The indexes if anything has asked for them yet, without building.
+    pub(crate) fn built(&self) -> Option<&StoreIndexes> {
+        self.0.get().map(|ix| &**ix)
+    }
+}
+
+impl From<StoreIndexes> for IndexCache {
+    fn from(indexes: StoreIndexes) -> Self {
+        IndexCache(OnceLock::from(Box::new(indexes)))
     }
 }
 
@@ -557,6 +720,22 @@ impl Triplestore {
         let triples = self.relation(name)?.triples();
         let index = self.indexes().relation(name)?;
         Some((triples, index))
+    }
+
+    /// The active domain, built on first use by one pass over every
+    /// relation (no sort) and carried across appends.
+    pub(crate) fn active(&self) -> &ActiveDomain {
+        self.indexes().active.get_or_init(|| {
+            let mut active = ActiveDomain::default();
+            active.extend(self.relations().flat_map(|r| r.triples()));
+            active
+        })
+    }
+
+    /// `|adom|`, the exact size of [`Triplestore::active_domain`], in `O(1)`
+    /// once built — what the planner's universe estimates read.
+    pub fn active_domain_len(&self) -> usize {
+        self.active().len
     }
 }
 

@@ -6,15 +6,27 @@
 //! [`TriplestoreBuilder`] to construct them, or
 //! [`Triplestore::with_relation`] to derive a store that has an extra
 //! (materialised) relation — handy for composing algebra results.
+//!
+//! **Appends** ([`TriplestoreBuilder::append_to`]) cost the delta plus one
+//! merge pass over the runs that already exist. Object ids are stable
+//! across appends and every name is one shared `Arc<str>`, so extending the
+//! dictionary copies pointers, not strings; the new triples are sorted on
+//! their own and merged into each relation's SPO run, and whatever
+//! permutation runs and statistics the base had built are carried forward
+//! with the delta merged in (see [`crate::index`]). A build from scratch is
+//! an append to the empty store: there is one build path. The base is only
+//! read, so a snapshot taken before an append answers exactly as before,
+//! and any number of appends may branch from one base.
 
 use crate::error::{Error, Result};
-use crate::index::IndexCache;
+use crate::index::{merge_run, IndexCache, Permutation};
 use crate::object::ObjectId;
 use crate::triple::{Triple, TripleSet};
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A named ternary relation `Eᵢ ⊆ O × O × O` of a triplestore.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -55,13 +67,16 @@ impl Relation {
 ///   ranges over it.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Triplestore {
-    names: Vec<String>,
+    /// id → name; each name is shared with `by_name` and with every store
+    /// appended from this one.
+    names: Vec<Arc<str>>,
     values: Vec<Value>,
-    by_name: HashMap<String, ObjectId>,
+    by_name: HashMap<Arc<str>, ObjectId>,
     relations: Vec<Relation>,
     rel_index: HashMap<String, usize>,
     /// Lazily-built permutation indexes (derived data: cloning a store
-    /// resets the cache, and the cache never affects equality).
+    /// resets the cache, an append carries what was built, and the cache
+    /// never affects equality).
     index: IndexCache,
 }
 
@@ -146,17 +161,10 @@ impl Triplestore {
     ///
     /// The paper's universal relation `U` is the set of all triples
     /// `(o1, o2, o3)` such that each `oi` occurs in the triplestore; its
-    /// object universe is exactly this set.
+    /// object universe is exactly this set. Its size alone is
+    /// [`Triplestore::active_domain_len`].
     pub fn active_domain(&self) -> Vec<ObjectId> {
-        let mut objs: Vec<ObjectId> = self
-            .relations
-            .iter()
-            .flat_map(|r| r.triples.iter())
-            .flat_map(|t| t.0.iter().copied())
-            .collect();
-        objs.sort_unstable();
-        objs.dedup();
-        objs
+        self.active().ids()
     }
 
     /// Renders a triple with object names, for debugging and examples.
@@ -209,18 +217,10 @@ impl Triplestore {
         &self.index
     }
 
-    /// Converts this store back into a builder, e.g. to add more triples.
+    /// Converts this store back into a builder, e.g. to add more triples:
+    /// [`TriplestoreBuilder::append_to`] with this store as the base.
     pub fn into_builder(self) -> TriplestoreBuilder {
-        TriplestoreBuilder {
-            names: self.names,
-            values: self.values,
-            by_name: self.by_name,
-            relations: self
-                .relations
-                .into_iter()
-                .map(|r| (r.name, r.triples.into_vec()))
-                .collect(),
-        }
+        TriplestoreBuilder::append_to(Arc::new(self))
     }
 }
 
@@ -244,12 +244,20 @@ impl fmt::Display for Triplestore {
 ///
 /// Objects are interned on first use; triples are added to named relations;
 /// data values can be attached to objects at any point before `finish`.
+/// A builder either starts empty ([`TriplestoreBuilder::new`]) or extends a
+/// base store ([`TriplestoreBuilder::append_to`]); `finish` is the same
+/// merge in both cases, the empty store being the base of the first.
 #[derive(Debug, Clone, Default)]
 pub struct TriplestoreBuilder {
-    names: Vec<String>,
+    /// The store being extended (`None`: the empty store). Only read.
+    base: Option<Arc<Triplestore>>,
+    /// The base's dictionary (shared names) followed by the names this
+    /// builder interned.
+    names: Vec<Arc<str>>,
     values: Vec<Value>,
-    by_name: HashMap<String, ObjectId>,
-    /// Relation name → triples added so far (in insertion order of relations).
+    by_name: HashMap<Arc<str>, ObjectId>,
+    /// Relation name → triples added since the base (in insertion order of
+    /// relations, the base's first).
     relations: Vec<(String, Vec<Triple>)>,
 }
 
@@ -259,6 +267,26 @@ impl TriplestoreBuilder {
         TriplestoreBuilder::default()
     }
 
+    /// A builder extending `base`: ids and names of the base's objects stay
+    /// as they are, its relations keep their order, and
+    /// [`TriplestoreBuilder::finish`] merges the added triples into the
+    /// base's runs and carries its built indexes. `base` itself never
+    /// changes, so readers holding it are unaffected and several builders
+    /// may extend one base independently.
+    pub fn append_to(base: Arc<Triplestore>) -> Self {
+        TriplestoreBuilder {
+            names: base.names.clone(),
+            values: base.values.clone(),
+            by_name: base.by_name.clone(),
+            relations: base
+                .relations
+                .iter()
+                .map(|r| (r.name.clone(), Vec::new()))
+                .collect(),
+            base: Some(base),
+        }
+    }
+
     /// Interns an object by name, returning its id. Idempotent.
     pub fn object(&mut self, name: impl AsRef<str>) -> ObjectId {
         let name = name.as_ref();
@@ -266,9 +294,10 @@ impl TriplestoreBuilder {
             return id;
         }
         let id = ObjectId::from_index(self.names.len());
-        self.names.push(name.to_owned());
+        let name: Arc<str> = Arc::from(name);
+        self.names.push(Arc::clone(&name));
         self.values.push(Value::Null);
-        self.by_name.insert(name.to_owned(), id);
+        self.by_name.insert(name, id);
         id
     }
 
@@ -323,13 +352,39 @@ impl TriplestoreBuilder {
     }
 
     /// Finalises the builder into an immutable [`Triplestore`].
+    ///
+    /// Only the added triples are sorted; each relation's run is the base's
+    /// with them merged in, and the base's built indexes come along.
     pub fn finish(self) -> Triplestore {
-        let relations: Vec<Relation> = self
+        let base = self.base.as_deref();
+        let old = |name: &str| base.and_then(|b| b.relation(name)).map(Relation::triples);
+        let novel: Vec<(String, Vec<Triple>)> = self
             .relations
             .into_iter()
-            .map(|(name, triples)| Relation {
-                name,
-                triples: TripleSet::from_vec(triples),
+            .map(|(name, mut delta)| {
+                delta.sort_unstable();
+                delta.dedup();
+                if let Some(old) = old(&name) {
+                    delta.retain(|t| !old.contains(t));
+                }
+                (name, delta)
+            })
+            .collect();
+        let index = match base.and_then(|b| Some((b, b.index_cache().built()?))) {
+            Some((base, built)) => IndexCache::from(built.append(base, &novel)),
+            None => IndexCache::default(),
+        };
+        let relations: Vec<Relation> = novel
+            .into_iter()
+            .map(|(name, delta)| {
+                let triples = match old(&name) {
+                    Some(old) => merge_run(old.as_slice(), &delta, Permutation::Spo),
+                    None => delta,
+                };
+                Relation {
+                    name,
+                    triples: TripleSet::from_sorted_vec(triples),
+                }
             })
             .collect();
         let rel_index = relations
@@ -343,7 +398,7 @@ impl TriplestoreBuilder {
             by_name: self.by_name,
             relations,
             rel_index,
-            index: IndexCache::default(),
+            index,
         }
     }
 }

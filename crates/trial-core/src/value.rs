@@ -10,6 +10,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// A data value from the domain `D`.
 ///
@@ -22,8 +23,9 @@ pub enum Value {
     Null,
     /// An integer data value.
     Int(i64),
-    /// A string data value.
-    Str(String),
+    /// A string data value, shared (not copied) when `ρ` is copied into
+    /// an appended store.
+    Str(Arc<str>),
     /// A tuple of data values, used when `ρ` maps objects to tuples
     /// (e.g. `(name, email, age, type, created)` in Section 2.3).
     Tuple(Vec<Value>),
@@ -32,7 +34,7 @@ pub enum Value {
 impl Value {
     /// Builds a string value.
     pub fn str(s: impl Into<String>) -> Self {
-        Value::Str(s.into())
+        Value::Str(s.into().into())
     }
 
     /// Builds an integer value.
@@ -77,13 +79,13 @@ impl Value {
 
 impl From<&str> for Value {
     fn from(s: &str) -> Self {
-        Value::Str(s.to_owned())
+        Value::Str(s.into())
     }
 }
 
 impl From<String> for Value {
     fn from(s: String) -> Self {
-        Value::Str(s)
+        Value::Str(s.into())
     }
 }
 

@@ -32,7 +32,7 @@
 //! yields strictly increasing canonical-order triples and is therefore
 //! duplicate-free. Unordered cursors may emit duplicates (joins project,
 //! concatenating unions overlap); duplicates are resolved at the next
-//! materialisation point, by [`LimitCursor`]s (which count *distinct*
+//! materialisation point, by `LimitCursor`s (which count *distinct*
 //! triples), or by the final [`QueryStream`] / result-set assembly.
 
 use crate::compile::{project, CompiledConditions};
@@ -945,7 +945,7 @@ impl<'a> QueryStream<'a> {
 
     /// Runs the stream through a bounded **exchange**: producer threads
     /// evaluate the pipeline and pump rows into lanes of `depth` batches
-    /// while `consume` pulls them back out of the [`Exchange`] on the
+    /// while `consume` pulls them back out of the exchange on the
     /// current thread — evaluation overlaps with whatever the consumer does
     /// (typically socket writes).
     ///

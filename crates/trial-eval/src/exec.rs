@@ -5,17 +5,17 @@
 //! The executor owns the per-query memo slots and threads the shared
 //! [`EvalStats`] counters through every physical operator.
 //!
-//! * **Compile to cursors** ([`Executor::cursor`]) — each operator becomes a
+//! * **Compile to cursors** (`Executor::cursor`) — each operator becomes a
 //!   pull-based [`Cursor`](crate::cursor::Cursor): work happens as rows are
 //!   pulled and stops the moment the consumer stops (a satisfied
 //!   [`PlanNode::Limit`], a closed connection). Pipeline breakers (hash-join
 //!   build sides, difference/intersection right sides, star fixpoints, memo
 //!   slots, complement inputs, sorts) fill their blocking input at
-//!   cursor-construction time through the other walk. A [`ScanAccess`] says
+//!   cursor-construction time through the other walk. A `ScanAccess` says
 //!   which part of an index scan's run the pipeline reads — all of it, the
 //!   rows after a key (resumable pagination) or one morsel (the exchange
 //!   fan-out) — and only the scan interprets it.
-//! * **Evaluate to a set** ([`Executor::materialize`]) — each operator
+//! * **Evaluate to a set** (`Executor::materialize`) — each operator
 //!   computes its full [`TripleSet`] with the set-at-a-time kernels of
 //!   [`crate::ops`], which also carry the morsel parallelism. A bounded
 //!   subtree ([`PlanNode::Limit`], [`PlanNode::TopK`]) switches back to a

@@ -493,7 +493,7 @@ pub(crate) fn merge_join_slice(
     }
 }
 
-/// Sort-merge join over two key-sorted runs (see [`merge_join_slice`]).
+/// Sort-merge join over two key-sorted runs (see `merge_join_slice`).
 #[allow(clippy::too_many_arguments)]
 pub fn merge_join(
     left: &[Triple],
@@ -545,7 +545,7 @@ pub(crate) fn align_key_runs(
 }
 
 /// Morsel-parallel [`merge_join`]: the left run is carved into key-aligned
-/// morsels ([`align_key_runs`]); each worker binary-searches the matching
+/// morsels (`align_key_runs`); each worker binary-searches the matching
 /// right sub-run for its key range and merges the pair independently.
 /// Morsel outputs concatenate in left order, so the pre-deduplication row
 /// sequence is identical to the sequential merge.

@@ -13,14 +13,14 @@
 //!
 //! Three primitives cover every parallel operator in [`crate::exec`]:
 //!
-//! * [`chunk`] — split a slice into near-equal contiguous morsels (the
+//! * `chunk` — split a slice into near-equal contiguous morsels (the
 //!   in-memory mirror of `RelationIndex::partition_cursors` at the storage
 //!   layer);
-//! * [`run_tasks`] — execute a batch of morsel tasks on up to `threads`
+//! * `run_tasks` — execute a batch of morsel tasks on up to `threads`
 //!   workers pulling from a shared queue, returning results **in task
 //!   order** (concatenating them reproduces the sequential output exactly —
 //!   the determinism the differential suite relies on);
-//! * [`join_pair`] — overlap one blocking side computation (a
+//! * `join_pair` — overlap one blocking side computation (a
 //!   difference/intersection right side, a complement input) with the
 //!   current thread's own work.
 //!

@@ -48,8 +48,8 @@ use trial_core::{Conditions, Expr, ObjectId, Permutation, Pos, Result, Triplesto
 use trial_parser::PathExpr;
 
 /// The default, optimisation-enabled evaluation engine: plans every query
-/// with [`plan`] and executes the physical plan against the store's
-/// permutation indexes.
+/// with [`SmartEngine::plan_query`] and executes the physical plan against
+/// the store's permutation indexes.
 ///
 /// An engine built with [`SmartEngine::with_stats`] also carries a shared
 /// [`StatsStore`]: planning substitutes observed cardinalities for the
@@ -106,7 +106,7 @@ impl SmartEngine {
     ///
     /// * With `topk = Some(k)` the plan computes the `k` smallest distinct
     ///   triples under `order`'s permutation key (`order` defaults to
-    ///   `spo`): [`push_topk`] distributes the bound through unions, folds
+    ///   `spo`): `push_topk` distributes the bound through unions, folds
     ///   nested top-ks, and turns it into a plain [`PlanNode::Limit`]
     ///   wherever the input already streams in the target order (the first
     ///   `k` of an ordered stream *are* the `k` smallest — early termination
@@ -115,10 +115,10 @@ impl SmartEngine {
     /// * With only `order = Some(p)` the plan's root is rewritten to stream
     ///   in `p`'s key order: unbound scans switch permutation and
     ///   order-preserving operators pass the requirement down
-    ///   ([`ensure_order`]); if no operator below can deliver, an explicit
+    ///   (`ensure_order`); if no operator below can deliver, an explicit
     ///   [`PlanNode::Sort`] breaker is inserted at the root.
     /// * `limit` is then pushed as deep as set semantics allow
-    ///   ([`push_limit`]); it never disturbs the delivered order.
+    ///   (`push_limit`); it never disturbs the delivered order.
     ///
     /// The requested order (explicit, or the key a top-k bound ranks by) is
     /// also the planner's **interesting order**: join planning can choose
@@ -139,7 +139,6 @@ impl SmartEngine {
             stats: self.stats(),
             interesting: rank.or(order),
             used_stats: false,
-            universe_est: None,
             repeated: repeated_subexpressions(expr),
             slots: HashMap::new(),
         };
@@ -750,18 +749,15 @@ struct Planner<'a> {
     interesting: Option<Permutation>,
     /// Whether any node's estimate came from observed statistics.
     used_stats: bool,
-    universe_est: Option<usize>,
     repeated: HashSet<Expr>,
     slots: HashMap<Expr, usize>,
 }
 
 impl Planner<'_> {
     /// `|adom|³`, the cardinality of the universal relation.
-    fn universe_est(&mut self) -> usize {
-        *self.universe_est.get_or_insert_with(|| {
-            let n = self.store.active_domain().len();
-            n.saturating_mul(n).saturating_mul(n)
-        })
+    fn universe_est(&self) -> usize {
+        let n = self.store.active_domain_len();
+        n.saturating_mul(n).saturating_mul(n)
     }
 
     /// Exact `(cardinality, distinct counts per component)` when the plan

@@ -4,7 +4,7 @@
 //! queries. This module makes the claim executable in both directions:
 //!
 //! * [`lower`] compiles every [`PathExpr`] into a plain TriAL\*
-//!   [`Expr`](trial_core::Expr) — pairs `(x, y)` are encoded as triples
+//!   [`Expr`] — pairs `(x, y)` are encoded as triples
 //!   `(x, x, y)`, concatenation becomes a triple join
 //!   `✶^{1,1,3'}_{3=1'}`, alternation a union, and Kleene closures a right
 //!   Kleene star of the same join shape. The lowering is **total**: the

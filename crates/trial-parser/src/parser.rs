@@ -339,7 +339,7 @@ impl Parser {
             }
             TokenKind::Str(s) => {
                 self.advance();
-                Ok(Value::Str(s))
+                Ok(Value::from(s))
             }
             TokenKind::Ident(word) if word == "null" => {
                 self.advance();

@@ -26,7 +26,8 @@
 //! curl -s localhost:7878/explain -d "STAR(E JOIN[1,2,3' | 3=1'])"
 //!
 //! # Load an N-Triples document into relation E of store `mydata`
-//! # (copy-on-write: in-flight queries keep their snapshot).
+//! # (copy-on-write: in-flight queries keep their snapshot; a load into an
+//! # existing store appends, costing the batch plus one merge pass).
 //! curl -s "localhost:7878/load?store=mydata&relation=E" --data-binary @data.nt
 //!
 //! # Cap the result: the limit is pushed into the physical plan, so
@@ -301,7 +302,11 @@
 //!   behind `Arc`s. Readers clone the `Arc` under a momentary read lock and
 //!   evaluate lock-free; `/load` builds the replacement store entirely off
 //!   to the side and swaps the pointer. A query that started on epoch *n*
-//!   sees epoch *n* to completion — no reader ever blocks on a writer.
+//!   sees epoch *n* to completion — no reader ever blocks on a writer. The
+//!   replacement is an *append* to the current snapshot: it shares the
+//!   snapshot's dictionary, and the sorted batch is merged into the runs
+//!   and permutation indexes the snapshot had built, so a load costs its
+//!   batch plus one merge pass and the first read after it re-sorts nothing.
 //! * **[`cache`]** — an LRU of rendered result fragments keyed by
 //!   `(store, epoch, kind, query text)`, plus the prefix-closed ordered
 //!   cache that serves any smaller limit by slicing a deeper cached prefix.

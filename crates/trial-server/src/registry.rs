@@ -8,8 +8,10 @@
 //!   started on epoch *n* sees epoch *n*'s triples to completion, no matter
 //!   how many loads land meanwhile;
 //! * writers build the replacement store entirely **off to the side** (the
-//!   expensive parse + index work happens outside every lock), then swap the
-//!   `Arc` under the write lock — held for a pointer swap, nothing more;
+//!   parse of the batch and its merge into the current snapshot's runs and
+//!   built indexes happen outside every lock; the snapshot itself is only
+//!   read, and the new store shares its dictionary), then swap the `Arc`
+//!   under the write lock — held for a pointer swap, nothing more;
 //! * concurrent writers to the *same* store are serialised by that store's
 //!   [`StoreRegistry::write_gate`] mutex so two `/load`s cannot interleave
 //!   their read-modify-write cycles; loads to different stores run in

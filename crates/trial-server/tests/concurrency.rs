@@ -4,6 +4,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use trial_core::Permutation;
 use trial_server::{client, Server, ServerConfig};
 
 /// Extracts the integer value of `"field":N` from a flat JSON rendering.
@@ -396,13 +397,50 @@ fn load_appends_and_literals_carry_values() {
     let union = client::post(addr, "/query?store=lit", "E UNION F").unwrap();
     assert_eq!(json_u64(&union.body, "count"), 3);
 
+    // An append to E once its permutation runs exist: a bound read builds
+    // POS / OSP on epoch 2, and the epoch-3 store arrives with them merged.
+    let bound = client::post(addr, "/query?store=lit", "SELECT[2='population'](E)").unwrap();
+    assert_eq!(json_u64(&bound.body, "count"), 2, "{}", bound.body);
+    let before = server.registry().snapshot("lit").unwrap();
+    let grown = client::post(
+        addr,
+        "/load?store=lit",
+        "<Aberdeen> <population> \"198590\" .\n<Glasgow> <population> \"635640\" .\n",
+    )
+    .unwrap();
+    assert_eq!(json_u64(&grown.body, "epoch"), 3, "{}", grown.body);
+    assert_eq!(json_u64(&grown.body, "triples_added"), 2, "{}", grown.body);
+    assert_eq!(json_u64(&grown.body, "triples_total"), 4, "{}", grown.body);
+
+    // Snapshot isolation: the epoch-2 snapshot still answers as it did.
+    let old = before.store();
+    assert_eq!(before.epoch(), 2);
+    assert_eq!((old.object_count(), old.triple_count()), (8, 3));
+    assert_eq!(old.object_id("Aberdeen"), None);
+    assert_eq!(
+        old.object_name(old.object_id("Glasgow").unwrap()),
+        "Glasgow"
+    );
+
+    // The new epoch shares the ids, carries the runs (so the first bound
+    // read after the append re-sorts nothing) and reads its own write.
+    let after = server.registry().snapshot("lit").unwrap();
+    let new = after.store();
+    assert_eq!(new.object_id("Glasgow"), old.object_id("Glasgow"));
+    let (_, index) = new.relation_with_index("E").unwrap();
+    assert!(index.is_built(Permutation::Pos) && index.is_built(Permutation::Osp));
+    let read = client::post(addr, "/query?store=lit", "SELECT[1='Aberdeen'](E)").unwrap();
+    assert_eq!(json_u64(&read.body, "count"), 1, "{}", read.body);
+    assert_eq!(json_u64(&read.body, "epoch"), 3, "{}", read.body);
+    assert!(read.body.contains("198590"), "{}", read.body);
+
     // A malformed document reports its offset and leaves the store intact.
     let bad = client::post(addr, "/load?store=lit", "<a> <b> <c> .\nbroken .\n").unwrap();
     assert_eq!(bad.status, 400);
     assert!(bad.body.contains("\"kind\":\"parse\""));
     assert_eq!(json_u64(&bad.body, "offset"), 14);
     let still = client::get(addr, "/stores").unwrap();
-    assert!(still.body.contains("\"epoch\":2"), "{}", still.body);
+    assert!(still.body.contains("\"epoch\":3"), "{}", still.body);
 
     server.shutdown();
 }
