@@ -1,4 +1,5 @@
-//! Prints the experiment tables recorded in EXPERIMENTS.md.
+//! Prints the experiment tables that regenerate the paper's checkable claims
+//! (`e1` … `e15`; see the `trial_bench` crate docs).
 //!
 //! Usage:
 //!

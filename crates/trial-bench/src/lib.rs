@@ -9,16 +9,17 @@
 //! prediction.
 //!
 //! Run `cargo run -p trial-bench --bin tables --release -- all` to print
-//! every table (this is what EXPERIMENTS.md records), or pass an experiment
-//! id (`e1` … `e13`). Criterion micro-benchmarks for the same workloads live
-//! in `benches/`.
+//! every table, or pass experiment ids (`e1` … `e15`). The tables are the
+//! record: nothing else in the workspace measures the paper's claims.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod logic_experiments;
+pub mod strategy_experiments;
 
 pub use logic_experiments::{e11_logic_translations, e12_register_automata, e13_nsparql_axes};
+pub use strategy_experiments::{e14_datalog_vs_algebra, e15_rpq_strategies, RpqSizes};
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -88,13 +89,13 @@ impl std::fmt::Display for Report {
     }
 }
 
-fn ms(start: Instant) -> f64 {
+pub(crate) fn ms(start: Instant) -> f64 {
     start.elapsed().as_secs_f64() * 1e3
 }
 
 /// All experiment ids in order.
-pub const ALL_EXPERIMENTS: [&str; 13] = [
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13",
+pub const ALL_EXPERIMENTS: [&str; 15] = [
+    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
 ];
 
 /// Runs one experiment by id.
@@ -113,6 +114,12 @@ pub fn run_experiment(id: &str) -> Option<Report> {
         "e11" => Some(e11_logic_translations()),
         "e12" => Some(e12_register_automata()),
         "e13" => Some(e13_nsparql_axes()),
+        "e14" => Some(e14_datalog_vs_algebra(&[1, 2, 4])),
+        "e15" => Some(e15_rpq_strategies(RpqSizes {
+            chain: 200,
+            cycle: 64,
+            grid: 12,
+        })),
         _ => None,
     }
 }
@@ -778,7 +785,28 @@ mod tests {
     /// tests. The scaling experiments (e3–e6, e10) deliberately run the slow
     /// Theorem-3 baseline on sizeable inputs and are exercised by the
     /// `tables` binary in release mode instead (plus the ignored test below).
+    /// e14 and e15 run in `cheap_experiments_run` at small sizes.
     const CHEAP_EXPERIMENTS: [&str; 5] = ["e1", "e2", "e7", "e8", "e9"];
+
+    /// Asserts that no row of an e14/e15 table reports a disagreement: both
+    /// tables compare the two strategies' answers before timing them.
+    fn assert_strategies_agree(report: &Report) {
+        let rows: Vec<&str> = report
+            .body
+            .lines()
+            .filter(|l| {
+                l.starts_with("| ") && !l.starts_with("| cities") && !l.starts_with("| case")
+            })
+            .collect();
+        assert!(!rows.is_empty(), "{} printed no rows", report.id);
+        for line in rows {
+            assert!(
+                line.ends_with("| true |") || line.ends_with("| — (bounded) |"),
+                "{} strategies disagree: {line}",
+                report.id
+            );
+        }
+    }
 
     #[test]
     fn cheap_experiments_run() {
@@ -787,6 +815,22 @@ mod tests {
             assert_eq!(report.id, id);
             assert!(!report.body.is_empty());
             assert!(!report.to_string().is_empty());
+        }
+        let small = [
+            ("e14", e14_datalog_vs_algebra(&[1])),
+            (
+                "e15",
+                e15_rpq_strategies(RpqSizes {
+                    chain: 24,
+                    cycle: 12,
+                    grid: 5,
+                }),
+            ),
+        ];
+        for (id, report) in small {
+            assert!(ALL_EXPERIMENTS.contains(&id));
+            assert_eq!(report.id, id);
+            assert_strategies_agree(&report);
         }
         assert!(run_experiment("nope").is_none());
         assert!(ALL_EXPERIMENTS.len() >= CHEAP_EXPERIMENTS.len());

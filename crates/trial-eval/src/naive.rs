@@ -7,10 +7,11 @@
 //!   is `O(|T|³)` per star since at most `|adom|³` triples can ever be added
 //!   and each round costs a join.
 //!
-//! The engine exists as a faithful reference point: the benchmark suite
-//! compares it against [`crate::SmartEngine`] to reproduce the shape of the
-//! Theorem 3 bounds and to quantify how much the optimisations of
-//! Propositions 4 and 5 help (the paper's Section 7 future-work question).
+//! The engine exists as a faithful reference point: the `trial-bench`
+//! experiment tables compare it against [`crate::SmartEngine`] to reproduce
+//! the shape of the Theorem 3 bounds and to quantify how much the
+//! optimisations of Propositions 4 and 5 help (the paper's Section 7
+//! future-work question).
 
 use crate::compile::CompiledConditions;
 use crate::engine::{Engine, EvalOptions, EvalStats, Evaluation};

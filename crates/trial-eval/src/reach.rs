@@ -13,8 +13,9 @@
 //! The paper's Procedures 3 and 4 compute these with a reachability matrix
 //! plus Warshall's transitive closure, giving `O(|e|·|O|·|T|)`. We obtain
 //! the same bound with per-source BFS over [`Adjacency`] lists, which is also
-//! far cheaper in practice on sparse data — the benchmark `prop5_reach`
-//! compares both against the generic fixpoint engines.
+//! far cheaper in practice on sparse data — the `e5` table of the
+//! `trial-bench` `tables` binary compares both against the generic fixpoint
+//! engines.
 //!
 //! The adjacency lists are taken **by reference**: when the starred base is a
 //! stored relation, the executor borrows the store's lazily-cached

@@ -60,8 +60,6 @@ OPTIONS:
                          settable via TRIAL_PROFILE_SAMPLE)  [default: 0]
     --flight-slots <N>   flight-recorder capacity (slowest + errored spans
                          each; 0 disables /debug/slow)       [default: 16]
-    --no-obs             disable request tracing and latency histograms
-                         (service counters and /metrics itself stay live)
     --default-timeout-ms <MS>
                          evaluation deadline applied to every query that
                          doesn't set its own ?timeout_ms= (0 = none; also
@@ -154,7 +152,6 @@ fn run() -> Result<ExitCode, String> {
             "--flight-slots" => {
                 config.flight_slots = parse_num(&take_value(&args, &mut i)?, "--flight-slots")?
             }
-            "--no-obs" => config.observe = false,
             "--default-timeout-ms" => {
                 let ms: u64 = parse_num(&take_value(&args, &mut i)?, "--default-timeout-ms")?;
                 config.default_timeout = (ms > 0).then(|| Duration::from_millis(ms));

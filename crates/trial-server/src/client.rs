@@ -1,7 +1,7 @@
 //! A minimal blocking HTTP client for the service's own endpoints.
 //!
-//! Two shapes, both std-only (no dependency; the integration tests, benches
-//! and examples drive a [`crate::Server`] with this):
+//! Two shapes, both std-only (no dependency; the integration tests and
+//! examples drive a [`crate::Server`] with this):
 //!
 //! * [`get`] / [`post`] / [`request`] — one connection per call,
 //!   `Connection: close`. Simple, stateless, fine for tests.

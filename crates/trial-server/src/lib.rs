@@ -241,9 +241,7 @@
 //! the estimated and actual rows. Outside analyze, per-node timing is off
 //! unless sampled: `trial-serve --profile-sample N` (or the
 //! `TRIAL_PROFILE_SAMPLE` env var) times every N-th cursor pull and spans
-//! in `/debug/slow` then carry node timings too. `--no-obs` turns off
-//! tracing and latency histograms entirely for overhead-sensitive
-//! deployments; service counters and `/metrics` itself stay live.
+//! in `/debug/slow` then carry node timings too.
 //!
 //! ## Robustness
 //!
@@ -330,7 +328,7 @@
 //!   inert (one `is_empty()` test per site) unless armed.
 //! * **[`server`]** — listener + fixed worker pool with keep-alive
 //!   connections and graceful shutdown; [`Server::spawn_ephemeral`] gives
-//!   tests and benches an in-process instance on a free port.
+//!   tests and examples an in-process instance on a free port.
 //! * **[`routes`]** — the endpoint handlers. `/query` executes through
 //!   `trial-eval`'s streaming cursor pipeline: `?limit=` becomes a `Limit`
 //!   plan node so bounded queries terminate early, rows are rendered into

@@ -141,7 +141,7 @@ pub(crate) fn route(state: &ServerState, req: &Request) -> Routed {
         .request_id
         .clone()
         .unwrap_or_else(trace::next_request_id);
-    let mut trace = Trace::begin(request_id, &req.method, &req.path, state.observe);
+    let mut trace = Trace::begin(request_id, &req.method, &req.path);
     // Fault-injection checkpoint: a `route=panic` chaos rule unwinds here,
     // inside the connection worker's catch_unwind, exercising the 500 path.
     state.chaos.trigger("route");
@@ -226,15 +226,14 @@ fn finalize(
         state.metrics.observe_error(kind);
     }
     response.request_id = Some(trace.request_id().to_owned());
-    if let Some(span) = trace.finish(response.status, kind) {
-        state
-            .metrics
-            .observe_request(endpoint, span.status, span.total_us);
-        for (phase, us) in &span.phases {
-            state.metrics.observe_phase(phase, *us);
-        }
-        state.recorder.record(span);
+    let span = trace.finish(response.status, kind);
+    state
+        .metrics
+        .observe_request(endpoint, span.status, span.total_us);
+    for (phase, us) in &span.phases {
+        state.metrics.observe_phase(phase, *us);
     }
+    state.recorder.record(span);
     response
 }
 
@@ -404,7 +403,6 @@ fn debug_slow(state: &ServerState) -> Response {
         .collect();
     Response::ok(
         JsonObject::new()
-            .boolean("observe", state.observe)
             .num("profile_sample", state.eval.profile_sample as u64)
             .raw("slow", &json::array(slow))
             .raw("errors", &json::array(errors))
@@ -940,7 +938,7 @@ fn query(state: &ServerState, req: &Request, kind: QueryKind, trace: &mut Trace)
         }
     }
 
-    let parse_started = trace.now();
+    let parse_started = Instant::now();
     let compiled = match compile_body(text, path_params.as_ref()) {
         Ok(compiled) => compiled,
         Err(e) => return eval_error_response(state, &e),
@@ -960,7 +958,7 @@ fn query(state: &ServerState, req: &Request, kind: QueryKind, trace: &mut Trace)
     // Admission: every fresh evaluation (cache hits never get here) takes a
     // per-store permit; saturated stores shed load with a structured 429.
     // The traced phase is the wait for a permit (zero when uncontended).
-    let admission_started = trace.now();
+    let admission_started = Instant::now();
     let _permit = match state.admission.acquire(snapshot.name()) {
         Ok(permit) => permit,
         Err(retry_after) => return rejected_response(snapshot.name(), retry_after),
@@ -1042,7 +1040,7 @@ fn query(state: &ServerState, req: &Request, kind: QueryKind, trace: &mut Trace)
             // ordered plan (scan permutations, sort breakers, top-k heaps).
             let plan_limit = requested_limit.filter(|&k| k > 0);
             if analyze {
-                let eval_started = trace.now();
+                let eval_started = Instant::now();
                 let analyzed = compiled
                     .plan(&engine, snapshot.store(), plan_limit, order, topk)
                     .and_then(|plan| engine.analyze(plan, snapshot.store()));
@@ -1080,7 +1078,7 @@ fn query(state: &ServerState, req: &Request, kind: QueryKind, trace: &mut Trace)
                     Err(e) => return eval_error_response(state, &e),
                 }
             } else {
-                let plan_started = trace.now();
+                let plan_started = Instant::now();
                 let plan = match compiled.plan(&engine, snapshot.store(), plan_limit, order, topk) {
                     Ok(p) => p,
                     Err(e) => return eval_error_response(state, &e),
@@ -1106,7 +1104,7 @@ fn query(state: &ServerState, req: &Request, kind: QueryKind, trace: &mut Trace)
         }
     };
 
-    let serialize_started = trace.now();
+    let serialize_started = Instant::now();
     let fragment = Arc::new(fragment);
     if fragment.len() <= MAX_CACHED_FRAGMENT_BYTES {
         state.cache.insert(key, Arc::clone(&fragment));
@@ -1183,13 +1181,13 @@ fn render_query_fragment(
         // for a sort breaker the drain would never observe (a top-k bound
         // still changes the count and keeps its order).
         let plan_order = if topk.is_some() { order } else { None };
-        let plan_started = trace.now();
+        let plan_started = Instant::now();
         let plan = compiled.plan(engine, store, None, plan_order, topk)?;
         let stream = engine.stream(plan, store)?;
         trace.phase("plan", plan_started);
         trace.set_plan(|| stream.plan().explain().trim_end().to_owned());
         trace.set_profile(stream.profile());
-        let eval_started = trace.now();
+        let eval_started = Instant::now();
         let (count, stats) = stream.count();
         trace.phase("eval", eval_started);
         // A cancelled counting drain stops early with a meaningless partial
@@ -1213,13 +1211,13 @@ fn render_query_fragment(
     // rows arrive in that permutation's key order (the plan root either
     // delivers it from an index permutation or sits above an explicit
     // sort/top-k), so the response sequence is deterministic.
-    let plan_started = trace.now();
+    let plan_started = Instant::now();
     let plan = compiled.plan(engine, store, Some(limit.saturating_add(1)), order, topk)?;
     let mut stream = engine.stream(plan, store)?;
     trace.phase("plan", plan_started);
     trace.set_plan(|| stream.plan().explain().trim_end().to_owned());
     trace.set_profile(stream.profile());
-    let eval_started = trace.now();
+    let eval_started = Instant::now();
     let mut triples = String::from("[");
     let mut count: u64 = 0;
     let mut truncated = false;
@@ -1277,7 +1275,7 @@ fn render_ordered_rows(
     cancel: &CancelToken,
     trace: &mut Trace,
 ) -> trial_core::Result<(Vec<String>, bool, String, EvalStats)> {
-    let plan_started = trace.now();
+    let plan_started = Instant::now();
     let plan = compiled.plan(
         engine,
         store,
@@ -1289,7 +1287,7 @@ fn render_ordered_rows(
     trace.phase("plan", plan_started);
     trace.set_plan(|| stream.plan().explain().trim_end().to_owned());
     trace.set_profile(stream.profile());
-    let eval_started = trace.now();
+    let eval_started = Instant::now();
     let mut rows = Vec::new();
     let mut truncated = false;
     while let Some(t) = stream.next_triple() {
@@ -1334,7 +1332,7 @@ fn ordered_fragment(order: Permutation, rows: &[String], truncated: bool, stats:
 pub(crate) struct StreamingQuery {
     snapshot: Arc<StoreSnapshot>,
     compiled: Compiled,
-    /// `"query"` or `"path"` — the metrics label and trace path.
+    /// `"query"` or `"path"` — the metrics label.
     endpoint: &'static str,
     threads: usize,
     limit: usize,
@@ -1436,7 +1434,7 @@ fn streaming_query(
         order = Some(token.order);
         resume = Some(token.last);
     }
-    let parse_started = trace.now();
+    let parse_started = Instant::now();
     let compiled = match compile_body(text, path_params.as_ref()) {
         Ok(compiled) => compiled,
         Err(e) => return Err(Box::new(eval_error_response(state, &e))),
@@ -1450,7 +1448,7 @@ fn streaming_query(
         None => CancelToken::manual(),
     };
     state.inflight.register(&cancel);
-    let admission_started = trace.now();
+    let admission_started = Instant::now();
     let permit = match state.admission.acquire(snapshot.name()) {
         Ok(permit) => Some(permit),
         Err(retry_after) => return Err(Box::new(rejected_response(snapshot.name(), retry_after))),
@@ -1490,15 +1488,7 @@ impl StreamingQuery {
     /// the chunk stream is unfinishable and the caller must close.
     pub(crate) fn run<W: Write>(mut self, state: &ServerState, writer: &mut W) -> io::Result<bool> {
         let start = Instant::now();
-        let trace_path = if self.endpoint == "path" {
-            "/path"
-        } else {
-            "/query"
-        };
-        let mut trace = self
-            .trace
-            .take()
-            .unwrap_or_else(|| Trace::begin(trace::next_request_id(), "POST", trace_path, false));
+        let mut trace = self.trace.take().expect("route attaches the trace");
         let options = trial_eval::EvalOptions {
             threads: self.threads,
             cancel: self.cancel.clone(),
@@ -1513,7 +1503,7 @@ impl StreamingQuery {
         };
         let store = self.snapshot.store();
         let probe_limit = Some(self.limit.saturating_add(1));
-        let plan_started = trace.now();
+        let plan_started = Instant::now();
         let stream = self
             .compiled
             .plan(&engine, store, probe_limit, self.order, self.topk)
@@ -1546,7 +1536,7 @@ impl StreamingQuery {
         // time, not evaluation time. The `serialize` phase of a streamed
         // span covers only the head — row rendering happens inside the
         // `eval` pump, where serialization overlaps evaluation.
-        let serialize_started = trace.now();
+        let serialize_started = Instant::now();
         let mut chunked = ChunkedWriter::begin(
             writer,
             200,
@@ -1579,7 +1569,7 @@ impl StreamingQuery {
         chunked.write_text(&head)?;
         trace.phase("serialize", serialize_started);
 
-        let eval_started = trace.now();
+        let eval_started = Instant::now();
         let limit = self.limit;
         let mut count: u64 = 0;
         let mut truncated = false;
@@ -1638,9 +1628,9 @@ impl StreamingQuery {
                 // trailer to emit — propagate and let the connection drop.
                 // The missing terminal chunk is the client's signal.
                 state.metrics.observe_error("stream_io");
-                if let Some(span) = trace.finish(200, Some("stream_io".to_owned())) {
-                    state.recorder.record(span);
-                }
+                state
+                    .recorder
+                    .record(trace.finish(200, Some("stream_io".to_owned())));
                 drop(self._permit.take());
                 return Err(e);
             }
@@ -1657,9 +1647,9 @@ impl StreamingQuery {
                 ];
                 drop(self._permit.take());
                 chunked.finish(&trailers)?;
-                if let Some(span) = trace.finish(200, Some("internal".to_owned())) {
-                    state.recorder.record(span);
-                }
+                state
+                    .recorder
+                    .record(trace.finish(200, Some("internal".to_owned())));
                 return Ok(false);
             }
         };
@@ -1708,15 +1698,14 @@ impl StreamingQuery {
         // the wire: a client that has read the trailers must find this
         // request already counted on /metrics (the cursors were flushed when
         // `channel` returned, so the profile snapshot is already complete).
-        if let Some(span) = trace.finish(200, cancel_kind.map(str::to_owned)) {
-            state
-                .metrics
-                .observe_request(self.endpoint, span.status, span.total_us);
-            for (phase, us) in &span.phases {
-                state.metrics.observe_phase(phase, *us);
-            }
-            state.recorder.record(span);
+        let span = trace.finish(200, cancel_kind.map(str::to_owned));
+        state
+            .metrics
+            .observe_request(self.endpoint, span.status, span.total_us);
+        for (phase, us) in &span.phases {
+            state.metrics.observe_phase(phase, *us);
         }
+        state.recorder.record(span);
         // Like the metrics above, the permit goes BEFORE the terminal
         // chunk: "the client has the trailers" must imply "the worker and
         // its admission slot are already free".

@@ -67,13 +67,6 @@ pub struct ServerConfig {
     /// How long a queued request waits for a permit before giving up with
     /// `429` (also the basis of the `Retry-After` hint).
     pub admission_wait: Duration,
-    /// Whether request tracing and latency histograms are recorded
-    /// (`trial-serve --no-obs` turns this off). Service counters and
-    /// `/metrics` itself stay live either way — disabling observation only
-    /// skips the per-request clock reads, span allocation, histogram
-    /// samples and flight-recorder writes, which is what the
-    /// `observability_overhead` bench measures.
-    pub observe: bool,
     /// Flight-recorder capacity: keep this many slowest successful spans
     /// plus this many most-recent errored/shed spans (0 disables the
     /// recorder; `/debug/slow` then serves empty lists).
@@ -133,7 +126,6 @@ impl Default for ServerConfig {
             admission_permits: 64,
             admission_max_waiters: 64,
             admission_wait: Duration::from_millis(500),
-            observe: true,
             flight_slots: 16,
             default_timeout: default_timeout_ms().map(Duration::from_millis),
             drain_grace: Duration::from_secs(2),
@@ -220,9 +212,6 @@ pub struct ServerState {
     pub(crate) metrics: Metrics,
     /// Slow/errored request spans behind `GET /debug/slow`.
     pub(crate) recorder: FlightRecorder,
-    /// Whether per-request tracing and histogram sampling run (see
-    /// [`ServerConfig::observe`]).
-    pub(crate) observe: bool,
     pub(crate) started: Instant,
     /// The server-wide default deadline for fresh evaluations.
     pub(crate) default_timeout: Option<Duration>,
@@ -263,7 +252,6 @@ impl ServerState {
             max_store_triples: config.max_store_triples,
             metrics,
             recorder: FlightRecorder::new(config.flight_slots),
-            observe: config.observe,
             started,
             default_timeout: config.default_timeout,
             inflight: Inflight::default(),
@@ -276,8 +264,8 @@ impl ServerState {
 /// A running TriAL query service.
 ///
 /// Dropping the handle shuts the server down and joins every thread; tests
-/// and benches use [`Server::spawn_ephemeral`] for an in-process instance on
-/// a free port.
+/// and examples use [`Server::spawn_ephemeral`] for an in-process instance
+/// on a free port.
 #[derive(Debug)]
 pub struct Server {
     addr: SocketAddr,
@@ -341,7 +329,7 @@ impl Server {
     }
 
     /// Starts an in-process server on an OS-assigned port with default
-    /// configuration — the entry point for tests, benches and examples.
+    /// configuration — the entry point for tests and examples.
     pub fn spawn_ephemeral() -> io::Result<Server> {
         Server::spawn(ServerConfig::default())
     }

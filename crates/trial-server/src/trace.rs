@@ -14,10 +14,6 @@
 //! plus a bounded ring of **every** errored or shed request — a saturated
 //! or misbehaving client is always inspectable after the fact, no matter
 //! how fast its failures were.
-//!
-//! Tracing is on by default and disabled by `trial-serve --no-obs` (or
-//! [`ServerConfig::observe`](crate::ServerConfig)); a disabled trace skips
-//! the clock reads and never allocates a span.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -81,7 +77,6 @@ pub struct Span {
 /// The live, mutable trace a request carries through its handler.
 #[derive(Debug)]
 pub struct Trace {
-    enabled: bool,
     start: Instant,
     request_id: String,
     method: String,
@@ -103,24 +98,13 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Starts a trace. With `enabled = false` every recording method is a
-    /// no-op and [`Trace::now`] returns `None`, so the request pays no
-    /// clock reads or allocations beyond this constructor.
-    pub(crate) fn begin(request_id: String, method: &str, path: &str, enabled: bool) -> Trace {
+    /// Starts a trace.
+    pub(crate) fn begin(request_id: String, method: &str, path: &str) -> Trace {
         Trace {
-            enabled,
             start: Instant::now(),
             request_id,
-            method: if enabled {
-                method.to_owned()
-            } else {
-                String::new()
-            },
-            path: if enabled {
-                path.to_owned()
-            } else {
-                String::new()
-            },
+            method: method.to_owned(),
+            path: path.to_owned(),
             store: None,
             query: None,
             cached: false,
@@ -133,39 +117,26 @@ impl Trace {
         }
     }
 
-    /// The request's correlation ID (always present, even when disabled —
-    /// the ID is echoed on every response regardless of tracing).
+    /// The request's correlation ID, echoed on every response.
     pub(crate) fn request_id(&self) -> &str {
         &self.request_id
     }
 
-    /// A phase start stamp, or `None` when tracing is off. Pair with
-    /// [`Trace::phase`].
-    pub(crate) fn now(&self) -> Option<Instant> {
-        self.enabled.then(Instant::now)
-    }
-
-    /// Closes a phase opened by [`Trace::now`].
-    pub(crate) fn phase(&mut self, name: &'static str, since: Option<Instant>) {
-        if let Some(t) = since {
-            self.phases.push((name, t.elapsed().as_micros() as u64));
-        }
+    /// Records a phase that started at `since`.
+    pub(crate) fn phase(&mut self, name: &'static str, since: Instant) {
+        self.phases.push((name, since.elapsed().as_micros() as u64));
     }
 
     pub(crate) fn set_store(&mut self, store: &str) {
-        if self.enabled {
-            self.store = Some(store.to_owned());
-        }
+        self.store = Some(store.to_owned());
     }
 
     pub(crate) fn set_query(&mut self, text: &str) {
-        if self.enabled {
-            let mut end = text.len().min(MAX_SPAN_QUERY_BYTES);
-            while !text.is_char_boundary(end) {
-                end -= 1;
-            }
-            self.query = Some(text[..end].to_owned());
+        let mut end = text.len().min(MAX_SPAN_QUERY_BYTES);
+        while !text.is_char_boundary(end) {
+            end -= 1;
         }
+        self.query = Some(text[..end].to_owned());
     }
 
     pub(crate) fn set_cached(&mut self) {
@@ -176,41 +147,30 @@ impl Trace {
         self.streamed = true;
     }
 
-    /// Records the chosen physical plan; the rendering closure only runs
-    /// when tracing is on.
+    /// Records the chosen physical plan.
     pub(crate) fn set_plan(&mut self, render: impl FnOnce() -> String) {
-        if self.enabled {
-            self.plan = Some(render());
-        }
+        self.plan = Some(render());
     }
 
     /// Attaches a streaming query's profile handle; node timings are
     /// snapshotted at [`Trace::finish`], after the stream has flushed.
     pub(crate) fn set_profile(&mut self, profile: Option<QueryProfile>) {
-        if self.enabled {
-            self.profile = profile;
-        }
+        self.profile = profile;
     }
 
     /// Records already-snapshotted node timings (the `?analyze=1` path).
     pub(crate) fn set_nodes(&mut self, nodes: Vec<NodeProfile>, stride: u32) {
-        if self.enabled {
-            self.nodes = nodes;
-            self.profile_stride = stride;
-        }
+        self.nodes = nodes;
+        self.profile_stride = stride;
     }
 
-    /// Freezes the trace into a [`Span`]. Returns `None` when tracing is
-    /// disabled.
-    pub(crate) fn finish(mut self, status: u16, error_kind: Option<String>) -> Option<Span> {
-        if !self.enabled {
-            return None;
-        }
+    /// Freezes the trace into a [`Span`].
+    pub(crate) fn finish(mut self, status: u16, error_kind: Option<String>) -> Span {
         if let Some(profile) = self.profile.take() {
             self.nodes = profile.snapshot();
             self.profile_stride = profile.stride();
         }
-        Some(Span {
+        Span {
             request_id: self.request_id,
             method: self.method,
             path: self.path,
@@ -225,7 +185,7 @@ impl Trace {
             plan: self.plan,
             nodes: self.nodes,
             profile_stride: self.profile_stride,
-        })
+        }
     }
 }
 
@@ -329,8 +289,7 @@ mod tests {
     use super::*;
 
     fn span(status: u16, total_us: u64) -> Span {
-        let trace = Trace::begin(next_request_id(), "POST", "/query", true);
-        let mut span = trace.finish(status, None).expect("enabled");
+        let mut span = Trace::begin(next_request_id(), "POST", "/query").finish(status, None);
         span.total_us = total_us;
         span
     }
@@ -340,15 +299,6 @@ mod tests {
         let a = next_request_id();
         let b = next_request_id();
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn disabled_trace_records_nothing() {
-        let mut trace = Trace::begin("x".into(), "POST", "/query", false);
-        assert!(trace.now().is_none());
-        trace.set_query("E");
-        trace.set_plan(|| unreachable!("disabled traces must not render plans"));
-        assert!(trace.finish(200, None).is_none());
     }
 
     #[test]

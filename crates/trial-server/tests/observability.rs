@@ -498,39 +498,3 @@ fn errored_and_shed_requests_always_reach_the_flight_recorder() {
 
     server.shutdown();
 }
-
-#[test]
-fn no_obs_keeps_counters_live_but_records_no_spans() {
-    let server = Server::spawn(ServerConfig {
-        observe: false,
-        ..ServerConfig::default()
-    })
-    .unwrap();
-    let addr = server.addr();
-    client::post(addr, "/load?store=chain", &chain_doc(20)).unwrap();
-
-    let response = client::request_with(
-        addr,
-        "POST",
-        "/query?store=chain",
-        "E",
-        &[("X-Request-Id", "quiet-1")],
-    )
-    .unwrap();
-    assert_eq!(response.status, 200, "{}", response.body);
-    // Request IDs are part of the response contract, not the tracing layer.
-    assert_eq!(response.header("X-Request-Id"), Some("quiet-1"));
-
-    // Service counters stay live...
-    let metrics = scrape(&server);
-    assert!(metrics.value("trial_queries_served_total", &[]).unwrap() >= 1.0);
-    assert_eq!(metrics.value("trial_loads_completed_total", &[]), Some(1.0));
-    // ... but no latency samples and no spans are recorded.
-    assert_eq!(metrics.sum("trial_request_duration_us_count"), 0.0);
-    let slow = client::get(addr, "/debug/slow").unwrap();
-    assert!(slow.body.contains("\"observe\":false"), "{}", slow.body);
-    assert!(slow.body.contains("\"slow\":[]"), "{}", slow.body);
-    assert!(slow.body.contains("\"errors\":[]"), "{}", slow.body);
-
-    server.shutdown();
-}

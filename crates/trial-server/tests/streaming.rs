@@ -2,8 +2,10 @@
 //! responses are byte-identical to buffered ones at every parallelism
 //! degree, pagination cursors resume exactly where the previous page
 //! stopped, stale/malformed cursors fail with structured errors before any
-//! bytes stream, and saturated stores shed load with complete `429`s.
+//! bytes stream, and saturated stores shed load with complete `429`s, also
+//! under a concurrent keep-alive fleet.
 
+use std::time::{Duration, Instant};
 use trial_server::client::{self, HttpClient, HttpResponse};
 use trial_server::{Server, ServerConfig};
 
@@ -255,7 +257,7 @@ fn saturated_stores_shed_load_with_structured_429() {
     let server = Server::spawn(ServerConfig {
         admission_permits: 1,
         admission_max_waiters: 0,
-        admission_wait: std::time::Duration::from_millis(50),
+        admission_wait: Duration::from_millis(50),
         ..ServerConfig::default()
     })
     .unwrap();
@@ -300,6 +302,128 @@ fn saturated_stores_shed_load_with_structured_429() {
     let cached = client::post(addr, "/query?store=chain", "E").unwrap();
     assert_eq!(cached.status, 200, "{}", cached.body);
     assert!(cached.body.contains("\"cached\":true"), "{}", cached.body);
+
+    server.shutdown();
+}
+
+/// A keep-alive client fleet under tight admission: 8 clients × 20 mixed
+/// requests (a cacheable join, fresh buffered and streamed scans, ordered
+/// pages walked by cursor) against one permit and no waiters. Every
+/// response must be a complete `200` (streamed ones chunked through the
+/// terminal chunk and its trailers) or a structured `429` with
+/// `Retry-After`; once the fleet is gone no permit may stay in flight.
+#[test]
+fn a_saturated_keep_alive_fleet_gets_only_complete_200s_or_structured_429s() {
+    const CLIENTS: usize = 8;
+    const REQUESTS: usize = 20;
+    let server = Server::spawn(ServerConfig {
+        // Thread-per-connection: one worker per keep-alive client plus
+        // headroom for the /healthz poll below.
+        workers: CLIENTS + 2,
+        admission_permits: 1,
+        admission_max_waiters: 0,
+        admission_wait: Duration::from_millis(50),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let addr = server.addr();
+    client::post(addr, "/load?store=scan", &chain_doc(2_000)).unwrap();
+
+    let tallies: Vec<[u64; 3]> = std::thread::scope(|scope| {
+        let fleet: Vec<_> = (0..CLIENTS)
+            .map(|id| {
+                scope.spawn(move || {
+                    let mut http = HttpClient::new(addr);
+                    // [buffered 200s, streamed 200s, 429s]
+                    let mut tally = [0_u64; 3];
+                    let mut cursor: Option<String> = None;
+                    for i in 0..REQUESTS {
+                        // Distinct limits keep scans cache-cold, so they pay
+                        // admission on every request.
+                        let limit = 500 + (id * REQUESTS + i) % 1_000;
+                        let (path, query, streamed) = match id % 4 {
+                            0 => (
+                                "/query?store=scan".to_owned(),
+                                "(E JOIN[1,3',3 | 3=1'] E)",
+                                false,
+                            ),
+                            1 => (format!("/query?store=scan&limit={limit}"), "E", false),
+                            2 => (
+                                format!("/query?store=scan&limit={limit}&stream=1"),
+                                "E",
+                                true,
+                            ),
+                            _ => match cursor.take() {
+                                Some(token) => (
+                                    format!("/query?store=scan&limit=100&cursor={token}"),
+                                    "E",
+                                    true,
+                                ),
+                                None => (
+                                    "/query?store=scan&order=spo&limit=100&stream=1".to_owned(),
+                                    "E",
+                                    true,
+                                ),
+                            },
+                        };
+                        let response = http
+                            .post(&path, query)
+                            .unwrap_or_else(|e| panic!("{path}: hang, reset or truncation: {e}"));
+                        match response.status {
+                            200 if streamed => {
+                                assert_complete_stream(&response);
+                                cursor = response.trailer("X-Trial-Cursor").map(str::to_owned);
+                                tally[1] += 1;
+                            }
+                            200 => {
+                                assert!(!response.chunked, "{path}: buffered 200 was chunked");
+                                assert!(response.body.contains("\"count\":"), "{}", response.body);
+                                tally[0] += 1;
+                            }
+                            429 => {
+                                assert!(!response.chunked, "{path}: a 429 must not stream");
+                                assert!(response.body.contains("saturated"), "{}", response.body);
+                                let retry = response
+                                    .header("Retry-After")
+                                    .expect("429 carries Retry-After");
+                                assert!(retry.parse::<u64>().unwrap() >= 1);
+                                tally[2] += 1;
+                                // Back off briefly, as a client honouring
+                                // Retry-After would, so the fleet's requests
+                                // interleave instead of all colliding at once.
+                                std::thread::sleep(Duration::from_millis(5));
+                            }
+                            other => panic!("{path}: unexpected status {other}: {}", response.body),
+                        }
+                    }
+                    tally
+                })
+            })
+            .collect();
+        fleet.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let [buffered, streamed, shed] = tallies.iter().fold([0; 3], |acc, t| {
+        [acc[0] + t[0], acc[1] + t[1], acc[2] + t[2]]
+    });
+    assert_eq!(buffered + streamed + shed, (CLIENTS * REQUESTS) as u64);
+    assert!(
+        buffered > 0 && streamed > 0,
+        "the fleet must see buffered and streamed successes: \
+         {buffered} buffered, {streamed} streamed, {shed} shed"
+    );
+
+    // A client sees its complete response a hair before the server-side job
+    // drops its permit, so poll briefly instead of trusting one snapshot.
+    let deadline = Instant::now() + Duration::from_secs(2);
+    loop {
+        let health = client::get(addr, "/healthz").unwrap();
+        assert_eq!(health.status, 200);
+        if json_u64(&health.body, "in_flight") == 0 {
+            break;
+        }
+        assert!(Instant::now() < deadline, "permits leaked: {}", health.body);
+        std::thread::sleep(Duration::from_millis(20));
+    }
 
     server.shutdown();
 }

@@ -10,10 +10,10 @@
 //! * [`chains`] — chains, cycles, grids and cliques used to probe the
 //!   complexity bounds of Theorem 3 and Propositions 4/5;
 //! * [`rpq`] — labelled chains/cycles plus the regular-path-expression
-//!   suites the RPQ benchmarks and differential tests evaluate over them.
+//!   suites the `e15` table and the differential tests evaluate over them.
 //!
-//! All generators are deterministic given their seed, so every benchmark and
-//! experiment in EXPERIMENTS.md is reproducible.
+//! All generators are deterministic given their seed, so every table the
+//! `trial-bench` `tables` binary prints is reproducible.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

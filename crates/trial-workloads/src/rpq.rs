@@ -5,8 +5,8 @@
 //! reachability but not for regular path expressions — alternation and
 //! concatenation only become interesting when a walk has to *choose* between
 //! labels. The generators here build the labelled variants, and the
-//! `*_path_suite` functions enumerate the expressions the RPQ benchmarks and
-//! differential tests run over them: concatenation chains (which the TriAL
+//! `*_path_suite` functions enumerate the expressions the `e15` table and
+//! the differential tests run over them: concatenation chains (which the TriAL
 //! lowering turns into join trees), alternations, and the closures that force
 //! the NFA product walk.
 
@@ -16,7 +16,7 @@ use trial_core::{Triplestore, TriplestoreBuilder};
 /// `trial_parser::parse_path` grammar plus an optional hop bound.
 #[derive(Debug, Clone, Copy)]
 pub struct PathCase {
-    /// Short case name (stable across runs; used in reports and JSON).
+    /// Short case name (stable across runs; used in reports).
     pub name: &'static str,
     /// The path expression, in concrete syntax.
     pub path: &'static str,

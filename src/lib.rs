@@ -75,10 +75,9 @@
 //! `{endpoint}`, `{phase}`, `{kind}`). Every response echoes an
 //! `X-Request-Id` header — client-supplied or generated — that keys the
 //! request's phase-timed span in `/debug/slow`. `trial-serve
-//! --profile-sample N` samples per-operator timings outside `?analyze=1`;
-//! `--no-obs` disables tracing and latency histograms while keeping the
-//! service counters and `/metrics` live. The full metric reference is in
-//! the [`server`] crate's *Observability* section.
+//! --profile-sample N` samples per-operator timings outside `?analyze=1`.
+//! The full metric reference is in the [`server`] crate's *Observability*
+//! section.
 //!
 //! # Robustness
 //!
@@ -103,8 +102,7 @@
 //! `--chaos` fault-injection layer deterministically panics, errors or
 //! stalls named serving sites so the crash-containment invariants stay
 //! testable (`crates/trial-server/tests/chaos.rs`). Details and the full
-//! grammar are in the [`server`] crate's *Robustness* section; measured
-//! check overhead and release latency land in `BENCH_robustness.json`.
+//! grammar are in the [`server`] crate's *Robustness* section.
 //!
 //! `examples/server_demo.rs` runs the same round trip in-process; the full
 //! endpoint reference is in the [`server`] crate docs.

@@ -147,8 +147,8 @@ fn golden_path(name: &str) -> std::path::PathBuf {
         .join(format!("{name}.txt"))
 }
 
-/// The PR's acceptance criterion, independent of the golden files: a
-/// concatenation RPQ compiles to a join plan, not an NFA walk.
+/// Checked independently of the golden files: a concatenation RPQ
+/// compiles to a join plan, not an NFA walk.
 #[test]
 fn concatenation_lowers_to_joins_not_nfa() {
     let store = store();
