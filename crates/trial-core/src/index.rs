@@ -9,8 +9,7 @@
 //!   populated on demand ([`Triplestore::indexes`]);
 //! * each relation gets a [`RelationIndex`]: the canonical sorted
 //!   [`TripleSet`] *is* the SPO permutation, and the POS / OSP permutations
-//!   plus per-component statistics and the adjacency lists used by the
-//!   reachability procedures are built lazily behind [`OnceLock`]s;
+//!   plus per-component statistics are built lazily behind [`OnceLock`]s;
 //! * [`RelationIndex::matching`] answers "all triples with component *i*
 //!   equal to *o*" as a borrowed, contiguous slice of the appropriate
 //!   permutation — the primitive behind index scans and index nested-loop
@@ -23,8 +22,8 @@
 //! [`TriplestoreBuilder::append_to`](crate::TriplestoreBuilder::append_to)
 //! receives whatever its base had *already built* — the POS / OSP runs with
 //! the new triples merged in (one pass per run, no re-sort), the distinct
-//! counts and the active domain updated from the delta — while runs and
-//! adjacency lists the base never built stay lazy.
+//! counts and the active domain updated from the delta — while runs the
+//! base never built stay lazy.
 
 use crate::object::ObjectId;
 use crate::triple::{Triple, TripleSet};
@@ -126,36 +125,6 @@ impl Iterator for RangeCursor<'_> {
 }
 
 impl ExactSizeIterator for RangeCursor<'_> {}
-
-/// A streaming cursor over the edges `from → to` of an [`Adjacency`].
-///
-/// Yields every edge exactly once, grouped by source (the order of sources is
-/// the hash map's iteration order). The per-node counterpart
-/// [`Adjacency::successor_cursor`] drives the Proposition 5 BFS in
-/// `trial-eval`; this whole-graph cursor is the primitive a partitioned
-/// (morsel-driven) reachability walk will consume — see the roadmap's
-/// intra-query parallelism item.
-#[derive(Debug, Clone)]
-pub struct AdjacencyCursor<'a> {
-    outer: std::collections::hash_map::Iter<'a, ObjectId, Vec<ObjectId>>,
-    current: Option<(ObjectId, std::slice::Iter<'a, ObjectId>)>,
-}
-
-impl Iterator for AdjacencyCursor<'_> {
-    type Item = (ObjectId, ObjectId);
-
-    fn next(&mut self) -> Option<(ObjectId, ObjectId)> {
-        loop {
-            if let Some((from, succ)) = &mut self.current {
-                if let Some(&to) = succ.next() {
-                    return Some((*from, to));
-                }
-            }
-            let (&from, succ) = self.outer.next()?;
-            self.current = Some((from, succ.iter()));
-        }
-    }
-}
 
 /// The three sort orders kept per relation, named by which component each
 /// makes the primary key (using RDF vocabulary: Subject/Predicate/Object for
@@ -275,57 +244,66 @@ impl std::fmt::Display for Permutation {
     }
 }
 
-/// Successor adjacency lists of the "edge graph" of a relation: one edge
-/// `x → y` per triple `(x, ℓ, y)`. This is the structure walked by the
-/// Proposition 5 reachability procedures in `trial-eval`.
-#[derive(Debug, Clone, Default)]
-pub struct Adjacency {
-    succ: HashMap<ObjectId, Vec<ObjectId>>,
+/// The subject runs of an SPO-sorted slice, found through a dense offset
+/// table: the triples with subject `x` are `run[offsets[x - lo]..offsets[x -
+/// lo + 1]]`, where `lo` and `hi` are the first and last subjects of the run.
+///
+/// Built in one pass, the table costs `4·(hi − lo + 2)` bytes — it spans the
+/// run's subject ids, never the whole dictionary — and answers a lookup in
+/// `O(1)` (plus a binary search within the run when a label is given). It is
+/// the successor lookup of the Proposition 5 and RPQ walks in `trial-eval`:
+/// the edge graph of a relation is its SPO run read as `x → y` per triple
+/// `(x, ℓ, y)`, so the walks need no structure of their own.
+#[derive(Debug, Clone)]
+pub struct SubjectRuns<'a> {
+    run: &'a [Triple],
+    lo: usize,
+    offsets: Vec<u32>,
 }
 
-impl Adjacency {
-    /// Builds adjacency lists from `(source, _, target)` triples.
-    pub fn from_triples<'a>(triples: impl IntoIterator<Item = &'a Triple>) -> Adjacency {
-        let mut succ: HashMap<ObjectId, Vec<ObjectId>> = HashMap::new();
-        for t in triples {
-            succ.entry(t.s()).or_default().push(t.o());
+impl<'a> SubjectRuns<'a> {
+    /// Builds the offset table of `run`, which must be sorted by subject
+    /// (any SPO-sorted slice, such as a [`TripleSet`]).
+    ///
+    /// # Panics
+    /// Panics if `run` holds more than `u32::MAX` triples.
+    pub fn new(run: &'a [Triple]) -> Self {
+        let len = u32::try_from(run.len()).expect("a subject run indexes at most u32::MAX triples");
+        let lo = run.first().map_or(0, |t| t.s().index());
+        let span = run.last().map_or(0, |t| t.s().index() - lo + 1);
+        let mut offsets = Vec::with_capacity(span + 1);
+        for (i, t) in (0..len).zip(run) {
+            // Triple `i` opens the run of every subject id up to its own
+            // that no earlier triple opened (the ids in a gap get empty runs).
+            offsets.resize(t.s().index() - lo + 1, i);
         }
-        Adjacency { succ }
+        offsets.push(len);
+        SubjectRuns { run, lo, offsets }
     }
 
-    /// Adds a single edge `from → to`.
-    pub fn insert_edge(&mut self, from: ObjectId, to: ObjectId) {
-        self.succ.entry(from).or_default().push(to);
-    }
-
-    /// The direct successors of `node` (empty slice if none).
-    pub fn successors(&self, node: ObjectId) -> &[ObjectId] {
-        self.succ.get(&node).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Number of nodes with at least one outgoing edge.
-    pub fn source_count(&self) -> usize {
-        self.succ.len()
-    }
-
-    /// Streams every edge `from → to` exactly once.
-    pub fn edges(&self) -> AdjacencyCursor<'_> {
-        AdjacencyCursor {
-            outer: self.succ.iter(),
-            current: None,
+    /// The triples with subject `x` and, if `label` is given, middle element
+    /// `label`, as a contiguous sub-slice in SPO order. Empty for a subject
+    /// outside the run.
+    pub fn of(&self, x: ObjectId, label: Option<ObjectId>) -> &'a [Triple] {
+        let Some(k) = x.index().checked_sub(self.lo) else {
+            return &[];
+        };
+        let (Some(&start), Some(&end)) = (self.offsets.get(k), self.offsets.get(k + 1)) else {
+            return &[];
+        };
+        let run = &self.run[start as usize..end as usize];
+        match label {
+            None => run,
+            Some(label) => {
+                let from = run.partition_point(|t| t.p() < label);
+                let to = from + run[from..].partition_point(|t| t.p() == label);
+                &run[from..to]
+            }
         }
-    }
-
-    /// Streams the successors of one node.
-    pub fn successor_cursor(
-        &self,
-        node: ObjectId,
-    ) -> std::iter::Copied<std::slice::Iter<'_, ObjectId>> {
-        self.successors(node).iter().copied()
     }
 }
 
-/// Per-relation permutation indexes, statistics and adjacency lists.
+/// Per-relation permutation indexes and statistics.
 ///
 /// Everything is built lazily on first use and cached; the canonical SPO
 /// order is the relation's [`TripleSet`] itself and costs nothing. Accessors
@@ -336,8 +314,6 @@ pub struct RelationIndex {
     pos: OnceLock<Vec<Triple>>,
     osp: OnceLock<Vec<Triple>>,
     distinct: OnceLock<[usize; 3]>,
-    adjacency: OnceLock<Adjacency>,
-    adjacency_by_label: OnceLock<HashMap<ObjectId, Adjacency>>,
 }
 
 /// Counts runs of equal values of `component` in a slice sorted so that the
@@ -477,7 +453,6 @@ impl RelationIndex {
             pos: carry(&self.pos, Permutation::Pos),
             osp: carry(&self.osp, Permutation::Osp),
             distinct,
-            ..RelationIndex::default()
         }
     }
 
@@ -573,25 +548,6 @@ impl RelationIndex {
                 count_runs(self.permutation(base, Permutation::Pos), 1),
                 count_runs(self.permutation(base, Permutation::Osp), 2),
             ]
-        })
-    }
-
-    /// The `x → y` adjacency lists of `base` (Proposition 5's plain
-    /// reachability graph), built once and cached.
-    pub fn adjacency(&self, base: &TripleSet) -> &Adjacency {
-        self.adjacency
-            .get_or_init(|| Adjacency::from_triples(base.iter()))
-    }
-
-    /// Adjacency lists split by the middle element ("label"), for the
-    /// same-label reachability procedure.
-    pub fn adjacency_by_label(&self, base: &TripleSet) -> &HashMap<ObjectId, Adjacency> {
-        self.adjacency_by_label.get_or_init(|| {
-            let mut by_label: HashMap<ObjectId, Adjacency> = HashMap::new();
-            for t in base.iter() {
-                by_label.entry(t.p()).or_default().insert_edge(t.s(), t.o());
-            }
-            by_label
         })
     }
 }
@@ -706,9 +662,9 @@ impl Triplestore {
     /// The store's permutation indexes, built lazily and shared by reference.
     ///
     /// The first call creates an empty [`RelationIndex`] shell per relation;
-    /// individual permutations, statistics and adjacency lists materialise
-    /// only when an engine first asks for them and are cached for the
-    /// lifetime of the store.
+    /// individual permutations and statistics materialise only when an
+    /// engine first asks for them and are cached for the lifetime of the
+    /// store.
     pub fn indexes(&self) -> &StoreIndexes {
         self.index_cache()
             .get_or_init(|| StoreIndexes::for_relations(self.relation_names()))
@@ -743,6 +699,7 @@ impl Triplestore {
 mod tests {
     use super::*;
     use crate::store::TriplestoreBuilder;
+    use proptest::prelude::*;
 
     fn store() -> Triplestore {
         let mut b = TriplestoreBuilder::new();
@@ -820,24 +777,6 @@ mod tests {
     }
 
     #[test]
-    fn adjacency_follows_edges() {
-        let store = store();
-        let (base, ix) = store.relation_with_index("E").unwrap();
-        let a = store.object_id("a").unwrap();
-        let adj = ix.adjacency(base);
-        let mut succ: Vec<_> = adj.successors(a).to_vec();
-        succ.sort_unstable();
-        let b = store.object_id("b").unwrap();
-        let c = store.object_id("c").unwrap();
-        assert_eq!(succ, vec![b, c]);
-        assert_eq!(adj.source_count(), 3);
-        // Per-label adjacency only follows same-labelled edges.
-        let p = store.object_id("p").unwrap();
-        let by_label = ix.adjacency_by_label(base);
-        assert_eq!(by_label[&p].successors(a), &[b]);
-    }
-
-    #[test]
     fn clone_resets_the_cache_so_derived_stores_reindex() {
         let store = store();
         let (base, ix) = store.relation_with_index("E").unwrap();
@@ -883,22 +822,6 @@ mod tests {
         // A value absent from the component yields an empty cursor.
         let p = store.object_id("p").unwrap();
         assert_eq!(ix.matching_cursor(base, 0, p).count(), 0);
-    }
-
-    #[test]
-    fn adjacency_cursor_streams_every_edge_once() {
-        let store = store();
-        let (base, ix) = store.relation_with_index("E").unwrap();
-        let adj = ix.adjacency(base);
-        let mut edges: Vec<_> = adj.edges().collect();
-        edges.sort_unstable();
-        let mut expected: Vec<_> = base.iter().map(|t| (t.s(), t.o())).collect();
-        expected.sort_unstable();
-        assert_eq!(edges, expected);
-        // Per-node successor cursor agrees with the slice accessor.
-        let a = store.object_id("a").unwrap();
-        let succ: Vec<_> = adj.successor_cursor(a).collect();
-        assert_eq!(succ, adj.successors(a).to_vec());
     }
 
     #[test]
@@ -1034,5 +957,79 @@ mod tests {
         assert!(store.indexes().relation("F").is_some());
         assert!(store.indexes().relation("nope").is_none());
         assert!(store.relation_with_index("nope").is_none());
+    }
+
+    fn t(s: u32, p: u32, o: u32) -> Triple {
+        Triple::new(ObjectId(s), ObjectId(p), ObjectId(o))
+    }
+
+    #[test]
+    fn subject_runs_edge_cases() {
+        let id = ObjectId;
+        // An empty base has no runs, whatever the subject or label.
+        let empty = SubjectRuns::new(&[]);
+        assert!(empty.of(id(0), None).is_empty());
+        assert!(empty.of(id(7), Some(id(1))).is_empty());
+
+        // Subjects 3, 5 and 6 (4 is a gap); 5 carries labels 1, 2 and 4, and
+        // 6 has a self-loop.
+        let run = [
+            t(3, 1, 9),
+            t(5, 1, 3),
+            t(5, 1, 6),
+            t(5, 2, 7),
+            t(5, 4, 3),
+            t(6, 2, 6),
+        ];
+        let runs = SubjectRuns::new(&run);
+        assert_eq!(runs.of(id(3), None), &run[..1]);
+        assert_eq!(runs.of(id(5), None), &run[1..5]);
+        assert_eq!(runs.of(id(6), None), &run[5..]);
+        // Below `lo`, above `hi` and in the gap between subjects.
+        for x in [0, 2, 4, 7, 1000] {
+            assert!(runs.of(id(x), None).is_empty(), "subject {x}");
+            assert!(runs.of(id(x), Some(id(1))).is_empty(), "subject {x}");
+        }
+        // Labels at the first and last position of a run, in the middle,
+        // absent below, between and above the run's labels.
+        assert_eq!(runs.of(id(5), Some(id(1))), &run[1..3]);
+        assert_eq!(runs.of(id(5), Some(id(2))), &run[3..4]);
+        assert_eq!(runs.of(id(5), Some(id(4))), &run[4..5]);
+        for label in [0, 3, 5] {
+            assert!(runs.of(id(5), Some(id(label))).is_empty(), "label {label}");
+        }
+        // A self-loop is an ordinary successor of its own subject.
+        assert_eq!(runs.of(id(6), Some(id(2))), &[t(6, 2, 6)]);
+
+        // One triple with a large subject id: a two-entry table.
+        let far = [t(u32::MAX - 1, 0, 0)];
+        let runs = SubjectRuns::new(&far);
+        assert_eq!(runs.offsets.len(), 2);
+        assert_eq!(runs.of(id(u32::MAX - 1), None), &far);
+        assert_eq!(runs.of(id(u32::MAX - 1), Some(id(0))), &far);
+        assert!(runs.of(id(u32::MAX), None).is_empty());
+        assert!(runs.of(id(0), None).is_empty());
+    }
+
+    proptest! {
+        /// Every lookup equals a linear filter of the run.
+        #[test]
+        fn subject_runs_match_a_linear_filter(
+            triples in prop::collection::vec((0u32..12, 0u32..4, 0u32..12), 0..40),
+            lo in 0u32..1000,
+        ) {
+            let run: TripleSet = triples.iter().map(|&(s, p, o)| t(lo + s, p, o)).collect();
+            let runs = SubjectRuns::new(run.as_slice());
+            for x in lo.saturating_sub(2)..lo + 14 {
+                for label in [None, Some(0), Some(1), Some(3), Some(5)] {
+                    let expected: Vec<Triple> = run
+                        .iter()
+                        .filter(|t| t.s() == ObjectId(x) && label.is_none_or(|l| t.p() == ObjectId(l)))
+                        .copied()
+                        .collect();
+                    prop_assert_eq!(runs.of(ObjectId(x), label.map(ObjectId)), expected.as_slice());
+                }
+            }
+        }
     }
 }

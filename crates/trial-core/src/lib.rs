@@ -63,9 +63,7 @@ pub use builder::{output, ExprBuilderExt};
 pub use condition::{Cmp, Conditions, DataAtom, DataOperand, ObjAtom, ObjOperand};
 pub use error::{Error, Result};
 pub use fragment::{Fragment, FragmentReport};
-pub use index::{
-    Adjacency, AdjacencyCursor, Permutation, RangeCursor, RelationIndex, StoreIndexes,
-};
+pub use index::{Permutation, RangeCursor, RelationIndex, StoreIndexes, SubjectRuns};
 pub use object::ObjectId;
 pub use position::{OutputSpec, Pos, Side};
 pub use store::{Relation, Triplestore, TriplestoreBuilder};

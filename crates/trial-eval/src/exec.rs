@@ -50,7 +50,7 @@ use crate::seminaive::semi_naive_star;
 use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
-use trial_core::{Adjacency, Error, ObjectId, Permutation, Result, Triple, TripleSet, Triplestore};
+use trial_core::{Error, ObjectId, Permutation, Result, Triple, TripleSet, Triplestore};
 
 /// The identity of a plan node for per-node bookkeeping (actuals and wall
 /// timers): its address, stable for the lifetime of one evaluation — the
@@ -582,15 +582,12 @@ impl<'a> Executor<'a> {
             }
             (
                 PlanNode::StarReach {
-                    input,
-                    same_label,
-                    relation,
-                    ..
+                    input, same_label, ..
                 },
                 ScanAccess::Whole,
             ) => {
                 let base = self.materialize(input, stats)?;
-                let result = self.star_reach(&base, *same_label, relation.as_deref(), stats)?;
+                let result = self.star_reach(&base, *same_label, stats)?;
                 Box::new(SetCursor::new(result))
             }
             (
@@ -941,13 +938,10 @@ impl<'a> Executor<'a> {
                 )
             }
             PlanNode::StarReach {
-                input,
-                same_label,
-                relation,
-                ..
+                input, same_label, ..
             } => {
                 let base = self.materialize(input, stats)?;
-                self.star_reach(&base, *same_label, relation.as_deref(), stats)
+                self.star_reach(&base, *same_label, stats)
             }
             PlanNode::PathNfa {
                 relation,
@@ -1126,63 +1120,17 @@ impl<'a> Executor<'a> {
         parallel::run_tasks(degree, tasks, &self.options.cancel, stats).concat()
     }
 
-    /// Runs a Proposition 5 reachability star, borrowing the store's cached
-    /// adjacency lists when the base is a stored relation.
+    /// Runs a Proposition 5 reachability star over its materialised base.
     fn star_reach(
         &self,
         base: &TripleSet,
         same_label: bool,
-        relation: Option<&str>,
         stats: &mut EvalStats,
     ) -> Result<TripleSet> {
-        // One BFS per distinct endpoint: the base size bounds the number of
+        // One BFS per distinct root: the base size bounds the number of
         // roots, which is what the morsel fan-out partitions.
-        let degree = self.degree(base.len());
         let cancel = &self.options.cancel;
-        let result = if let Some((rel_base, index)) =
-            relation.and_then(|name| self.store.relation_with_index(name))
-        {
-            debug_assert_eq!(rel_base, base, "relation hint must match the executed base");
-            match (same_label, degree > 1) {
-                (true, true) => reach::reach_star_same_label_parallel(
-                    base,
-                    index.adjacency_by_label(rel_base),
-                    degree,
-                    cancel,
-                    stats,
-                ),
-                (true, false) => reach::reach_star_same_label(
-                    base,
-                    index.adjacency_by_label(rel_base),
-                    cancel,
-                    stats,
-                ),
-                (false, true) => reach::reach_star_plain_parallel(
-                    base,
-                    index.adjacency(rel_base),
-                    degree,
-                    cancel,
-                    stats,
-                ),
-                (false, false) => {
-                    reach::reach_star_plain(base, index.adjacency(rel_base), cancel, stats)
-                }
-            }
-        } else if same_label {
-            let by_label = reach::label_adjacency(base);
-            if degree > 1 {
-                reach::reach_star_same_label_parallel(base, &by_label, degree, cancel, stats)
-            } else {
-                reach::reach_star_same_label(base, &by_label, cancel, stats)
-            }
-        } else {
-            let adjacency = Adjacency::from_triples(base.iter());
-            if degree > 1 {
-                reach::reach_star_plain_parallel(base, &adjacency, degree, cancel, stats)
-            } else {
-                reach::reach_star_plain(base, &adjacency, cancel, stats)
-            }
-        };
+        let result = reach::reach_star(base, same_label, self.degree(base.len()), cancel, stats);
         // A closure cut short by cancellation is a partial set: surface the
         // error here so it never reaches downstream operators or caches.
         cancel.check()?;
@@ -1190,8 +1138,8 @@ impl<'a> Executor<'a> {
     }
 
     /// Evaluates a [`PlanNode::PathNfa`] leaf: a product-graph BFS over the
-    /// stored relation's cached per-label adjacency lists, with the roots
-    /// fanned out across workers like [`Self::star_reach`]'s.
+    /// stored relation's SPO run, with the roots fanned out across workers
+    /// like [`Self::star_reach`]'s.
     fn path_nfa(
         &self,
         relation: &str,
@@ -1502,18 +1450,8 @@ mod tests {
             let cancel = crate::CancelToken::none();
             let hop = Conditions::new().obj_eq(Pos::L3, Pos::R1);
             let mut stats = EvalStats::new();
-            let plain = crate::reach::reach_star_plain(
-                &base,
-                &Adjacency::from_triples(base.iter()),
-                &cancel,
-                &mut stats,
-            );
-            let same_label = crate::reach::reach_star_same_label(
-                &base,
-                &crate::reach::label_adjacency(&base),
-                &cancel,
-                &mut stats,
-            );
+            let plain = crate::reach::reach_star(&base, false, 1, &cancel, &mut stats);
+            let same_label = crate::reach::reach_star(&base, true, 1, &cancel, &mut stats);
             for threads in [1, 2, 4] {
                 let options = engine(threads).options;
                 for (cond, reach) in [

@@ -25,7 +25,7 @@
 //! Proposition 4 optimisation) or index nested-loop joins probing a stored
 //! relation — with the argument order chosen from relation cardinalities
 //! and per-component distinct-value statistics — reachTA⁼ stars become the
-//! Proposition 5 reachability procedures over cached adjacency lists, all
+//! Proposition 5 reachability walk over the base's SPO run, all
 //! other stars become build-once semi-naive fixpoints, and repeated
 //! sub-expressions are memoised. [`explain`] (or [`Plan::explain`]) renders
 //! the chosen plan, e.g. for Example 2 of the paper
@@ -203,7 +203,7 @@
 //!   label scans, adaptive statistics, limit and order pushdown.
 //! * **NFA product walk** ([`rpq::eval_on_store`]) — the expression compiles
 //!   to a Thompson NFA ([`rpq::Nfa`]) and a BFS explores the product of the
-//!   graph with the automaton over the store's cached adjacency, with
+//!   graph with the automaton over the relation's SPO run, with
 //!   optional per-walk hop bounds (`max_hops`, which the lowering cannot
 //!   express), root-partitioned parallelism and cancellation checkpoints.
 //!
@@ -239,7 +239,7 @@
 //!   morsels (order-preserving: morsel outputs concatenate in run order);
 //! * **star fixpoints** — semi-naive rounds partition each round's delta
 //!   across workers probing the build-once hash table; the Proposition 5
-//!   procedures partition their BFS roots over the shared adjacency lists;
+//!   walk partitions its BFS roots over the shared SPO run;
 //! * **union / difference / intersection / complement** — the two sides
 //!   (for complement: the excluded input and the universe) materialise
 //!   concurrently on sibling executors sharing the memo slots, so a

@@ -193,24 +193,20 @@ pub enum PlanNode {
         /// Estimated output rows.
         est: usize,
     },
-    /// Kleene star by the Proposition 5 reachability procedures (BFS over
-    /// adjacency lists).
+    /// Kleene star by the Proposition 5 reachability procedures (one BFS
+    /// per root over the base's SPO run).
     StarReach {
         /// Plan for the starred expression.
         input: Box<PlanNode>,
         /// `true` for the same-label shape `(R ✶^{1,2,3'}_{3=1',2=2'})^*`.
         same_label: bool,
-        /// If the base is exactly a stored relation, its name — the executor
-        /// then walks the store's cached adjacency lists instead of building
-        /// its own.
-        relation: Option<String>,
         /// Estimated output rows.
         est: usize,
     },
     /// Regular path query evaluated as a BFS over the product of a stored
     /// relation's edge graph with a Thompson NFA of the path expression
     /// ([`crate::rpq::eval_product`]). A leaf: the executor walks the
-    /// store's cached per-label adjacency lists directly. Emits the pair
+    /// relation's SPO run directly. Emits the pair
     /// encoding `(x, x, y)` for every pair the path matches.
     PathNfa {
         /// The stored relation whose triples are the edge graph.
@@ -279,6 +275,20 @@ pub enum PlanNode {
 }
 
 impl PlanNode {
+    /// The relation name if this node scans a stored relation without
+    /// binding or residual filter.
+    pub(crate) fn bare_scan(&self) -> Option<&str> {
+        match self {
+            PlanNode::IndexScan {
+                relation,
+                bound: None,
+                residual,
+                ..
+            } if residual.is_empty() => Some(relation),
+            _ => None,
+        }
+    }
+
     /// The planner's estimate of this node's output cardinality.
     pub fn est(&self) -> usize {
         match self {
@@ -664,13 +674,12 @@ impl PlanNode {
                 )
             }
             PlanNode::StarReach {
+                input,
                 same_label,
-                relation,
                 est,
-                ..
             } => {
                 let shape = if *same_label { "same-label" } else { "plain" };
-                match relation {
+                match input.bare_scan() {
                     Some(rel) => format!("StarReach {shape} on {rel}  (~{est} rows)"),
                     None => format!("StarReach {shape}  (~{est} rows)"),
                 }
@@ -874,7 +883,6 @@ mod tests {
             PlanNode::StarReach {
                 input: Box::new(scan("E", 2)),
                 same_label: true,
-                relation: Some("E".into()),
                 est: 4,
             },
             PlanNode::MergeJoin {
@@ -972,7 +980,6 @@ mod tests {
         let star = PlanNode::StarReach {
             input: Box::new(scan("E", 7)),
             same_label: false,
-            relation: Some("E".into()),
             est: 49,
         };
         assert!(star.ordered());

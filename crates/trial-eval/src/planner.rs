@@ -18,8 +18,8 @@
 //!   chosen by per-component distinct-value statistics;
 //! * **recursion strategy** — Kleene stars matching a reachTA⁼ shape are
 //!   routed to the Proposition 5 procedures ([`PlanNode::StarReach`]),
-//!   walking the store's cached adjacency lists when the base is a stored
-//!   relation; all other stars run as build-once semi-naive fixpoints
+//!   one BFS per root over the base's SPO run; all other stars run as
+//!   build-once semi-naive fixpoints
 //!   ([`PlanNode::StarSemiNaive`]);
 //! * **memoisation** — structurally repeated sub-expressions are wrapped in
 //!   [`PlanNode::Memo`] slots and executed once.
@@ -763,7 +763,7 @@ impl Planner<'_> {
     /// Exact `(cardinality, distinct counts per component)` when the plan
     /// scans a stored relation unfiltered; `None` otherwise.
     fn scan_stats(&self, node: &PlanNode) -> Option<(usize, [usize; 3])> {
-        let name = bare_scan(node)?;
+        let name = node.bare_scan()?;
         let (base, index) = self.store.relation_with_index(name)?;
         Some((base.len(), index.distinct_counts(base)))
     }
@@ -881,11 +881,9 @@ impl Planner<'_> {
                         .cross_equalities()
                         .iter()
                         .any(|&(l, r)| l == Pos::L2 && r == Pos::R2);
-                    let relation = bare_scan(&input_plan).map(str::to_owned);
                     PlanNode::StarReach {
                         input: Box::new(input_plan),
                         same_label,
-                        relation,
                         est,
                     }
                 } else {
@@ -1091,8 +1089,8 @@ impl Planner<'_> {
         // permutation index instead of building a per-query hash table. The
         // inner side must be an unfiltered stored relation and should not be
         // smaller than the probing side.
-        let right_inner = bare_scan(&right_plan).is_some() && left_plan.est() <= right_plan.est();
-        let left_inner = bare_scan(&left_plan).is_some() && right_plan.est() <= left_plan.est();
+        let right_inner = right_plan.bare_scan().is_some() && left_plan.est() <= right_plan.est();
+        let left_inner = left_plan.bare_scan().is_some() && right_plan.est() <= left_plan.est();
 
         // Sort-merge join: when both inputs can stream sorted on the two
         // sides of the cross equality *for free* — an unbound scan switches
@@ -1167,7 +1165,7 @@ impl Planner<'_> {
             // otherwise mirror the join so the stored relation is inner.
             let (outer, inner, output, cond, keys, swapped) =
                 orient_join(right_inner, left_plan, right_plan, output, cond, keys);
-            let relation = bare_scan(&inner).expect("checked above").to_owned();
+            let relation = inner.bare_scan().expect("checked above").to_owned();
             let probe = self.best_probe_key(&keys, &relation);
             return Ok(PlanNode::IndexNestedLoopJoin {
                 outer: Box::new(outer),
@@ -1265,20 +1263,6 @@ fn orient_join(
         keys.sort();
         keys.dedup();
         (right_plan, left_plan, output.mirrored(), cond, keys, true)
-    }
-}
-
-/// The relation name if `node` scans a stored relation without binding or
-/// residual filter.
-fn bare_scan(node: &PlanNode) -> Option<&str> {
-    match node {
-        PlanNode::IndexScan {
-            relation,
-            bound: None,
-            residual,
-            ..
-        } if residual.is_empty() => Some(relation),
-        _ => None,
     }
 }
 

@@ -12,50 +12,41 @@
 //!
 //! The paper's Procedures 3 and 4 compute these with a reachability matrix
 //! plus Warshall's transitive closure, giving `O(|e|·|O|·|T|)`. We obtain
-//! the same bound with per-source BFS over [`Adjacency`] lists, which is also
-//! far cheaper in practice on sparse data — the `e5` table of the
-//! `trial-bench` `tables` binary compares both against the generic fixpoint
-//! engines.
+//! the same bound with one BFS per source, which is also far cheaper in
+//! practice on sparse data — the `e5` table of the `trial-bench` `tables`
+//! binary compares it against the generic fixpoint engines.
 //!
-//! The adjacency lists are taken **by reference**: when the starred base is a
-//! stored relation, the executor borrows the store's lazily-cached
-//! [`trial_core::RelationIndex::adjacency`] lists, so repeated reachability
-//! queries over the same relation never rebuild the graph.
+//! Both shapes are one walk, [`reach_star`]. The edge graph is the base's own
+//! SPO run: a [`SubjectRuns`] offset table, built per star in one pass, hands
+//! out the successors of `x` (or only its `ℓ`-labelled ones) as a sub-slice
+//! of the run, so nothing is cached and nothing outlives the query.
 
 use crate::cancel::CancelToken;
 use crate::engine::EvalStats;
 use crate::parallel;
 use std::collections::{HashMap, HashSet, VecDeque};
-use trial_core::{Adjacency, ObjectId, Triple, TripleSet};
+use trial_core::{ObjectId, SubjectRuns, Triple, TripleSet};
 
-/// Builds per-label adjacency lists for a base that is not a stored relation
-/// (otherwise use the store's cached
-/// [`trial_core::RelationIndex::adjacency_by_label`]).
-pub fn label_adjacency(base: &TripleSet) -> HashMap<ObjectId, Adjacency> {
-    let mut by_label: HashMap<ObjectId, Adjacency> = HashMap::new();
-    for t in base.iter() {
-        by_label.entry(t.p()).or_default().insert_edge(t.s(), t.o());
-    }
-    by_label
-}
+/// A BFS root: the edge label it is restricted to, if any, and its start.
+type Root = (Option<ObjectId>, ObjectId);
 
-/// Objects reachable from `start` in **one or more** steps of `adj`.
-fn reachable_from(start: ObjectId, adj: &Adjacency, stats: &mut EvalStats) -> Vec<ObjectId> {
+/// Objects reachable from `start` in **one or more** steps along `runs`,
+/// following only `label`-labelled edges when a label is given.
+fn reachable_from(
+    start: ObjectId,
+    label: Option<ObjectId>,
+    runs: &SubjectRuns<'_>,
+    stats: &mut EvalStats,
+) -> Vec<ObjectId> {
     let mut seen: HashSet<ObjectId> = HashSet::new();
-    let mut queue: VecDeque<ObjectId> = VecDeque::new();
-    // Seed with the direct successors so that `start` itself is only included
+    // `start` is expanded without being marked seen, so it is only included
     // if it lies on a cycle (the closure has no implicit ε step).
-    for next in adj.successor_cursor(start) {
-        stats.reach_edges_traversed += 1;
-        if seen.insert(next) {
-            queue.push_back(next);
-        }
-    }
+    let mut queue: VecDeque<ObjectId> = VecDeque::from([start]);
     while let Some(node) = queue.pop_front() {
-        for next in adj.successor_cursor(node) {
+        for t in runs.of(node, label) {
             stats.reach_edges_traversed += 1;
-            if seen.insert(next) {
-                queue.push_back(next);
+            if seen.insert(t.o()) {
+                queue.push_back(t.o());
             }
         }
     }
@@ -64,79 +55,53 @@ fn reachable_from(start: ObjectId, adj: &Adjacency, stats: &mut EvalStats) -> Ve
     out
 }
 
-/// Procedure 3: computes `(base ✶^{1,2,3'}_{3=1'})^*` over the given
-/// adjacency lists (which must be the edge graph of `base`).
+/// Procedures 3 and 4: computes `(base ✶^{1,2,3'}_{3=1'})^*`, or with
+/// `same_label` the closure `(base ✶^{1,2,3'}_{3=1', 2=2'})^*`.
 ///
 /// Every result triple is either an original triple `(x, ℓ, z)` or a triple
 /// `(x, ℓ, w)` such that `(x, ℓ, z) ∈ base` and `w` is reachable from `z`
-/// (in one or more steps) in the edge graph of `base`.
+/// (in one or more steps) in the edge graph of `base` — for `same_label`,
+/// along edges whose middle element is `ℓ` only.
 ///
-/// Checks `cancel` between BFS roots; on cancellation the partial set is
+/// One BFS runs per distinct root (the endpoint `z`, or the pair `(ℓ, z)`
+/// for `same_label`), and the roots are partitioned across `threads`
+/// workers (inline at one). Each BFS is independent, so the counters are
+/// exact sums and the result is the same at every thread count.
+///
+/// Checks `cancel` between BFS roots; on cancellation the empty set is
 /// returned and the caller is expected to surface the error (the executor
 /// re-checks the token after every closure).
-pub fn reach_star_plain(
+pub fn reach_star(
     base: &TripleSet,
-    adj: &Adjacency,
-    cancel: &CancelToken,
-    stats: &mut EvalStats,
-) -> TripleSet {
-    // Group the base triples by their endpoint so each BFS is run once per
-    // distinct endpoint rather than once per triple.
-    let mut by_endpoint: HashMap<ObjectId, Vec<(ObjectId, ObjectId)>> = HashMap::new();
-    for t in base.iter() {
-        by_endpoint.entry(t.o()).or_default().push((t.s(), t.p()));
-    }
-    let mut out: Vec<Triple> = Vec::with_capacity(base.len());
-    out.extend(base.iter().copied());
-    for (endpoint, prefixes) in by_endpoint {
-        // Discard the accumulation outright on cancellation: sorting a
-        // partial set the caller is about to throw away only delays the
-        // error.
-        if cancel.is_cancelled() {
-            return TripleSet::new();
-        }
-        let reach = reachable_from(endpoint, adj, stats);
-        for &(s, p) in &prefixes {
-            for &w in &reach {
-                out.push(Triple::new(s, p, w));
-                stats.triples_emitted += 1;
-            }
-        }
-    }
-    TripleSet::from_vec(out)
-}
-
-/// Morsel-parallel [`reach_star_plain`]: the distinct endpoints (one BFS
-/// each) are partitioned across workers probing the shared read-only
-/// adjacency lists. Each BFS is independent, so edge-traversal counts are
-/// exact sums and the result set is identical to the sequential procedure.
-pub fn reach_star_plain_parallel(
-    base: &TripleSet,
-    adj: &Adjacency,
+    same_label: bool,
     threads: usize,
     cancel: &CancelToken,
     stats: &mut EvalStats,
 ) -> TripleSet {
-    let mut by_endpoint: HashMap<ObjectId, Vec<(ObjectId, ObjectId)>> = HashMap::new();
+    let runs = &SubjectRuns::new(base.as_slice());
+    // The prefixes `(x, ℓ)` of the base triples, grouped by BFS root: the
+    // endpoint `z`, or `(ℓ, z)` for `same_label`.
+    let mut by_root: HashMap<Root, Vec<(ObjectId, ObjectId)>> = HashMap::new();
     for t in base.iter() {
-        by_endpoint.entry(t.o()).or_default().push((t.s(), t.p()));
+        let root = (same_label.then_some(t.p()), t.o());
+        by_root.entry(root).or_default().push((t.s(), t.p()));
     }
-    let entries: Vec<(ObjectId, Vec<(ObjectId, ObjectId)>)> = by_endpoint.into_iter().collect();
-    let tasks: Vec<_> = parallel::chunk(&entries, threads)
+    let roots: Vec<(Root, Vec<(ObjectId, ObjectId)>)> = by_root.into_iter().collect();
+    let tasks: Vec<_> = parallel::chunk(&roots, threads)
         .into_iter()
         .map(|morsel| {
             move |stats: &mut EvalStats| {
                 let mut out: Vec<Triple> = Vec::new();
-                for (endpoint, prefixes) in morsel {
+                for ((label, endpoint), prefixes) in morsel {
                     // One BFS per root: check between roots so a cancelled
                     // closure stops mid-morsel instead of finishing it.
                     if cancel.is_cancelled() {
                         break;
                     }
-                    let reach = reachable_from(*endpoint, adj, stats);
-                    for &(s, p) in prefixes {
+                    let reach = reachable_from(*endpoint, *label, runs, stats);
+                    for &(x, l) in prefixes {
                         for &w in &reach {
-                            out.push(Triple::new(s, p, w));
+                            out.push(Triple::new(x, l, w));
                             stats.triples_emitted += 1;
                         }
                     }
@@ -146,102 +111,8 @@ pub fn reach_star_plain_parallel(
         })
         .collect();
     let parts = parallel::run_tasks(threads, tasks, cancel, stats);
-    if cancel.is_cancelled() {
-        return TripleSet::new();
-    }
-    let mut out: Vec<Triple> = Vec::with_capacity(base.len());
-    out.extend(base.iter().copied());
-    for part in parts {
-        out.extend(part);
-    }
-    TripleSet::from_vec(out)
-}
-
-/// Procedure 4: computes `(base ✶^{1,2,3'}_{3=1', 2=2'})^*` over per-label
-/// adjacency lists (which must be the label-split edge graph of `base`).
-///
-/// Like [`reach_star_plain`], but reachability is computed separately within
-/// each "label" `ℓ` (the middle element): only edges whose middle element
-/// equals the original triple's middle element may be followed.
-///
-/// Checks `cancel` between BFS roots, like [`reach_star_plain`].
-pub fn reach_star_same_label(
-    base: &TripleSet,
-    adj_by_label: &HashMap<ObjectId, Adjacency>,
-    cancel: &CancelToken,
-    stats: &mut EvalStats,
-) -> TripleSet {
-    // Group base triples by (label, endpoint).
-    let mut by_label_endpoint: HashMap<(ObjectId, ObjectId), Vec<ObjectId>> = HashMap::new();
-    for t in base.iter() {
-        by_label_endpoint
-            .entry((t.p(), t.o()))
-            .or_default()
-            .push(t.s());
-    }
-    let empty = Adjacency::default();
-    let mut out: Vec<Triple> = Vec::with_capacity(base.len());
-    out.extend(base.iter().copied());
-    for ((label, endpoint), sources) in by_label_endpoint {
-        if cancel.is_cancelled() {
-            return TripleSet::new();
-        }
-        let adj = adj_by_label.get(&label).unwrap_or(&empty);
-        let reach = reachable_from(endpoint, adj, stats);
-        for &s in &sources {
-            for &w in &reach {
-                out.push(Triple::new(s, label, w));
-                stats.triples_emitted += 1;
-            }
-        }
-    }
-    TripleSet::from_vec(out)
-}
-
-/// Morsel-parallel [`reach_star_same_label`]: partitions the distinct
-/// `(label, endpoint)` BFS roots across workers sharing the read-only
-/// per-label adjacency lists.
-pub fn reach_star_same_label_parallel(
-    base: &TripleSet,
-    adj_by_label: &HashMap<ObjectId, Adjacency>,
-    threads: usize,
-    cancel: &CancelToken,
-    stats: &mut EvalStats,
-) -> TripleSet {
-    let mut by_label_endpoint: HashMap<(ObjectId, ObjectId), Vec<ObjectId>> = HashMap::new();
-    for t in base.iter() {
-        by_label_endpoint
-            .entry((t.p(), t.o()))
-            .or_default()
-            .push(t.s());
-    }
-    let entries: Vec<((ObjectId, ObjectId), Vec<ObjectId>)> =
-        by_label_endpoint.into_iter().collect();
-    let empty = Adjacency::default();
-    let empty = &empty;
-    let tasks: Vec<_> = parallel::chunk(&entries, threads)
-        .into_iter()
-        .map(|morsel| {
-            move |stats: &mut EvalStats| {
-                let mut out: Vec<Triple> = Vec::new();
-                for ((label, endpoint), sources) in morsel {
-                    if cancel.is_cancelled() {
-                        break;
-                    }
-                    let adj = adj_by_label.get(label).unwrap_or(empty);
-                    let reach = reachable_from(*endpoint, adj, stats);
-                    for &s in sources {
-                        for &w in &reach {
-                            out.push(Triple::new(s, *label, w));
-                            stats.triples_emitted += 1;
-                        }
-                    }
-                }
-                out
-            }
-        })
-        .collect();
-    let parts = parallel::run_tasks(threads, tasks, cancel, stats);
+    // Discard the accumulation outright on cancellation: sorting a partial
+    // set the caller is about to throw away only delays the error.
     if cancel.is_cancelled() {
         return TripleSet::new();
     }
@@ -266,13 +137,11 @@ mod tests {
     }
 
     fn plain(base: &TripleSet, stats: &mut EvalStats) -> TripleSet {
-        let adj = Adjacency::from_triples(base.iter());
-        reach_star_plain(base, &adj, &CancelToken::none(), stats)
+        reach_star(base, false, 1, &CancelToken::none(), stats)
     }
 
     fn same_label(base: &TripleSet, stats: &mut EvalStats) -> TripleSet {
-        let by_label = label_adjacency(base);
-        reach_star_same_label(base, &by_label, &CancelToken::none(), stats)
+        reach_star(base, true, 1, &CancelToken::none(), stats)
     }
 
     fn labelled_chain() -> Triplestore {
@@ -310,28 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_store_adjacency_gives_identical_results() {
-        let store = labelled_chain();
-        let (rel, index) = store.relation_with_index("E").unwrap();
-        let mut s1 = EvalStats::new();
-        let mut s2 = EvalStats::new();
-        assert_eq!(
-            reach_star_plain(rel, index.adjacency(rel), &CancelToken::none(), &mut s1),
-            plain(&base(&store), &mut s2),
-        );
-        assert_eq!(
-            reach_star_same_label(
-                rel,
-                index.adjacency_by_label(rel),
-                &CancelToken::none(),
-                &mut s1
-            ),
-            same_label(&base(&store), &mut s2),
-        );
-        assert_eq!(s1.reach_edges_traversed, s2.reach_edges_traversed);
-    }
-
-    #[test]
     fn plain_reach_follows_cycles() {
         let store = labelled_chain();
         let mut stats = EvalStats::new();
@@ -361,55 +208,33 @@ mod tests {
     }
 
     #[test]
-    fn parallel_reachability_matches_sequential() {
-        let store = labelled_chain();
-        let b = base(&store);
-        let adj = Adjacency::from_triples(b.iter());
-        let by_label = label_adjacency(&b);
-        let mut seq = EvalStats::new();
-        let plain_seq = reach_star_plain(&b, &adj, &CancelToken::none(), &mut seq);
-        let same_seq = reach_star_same_label(&b, &by_label, &CancelToken::none(), &mut seq);
+    fn walk_counters_are_pinned_at_every_thread_count() {
+        let b = base(&labelled_chain());
+        let mut stats = EvalStats::new();
+        let expected = [plain(&b, &mut stats), same_label(&b, &mut stats)];
+        // `(same_label, edges traversed, triples emitted)`: the plain walk
+        // expands each root of the a→b→c→d→a cycle again when it comes back
+        // round, and the x self-loop likewise.
         for threads in [1usize, 2, 4] {
-            let mut par = EvalStats::new();
-            assert_eq!(
-                plain_seq,
-                reach_star_plain_parallel(&b, &adj, threads, &CancelToken::none(), &mut par)
-            );
-            assert_eq!(
-                same_seq,
-                reach_star_same_label_parallel(
-                    &b,
-                    &by_label,
-                    threads,
-                    &CancelToken::none(),
-                    &mut par
-                )
-            );
-            // BFS partitioning changes nothing about the work performed.
-            assert_eq!(seq.reach_edges_traversed, par.reach_edges_traversed);
-            assert_eq!(seq.triples_emitted, par.triples_emitted);
-            if threads > 1 {
-                assert!(par.parallel_morsels > 0, "morsels must actually run");
+            for (same, edges, emitted) in [(false, 22, 17), (true, 4, 3)] {
+                let mut par = EvalStats::new();
+                let result = reach_star(&b, same, threads, &CancelToken::none(), &mut par);
+                assert_eq!(result, expected[usize::from(same)]);
+                assert_eq!(
+                    (par.reach_edges_traversed, par.triples_emitted),
+                    (edges, emitted),
+                    "same_label={same} threads={threads}"
+                );
+                assert_eq!(par.parallel_morsels > 0, threads > 1, "morsels must run");
             }
         }
         // Empty and singleton bases survive partitioning.
-        let empty = TripleSet::new();
         let mut s = EvalStats::new();
-        assert!(reach_star_plain_parallel(
-            &empty,
-            &Adjacency::default(),
-            4,
-            &CancelToken::none(),
-            &mut s
-        )
-        .is_empty());
+        assert!(reach_star(&TripleSet::new(), false, 4, &CancelToken::none(), &mut s).is_empty());
         let single: TripleSet = [b.as_slice()[0]].into_iter().collect();
-        let adj1 = Adjacency::from_triples(single.iter());
-        let mut s1 = EvalStats::new();
-        let mut s2 = EvalStats::new();
         assert_eq!(
-            reach_star_plain(&single, &adj1, &CancelToken::none(), &mut s1),
-            reach_star_plain_parallel(&single, &adj1, 4, &CancelToken::none(), &mut s2)
+            plain(&single, &mut s),
+            reach_star(&single, false, 4, &CancelToken::none(), &mut s)
         );
     }
 

@@ -13,8 +13,8 @@
 //!   `explain()` for free.
 //! * [`eval_product`] evaluates the same semantics directly, as a BFS over
 //!   the product of the edge graph with a Thompson [`Nfa`] of the
-//!   expression — the classic PTIME RPQ procedure. It reuses the
-//!   store-cached per-label adjacency lists and the morsel fan-out of
+//!   expression — the classic PTIME RPQ procedure. It walks the relation's
+//!   SPO run through the same [`SubjectRuns`] lookup and morsel fan-out as
 //!   [`crate::reach`], checks the [`CancelToken`] between BFS roots, and is
 //!   the only strategy that supports a `max_hops` bound (the product BFS is
 //!   level-synchronous, so bounding path length is free).
@@ -37,10 +37,10 @@
 use crate::cancel::CancelToken;
 use crate::engine::EvalStats;
 use crate::parallel;
-use crate::reach::label_adjacency;
 use std::collections::{HashMap, HashSet, VecDeque};
 use trial_core::{
-    Adjacency, Conditions, Expr, ObjectId, OutputSpec, Pos, Result, Triple, TripleSet, Triplestore,
+    Conditions, Expr, ObjectId, OutputSpec, Pos, Result, SubjectRuns, Triple, TripleSet,
+    Triplestore,
 };
 use trial_parser::PathExpr;
 
@@ -353,11 +353,13 @@ pub fn node_universe(base: &TripleSet) -> Vec<ObjectId> {
 /// accepting product state within `max_hops` graph edges (unbounded when
 /// `None`). BFS explores by edge count, so the first visit to a product
 /// state is at its minimum hop depth — a plain visited set implements the
-/// bound exactly.
+/// bound exactly. `labels` holds the object id of each NFA label (`None` if
+/// the store has no such object).
 fn product_bfs(
     root: ObjectId,
     nfa: &Nfa,
-    adj: &[Option<&Adjacency>],
+    labels: &[Option<ObjectId>],
+    runs: &SubjectRuns<'_>,
     max_hops: Option<usize>,
     stats: &mut EvalStats,
     out: &mut Vec<Triple>,
@@ -380,8 +382,9 @@ fn product_bfs(
         let mut next: Vec<(ObjectId, usize)> = Vec::new();
         for (node, q) in frontier {
             for &(label, q2) in &nfa.trans[q] {
-                let Some(adj) = adj[label] else { continue };
-                for succ in adj.successor_cursor(node) {
+                let Some(label) = labels[label] else { continue };
+                for t in runs.of(node, Some(label)) {
+                    let succ = t.o();
                     stats.reach_edges_traversed += 1;
                     for &q3 in &nfa.closure[q2] {
                         if visited.insert((succ, q3)) {
@@ -405,18 +408,17 @@ fn product_bfs(
     }
 }
 
-/// Evaluates a path expression as a product-graph BFS over per-label
-/// adjacency lists, fanning the roots out across `threads` workers exactly
-/// like [`crate::reach::reach_star_plain_parallel`].
+/// Evaluates a path expression as a product-graph BFS over the SPO run of
+/// `base`, whose `(x, ℓ)` sub-runs are the `ℓ`-labelled successors of `x`,
+/// fanning the roots out across `threads` workers exactly like
+/// [`crate::reach::reach_star`].
 ///
 /// `label_ids` resolves atom labels to object ids; labels absent from the
-/// map (or without adjacency lists) simply have no transitions. Checks
-/// `cancel` between BFS roots; on cancellation the empty set is returned and
-/// the caller is expected to surface the error.
-#[allow(clippy::too_many_arguments)] // the product walk's full knob set, one internal call site
+/// map (or from `base`) simply have no transitions. Checks `cancel` between
+/// BFS roots; on cancellation the empty set is returned and the caller is
+/// expected to surface the error.
 pub fn eval_product(
     base: &TripleSet,
-    adj_by_label: &HashMap<ObjectId, Adjacency>,
     label_ids: &HashMap<String, ObjectId>,
     path: &PathExpr,
     max_hops: Option<usize>,
@@ -424,15 +426,14 @@ pub fn eval_product(
     cancel: &CancelToken,
     stats: &mut EvalStats,
 ) -> TripleSet {
-    let nfa = Nfa::compile(path);
-    let adj: Vec<Option<&Adjacency>> = nfa
+    let nfa = &Nfa::compile(path);
+    let labels: &[Option<ObjectId>] = &nfa
         .labels
         .iter()
-        .map(|l| label_ids.get(l).and_then(|id| adj_by_label.get(id)))
-        .collect();
+        .map(|l| label_ids.get(l).copied())
+        .collect::<Vec<_>>();
+    let runs = &SubjectRuns::new(base.as_slice());
     let roots = node_universe(base);
-    let nfa = &nfa;
-    let adj = &adj;
     let tasks: Vec<_> = parallel::chunk(&roots, threads)
         .into_iter()
         .map(|morsel| {
@@ -444,7 +445,7 @@ pub fn eval_product(
                     if cancel.is_cancelled() {
                         break;
                     }
-                    product_bfs(root, nfa, adj, max_hops, stats, &mut out);
+                    product_bfs(root, nfa, labels, runs, max_hops, stats, &mut out);
                 }
                 out
             }
@@ -461,10 +462,8 @@ pub fn eval_product(
     TripleSet::from_vec(out)
 }
 
-/// Evaluates a path expression against a stored relation, borrowing the
-/// store's cached per-label adjacency lists (so repeated path queries over
-/// the same relation never rebuild the graph) and falling back to an ad-hoc
-/// build only if the relation has no index entry.
+/// Evaluates a path expression against a stored relation by
+/// [`eval_product`] over its triples.
 pub fn eval_on_store(
     store: &Triplestore,
     relation: &str,
@@ -480,28 +479,7 @@ pub fn eval_on_store(
         .into_iter()
         .filter_map(|l| store.object_id(l).map(|id| (l.to_owned(), id)))
         .collect();
-    let result = match store.relation_with_index(relation) {
-        Some((rel, index)) => eval_product(
-            rel,
-            index.adjacency_by_label(rel),
-            &label_ids,
-            path,
-            max_hops,
-            threads,
-            cancel,
-            stats,
-        ),
-        None => eval_product(
-            base,
-            &label_adjacency(base),
-            &label_ids,
-            path,
-            max_hops,
-            threads,
-            cancel,
-            stats,
-        ),
-    };
+    let result = eval_product(base, &label_ids, path, max_hops, threads, cancel, stats);
     cancel.check()?;
     Ok(result)
 }
@@ -663,34 +641,30 @@ mod tests {
     #[test]
     fn parallel_roots_match_sequential() {
         let s = store();
-        let path = parse_path("(red|blue)+/green?").unwrap();
-        let mut seq_stats = EvalStats::new();
-        let seq = eval_on_store(
-            &s,
-            "E",
-            &path,
-            None,
-            1,
-            &CancelToken::none(),
-            &mut seq_stats,
-        )
-        .unwrap();
-        for threads in [2usize, 4] {
-            let mut par_stats = EvalStats::new();
-            let par = eval_on_store(
+        let run = |text: &str, threads| {
+            let mut stats = EvalStats::new();
+            let path = parse_path(text).unwrap();
+            let result = eval_on_store(
                 &s,
                 "E",
                 &path,
                 None,
                 threads,
                 &CancelToken::none(),
-                &mut par_stats,
-            )
-            .unwrap();
-            assert_eq!(seq, par);
+                &mut stats,
+            );
+            (result.unwrap(), stats)
+        };
+        let (seq, _) = run("(red|blue)+/green?", 1);
+        for threads in [1usize, 2, 4] {
+            assert_eq!(run("(red|blue)+/green?", threads).0, seq);
+            // One product BFS per root: the same work at every degree.
+            let (plus, stats) = run("(red|blue)+", threads);
+            assert_eq!(plus.len(), 17);
             assert_eq!(
-                seq_stats.reach_edges_traversed,
-                par_stats.reach_edges_traversed
+                (stats.reach_edges_traversed, stats.triples_emitted),
+                (17, 17),
+                "threads={threads}"
             );
         }
     }

@@ -302,11 +302,8 @@ pub fn fingerprint(node: &PlanNode) -> Option<u64> {
             ..
         } => hash_one("star", &(fingerprint(input), output.0, cond, direction)),
         PlanNode::StarReach {
-            input,
-            same_label,
-            relation,
-            ..
-        } => hash_one("star-reach", &(fingerprint(input), same_label, relation)),
+            input, same_label, ..
+        } => hash_one("star-reach", &(fingerprint(input), same_label)),
         // Transparent: a memo slot's shape is its input's shape.
         PlanNode::Memo { input, .. } => return fingerprint(input),
         // Structural or exact cardinalities — nothing to learn, and a

@@ -178,9 +178,10 @@ pub fn read_request<R: BufRead, W: Write>(
 
     // Body, bounded by the declared Content-Length.
     let content_length = match headers.get("content-length") {
+        // RFC 9110 §8.6: `1*DIGIT`; `usize::from_str` alone accepts `+12`.
         Some(v) => match v.parse::<usize>() {
-            Ok(n) => n,
-            Err(_) => {
+            Ok(n) if v.bytes().all(|b| b.is_ascii_digit()) => n,
+            _ => {
                 return Ok(invalid(
                     400,
                     "bad_request",
@@ -280,7 +281,11 @@ fn decode_inner(s: &str, plus_is_space: bool) -> String {
                 i += 1;
             }
             b'%' => {
-                let hex = bytes.get(i + 1..i + 3);
+                // Exactly two hex digits: `u8::from_str_radix` alone
+                // accepts a sign, which would decode `%+A` to 0x0A.
+                let hex = bytes
+                    .get(i + 1..i + 3)
+                    .filter(|h| h.iter().all(u8::is_ascii_hexdigit));
                 match hex.and_then(|h| u8::from_str_radix(std::str::from_utf8(h).ok()?, 16).ok()) {
                     Some(b) => {
                         out.push(b);
@@ -575,6 +580,24 @@ mod tests {
     }
 
     #[test]
+    fn content_length_must_be_digits_only() {
+        for value in ["+12", "12x"] {
+            let raw = format!("POST / HTTP/1.1\r\nContent-Length: {value}\r\n\r\nhello world!");
+            match read(&raw) {
+                ReadOutcome::Invalid {
+                    status,
+                    kind,
+                    message,
+                } => {
+                    assert_eq!((status, kind), (400, "bad_request"), "{value}");
+                    assert!(message.contains("unparsable Content-Length"), "{message}");
+                }
+                other => panic!("`{value}` must be rejected, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn expect_100_continue_gets_the_interim_response() {
         let raw = "POST /load HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 2\r\n\r\nok";
         let mut reader = BufReader::new(raw.as_bytes());
@@ -619,6 +642,9 @@ mod tests {
         assert_eq!(percent_decode("bad%2"), "bad%2");
         assert_eq!(percent_decode("bad%zz"), "bad%zz");
         assert_eq!(percent_decode("%E2%9C%B6"), "✶");
+        // A sign is not a hex digit: the escape stays literal.
+        assert_eq!(percent_decode("%+A"), "% A");
+        assert_eq!(percent_decode_path("%+A"), "%+A");
     }
 
     #[test]
