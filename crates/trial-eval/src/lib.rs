@@ -166,26 +166,6 @@
 //!   root stream in the requested order natively, dissolving the final
 //!   [`PlanNode::Sort`].
 //!
-//! # Adaptive planning
-//!
-//! The planner's selectivity constants are only a cold-start default: a
-//! [`SmartEngine`] built via [`SmartEngine::with_stats`] shares a
-//! [`stats::StatsStore`] that closes the feedback loop. Every
-//! [`SmartEngine::analyze`] run ingests its per-node **actual** row counts,
-//! keyed by a normalized plan-shape fingerprint ([`stats::fingerprint`]:
-//! scanned relation + binding + condition shapes; estimates, scan orders
-//! and physical join variants are deliberately excluded, and the two join
-//! orientations are normalized together). Later plans substitute the
-//! observed cardinality — exponentially decayed across observations —
-//! wherever a fingerprint is known, which re-steers join strategy, build
-//! sides, merge-vs-probe gates and morsel granularity. Statistics describe
-//! one immutable snapshot: [`stats::StatsStore::invalidate`] atomically
-//! clears them when the store's epoch moves (the server calls it under the
-//! `/load` write gate), and observations recorded against a stale epoch are
-//! dropped. The server surfaces the loop as `est_src=stats|heuristic` per
-//! `/explain` node, a `?nostats=1` escape hatch, and planner counters on
-//! `/metrics`.
-//!
 //! # Path queries
 //!
 //! [`rpq`] evaluates **regular path queries** — [`trial_parser::PathExpr`]
@@ -200,7 +180,7 @@
 //!   become right-star fixpoints. The result is an ordinary
 //!   [`Expr`](trial_core::Expr), so concatenation chains inherit the whole
 //!   planner — merge/hash/index join selection, memoisation of repeated
-//!   label scans, adaptive statistics, limit and order pushdown.
+//!   label scans, limit and order pushdown.
 //! * **NFA product walk** ([`rpq::eval_on_store`]) — the expression compiles
 //!   to a Thompson NFA ([`rpq::Nfa`]) and a BFS explores the product of the
 //!   graph with the automaton over the relation's SPO run, with
@@ -300,7 +280,6 @@ pub mod profile;
 pub mod reach;
 pub mod rpq;
 pub mod seminaive;
-pub mod stats;
 
 pub use cancel::{CancelChecker, CancelReason, CancelToken, CANCEL_CHECK_STRIDE};
 pub use cursor::{Cursor, QueryStream};
@@ -313,7 +292,6 @@ pub use plan::{Plan, PlanNode};
 pub use planner::{evaluate, explain, AnalyzedEvaluation, SmartEngine};
 pub use profile::{NodeProfile, QueryProfile};
 pub use rpq::PathStrategy;
-pub use stats::{ObserveSummary, StatsStore};
 
 // Compile-time thread-safety contract: `trial-server` evaluates queries with
 // a shared `SmartEngine` from many worker threads and caches `Plan`s keyed by

@@ -314,36 +314,6 @@ impl PlanNode {
         }
     }
 
-    /// Returns this node with its cardinality estimate replaced — how the
-    /// planner applies an observed (feedback-statistics) row count to a
-    /// freshly built operator without re-deriving it. Nodes whose estimate
-    /// is structural ([`PlanNode::Empty`], [`PlanNode::Memo`]) are returned
-    /// unchanged.
-    #[must_use]
-    pub fn with_est(mut self, new_est: usize) -> PlanNode {
-        match &mut self {
-            PlanNode::Empty | PlanNode::Memo { .. } => {}
-            PlanNode::IndexScan { est, .. }
-            | PlanNode::Universe { est }
-            | PlanNode::Filter { est, .. }
-            | PlanNode::HashJoin { est, .. }
-            | PlanNode::MergeJoin { est, .. }
-            | PlanNode::IndexNestedLoopJoin { est, .. }
-            | PlanNode::NestedLoopJoin { est, .. }
-            | PlanNode::Union { est, .. }
-            | PlanNode::Diff { est, .. }
-            | PlanNode::Intersect { est, .. }
-            | PlanNode::Complement { est, .. }
-            | PlanNode::StarSemiNaive { est, .. }
-            | PlanNode::StarReach { est, .. }
-            | PlanNode::PathNfa { est, .. }
-            | PlanNode::Limit { est, .. }
-            | PlanNode::Sort { est, .. }
-            | PlanNode::TopK { est, .. } => *est = new_est,
-        }
-        self
-    }
-
     /// The sort order this operator's streamed output follows, if any: the
     /// permutation whose key is strictly increasing across the emitted rows.
     /// Because permutation keys order all three components, `Some(_)` also
@@ -763,18 +733,6 @@ impl Plan {
         self.root.render(&mut out, "", None, self.threads.max(1));
         out
     }
-
-    /// Per plan node (indexed like [`PlanNode::preorder`]), whether the
-    /// node's estimate would come from observed statistics (`true`,
-    /// `est_src=stats`) rather than the static heuristics — what the
-    /// server's `/explain` reports. All `false` without statistics.
-    pub fn estimate_sources(&self, stats: Option<&crate::StatsStore>) -> Vec<bool> {
-        self.root
-            .preorder()
-            .into_iter()
-            .map(|node| stats.is_some_and(|stats| stats.estimate_node(node).is_some()))
-            .collect()
-    }
 }
 
 impl fmt::Display for Plan {
@@ -1087,17 +1045,6 @@ mod tests {
             est: 7,
         };
         assert_eq!(projecting.ordering(), None);
-    }
-
-    #[test]
-    fn with_est_replaces_the_estimate() {
-        assert_eq!(scan("E", 7).with_est(42).est(), 42);
-        assert_eq!(PlanNode::Empty.with_est(42).est(), 0);
-        let memo = PlanNode::Memo {
-            slot: 0,
-            input: Box::new(scan("E", 7)),
-        };
-        assert_eq!(memo.with_est(42).est(), 7);
     }
 
     #[test]

@@ -39,9 +39,7 @@ use crate::cursor::QueryStream;
 use crate::engine::{Engine, EvalOptions, EvalStats, Evaluation};
 use crate::exec::{Executor, ScanAccess};
 use crate::plan::{Plan, PlanNode};
-use crate::stats::{ObserveSummary, StatsStore};
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 use trial_core::condition::{Cmp, ObjAtom, ObjOperand};
 use trial_core::fragment::is_reachability_star;
 use trial_core::{Conditions, Expr, ObjectId, Permutation, Pos, Result, Triplestore};
@@ -50,21 +48,10 @@ use trial_parser::PathExpr;
 /// The default, optimisation-enabled evaluation engine: plans every query
 /// with [`SmartEngine::plan_query`] and executes the physical plan against
 /// the store's permutation indexes.
-///
-/// An engine built with [`SmartEngine::with_stats`] also carries a shared
-/// [`StatsStore`]: planning substitutes observed cardinalities for the
-/// heuristic estimates wherever a plan shape has been executed before, and
-/// every [`SmartEngine::analyze`] run feeds its actual row counts back in —
-/// the adaptive-planning feedback loop (see [`crate::stats`]).
 #[derive(Debug, Clone, Default)]
 pub struct SmartEngine {
     /// Evaluation options (limits, parallelism, profiling, cancellation).
     pub options: EvalOptions,
-    /// Feedback statistics consulted while planning and fed by
-    /// [`SmartEngine::analyze`], with the store epoch captured at
-    /// construction (observations are dropped if the epoch moved underneath
-    /// the request).
-    stats: Option<(Arc<StatsStore>, u64)>,
 }
 
 impl SmartEngine {
@@ -73,30 +60,9 @@ impl SmartEngine {
         SmartEngine::default()
     }
 
-    /// Creates the engine with explicit options (and no feedback
-    /// statistics: every estimate comes from the static heuristics).
+    /// Creates the engine with explicit options.
     pub fn with_options(options: EvalOptions) -> Self {
-        SmartEngine {
-            options,
-            stats: None,
-        }
-    }
-
-    /// Creates the engine with explicit options and a shared feedback
-    /// [`StatsStore`]. The store's current epoch is captured here: an
-    /// analyzed run's observation is only ingested if the store is still at
-    /// that epoch (see [`StatsStore::observe_plan`]).
-    pub fn with_stats(options: EvalOptions, stats: Arc<StatsStore>) -> Self {
-        let epoch = stats.epoch();
-        SmartEngine {
-            options,
-            stats: Some((stats, epoch)),
-        }
-    }
-
-    /// The feedback statistics this engine consults, if any.
-    pub fn stats(&self) -> Option<&StatsStore> {
-        self.stats.as_ref().map(|(stats, _)| &**stats)
+        SmartEngine { options }
     }
 
     /// Plans `expr` over `store` without executing it, compiling an output
@@ -136,18 +102,11 @@ impl SmartEngine {
         let rank = topk.map(|_| order.unwrap_or(Permutation::Spo));
         let mut planner = Planner {
             store,
-            stats: self.stats(),
             interesting: rank.or(order),
-            used_stats: false,
             repeated: repeated_subexpressions(expr),
             slots: HashMap::new(),
         };
         let root = planner.plan_expr(expr)?;
-        if planner.used_stats {
-            if let Some(stats) = self.stats() {
-                stats.note_replan();
-            }
-        }
         Ok(self.bounded_plan(root, planner.slots.len(), limit, order, topk))
     }
 
@@ -273,7 +232,7 @@ impl SmartEngine {
             };
             if inner.ordering().is_some() && inner.est() >= self.options.parallel_min_rows {
                 // Adaptive morsel granularity: size the fan-out from the
-                // (feedback-corrected) row estimate instead of always
+                // planner's row estimate instead of always
                 // carving thread-count-equal splits — a stream barely past
                 // the parallel threshold gets two full morsels instead of
                 // `threads` slivers, and only estimates several thresholds
@@ -355,19 +314,14 @@ impl SmartEngine {
     /// profile — the `EXPLAIN ANALYZE` entry point behind the server's
     /// `/explain?analyze=1`.
     ///
-    /// Actuals are the cost-model feedback loop: comparing them to the
-    /// per-node `est` exposes the selectivity mis-estimates that would
-    /// mislead morsel sizing (and build-side choices), and an engine built
-    /// [`SmartEngine::with_stats`] ingests them. Node indexing follows
+    /// Comparing actuals to the per-node `est` exposes the selectivity
+    /// mis-estimates that would mislead morsel sizing (and build-side
+    /// choices). Node indexing follows
     /// [`PlanNode::preorder`] of the returned plan; a node is `None` when it
     /// was not individually materialised — the subtree beneath a
     /// [`PlanNode::Limit`] runs as one pull-based pipeline and only the
     /// limit node itself observes a row count.
     pub fn analyze(&self, plan: Plan, store: &Triplestore) -> Result<AnalyzedEvaluation> {
-        // Captured before execution: ingesting this run's actuals below
-        // would otherwise make a cold (heuristic) plan report itself as
-        // stats-sourced.
-        let est_sources = plan.estimate_sources(self.stats());
         let mut stats = EvalStats::new();
         let mut executor = Executor::new(store, self.options.clone(), &plan, true);
         let result = executor.materialize(&plan.root, &mut stats)?;
@@ -376,20 +330,11 @@ impl SmartEngine {
             .query_profile(&plan)
             .map(|profile| profile.snapshot())
             .unwrap_or_default();
-        // The feedback loop: every analyzed run teaches the stats store the
-        // observed cardinalities, gated on the epoch captured when this
-        // engine was built.
-        let feedback = self
-            .stats
-            .as_ref()
-            .map(|(stats, epoch)| stats.observe_plan(&plan, &actuals, *epoch));
         Ok(AnalyzedEvaluation {
             plan,
             evaluation: Evaluation { result, stats },
             actuals,
             profiles,
-            est_sources,
-            feedback,
         })
     }
 }
@@ -413,15 +358,6 @@ pub struct AnalyzedEvaluation {
     /// for streamed nodes: it counts the rows pulled through the node's
     /// cursor.
     pub profiles: Vec<crate::NodeProfile>,
-    /// Per node (indexed like `actuals`), whether its estimate came from
-    /// observed feedback statistics rather than the static heuristics —
-    /// captured **before** this run's actuals were ingested, so a cold plan
-    /// honestly reports `heuristic`.
-    pub est_sources: Vec<bool>,
-    /// What this run taught the engine's [`StatsStore`] (`None` when the
-    /// engine has no statistics attached): ingested-node count and per-node
-    /// relative estimate errors.
-    pub feedback: Option<ObserveSummary>,
 }
 
 impl Engine for SmartEngine {
@@ -742,13 +678,9 @@ fn repeated_subexpressions(expr: &Expr) -> HashSet<Expr> {
 
 struct Planner<'a> {
     store: &'a Triplestore,
-    /// Observed-cardinality feedback consulted for every node built.
-    stats: Option<&'a StatsStore>,
     /// The root output order the query will be asked for (interesting
     /// orders), pushed down into join-strategy choices.
     interesting: Option<Permutation>,
-    /// Whether any node's estimate came from observed statistics.
-    used_stats: bool,
     repeated: HashSet<Expr>,
     slots: HashMap<Expr, usize>,
 }
@@ -768,22 +700,6 @@ impl Planner<'_> {
         Some((base.len(), index.distinct_counts(base)))
     }
 
-    /// Replaces a freshly built node's heuristic estimate with the observed
-    /// cardinality for its plan shape, when feedback statistics know it.
-    /// Applied bottom-up (children before their parent's strategy choice),
-    /// so a corrected child estimate steers join orientation, build-side and
-    /// merge-vs-probe decisions — the adaptive re-planning step.
-    fn apply_stats(&mut self, node: PlanNode) -> PlanNode {
-        let Some(stats) = self.stats else { return node };
-        match stats.estimate_node(&node) {
-            Some(rows) => {
-                self.used_stats = true;
-                node.with_est(rows as usize)
-            }
-            None => node,
-        }
-    }
-
     fn plan_expr(&mut self, expr: &Expr) -> Result<PlanNode> {
         if memoizable(expr) && self.repeated.contains(expr) {
             let slot = match self.slots.get(expr) {
@@ -795,14 +711,12 @@ impl Planner<'_> {
                 }
             };
             let input = self.plan_inner(expr)?;
-            let input = self.apply_stats(input);
             return Ok(PlanNode::Memo {
                 slot,
                 input: Box::new(input),
             });
         }
-        let node = self.plan_inner(expr)?;
-        Ok(self.apply_stats(node))
+        self.plan_inner(expr)
     }
 
     fn plan_inner(&mut self, expr: &Expr) -> Result<PlanNode> {

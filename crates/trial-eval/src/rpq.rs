@@ -9,8 +9,7 @@
 //!   `✶^{1,1,3'}_{3=1'}`, alternation a union, and Kleene closures a right
 //!   Kleene star of the same join shape. The lowering is **total**: the
 //!   resulting expression goes through the ordinary cost-based planner, so
-//!   star-free chains pick up merge/hash joins, statistics feedback and
-//!   `explain()` for free.
+//!   star-free chains pick up merge/hash joins and `explain()` for free.
 //! * [`eval_product`] evaluates the same semantics directly, as a BFS over
 //!   the product of the edge graph with a Thompson [`Nfa`] of the
 //!   expression — the classic PTIME RPQ procedure. It walks the relation's
@@ -49,8 +48,8 @@ use trial_parser::PathExpr;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PathStrategy {
     /// Pick per query: star-free expressions take the [`lower`]ing (the
-    /// planner then gets to choose merge/hash joins and apply statistics
-    /// feedback), Kleene closures and `max_hops` bounds take the NFA walk.
+    /// planner then gets to choose merge/hash joins), Kleene closures and
+    /// `max_hops` bounds take the NFA walk.
     Auto,
     /// Always the product-NFA traversal.
     Nfa,

@@ -10,7 +10,8 @@
 //! Two caches share the same LRU core:
 //!
 //! * [`QueryCache`] — exact-key fragments: the whole rendered response for
-//!   one `(limit, threads, analyze, order, topk)` combination.
+//!   one `(limit, threads, order, topk)` combination. `/explain?analyze=1`
+//!   bypasses it both ways: an analyze run always executes.
 //! * [`PrefixCache`] — **prefix-closed ordered results**: an ordered query's
 //!   rows under a fixed `(store, epoch, text, threads, order)` are the same
 //!   rows for every limit, just cut at a different length, so one cached
@@ -45,7 +46,7 @@ pub enum QueryKind {
 }
 
 /// Cache key: store name + store epoch + endpoint kind + exact query text +
-/// effective result limit + evaluation shape (threads, analyze).
+/// effective result limit + evaluation shape (threads, order, top-k).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// Registry name of the store.
@@ -64,9 +65,6 @@ pub struct CacheKey {
     /// `[parallel×N]` tags and `/query` stats report morsel counts, so
     /// fragments rendered at different degrees must not share an entry.
     pub threads: u64,
-    /// `true` for `/explain?analyze=1` fragments (they embed per-node
-    /// actual row counts that a plain explain lacks).
-    pub analyze: bool,
     /// The requested `?order=` permutation (`"spo"`/`"pos"`/`"osp"`), or
     /// `None`: ordered fragments render rows in a different sequence (and
     /// ordered explains show different scan permutations / sort breakers),
@@ -75,16 +73,6 @@ pub struct CacheKey {
     /// The requested `?topk=` bound, or `None`: a top-k fragment is a
     /// different result than a limit-truncated one.
     pub topk: Option<u64>,
-    /// `true` for `?nostats=1` requests, which plan with pure heuristics:
-    /// their explain fragments (and stats blocks) differ from the
-    /// feedback-driven default and must not share an entry with it.
-    pub nostats: bool,
-    /// The [`trial_eval::StatsStore`] generation the fragment was planned
-    /// against (0 under `?nostats=1`). Feedback changes plans *within* an
-    /// epoch, so a warmed table must stop re-serving fragments planned cold
-    /// — and a cached `analyze` must not short-circuit the very runs that
-    /// feed the table.
-    pub stats_generation: u64,
 }
 
 #[derive(Debug)]
@@ -255,8 +243,8 @@ impl QueryCache {
 }
 
 /// Key for the prefix-closed ordered cache. **No limit**: that is the whole
-/// point — one entry serves every limit up to its depth. Top-k and analyze
-/// results never reach this cache (a top-k set is not a prefix of anything).
+/// point — one entry serves every limit up to its depth. Top-k results and
+/// explains never reach this cache (a top-k set is not a prefix of anything).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PrefixKey {
     /// Registry name of the store.
@@ -404,11 +392,8 @@ mod tests {
             text: text.into(),
             limit: 100,
             threads: 1,
-            analyze: false,
             order: None,
             topk: None,
-            nostats: false,
-            stats_generation: 0,
         }
     }
 
@@ -447,18 +432,12 @@ mod tests {
             ..key("s", 1, "E")
         };
         assert!(cache.get(&other_limit).is_none());
-        // Nor fragments evaluated at a different parallel degree, nor
-        // analyzed explains.
+        // Nor fragments evaluated at a different parallel degree.
         let other_threads = CacheKey {
             threads: 4,
             ..key("s", 1, "E")
         };
         assert!(cache.get(&other_threads).is_none());
-        let analyzed = CacheKey {
-            analyze: true,
-            ..key("s", 1, "E")
-        };
-        assert!(cache.get(&analyzed).is_none());
         // Ordered and top-k renderings are their own entries too.
         let ordered = CacheKey {
             order: Some("pos"),
@@ -470,19 +449,6 @@ mod tests {
             ..key("s", 1, "E")
         };
         assert!(cache.get(&topk).is_none());
-        // A warmed stats table (new generation) and the ?nostats=1 escape
-        // hatch each get fresh entries: feedback changes plans within an
-        // epoch.
-        let warmed = CacheKey {
-            stats_generation: 3,
-            ..key("s", 1, "E")
-        };
-        assert!(cache.get(&warmed).is_none());
-        let nostats = CacheKey {
-            nostats: true,
-            ..key("s", 1, "E")
-        };
-        assert!(cache.get(&nostats).is_none());
     }
 
     #[test]

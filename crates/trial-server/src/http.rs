@@ -151,21 +151,39 @@ pub fn read_request<R: BufRead, W: Write>(
         if header.is_empty() {
             break;
         }
-        if let Some((name, value)) = header.split_once(':') {
-            let name = name.trim().to_ascii_lowercase();
-            let value = value.trim().to_owned();
-            // RFC 9110 §8.6: duplicate Content-Length headers must not be
-            // silently reconciled — a proxy in front may honour a different
-            // copy than we do, desyncing the framing (request smuggling).
-            if name == "content-length" && headers.get(&name).is_some_and(|prev| *prev != value) {
-                return Ok(invalid(
-                    400,
-                    "bad_request",
-                    "conflicting Content-Length headers",
-                ));
-            }
-            headers.insert(name, value);
+        // RFC 9112 §5.1–5.2: a field line is a token name, a colon with no
+        // whitespace before it, and the value. A line with no colon, a name
+        // with whitespace around it or a line with leading whitespace
+        // (obsolete folding, which leaves whitespace in the name) may be
+        // framed differently by a proxy in front, so each is rejected
+        // rather than guessed at (request smuggling).
+        let Some((name, value)) = header.split_once(':') else {
+            return Ok(invalid(
+                400,
+                "bad_request",
+                format!("malformed header line `{header}`"),
+            ));
+        };
+        if name.is_empty() || !name.bytes().all(is_tchar) {
+            return Ok(invalid(
+                400,
+                "bad_request",
+                format!("malformed header name `{name}`"),
+            ));
         }
+        let name = name.to_ascii_lowercase();
+        let value = value.trim().to_owned();
+        // RFC 9110 §8.6: duplicate Content-Length headers must not be
+        // silently reconciled — a proxy in front may honour a different
+        // copy than we do, desyncing the framing (request smuggling).
+        if name == "content-length" && headers.get(&name).is_some_and(|prev| *prev != value) {
+            return Ok(invalid(
+                400,
+                "bad_request",
+                "conflicting Content-Length headers",
+            ));
+        }
+        headers.insert(name, value);
     }
 
     if headers.contains_key("transfer-encoding") {
@@ -493,6 +511,11 @@ impl<'w, W: Write> ChunkedWriter<'w, W> {
     }
 }
 
+/// RFC 9110 §5.6.2 `tchar`: the bytes a header field name may contain.
+fn is_tchar(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b"!#$%&'*+-.^_`|~".contains(&b)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -593,6 +616,23 @@ mod tests {
                     assert!(message.contains("unparsable Content-Length"), "{message}");
                 }
                 other => panic!("`{value}` must be rejected, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn header_lines_must_be_well_framed() {
+        for (case, head) in [
+            ("space before colon", "Content-Length : 12\r\n"),
+            ("obs-fold", "Host: x\r\n Content-Length: 12\r\n"),
+            ("no colon", "Content-Length 12\r\n"),
+        ] {
+            let raw = format!("POST / HTTP/1.1\r\n{head}\r\nhello world!");
+            match read(&raw) {
+                ReadOutcome::Invalid { status, kind, .. } => {
+                    assert_eq!((status, kind), (400, "bad_request"), "{case}");
+                }
+                other => panic!("{case} must be rejected, got {other:?}"),
             }
         }
     }

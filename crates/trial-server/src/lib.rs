@@ -170,33 +170,6 @@
 //! curl -s localhost:7878/healthz
 //! ```
 //!
-//! ## Adaptive planning
-//!
-//! Every `?analyze=1` run feeds its observed per-node cardinalities into a
-//! per-store [`trial_eval::StatsStore`]; later plans against the same
-//! store draw estimates from it instead of the static heuristics (see the
-//! *Adaptive planning* section of the `trial-eval` docs). Each node of the
-//! structured `/explain` tree reports where its estimate came from:
-//!
-//! ```bash
-//! # Feed the statistics (runs the query, reports actual rows per node).
-//! curl -s "localhost:7878/explain?analyze=1" -d "(E JOIN[1,2,3' | 3=1'] E)"
-//!
-//! # Later plans report "est_src": "stats" on nodes with observed
-//! # cardinalities, "heuristic" elsewhere.
-//! curl -s localhost:7878/explain -d "(E JOIN[1,2,3' | 3=1'] E)"
-//!
-//! # Escape hatch: plan this request from pure heuristics.
-//! curl -s "localhost:7878/query?nostats=1" -d "(E JOIN[1,2,3' | 3=1'] E)"
-//! ```
-//!
-//! `/load` invalidates the store's statistics atomically with the epoch
-//! bump — observed cardinalities (and the `ObjectId`s baked into plan
-//! fingerprints) never outlive the data they were measured on. The
-//! feedback loop is observable: `trial_planner_stats_entries`,
-//! `trial_planner_stats_observations_total`, `trial_planner_replans_total`
-//! and the `trial_planner_est_error_pct` histogram ride on `/metrics`.
-//!
 //! ## Observability
 //!
 //! The server is instrumented end to end with the std-only `trial-obs`

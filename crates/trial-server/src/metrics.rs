@@ -23,13 +23,12 @@ use crate::cache::{PrefixCache, QueryCache};
 use crate::registry::StoreRegistry;
 use std::sync::Arc;
 use std::time::Instant;
-use trial_eval::{EvalStats, ObserveSummary};
+use trial_eval::{AnalyzedEvaluation, EvalStats};
 use trial_obs::{Counter, Gauge, Histogram, Registry, LATENCY_BUCKETS_US, ROW_BUCKETS};
 
 /// Relative estimate-error buckets in percent: 0 % (exact) through 10×
-/// off and beyond. The shape of this histogram is the health signal of the
-/// feedback loop — mass migrating toward the low buckets means the observed
-/// statistics are converging on the workload.
+/// off and beyond. Mass in the high buckets marks the plan shapes whose
+/// heuristic estimates mislead join and morsel choices.
 const EST_ERROR_BUCKETS: &[u64] = &[0, 1, 5, 10, 25, 50, 100, 250, 500, 1_000, 10_000];
 
 /// The request phases a traced request is broken into, in wall order.
@@ -74,10 +73,8 @@ pub struct Metrics {
     /// Rows rendered into `/query` responses (decade buckets).
     rows_returned: Arc<Histogram>,
     /// Per-node relative estimate error (percent) reported by analyzed
-    /// runs — the feedback loop's convergence signal.
+    /// runs — how far the planner's heuristics miss the actual row counts.
     est_error_pct: Arc<Histogram>,
-    /// Plan-node observations ingested into feedback statistics.
-    stats_observations: Arc<Counter>,
 }
 
 impl Metrics {
@@ -158,11 +155,6 @@ impl Metrics {
             "Per-node relative estimate error (percent) from analyzed runs.",
             &[],
             EST_ERROR_BUCKETS,
-        );
-        let stats_observations = r.counter(
-            "trial_planner_stats_observations_total",
-            "Plan-node cardinality observations ingested into feedback statistics.",
-            &[],
         );
 
         // Fn-backed series: /metrics and /healthz read the same atomics.
@@ -252,32 +244,6 @@ impl Metrics {
             &[],
             move || s.len() as u64,
         );
-        // Feedback-statistics state, read at scrape time from the same
-        // StatsStores the planner consults.
-        let s = Arc::clone(stores);
-        r.gauge_fn(
-            "trial_planner_stats_entries",
-            "Observed-cardinality fingerprints held across all stores.",
-            &[],
-            move || {
-                s.stats_list()
-                    .iter()
-                    .map(|(_, stats)| stats.entries() as u64)
-                    .sum()
-            },
-        );
-        let s = Arc::clone(stores);
-        r.counter_fn(
-            "trial_planner_replans_total",
-            "Plans that drew on at least one observed estimate.",
-            &[],
-            move || {
-                s.stats_list()
-                    .iter()
-                    .map(|(_, stats)| stats.replans())
-                    .sum()
-            },
-        );
         r.gauge_fn(
             "trial_uptime_seconds",
             "Seconds since the server started.",
@@ -300,7 +266,6 @@ impl Metrics {
             topk_buffered_peak,
             rows_returned,
             est_error_pct,
-            stats_observations,
         }
     }
 
@@ -391,13 +356,16 @@ impl Metrics {
         self.rows_returned.observe(rows);
     }
 
-    /// Folds one analyzed run's feedback into the surface: every per-node
-    /// estimate error lands in the histogram, every ingested observation in
-    /// the counter.
-    pub(crate) fn observe_feedback(&self, feedback: &ObserveSummary) {
-        for &error in &feedback.est_errors {
-            self.est_error_pct.observe(error);
+    /// Records one analyzed run's per-node estimate errors: for every node
+    /// that reported an actual row count, `|est − actual| · 100 /
+    /// max(actual, 1)` lands in the `est_error_pct` histogram.
+    pub(crate) fn observe_est_errors(&self, analyzed: &AnalyzedEvaluation) {
+        let nodes = analyzed.plan.root.preorder();
+        for (node, actual) in nodes.into_iter().zip(&analyzed.actuals) {
+            let Some(actual) = *actual else { continue };
+            let est = node.est() as u64;
+            self.est_error_pct
+                .observe(est.abs_diff(actual).saturating_mul(100) / actual.max(1));
         }
-        self.stats_observations.add(feedback.ingested as u64);
     }
 }

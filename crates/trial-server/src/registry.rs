@@ -23,7 +23,6 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
 use trial_core::Triplestore;
-use trial_eval::StatsStore;
 
 /// One immutable version of a named store.
 #[derive(Debug)]
@@ -57,11 +56,6 @@ pub struct StoreRegistry {
     /// One writer gate per store name, so loads to *different* stores build
     /// in parallel while loads to the same store serialise.
     write_gates: Mutex<HashMap<String, Arc<Mutex<()>>>>,
-    /// One feedback-statistics store per store name. The `Arc` outlives
-    /// snapshot swaps — `/load` *invalidates* it (clearing entries, adopting
-    /// the new epoch) rather than replacing it, so engines holding the old
-    /// `Arc` keep working and their stale observations are epoch-rejected.
-    stats: Mutex<HashMap<String, Arc<StatsStore>>>,
 }
 
 impl StoreRegistry {
@@ -173,46 +167,6 @@ impl StoreRegistry {
         );
         Some(epoch)
     }
-
-    /// The feedback-statistics store for `name`, created on first use. The
-    /// same `Arc` is handed to every query against the store, so analyzed
-    /// runs accumulate observed cardinalities that later plans draw on.
-    pub fn stats_for(&self, name: &str) -> Arc<StatsStore> {
-        let mut stats = self
-            .stats
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        Arc::clone(
-            stats
-                .entry(name.to_owned())
-                .or_insert_with(|| Arc::new(StatsStore::new())),
-        )
-    }
-
-    /// Clears `name`'s feedback statistics and stamps them with `epoch` (the
-    /// snapshot epoch just published). Called by `/load` under the store's
-    /// [`StoreRegistry::write_gate`], immediately after the snapshot swap,
-    /// so the bump is atomic with respect to concurrent loads: observations
-    /// from plans built against the old snapshot carry the old epoch and are
-    /// rejected on ingest.
-    pub fn invalidate_stats(&self, name: &str, epoch: u64) {
-        self.stats_for(name).invalidate(epoch);
-    }
-
-    /// Every store's feedback statistics, sorted by name — the metrics
-    /// exposition walks this to report entry and replan counts.
-    pub fn stats_list(&self) -> Vec<(String, Arc<StatsStore>)> {
-        let stats = self
-            .stats
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut all: Vec<(String, Arc<StatsStore>)> = stats
-            .iter()
-            .map(|(name, s)| (name.clone(), Arc::clone(s)))
-            .collect();
-        all.sort_by(|a, b| a.0.cmp(&b.0));
-        all
-    }
 }
 
 #[cfg(test)]
@@ -294,29 +248,6 @@ mod tests {
         // Holding `a`'s gate does not block `b`'s.
         let _guard_a = a1.lock().unwrap();
         assert!(b.try_lock().is_ok());
-    }
-
-    #[test]
-    fn stats_are_per_store_and_survive_swaps_via_invalidation() {
-        let reg = StoreRegistry::new();
-        let a = reg.stats_for("a");
-        assert!(
-            Arc::ptr_eq(&a, &reg.stats_for("a")),
-            "same store must share stats"
-        );
-        assert!(!Arc::ptr_eq(&a, &reg.stats_for("b")));
-        // Invalidation keeps the Arc but adopts the new epoch.
-        reg.set("a", store_with(1));
-        reg.invalidate_stats("a", reg.snapshot("a").unwrap().epoch());
-        assert!(Arc::ptr_eq(&a, &reg.stats_for("a")));
-        assert_eq!(a.epoch(), 1);
-        assert_eq!(
-            reg.stats_list()
-                .iter()
-                .map(|(n, _)| n.clone())
-                .collect::<Vec<_>>(),
-            vec!["a", "b"]
-        );
     }
 
     #[test]

@@ -24,9 +24,9 @@
 //! `eval` section also counts how many fresh `/query` evaluations actually
 //! executed parallel morsels vs. stayed sequential. `/explain?analyze=1`
 //! additionally **runs** the (bounded) query and reports each plan node's
-//! actual output rows next to the planner's `est` in the structured `tree`
-//! — the cost-model feedback that exposes estimates bad enough to mislead
-//! morsel sizing.
+//! actual output rows next to the planner's `est` in the structured `tree`,
+//! which exposes estimates bad enough to mislead morsel sizing. An analyze
+//! run always executes: it neither reads nor fills the result cache.
 //!
 //! `/query` executes through the **streaming cursor pipeline**: `?limit=` is
 //! compiled into the physical plan as a `Limit` node, so bounded queries
@@ -58,7 +58,7 @@
 //! `/` concatenation, `|` alternation, `*`, `+`, `?`) over one relation
 //! (`?relation=`, default `E`) and returns the reachable pairs encoded as
 //! `(x, x, y)` triples. `?algo=auto|nfa|lower` picks the strategy —
-//! closure-free paths **lower to TriAL joins** the adaptive planner
+//! closure-free paths **lower to TriAL joins** the planner
 //! optimises like any hand-written query, while starred paths (or a
 //! `?max_hops=` bound) run as a Thompson-NFA product walk — and
 //! `/explain?path=1` renders whichever plan the same request would run.
@@ -544,11 +544,6 @@ struct QueryParams {
     order: Option<Permutation>,
     /// The `?topk=` bound, if any.
     topk: Option<usize>,
-    /// `true` for `?nostats=1`: plan with pure heuristics, ignoring the
-    /// store's observed-cardinality feedback — the escape hatch for
-    /// comparing adaptive and static plans (and for pinning down a
-    /// regression to the feedback loop).
-    nostats: bool,
     /// The effective evaluation deadline: a positive `?timeout_ms=`, else
     /// the server default; `?timeout_ms=0` is the explicit opt-out.
     timeout: Option<Duration>,
@@ -616,8 +611,6 @@ fn parse_query_params(
         },
         None => None,
     };
-    // `?nostats=1` opts the request out of feedback-driven planning.
-    let nostats = matches!(req.param("nostats"), Some("1" | "true" | "yes"));
     // `?timeout_ms=` arms a per-request evaluation deadline (admission wait
     // counts against it); without it the server default applies, and an
     // explicit `0` opts this request out of any deadline.
@@ -636,7 +629,6 @@ fn parse_query_params(
         analyze,
         order,
         topk,
-        nostats,
         timeout,
     })
 }
@@ -727,7 +719,7 @@ fn path_key_text(pp: &PathParams, text: &str) -> String {
 
 /// A compiled request body, ready to plan: ordinary TriAL algebra —
 /// including the **TriAL lowering** of a path expression, which from here
-/// on is indistinguishable from a hand-written query and gets the adaptive
+/// on is indistinguishable from a hand-written query and gets the
 /// planner's full treatment — or a path expression kept whole for the
 /// Thompson-NFA product walk.
 enum Compiled {
@@ -846,7 +838,6 @@ fn query(state: &ServerState, req: &Request, kind: QueryKind, trace: &mut Trace)
         analyze,
         order,
         topk,
-        nostats,
         timeout,
     } = params;
     let is_explain = matches!(kind, QueryKind::Explain | QueryKind::PathExplain);
@@ -871,12 +862,6 @@ fn query(state: &ServerState, req: &Request, kind: QueryKind, trace: &mut Trace)
     };
     trace.set_store(snapshot.name());
 
-    // The store's feedback statistics (skipped under ?nostats=1). Fetched
-    // before the cache probe: the key carries the table's generation, so a
-    // fragment planned against cold statistics stops being served once the
-    // table has warmed — and a cached analyze cannot starve the feedback
-    // loop that warms it.
-    let stats = (!nostats).then(|| state.registry.stats_for(snapshot.name()));
     let key = CacheKey {
         store: snapshot.name().to_owned(),
         epoch: snapshot.epoch(),
@@ -891,13 +876,13 @@ fn query(state: &ServerState, req: &Request, kind: QueryKind, trace: &mut Trace)
             limit as u64
         },
         threads: threads as u64,
-        analyze,
         order: order.map(Permutation::name),
         topk: topk.map(|k| k as u64),
-        nostats,
-        stats_generation: stats.as_ref().map_or(0, |s| s.generation()),
     };
-    if let Some(fragment) = state.cache.get(&key) {
+    // `/explain?analyze=1` reports what one execution did, so it bypasses
+    // the result cache both ways: it never answers from an entry and never
+    // leaves one behind.
+    if let Some(fragment) = (!analyze).then(|| state.cache.get(&key)).flatten() {
         state.metrics.queries_served.inc();
         trace.set_cached();
         return Response::ok(wrap(&snapshot, true, &fragment, start));
@@ -975,10 +960,7 @@ fn query(state: &ServerState, req: &Request, kind: QueryKind, trace: &mut Trace)
         cancel: token.clone(),
         ..state.eval.clone()
     };
-    let engine = match &stats {
-        Some(stats) => SmartEngine::with_stats(options, Arc::clone(stats)),
-        None => SmartEngine::with_options(options),
-    };
+    let engine = SmartEngine::with_options(options);
     let fragment = match kind {
         QueryKind::Query | QueryKind::Path if ordered_prefix.is_some() => {
             // Ordered path: render per-row fragments so the prefix cache can
@@ -1052,17 +1034,11 @@ fn query(state: &ServerState, req: &Request, kind: QueryKind, trace: &mut Trace)
                         trace.set_plan(|| analyzed.plan.explain().trim_end().to_owned());
                         trace.set_nodes(analyzed.profiles.clone(), 1);
                         observe_fresh_eval(state, &analyzed.evaluation.stats);
-                        // The analyze run is what feeds the planner's
-                        // statistics; its per-node estimate errors land in
-                        // the est_error histogram.
-                        if let Some(feedback) = &analyzed.feedback {
-                            state.metrics.observe_feedback(feedback);
-                        }
+                        state.metrics.observe_est_errors(&analyzed);
                         let mut index = 0;
                         let tree = plan_tree_json(
                             &analyzed.plan.root,
                             threads,
-                            Some(&analyzed.est_sources),
                             Some(&analyzed.actuals),
                             Some(&analyzed.profiles),
                             &mut index,
@@ -1085,16 +1061,8 @@ fn query(state: &ServerState, req: &Request, kind: QueryKind, trace: &mut Trace)
                 };
                 trace.phase("plan", plan_started);
                 trace.set_plan(|| plan.explain().trim_end().to_owned());
-                let est_sources = plan.estimate_sources(engine.stats());
                 let mut index = 0;
-                let tree = plan_tree_json(
-                    &plan.root,
-                    threads,
-                    Some(&est_sources),
-                    None,
-                    None,
-                    &mut index,
-                );
+                let tree = plan_tree_json(&plan.root, threads, None, None, &mut index);
                 explain_head(&compiled, path_params.as_ref())
                     .num("threads", threads as u64)
                     .str("plan", plan.explain().trim_end())
@@ -1106,7 +1074,7 @@ fn query(state: &ServerState, req: &Request, kind: QueryKind, trace: &mut Trace)
 
     let serialize_started = Instant::now();
     let fragment = Arc::new(fragment);
-    if fragment.len() <= MAX_CACHED_FRAGMENT_BYTES {
+    if !analyze && fragment.len() <= MAX_CACHED_FRAGMENT_BYTES {
         state.cache.insert(key, Arc::clone(&fragment));
     }
     state.metrics.queries_served.inc();
@@ -1338,8 +1306,6 @@ pub(crate) struct StreamingQuery {
     limit: usize,
     order: Option<Permutation>,
     topk: Option<usize>,
-    /// `true` for `?nostats=1`: plan with pure heuristics.
-    nostats: bool,
     /// `Some(key)` when resuming from a cursor token: the stream is seeked
     /// strictly past this permutation key instead of replaying from row 0.
     resume: Option<[trial_core::ObjectId; 3]>,
@@ -1467,7 +1433,6 @@ fn streaming_query(
         limit: params.limit,
         order,
         topk: params.topk,
-        nostats: params.nostats,
         resume,
         close: req.close,
         cancel,
@@ -1494,13 +1459,7 @@ impl StreamingQuery {
             cancel: self.cancel.clone(),
             ..state.eval.clone()
         };
-        let engine = if self.nostats {
-            SmartEngine::with_options(options)
-        } else {
-            // Streamed queries plan with (but never feed) the store's
-            // observed statistics: only analyzed runs report actuals.
-            SmartEngine::with_stats(options, state.registry.stats_for(self.snapshot.name()))
-        };
+        let engine = SmartEngine::with_options(options);
         let store = self.snapshot.store();
         let probe_limit = Some(self.limit.saturating_add(1));
         let plan_started = Instant::now();
@@ -1738,9 +1697,7 @@ fn stats_json(stats: &EvalStats) -> String {
 /// `index` tracks the node's preorder position, which is how `actuals` (from
 /// an `?analyze=1` run, indexed per [`trial_eval::PlanNode::preorder`]) line
 /// up with the tree: when present, each node carries an `"actual"` row count
-/// next to its `"est"` (and `"est_src"` says whether that estimate came from
-/// observed `"stats"` or the static `"heuristic"`; JSON `null` for nodes
-/// that streamed through a limit
+/// next to its `"est"` (JSON `null` for nodes that streamed through a limit
 /// boundary without being individually materialised). `profiles` (also
 /// preorder-indexed, from the same analyze run) adds wall-clock
 /// `"elapsed_us"` — inclusive of children — and, for pipeline breakers,
@@ -1748,7 +1705,6 @@ fn stats_json(stats: &EvalStats) -> String {
 fn plan_tree_json(
     node: &trial_eval::PlanNode,
     threads: usize,
-    est_sources: Option<&[bool]>,
     actuals: Option<&[Option<u64>]>,
     profiles: Option<&[NodeProfile]>,
     index: &mut usize,
@@ -1758,23 +1714,11 @@ fn plan_tree_json(
     let children: Vec<String> = node
         .children()
         .into_iter()
-        .map(|child| plan_tree_json(child, threads, est_sources, actuals, profiles, index))
+        .map(|child| plan_tree_json(child, threads, actuals, profiles, index))
         .collect();
     let mut object = JsonObject::new()
         .str("op", &node.label_with_threads(threads))
         .num("est", node.est() as u64);
-    // Where the estimate came from: an observed cardinality from the store's
-    // feedback statistics, or the static selectivity heuristics.
-    if let Some(sources) = est_sources {
-        object = object.str(
-            "est_src",
-            if sources.get(position).copied().unwrap_or(false) {
-                "stats"
-            } else {
-                "heuristic"
-            },
-        );
-    }
     if let Some(actuals) = actuals {
         match actuals.get(position).copied().flatten() {
             Some(actual) => object = object.num("actual", actual),
@@ -1909,11 +1853,6 @@ fn load(state: &ServerState, req: &Request) -> Response {
     let Some(epoch) = state.registry.try_set(store_name, store, state.max_stores) else {
         return store_cap_error();
     };
-    // Still under the write gate: the snapshot swap and the statistics
-    // invalidation land as one atomic step with respect to other loads, so
-    // no observation taken against the old snapshot can slip into the new
-    // epoch's table between them.
-    state.registry.invalidate_stats(store_name, epoch);
     state.metrics.loads_completed.inc();
 
     Response::ok(

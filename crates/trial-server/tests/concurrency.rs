@@ -21,6 +21,26 @@ fn json_u64(body: &str, field: &str) -> u64 {
         .unwrap_or_else(|_| panic!("non-numeric `{needle}` in `{body}`"))
 }
 
+/// The raw (still JSON-escaped) value of `"field":"…"` in a flat JSON
+/// rendering.
+fn json_str<'a>(body: &'a str, field: &str) -> &'a str {
+    let needle = format!("\"{field}\":\"");
+    let start = body
+        .find(&needle)
+        .unwrap_or_else(|| panic!("no `{needle}` in `{body}`"))
+        + needle.len();
+    let mut escaped = false;
+    for (at, c) in body[start..].char_indices() {
+        match c {
+            _ if escaped => escaped = false,
+            '\\' => escaped = true,
+            '"' => return &body[start..start + at],
+            _ => {}
+        }
+    }
+    panic!("unterminated `{needle}` in `{body}`")
+}
+
 /// An N-Triples batch of `count` unique triples tagged by `tag`.
 fn batch(tag: &str, count: usize) -> String {
     let mut doc = String::new();
@@ -525,21 +545,21 @@ fn eval_threads_knob_and_analyze_explain() {
         json_u64(&analyzed.body, "rows"),
         json_u64(&seq.body, "count")
     );
-    // A plain explain of the same text re-plans rather than re-serving the
-    // pre-analyze fragment: the analyze run warmed the store's feedback
-    // statistics, and the cache key carries their generation. The fresh
-    // fragment has no actuals, reports its estimate sources, and *is*
-    // cached at the new generation.
-    let plain = client::post(addr, "/explain?store=p", query).unwrap();
-    assert!(plain.body.contains("\"cached\":false"), "{}", plain.body);
-    assert!(!plain.body.contains("\"actual\":"), "{}", plain.body);
-    assert!(
-        plain.body.contains("\"est_src\":\"stats\""),
-        "{}",
-        plain.body
-    );
+    // Plans depend on the query and the snapshot alone, and an analyze run
+    // bypasses the result cache both ways: the plain explain cached before
+    // it still answers, with the same plan and no actuals.
     let plain = client::post(addr, "/explain?store=p", query).unwrap();
     assert!(plain.body.contains("\"cached\":true"), "{}", plain.body);
+    assert!(!plain.body.contains("\"actual\":"), "{}", plain.body);
+    assert_eq!(
+        json_str(&plain.body, "plan"),
+        json_str(&explain1.body, "plan")
+    );
+    // A repeated analyze executes again rather than replaying the first.
+    let again = client::post(addr, "/explain?store=p&analyze=1", query).unwrap();
+    assert_eq!(again.status, 200, "{}", again.body);
+    assert!(again.body.contains("\"cached\":false"), "{}", again.body);
+    assert!(again.body.contains("\"actual\":"), "{}", again.body);
 
     server.shutdown();
 }

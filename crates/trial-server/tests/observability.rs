@@ -332,6 +332,15 @@ fn explain_analyze_reports_per_node_timings() {
     );
     assert!(analyzed.body.contains("\"actual\":"), "{}", analyzed.body);
     assert!(analyzed.body.contains("\"build_us\":"), "{}", analyzed.body);
+    // Every node that reported an actual row count files one estimate
+    // error in the planner histogram.
+    let observed = analyzed.body.matches("\"actual\":").count()
+        - analyzed.body.matches("\"actual\":null").count();
+    assert!(observed >= 1, "{}", analyzed.body);
+    assert_eq!(
+        scrape(&server).value("trial_planner_est_error_pct_count", &[]),
+        Some(observed as f64)
+    );
 
     // The plain explain plans without running: no timings in its tree (the
     // response envelope's own top-level elapsed_us is not node timing).

@@ -31,21 +31,13 @@
 //! curl -s "localhost:7878/query?cursor=$TOKEN" -d "E"             # next page
 //! curl -s localhost:7878/stores                                   # inventory
 //! curl -s localhost:7878/healthz                                  # counters
-//! curl -s "localhost:7878/explain?analyze=1" -d "E"  # run + feed planner stats
-//! curl -s "localhost:7878/query?nostats=1" -d "E"    # opt out of learned stats
+//! curl -s "localhost:7878/explain?analyze=1" -d "E"  # run + report actuals
 //! ```
-//!
-//! The planner is adaptive: `?analyze=1` runs feed observed per-node
-//! cardinalities into a per-store statistics table, later plans draw on
-//! them (each `/explain` node reports `est_src: stats` or `heuristic`),
-//! `?nostats=1` opts a request back out, and `/load` invalidates the
-//! table with the epoch bump. See the [`eval`] crate's *Adaptive
-//! planning* section.
 //!
 //! `POST /path` evaluates regular path queries — label atoms, `/`
 //! concatenation, `|` alternation, `*`/`+`/`?` closures — over one edge
 //! relation, returning reachable pairs `(x, y)` as `(x, x, y)` triples.
-//! Closure-free expressions lower to TriAL join plans the adaptive planner
+//! Closure-free expressions lower to TriAL join plans the planner
 //! optimises; closures and `?max_hops=` walk bounds run a Thompson-NFA
 //! product walk (`?algo=` pins the strategy). All `/query` delivery knobs
 //! apply. See the [`eval`] crate's *Path queries* section.

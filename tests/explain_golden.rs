@@ -12,9 +12,8 @@
 //!
 //! then review the `tests/golden/*.txt` diff like any other code change.
 
-use std::sync::Arc;
 use trial_core::{Permutation, Triplestore, TriplestoreBuilder};
-use trial_eval::{EvalOptions, SmartEngine, StatsStore};
+use trial_eval::{EvalOptions, SmartEngine};
 
 /// One golden case: a parsed query plus the planner knobs under test.
 struct Case {
@@ -135,30 +134,14 @@ fn store() -> Triplestore {
 }
 
 /// Renders one case: a reproducibility header plus the explain tree.
-///
-/// With `warmed`, the engine carries a fresh `StatsStore` fed by one
-/// analyzed execution of the same query, so the rendered plan is what a
-/// server produces *after* feedback — the corpus pins both halves of the
-/// adaptive loop. The store and feed run are fixed, so the warmed plans
-/// are exactly as deterministic as the cold ones.
-fn render(case: &Case, store: &Triplestore, warmed: bool) -> String {
+fn render(case: &Case, store: &Triplestore) -> String {
     let expr = trial_parser::parse(case.query)
         .unwrap_or_else(|e| panic!("case `{}` does not parse: {e}", case.name));
     let options = EvalOptions {
         threads: case.threads,
         ..EvalOptions::default()
     };
-    let engine = if warmed {
-        let engine = SmartEngine::with_stats(options, Arc::new(StatsStore::new()));
-        engine
-            .plan_query(&expr, store, case.limit, case.order, case.topk)
-            .and_then(|plan| engine.analyze(plan, store))
-            .unwrap_or_else(|e| panic!("case `{}` does not warm up: {e}", case.name));
-        engine
-    } else {
-        SmartEngine::with_options(options)
-    };
-    let plan = engine
+    let plan = SmartEngine::with_options(options)
         .plan_query(&expr, store, case.limit, case.order, case.topk)
         .unwrap_or_else(|e| panic!("case `{}` does not plan: {e}", case.name));
     let knob = |name: &str, v: Option<String>| match v {
@@ -166,7 +149,7 @@ fn render(case: &Case, store: &Triplestore, warmed: bool) -> String {
         None => String::new(),
     };
     format!(
-        "# query: {}\n# knobs:{}{}{}{}\n{}{}",
+        "# query: {}\n# knobs:{}{}{}{}\n{}",
         case.query,
         knob("limit", case.limit.map(|k| k.to_string())),
         knob("order", case.order.map(|p| p.to_string())),
@@ -175,32 +158,18 @@ fn render(case: &Case, store: &Triplestore, warmed: bool) -> String {
             "threads",
             (case.threads > 1).then(|| case.threads.to_string())
         ),
-        if warmed { "# stats: warmed\n" } else { "" },
         plan.explain(),
     )
 }
 
-fn golden_path(subdir: &str, name: &str) -> std::path::PathBuf {
+fn golden_path(name: &str) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
-        .join(subdir)
         .join(format!("{name}.txt"))
 }
 
 #[test]
 fn golden_explain_corpus() {
-    run_corpus("", false);
-}
-
-/// The same corpus planned with warmed statistics: every estimate the
-/// feedback loop can improve — and every plan shape it can flip — is a
-/// reviewed golden diff under `tests/golden/warmed/`, not a silent change.
-#[test]
-fn golden_explain_corpus_warmed() {
-    run_corpus("warmed", true);
-}
-
-fn run_corpus(subdir: &str, warmed: bool) {
     let bless = std::env::var("TRIAL_BLESS")
         .map(|v| v == "1")
         .unwrap_or(false);
@@ -213,10 +182,9 @@ fn run_corpus(subdir: &str, warmed: bool) {
 
     let mut failures = Vec::new();
     for case in CASES {
-        let actual = render(case, &store, warmed);
-        let path = golden_path(subdir, case.name);
+        let actual = render(case, &store);
+        let path = golden_path(case.name);
         if bless {
-            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
             std::fs::write(&path, &actual).unwrap();
             continue;
         }

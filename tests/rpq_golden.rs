@@ -1,6 +1,6 @@
 //! Golden-file explain corpus for regular path queries: each case pins how
 //! a path expression compiles — closure-free concatenation chains must keep
-//! lowering to TriAL join plans the adaptive planner optimizes, while
+//! lowering to TriAL join plans the planner optimizes, while
 //! closures and `max_hops` bounds must keep resolving to the `PathNfa`
 //! product walk. The checked-in trees under `tests/golden/rpq/` make a
 //! strategy flip (an RPQ silently degrading to the NFA walk, or a bounded
