@@ -259,6 +259,15 @@ impl Exchange {
     }
 }
 
+/// The exchange's rows, in the order [`Exchange::next_triple`] yields them.
+impl Iterator for Exchange {
+    type Item = Triple;
+
+    fn next(&mut self) -> Option<Triple> {
+        self.next_triple()
+    }
+}
+
 /// The producer side of an exchange lane: pulls rows from `pull` and sends
 /// them downstream in batches of [`EXCHANGE_BATCH_ROWS`]. Returns as soon as
 /// the input is exhausted **or the consumer hangs up** (a `send` on a

@@ -263,14 +263,18 @@ pub struct PrefixKey {
     pub order: &'static str,
 }
 
-/// A cached ordered result prefix: the first `rows.len()` rows of the
-/// ordered result, each pre-rendered as a `["s","p","o"]` JSON fragment.
+/// A cached ordered result prefix: the first [`PrefixEntry::len`] rows of
+/// the ordered result, rendered as `["s","p","o"]` JSON arrays in one
+/// comma-separated body, with the end offset of each row so that any
+/// shorter prefix is a slice of the body.
 #[derive(Debug)]
 pub struct PrefixEntry {
-    /// Rendered row fragments in the order's key order.
-    pub rows: Vec<String>,
-    /// `true` when more rows exist beyond `rows` (the prefix is proper);
-    /// `false` means `rows` is the **complete** result, serving any limit.
+    /// The rendered rows in the order's key order, comma-separated.
+    pub body: String,
+    /// `ends[i]` is the offset in `body` just past row `i`.
+    pub ends: Vec<u32>,
+    /// `false` when more rows exist beyond these (the prefix is proper);
+    /// `true` means the rows are the **complete** result, serving any limit.
     pub complete: bool,
     /// Rendered work counters of the evaluation that produced the prefix
     /// (served verbatim on prefix hits, like exact-cache hits serve their
@@ -279,9 +283,27 @@ pub struct PrefixEntry {
 }
 
 impl PrefixEntry {
+    /// The number of rows held.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// `true` when no row is held.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The first `n` rows (at most [`PrefixEntry::len`]), comma-separated.
+    pub fn rows(&self, n: usize) -> &str {
+        match n.min(self.len()) {
+            0 => "",
+            n => &self.body[..self.ends[n - 1] as usize],
+        }
+    }
+
     /// `true` when this entry can answer `?limit=limit` by slicing.
     pub fn covers(&self, limit: usize) -> bool {
-        self.complete || self.rows.len() >= limit
+        self.complete || self.len() >= limit
     }
 }
 
@@ -345,9 +367,7 @@ impl PrefixCache {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         let keep = match inner.peek(&key) {
-            Some(current) => {
-                !current.complete && (entry.complete || entry.rows.len() > current.rows.len())
-            }
+            Some(current) => !current.complete && (entry.complete || entry.len() > current.len()),
             None => true,
         };
         if keep {
@@ -498,11 +518,34 @@ mod tests {
     }
 
     fn prefix(rows: usize, complete: bool) -> Arc<PrefixEntry> {
+        let mut body = String::new();
+        let mut ends = Vec::new();
+        for i in 0..rows {
+            if i > 0 {
+                body.push(',');
+            }
+            body.push_str(&format!("[{i}]"));
+            ends.push(body.len() as u32);
+        }
         Arc::new(PrefixEntry {
-            rows: (0..rows).map(|i| format!("[{i}]")).collect(),
+            body,
+            ends,
             complete,
             stats: "{}".into(),
         })
+    }
+
+    #[test]
+    fn a_prefix_is_a_slice_of_the_body() {
+        let entry = prefix(12, false);
+        assert_eq!(entry.len(), 12);
+        assert_eq!(entry.rows(0), "");
+        assert_eq!(entry.rows(1), "[0]");
+        assert_eq!(entry.rows(3), "[0],[1],[2]");
+        assert_eq!(entry.rows(12), entry.body);
+        // Past the end: every row there is.
+        assert_eq!(entry.rows(13), entry.body);
+        assert!(prefix(0, true).is_empty());
     }
 
     #[test]
@@ -513,7 +556,7 @@ mod tests {
         // Any limit ≤ 100 slices out of the entry; 101 is too deep.
         for limit in [1, 50, 100] {
             let entry = cache.get_covering(&pkey("E", 1), limit).unwrap();
-            assert!(entry.rows.len() >= limit);
+            assert!(entry.len() >= limit);
         }
         assert!(cache.get_covering(&pkey("E", 1), 101).is_none());
         // A *complete* prefix covers any limit at all.
@@ -529,22 +572,16 @@ mod tests {
         cache.offer(pkey("E", 1), prefix(50, false));
         // A shallower re-evaluation must not clobber the deeper prefix.
         cache.offer(pkey("E", 1), prefix(10, false));
-        assert_eq!(
-            cache.get_covering(&pkey("E", 1), 50).unwrap().rows.len(),
-            50
-        );
+        assert_eq!(cache.get_covering(&pkey("E", 1), 50).unwrap().len(), 50);
         // Deeper replaces; complete replaces deeper; nothing replaces
         // complete (it already serves everything).
         cache.offer(pkey("E", 1), prefix(80, false));
-        assert_eq!(
-            cache.get_covering(&pkey("E", 1), 60).unwrap().rows.len(),
-            80
-        );
+        assert_eq!(cache.get_covering(&pkey("E", 1), 60).unwrap().len(), 80);
         cache.offer(pkey("E", 1), prefix(80, true));
         cache.offer(pkey("E", 1), prefix(200, false));
         let entry = cache.get_covering(&pkey("E", 1), 1).unwrap();
         assert!(entry.complete);
-        assert_eq!(entry.rows.len(), 80);
+        assert_eq!(entry.len(), 80);
     }
 
     #[test]

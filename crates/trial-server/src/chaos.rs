@@ -24,8 +24,8 @@
 //! | `route`        | request dispatch, before any handler runs             |
 //! | `eval`         | `/query` evaluation, after the admission permit       |
 //! | `stream.pump`  | the streaming row pump, after the chunked head        |
-//! | `stream.chunk` | each streamed row batch, as an injected socket error  |
-//! | `stream.slow`  | each streamed row batch, as an injected stall         |
+//! | `stream.chunk` | each streamed row, as an injected socket error        |
+//! | `stream.slow`  | each streamed row, as an injected stall               |
 //!
 //! Example: `--chaos "eval=panic@3,stream.chunk=ioerror@2"` panics every
 //! third fresh evaluation and kills every second streamed response with a

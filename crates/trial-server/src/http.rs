@@ -15,7 +15,8 @@
 //!   in HTTP **trailers**, keeping the connection reusable afterwards.
 
 use std::collections::HashMap;
-use std::io::{self, BufRead, Write};
+use std::fmt::Write as _;
+use std::io::{self, BufRead, IoSlice, Write};
 
 /// Upper bound on the request line + headers, independent of the body limit.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -388,31 +389,63 @@ pub fn status_text(status: u16) -> &'static str {
     }
 }
 
-/// Writes `response` to `writer` as an HTTP/1.1 message.
+/// Writes `response` to `writer` as an HTTP/1.1 message, in one write.
+///
+/// The head is built into one buffer. A body of at most [`CHUNK_BYTES`] is
+/// appended to it and the whole message goes out in one `write_all`; a
+/// larger body is never copied: head and body leave together in one
+/// vectored write.
 pub fn write_response<W: Write>(
     writer: &mut W,
     response: &Response,
     close: bool,
 ) -> io::Result<()> {
+    let body = response.body.as_bytes();
+    let inline = body.len() <= CHUNK_BYTES;
+    let mut head = String::with_capacity(160 + if inline { body.len() } else { 0 });
     let connection = if close { "close" } else { "keep-alive" };
     write!(
-        writer,
+        head,
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
         response.status,
         status_text(response.status),
         response.content_type,
-        response.body.len(),
+        body.len(),
         connection
-    )?;
+    )
+    .expect("writing to String cannot fail");
     if let Some(seconds) = response.retry_after {
-        write!(writer, "Retry-After: {seconds}\r\n")?;
+        write!(head, "Retry-After: {seconds}\r\n").expect("writing to String cannot fail");
     }
     if let Some(id) = &response.request_id {
-        write!(writer, "X-Request-Id: {id}\r\n")?;
+        write!(head, "X-Request-Id: {id}\r\n").expect("writing to String cannot fail");
     }
-    writer.write_all(b"\r\n")?;
-    writer.write_all(response.body.as_bytes())?;
+    head.push_str("\r\n");
+    if inline {
+        head.push_str(&response.body);
+        writer.write_all(head.as_bytes())?;
+    } else {
+        write_all_pair(writer, head.as_bytes(), body)?;
+    }
     writer.flush()
+}
+
+/// Writes `first` then `second` with vectored writes — one system call when
+/// the socket takes both — retrying on short writes like `write_all`.
+fn write_all_pair<W: Write>(writer: &mut W, mut first: &[u8], mut second: &[u8]) -> io::Result<()> {
+    while !first.is_empty() {
+        match writer.write_vectored(&[IoSlice::new(first), IoSlice::new(second)]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) if n < first.len() => first = &first[n..],
+            Ok(n) => {
+                second = &second[n - first.len()..];
+                first = &[];
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    writer.write_all(second)
 }
 
 /// Target size of one response chunk: the streaming emitter buffers at most
@@ -427,9 +460,10 @@ pub const CHUNK_BYTES: usize = 8 * 1024;
 /// `Trailer:` declaration) and flushes it immediately — the client's
 /// time-to-first-byte does not wait for the first result row, let alone the
 /// last. Body bytes then accumulate into a bounded buffer flushed as HTTP
-/// chunks of about [`CHUNK_BYTES`]; [`ChunkedWriter::finish`] writes the
-/// terminal chunk plus the trailer fields (response facts unknowable up
-/// front: row count, truncation, work counters). Keep-alive is preserved —
+/// chunks of about [`CHUNK_BYTES`], each framed (size line, data, CRLF) and
+/// sent in one write; [`ChunkedWriter::finish`] sends the terminal chunk
+/// plus the trailer fields (response facts unknowable up front: row count,
+/// truncation, work counters) in one more. Keep-alive is preserved —
 /// chunked framing delimits the message without a `Content-Length`.
 ///
 /// If the connection dies mid-stream the response simply stops before the
@@ -439,7 +473,10 @@ pub const CHUNK_BYTES: usize = 8 * 1024;
 #[derive(Debug)]
 pub struct ChunkedWriter<'w, W: Write> {
     writer: &'w mut W,
-    buf: Vec<u8>,
+    /// Body text not yet sent.
+    buf: String,
+    /// The framed chunk being written, reused across chunks.
+    frame: Vec<u8>,
 }
 
 impl<'w, W: Write> ChunkedWriter<'w, W> {
@@ -453,32 +490,43 @@ impl<'w, W: Write> ChunkedWriter<'w, W> {
         trailers: &[&str],
         request_id: Option<&str>,
     ) -> io::Result<Self> {
+        let mut head = String::with_capacity(256);
         let connection = if close { "close" } else { "keep-alive" };
         write!(
-            writer,
+            head,
             "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nTransfer-Encoding: chunked\r\nConnection: {}\r\n",
             status,
             status_text(status),
             connection
-        )?;
+        )
+        .expect("writing to String cannot fail");
         if let Some(id) = request_id {
-            write!(writer, "X-Request-Id: {id}\r\n")?;
+            write!(head, "X-Request-Id: {id}\r\n").expect("writing to String cannot fail");
         }
         if !trailers.is_empty() {
-            write!(writer, "Trailer: {}\r\n", trailers.join(", "))?;
+            write!(head, "Trailer: {}\r\n", trailers.join(", "))
+                .expect("writing to String cannot fail");
         }
-        writer.write_all(b"\r\n")?;
+        head.push_str("\r\n");
+        writer.write_all(head.as_bytes())?;
         writer.flush()?;
         Ok(ChunkedWriter {
             writer,
-            buf: Vec::with_capacity(CHUNK_BYTES),
+            buf: String::with_capacity(CHUNK_BYTES),
+            frame: Vec::new(),
         })
     }
 
     /// Appends body text, flushing a chunk whenever the buffer reaches
     /// [`CHUNK_BYTES`].
     pub fn write_text(&mut self, text: &str) -> io::Result<()> {
-        self.buf.extend_from_slice(text.as_bytes());
+        self.write_with(|buf| buf.push_str(text))
+    }
+
+    /// Lets `write` append body text straight into the chunk buffer, then
+    /// flushes a chunk if the buffer has reached [`CHUNK_BYTES`].
+    pub fn write_with(&mut self, write: impl FnOnce(&mut String)) -> io::Result<()> {
+        write(&mut self.buf);
         if self.buf.len() >= CHUNK_BYTES {
             self.flush_chunk()?;
         }
@@ -490,9 +538,11 @@ impl<'w, W: Write> ChunkedWriter<'w, W> {
         if self.buf.is_empty() {
             return Ok(());
         }
-        write!(self.writer, "{:x}\r\n", self.buf.len())?;
-        self.writer.write_all(&self.buf)?;
-        self.writer.write_all(b"\r\n")?;
+        self.frame.clear();
+        write!(self.frame, "{:x}\r\n", self.buf.len())?;
+        self.frame.extend_from_slice(self.buf.as_bytes());
+        self.frame.extend_from_slice(b"\r\n");
+        self.writer.write_all(&self.frame)?;
         self.writer.flush()?;
         self.buf.clear();
         Ok(())
@@ -502,11 +552,13 @@ impl<'w, W: Write> ChunkedWriter<'w, W> {
     /// message (the connection stays usable under keep-alive).
     pub fn finish(mut self, trailers: &[(&str, String)]) -> io::Result<()> {
         self.flush_chunk()?;
-        self.writer.write_all(b"0\r\n")?;
+        self.frame.clear();
+        self.frame.extend_from_slice(b"0\r\n");
         for (name, value) in trailers {
-            write!(self.writer, "{name}: {value}\r\n")?;
+            write!(self.frame, "{name}: {value}\r\n")?;
         }
-        self.writer.write_all(b"\r\n")?;
+        self.frame.extend_from_slice(b"\r\n");
+        self.writer.write_all(&self.frame)?;
         self.writer.flush()
     }
 }
@@ -751,6 +803,120 @@ mod tests {
         let body = text.split("\r\n\r\n").nth(1).unwrap();
         assert_eq!(body, "10\r\n{\"rows\":[1,2,3]}\r\n0\r\nX-Count: 3");
         assert!(text.ends_with("\r\n\r\n"));
+    }
+
+    /// A sink that records every `write` (or vectored write) call it gets.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.writes += 1;
+            let mut n = 0;
+            for buf in bufs {
+                self.bytes.extend_from_slice(buf);
+                n += buf.len();
+            }
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_response_piece_is_one_write() {
+        // A buffered response with every optional header: one write.
+        let mut out = CountingWriter::default();
+        let mut response = Response::new(429, "{\"a\":1}".into());
+        response.retry_after = Some(2);
+        response.request_id = Some("req-7".into());
+        write_response(&mut out, &response, false).unwrap();
+        assert_eq!(out.writes, 1);
+        let mut plain = Vec::new();
+        write_response(&mut plain, &response, false).unwrap();
+        assert_eq!(out.bytes, plain);
+
+        // A body larger than a chunk is not copied: head and body still
+        // leave in one (vectored) write, byte-identical.
+        let mut out = CountingWriter::default();
+        let big = Response::ok("x".repeat(3 * CHUNK_BYTES));
+        write_response(&mut out, &big, true).unwrap();
+        assert_eq!(out.writes, 1);
+        let mut plain = Vec::new();
+        write_response(&mut plain, &big, true).unwrap();
+        assert_eq!(out.bytes, plain);
+        assert!(out.bytes.ends_with(big.body.as_bytes()));
+
+        // A streamed response: one write for the head, one per chunk, one
+        // for the terminal chunk plus every trailer.
+        let mut out = CountingWriter::default();
+        let mut writer =
+            ChunkedWriter::begin(&mut out, 200, false, &["X-A", "X-B"], Some("req-8")).unwrap();
+        writer.write_text(&"y".repeat(CHUNK_BYTES)).unwrap();
+        writer.write_text(&"z".repeat(CHUNK_BYTES)).unwrap();
+        writer.write_text("tail").unwrap();
+        writer
+            .finish(&[("X-A", "1".into()), ("X-B", "2".into())])
+            .unwrap();
+        assert_eq!(out.writes, 1 + 3 + 1);
+        let text = String::from_utf8(out.bytes).unwrap();
+        assert!(text.ends_with("\r\n4\r\ntail\r\n0\r\nX-A: 1\r\nX-B: 2\r\n\r\n"));
+    }
+
+    /// Accepts at most `cap` bytes per call, like a socket with a full buffer.
+    struct ShortWriter {
+        bytes: Vec<u8>,
+        cap: usize,
+    }
+
+    impl Write for ShortWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.cap);
+            self.bytes.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            let mut n = 0;
+            for buf in bufs {
+                let take = buf.len().min(self.cap - n);
+                self.bytes.extend_from_slice(&buf[..take]);
+                n += take;
+            }
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn short_vectored_writes_still_send_everything() {
+        let big = Response::ok("0123456789".repeat(CHUNK_BYTES / 4));
+        let mut plain = Vec::new();
+        write_response(&mut plain, &big, false).unwrap();
+        // Caps below, at and above the head's length split the message at
+        // every kind of boundary.
+        for cap in [1, 7, 64, 97, 4096] {
+            let mut out = ShortWriter {
+                bytes: Vec::new(),
+                cap,
+            };
+            write_response(&mut out, &big, false).unwrap();
+            assert_eq!(out.bytes, plain, "cap {cap}");
+        }
     }
 
     #[test]

@@ -5,22 +5,32 @@
 //! travel in the URL query string, so the crate only ever needs to *produce*
 //! JSON. Emission is append-only string building with correct escaping; the
 //! [`JsonObject`] builder keeps commas and braces right by construction.
+//!
+//! Result rows take the cheapest path: [`write_row`] appends `["s","p","o"]`
+//! to the caller's buffer through [`push_string`], which copies a name in
+//! one `push_str` whenever no byte of it can need escaping. Nothing is
+//! allocated per row.
 
 use std::fmt::Write;
+use trial_core::{Triple, Triplestore};
 
-/// Escapes `s` as the contents of a JSON string (without the quotes).
-///
-/// Handles the two mandatory classes: `"` / `\` and the C0 control range
-/// (emitted as `\uXXXX`, with the usual short forms for `\n`, `\r`, `\t`),
-/// plus three characters that are legal raw JSON but hostile downstream:
-/// DEL (U+007F, a control character many terminals mangle) and the line
-/// separators U+2028 / U+2029, which are valid JSON but *not* valid
-/// JavaScript string content — a raw pass-through breaks any consumer that
-/// feeds the response to `eval`/JSONP or embeds it in a `<script>` block.
-/// Everything else — including non-ASCII — passes through verbatim, which is
-/// valid JSON as long as the transport is UTF-8 (ours is).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// `true` when no byte of `s` can need escaping, so it may be copied into a
+/// JSON string verbatim: every byte is at least 0x20 and none is `"`, `\`,
+/// DEL or 0xE2. 0xE2 is the lead byte of U+2028/U+2029 (and of every other
+/// character from U+2000 to U+2FFF), so the test is conservative: a string
+/// holding `€` takes the per-char path and comes out unchanged.
+fn is_verbatim(s: &str) -> bool {
+    s.bytes()
+        .all(|b| b >= 0x20 && b != b'"' && b != b'\\' && b != 0x7f && b != 0xe2)
+}
+
+/// Appends the escaped contents of `s` (without quotes) to `out`, by the
+/// rules of [`push_string`].
+fn push_escaped(out: &mut String, s: &str) {
+    if is_verbatim(s) {
+        out.push_str(s);
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -34,12 +44,39 @@ pub fn escape(s: &str) -> String {
             c => out.push(c),
         }
     }
+}
+
+/// Appends `s` to `out` as a JSON string literal, quotes included.
+///
+/// Handles the two mandatory classes: `"` / `\` and the C0 control range
+/// (emitted as `\uXXXX`, with the usual short forms for `\n`, `\r`, `\t`),
+/// plus three characters that are legal raw JSON but hostile downstream:
+/// DEL (U+007F, a control character many terminals mangle) and the line
+/// separators U+2028 / U+2029, which are valid JSON but *not* valid
+/// JavaScript string content — a raw pass-through breaks any consumer that
+/// feeds the response to `eval`/JSONP or embeds it in a `<script>` block.
+/// Everything else — including non-ASCII — passes through verbatim, which is
+/// valid JSON as long as the transport is UTF-8 (ours is). A string none
+/// of whose bytes can need escaping is copied in one `push_str`.
+pub fn push_string(out: &mut String, s: &str) {
+    out.push('"');
+    push_escaped(out, s);
+    out.push('"');
+}
+
+/// Escapes `s` as the contents of a JSON string (without the quotes); see
+/// [`push_string`] for the rules.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    push_escaped(&mut out, s);
     out
 }
 
 /// Renders a JSON string literal, quotes included.
 pub fn string(s: &str) -> String {
-    format!("\"{}\"", escape(s))
+    let mut out = String::with_capacity(s.len() + 2);
+    push_string(&mut out, s);
+    out
 }
 
 /// Renders a JSON array of string literals.
@@ -48,8 +85,27 @@ where
     I: IntoIterator<Item = S>,
     S: AsRef<str>,
 {
-    let rendered: Vec<String> = items.into_iter().map(|s| string(s.as_ref())).collect();
-    format!("[{}]", rendered.join(","))
+    let mut out = String::from("[");
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_string(&mut out, item.as_ref());
+    }
+    out.push(']');
+    out
+}
+
+/// Appends one result row to `out` as a `["s","p","o"]` array of the
+/// triple's names in `store`.
+pub fn write_row(out: &mut String, store: &Triplestore, t: &Triple) {
+    out.push('[');
+    push_string(out, store.object_name(t.s()));
+    out.push(',');
+    push_string(out, store.object_name(t.p()));
+    out.push(',');
+    push_string(out, store.object_name(t.o()));
+    out.push(']');
 }
 
 /// Renders a JSON array of pre-rendered JSON fragments.
@@ -67,56 +123,6 @@ where
     }
     out.push(']');
     out
-}
-
-/// An incremental JSON array emitter for streaming responses.
-///
-/// Elements are written **one at a time** into a caller-supplied sink (the
-/// chunked-transfer writer on `/query?stream=1`), so the array as a whole is
-/// never materialised — memory stays bounded by one rendered element no
-/// matter how many rows flow through. The emitter only keeps the
-/// comma/bracket discipline; errors from the sink propagate immediately.
-///
-/// ```
-/// use trial_server::json::ArrayStream;
-///
-/// let mut out = String::new();
-/// let mut rows = ArrayStream::begin(|s: &str| {
-///     out.push_str(s);
-///     Ok::<(), std::io::Error>(())
-/// })
-/// .unwrap();
-/// rows.element("[1,2]").unwrap();
-/// rows.element("[3,4]").unwrap();
-/// rows.finish().unwrap();
-/// assert_eq!(out, "[[1,2],[3,4]]");
-/// ```
-#[derive(Debug)]
-pub struct ArrayStream<E, F: FnMut(&str) -> Result<(), E>> {
-    sink: F,
-    first: bool,
-}
-
-impl<E, F: FnMut(&str) -> Result<(), E>> ArrayStream<E, F> {
-    /// Opens the array, writing `[` to the sink.
-    pub fn begin(mut sink: F) -> Result<Self, E> {
-        sink("[")?;
-        Ok(ArrayStream { sink, first: true })
-    }
-
-    /// Appends one pre-rendered JSON element.
-    pub fn element(&mut self, fragment: &str) -> Result<(), E> {
-        if !self.first {
-            (self.sink)(",")?;
-        }
-        self.first = false;
-        (self.sink)(fragment)
-    }
-
-    /// Closes the array with `]`.
-    pub fn finish(mut self) -> Result<(), E> {
-        (self.sink)("]")
-    }
 }
 
 /// An append-only JSON object builder.
@@ -146,10 +152,15 @@ impl Default for JsonObject {
 impl JsonObject {
     /// Starts an empty object.
     pub fn new() -> Self {
-        JsonObject {
-            buf: String::from("{"),
-            first: true,
-        }
+        JsonObject::with_capacity(0)
+    }
+
+    /// Starts an empty object whose buffer holds `capacity` bytes before it
+    /// grows — for objects that embed a large pre-rendered fragment.
+    pub fn with_capacity(capacity: usize) -> Self {
+        let mut buf = String::with_capacity(capacity.max(1));
+        buf.push('{');
+        JsonObject { buf, first: true }
     }
 
     fn key(&mut self, key: &str) {
@@ -157,15 +168,14 @@ impl JsonObject {
             self.buf.push(',');
         }
         self.first = false;
-        self.buf.push('"');
-        self.buf.push_str(&escape(key));
-        self.buf.push_str("\":");
+        push_string(&mut self.buf, key);
+        self.buf.push(':');
     }
 
     /// Adds a string field.
     pub fn str(mut self, key: &str, value: &str) -> Self {
         self.key(key);
-        self.buf.push_str(&string(value));
+        push_string(&mut self.buf, value);
         self
     }
 
@@ -180,6 +190,16 @@ impl JsonObject {
     pub fn boolean(mut self, key: &str, value: bool) -> Self {
         self.key(key);
         self.buf.push_str(if value { "true" } else { "false" });
+        self
+    }
+
+    /// Adds an array field from its already-rendered elements,
+    /// comma-separated (the caller guarantees validity).
+    pub fn raw_array(mut self, key: &str, elements: &str) -> Self {
+        self.key(key);
+        self.buf.push('[');
+        self.buf.push_str(elements);
+        self.buf.push(']');
         self
     }
 
@@ -201,6 +221,91 @@ impl JsonObject {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The per-char escaper every string took before the verbatim fast path
+    /// existed: the oracle [`push_string`] must match byte for byte.
+    fn escape_old(s: &str) -> String {
+        let mut out = String::with_capacity(s.len() + 2);
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 || c == '\u{7f}' || c == '\u{2028}' || c == '\u{2029}' => {
+                    write!(out, "\\u{:04x}", c as u32).expect("writing to String cannot fail");
+                }
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    fn assert_matches_oracle(s: &str) {
+        let mut pushed = String::new();
+        push_string(&mut pushed, s);
+        assert_eq!(pushed, format!("\"{}\"", escape_old(s)), "{s:?}");
+        assert_eq!(escape(s), escape_old(s), "{s:?}");
+    }
+
+    #[test]
+    fn push_string_matches_the_per_char_oracle_on_fixed_cases() {
+        let mut cases: Vec<String> = (0u32..0x20)
+            .map(|c| {
+                char::from_u32(c)
+                    .expect("C0 controls are chars")
+                    .to_string()
+            })
+            .collect();
+        cases.extend(
+            [
+                "",
+                "\"",
+                "\\",
+                "\u{7f}",
+                "\u{2028}",
+                "\u{2029}",
+                // E2-led characters that need no escaping: the fast path
+                // declines them, the slow path copies them unchanged.
+                "€",
+                "\u{2027}",
+                "\u{202a}",
+                "price: 5€",
+                // 4-byte characters.
+                "𝔘𝔫𝔦𝔠𝔬𝔡𝔢",
+                "emoji 🦀 crab",
+                "http://example.org/plain",
+                "a\"b\\c\nd\u{2028}e€f\u{7f}",
+            ]
+            .map(str::to_owned),
+        );
+        for case in &cases {
+            assert_matches_oracle(case);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Strings drawn from an alphabet dense in the characters each rule
+        /// is about, mixed with plain ASCII so most samples are long runs.
+        #[test]
+        fn push_string_matches_the_per_char_oracle(
+            chars in prop::collection::vec(
+                prop::sample::select(vec![
+                    'a', 'Z', '0', ' ', '~', '"', '\\', '\n', '\r', '\t', '\u{0}', '\u{1f}',
+                    '\u{7f}', '\u{80}', 'é', '\u{2027}', '\u{2028}', '\u{2029}', '\u{202a}',
+                    '€', '\u{2fff}', '\u{3000}', '\u{fffd}', '🦀', '\u{10ffff}',
+                ]),
+                0..24,
+            ),
+        ) {
+            let s: String = chars.into_iter().collect();
+            assert_matches_oracle(&s);
+        }
+    }
 
     #[test]
     fn escaping_covers_quotes_backslashes_and_controls() {
@@ -234,33 +339,13 @@ mod tests {
             .num("n", 7)
             .boolean("t", true)
             .raw("a", "[1,2]")
+            .raw_array("r", "[\"x\"],[\"y\"]")
+            .raw_array("e", "")
             .finish();
-        assert_eq!(obj, r#"{"k":"v","n":7,"t":true,"a":[1,2]}"#);
+        assert_eq!(
+            obj,
+            r#"{"k":"v","n":7,"t":true,"a":[1,2],"r":[["x"],["y"]],"e":[]}"#
+        );
         assert_eq!(JsonObject::new().finish(), "{}");
-    }
-
-    #[test]
-    fn array_stream_matches_batch_rendering() {
-        let mut out = String::new();
-        let sink = |s: &str| {
-            out.push_str(s);
-            Ok::<(), ()>(())
-        };
-        let mut rows = ArrayStream::begin(sink).unwrap();
-        for fragment in ["1", "[2,3]", "\"x\""] {
-            rows.element(fragment).unwrap();
-        }
-        rows.finish().unwrap();
-        assert_eq!(out, array(["1", "[2,3]", "\"x\""]));
-
-        let mut empty = String::new();
-        ArrayStream::begin(|s: &str| {
-            empty.push_str(s);
-            Ok::<(), ()>(())
-        })
-        .unwrap()
-        .finish()
-        .unwrap();
-        assert_eq!(empty, "[]");
     }
 }

@@ -145,6 +145,23 @@
 //! `/healthz` exposes the live picture: `in_flight`, `waiting`, `admitted`,
 //! `rejected`.
 //!
+//! ## The row path
+//!
+//! The engine hands back ids; names appear only at the output edge. One
+//! drain serves every delivery shape: it pulls rows from the cursor tree
+//! (buffered responses) or from the exchange (streamed ones) and writes
+//! each as `["s","p","o"]` straight into the response buffer — the body,
+//! the prefix-cache entry or the 8 KiB chunk buffer — with nothing
+//! allocated per row. [`json::push_string`] copies a name in one
+//! `push_str` when no byte of it can need escaping and falls back to the
+//! per-char rules otherwise, so output bytes do not depend on the path
+//! taken. A prefix-cache entry is one body plus the end offset of each row,
+//! and a smaller limit is served as a slice of it. Every response leaves in
+//! as few writes as its shape allows: a buffered one in one write (a
+//! vectored one when the body is larger than a chunk, so it is never
+//! copied), a streamed one as its head, one write per chunk and one for the
+//! terminal chunk with all trailers.
+//!
 //! ## Parallel evaluation
 //!
 //! `trial-serve --eval-threads N` turns on morsel-driven intra-query

@@ -67,8 +67,9 @@
 
 use crate::admission::AdmissionPermit;
 use crate::cache::{CacheKey, PrefixEntry, PrefixKey, QueryKind};
+use crate::chaos::Chaos;
 use crate::http::{self, ChunkedWriter, Request, Response};
-use crate::json::{self, ArrayStream, JsonObject};
+use crate::json::{self, JsonObject};
 use crate::registry::StoreSnapshot;
 use crate::server::ServerState;
 use crate::token::CursorToken;
@@ -77,8 +78,10 @@ use std::io::{self, Write};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use trial_core::{Error, Expr, Permutation, Triplestore, TriplestoreBuilder, Value};
-use trial_eval::{CancelToken, EvalStats, NodeProfile, PathStrategy, SmartEngine};
+use trial_core::{
+    Error, Expr, ObjectId, Permutation, Triple, Triplestore, TriplestoreBuilder, Value,
+};
+use trial_eval::{CancelToken, EvalStats, NodeProfile, PathStrategy, QueryStream, SmartEngine};
 use trial_parser::PathExpr;
 use trial_rdf::{parse_ntriples_iter, Term};
 
@@ -757,6 +760,32 @@ impl Compiled {
             } => engine.plan_path_query(path, relation, store, *max_hops, limit, order, topk),
         }
     }
+
+    /// Plans the request and opens its cursor tree — from the first row, or
+    /// strictly after `resume`'s key in its order — recording the plan
+    /// phase, the chosen plan and the profiler handle on `trace`.
+    #[allow(clippy::too_many_arguments)] // the planning knobs of every delivery shape
+    fn open<'s>(
+        &self,
+        engine: &SmartEngine,
+        store: &'s Triplestore,
+        limit: Option<usize>,
+        order: Option<Permutation>,
+        topk: Option<usize>,
+        resume: Option<(Permutation, [ObjectId; 3])>,
+        trace: &mut Trace,
+    ) -> trial_core::Result<QueryStream<'s>> {
+        let plan_started = Instant::now();
+        let plan = self.plan(engine, store, limit, order, topk)?;
+        let stream = match resume {
+            Some((order, after)) => engine.stream_after(plan, store, order, after)?,
+            None => engine.stream(plan, store)?,
+        };
+        trace.phase("plan", plan_started);
+        trace.set_plan(|| stream.plan().explain().trim_end().to_owned());
+        trace.set_profile(stream.profile());
+        Ok(stream)
+    }
 }
 
 /// Parses the request body under the endpoint's grammar and resolves the
@@ -905,13 +934,14 @@ fn query(state: &ServerState, req: &Request, kind: QueryKind, trace: &mut Trace)
     };
     if let Some(prefix_key) = &ordered_prefix {
         if let Some(entry) = state.prefix.get_covering(prefix_key, limit) {
-            let order = order.expect("ordered_prefix implies an order");
-            let count = entry.rows.len().min(limit);
-            let truncated = count < entry.rows.len() || !entry.complete;
-            let fragment = Arc::new(ordered_fragment(
-                order,
-                &entry.rows[..count],
+            let count = entry.len().min(limit);
+            let truncated = count < entry.len() || !entry.complete;
+            let fragment = Arc::new(result_fragment(
+                count as u64,
                 truncated,
+                order,
+                None,
+                entry.rows(count),
                 &entry.stats,
             ));
             if fragment.len() <= MAX_CACHED_FRAGMENT_BYTES {
@@ -962,60 +992,21 @@ fn query(state: &ServerState, req: &Request, kind: QueryKind, trace: &mut Trace)
     };
     let engine = SmartEngine::with_options(options);
     let fragment = match kind {
-        QueryKind::Query | QueryKind::Path if ordered_prefix.is_some() => {
-            // Ordered path: render per-row fragments so the prefix cache can
-            // keep them for slicing under any smaller limit.
-            let order = order.expect("ordered_prefix implies an order");
-            match render_ordered_rows(
-                &engine,
-                &compiled,
-                snapshot.store(),
-                limit,
-                order,
-                &token,
-                trace,
-            ) {
-                Ok((rows, truncated, stats_rendered, stats)) => {
-                    observe_fresh_eval(state, &stats);
-                    state.metrics.observe_rows(rows.len() as u64);
-                    let entry = PrefixEntry {
-                        rows,
-                        complete: !truncated,
-                        stats: stats_rendered,
-                    };
-                    let fragment = ordered_fragment(order, &entry.rows, truncated, &entry.stats);
-                    let bytes: usize = entry.rows.iter().map(String::len).sum();
-                    if bytes <= MAX_CACHED_FRAGMENT_BYTES {
-                        state
-                            .prefix
-                            .offer(ordered_prefix.expect("checked above"), Arc::new(entry));
-                    }
-                    fragment
-                }
-                Err(e) => return eval_error_response(state, &e),
-            }
-        }
-        QueryKind::Query | QueryKind::Path => {
-            match render_query_fragment(
-                &engine,
-                &compiled,
-                snapshot.store(),
-                limit,
-                order,
-                topk,
-                &token,
-                trace,
-            ) {
-                Ok((fragment, rows, stats)) => {
-                    // Count the execution shape of fresh evaluations (cache hits
-                    // run nothing, so they count as neither).
-                    observe_fresh_eval(state, &stats);
-                    state.metrics.observe_rows(rows);
-                    fragment
-                }
-                Err(e) => return eval_error_response(state, &e),
-            }
-        }
+        QueryKind::Query | QueryKind::Path => match fresh_fragment(
+            state,
+            &engine,
+            &compiled,
+            snapshot.store(),
+            limit,
+            order,
+            topk,
+            ordered_prefix,
+            &token,
+            trace,
+        ) {
+            Ok(fragment) => fragment,
+            Err(e) => return eval_error_response(state, &e),
+        },
         QueryKind::Explain | QueryKind::PathExplain => {
             // An explicit positive ?limit= shows the limit-pushed plan the
             // equivalent /query would run; ?order=/?topk= likewise show the
@@ -1095,10 +1086,10 @@ fn observe_fresh_eval(state: &ServerState, stats: &EvalStats) {
 }
 
 /// Assembles the response envelope around a cached (or fresh) payload
-/// fragment. `elapsed_us` is measured per request, so cache hits visibly
-/// undercut misses.
+/// fragment, in one buffer sized for it. `elapsed_us` is measured per
+/// request, so cache hits visibly undercut misses.
 fn wrap(snapshot: &StoreSnapshot, cached: bool, fragment: &str, start: Instant) -> String {
-    JsonObject::new()
+    JsonObject::with_capacity(fragment.len() + snapshot.name().len() + 96)
         .str("store", snapshot.name())
         .num("epoch", snapshot.epoch())
         .boolean("cached", cached)
@@ -1107,185 +1098,215 @@ fn wrap(snapshot: &StoreSnapshot, cached: bool, fragment: &str, start: Instant) 
         .finish()
 }
 
-/// Evaluates a `/query` through the streaming pipeline and renders the
-/// result fragment: rows are written into the JSON body **as they are
-/// pulled** from the cursor tree, so the full result set is never buffered,
-/// and a satisfied limit stops evaluation itself.
+/// Evaluates a buffered `/query` or `/path`, counts it on the metrics and
+/// renders its result fragment. Rows are written into the body **as they
+/// are pulled**, and a satisfied limit stops evaluation itself. An ordered,
+/// non-top-k request passes its `prefix` key: its rows, with the end offset
+/// of each, go to the prefix cache, which serves every smaller limit by
+/// slicing.
 ///
 /// `?limit=0` is the count-only path: a counting drain of the stream that
 /// renders no rows and reports the exact cardinality (allocation-free for
-/// order-preserving plans; unordered plans track seen triples, never rendered
-/// rows).
-///
-/// Returns the rendered fragment, the number of rows rendered into it, and
-/// the evaluation's work counters (which feed the `/healthz` and `/metrics`
-/// parallel/sequential counters and the eval-stat aggregates). `trace`
-/// records the plan/eval phase boundaries, the chosen plan and — when the
-/// profiling stride is on — the per-operator timer handle.
+/// order-preserving plans; unordered plans track seen triples).
 #[allow(clippy::too_many_arguments)] // the buffered /query knobs, one call site
-fn render_query_fragment(
+fn fresh_fragment(
+    state: &ServerState,
     engine: &SmartEngine,
     compiled: &Compiled,
-    store: &trial_core::Triplestore,
+    store: &Triplestore,
     limit: usize,
     order: Option<Permutation>,
     topk: Option<usize>,
+    prefix: Option<PrefixKey>,
     cancel: &CancelToken,
     trace: &mut Trace,
-) -> trial_core::Result<(String, u64, EvalStats)> {
-    // With ?order= or ?topk= the fragment echoes the effective knobs so
-    // cached and fresh responses are self-describing.
-    let annotate = |mut obj: JsonObject| {
-        if let Some(p) = order.or_else(|| topk.map(|_| Permutation::Spo)) {
-            obj = obj.str("order", p.name());
-        }
-        if let Some(k) = topk {
-            obj = obj.num("topk", k as u64);
-        }
-        obj
-    };
+) -> trial_core::Result<String> {
     if limit == 0 {
         // Count-only: the cardinality is order-independent, so don't pay
         // for a sort breaker the drain would never observe (a top-k bound
         // still changes the count and keeps its order).
         let plan_order = if topk.is_some() { order } else { None };
-        let plan_started = Instant::now();
-        let plan = compiled.plan(engine, store, None, plan_order, topk)?;
-        let stream = engine.stream(plan, store)?;
-        trace.phase("plan", plan_started);
-        trace.set_plan(|| stream.plan().explain().trim_end().to_owned());
-        trace.set_profile(stream.profile());
+        let stream = compiled.open(engine, store, None, plan_order, topk, None, trace)?;
         let eval_started = Instant::now();
         let (count, stats) = stream.count();
         trace.phase("eval", eval_started);
         // A cancelled counting drain stops early with a meaningless partial
         // count; surface the cancellation instead of a wrong answer.
         cancel.check()?;
-        return Ok((
-            annotate(
-                JsonObject::new()
-                    .num("count", count)
-                    .boolean("truncated", count > 0),
-            )
-            .raw("triples", "[]")
-            .raw("stats", &stats_json(&stats))
-            .finish(),
-            0,
-            stats,
-        ));
+        observe_fresh_eval(state, &stats);
+        state.metrics.observe_rows(0);
+        let stats = stats_json(&stats);
+        return Ok(result_fragment(count, count > 0, order, topk, "", &stats));
     }
     // Ask for one distinct triple beyond the response cap: pulling it proves
     // the limit cut evaluation short without rendering it. Under ?order= the
     // rows arrive in that permutation's key order (the plan root either
     // delivers it from an index permutation or sits above an explicit
     // sort/top-k), so the response sequence is deterministic.
-    let plan_started = Instant::now();
-    let plan = compiled.plan(engine, store, Some(limit.saturating_add(1)), order, topk)?;
-    let mut stream = engine.stream(plan, store)?;
-    trace.phase("plan", plan_started);
-    trace.set_plan(|| stream.plan().explain().trim_end().to_owned());
-    trace.set_profile(stream.profile());
+    let probe = Some(limit.saturating_add(1));
+    let mut stream = compiled.open(engine, store, probe, order, topk, None, trace)?;
     let eval_started = Instant::now();
-    let mut triples = String::from("[");
-    let mut count: u64 = 0;
-    let mut truncated = false;
-    while let Some(t) = stream.next_triple() {
-        if count as usize == limit {
-            truncated = true;
-            break;
-        }
-        if count > 0 {
-            triples.push(',');
-        }
-        triples.push_str(&render_row(store, &t));
-        count += 1;
-    }
-    triples.push(']');
+    let mut rows = BufferedRows {
+        body: String::new(),
+        ends: prefix.is_some().then(Vec::new),
+    };
+    let drained = drain(
+        std::iter::from_fn(|| stream.next_triple()),
+        store,
+        limit,
+        cancel,
+        &mut rows,
+    )
+    .expect("a buffered drain writes to memory and cannot fail");
     trace.phase("eval", eval_started);
-    // Cancelled cursors stop yielding rather than erroring (the drain above
-    // cannot tell "done" from "deadline"); this check converts a cancelled
-    // partial result into the structured error before anything is cached.
+    // Cancelled cursors stop yielding rather than erroring (the drain cannot
+    // tell "done" from "deadline"); this check converts a cancelled partial
+    // result into the structured error before anything is cached.
     cancel.check()?;
     let stats = *stream.stats();
-    Ok((
-        annotate(
-            JsonObject::new()
-                .num("count", count)
-                .boolean("truncated", truncated),
-        )
-        .raw("triples", &triples)
-        .raw("stats", &stats_json(&stats))
-        .finish(),
-        count,
-        stats,
-    ))
+    observe_fresh_eval(state, &stats);
+    state.metrics.observe_rows(drained.count);
+    let stats = stats_json(&stats);
+    let fragment = result_fragment(
+        drained.count,
+        drained.truncated,
+        order,
+        topk,
+        &rows.body,
+        &stats,
+    );
+    if let (Some(key), Some(ends)) = (prefix, rows.ends) {
+        if rows.body.len() <= MAX_CACHED_FRAGMENT_BYTES {
+            let entry = PrefixEntry {
+                body: rows.body,
+                ends,
+                complete: !drained.truncated,
+                stats,
+            };
+            state.prefix.offer(key, Arc::new(entry));
+        }
+    }
+    Ok(fragment)
 }
 
-/// Renders one result row as a `["s","p","o"]` JSON fragment.
-fn render_row(store: &Triplestore, t: &trial_core::Triple) -> String {
-    json::string_array([
-        store.object_name(t.s()),
-        store.object_name(t.p()),
-        store.object_name(t.o()),
-    ])
+/// Assembles a `/query` or `/path` result fragment around `rows` (the
+/// rendered rows, comma-separated), in one buffer sized for it. Fresh
+/// evaluations and prefix-cache slices both come through here, so a prefix
+/// hit is byte-compatible with a fresh evaluation. With `?order=` or
+/// `?topk=` the fragment echoes the effective knobs, so cached and fresh
+/// responses are self-describing.
+fn result_fragment(
+    count: u64,
+    truncated: bool,
+    order: Option<Permutation>,
+    topk: Option<usize>,
+    rows: &str,
+    stats: &str,
+) -> String {
+    let mut obj = JsonObject::with_capacity(rows.len() + stats.len() + 96)
+        .num("count", count)
+        .boolean("truncated", truncated);
+    if let Some(p) = order.or_else(|| topk.map(|_| Permutation::Spo)) {
+        obj = obj.str("order", p.name());
+    }
+    if let Some(k) = topk {
+        obj = obj.num("topk", k as u64);
+    }
+    obj.raw_array("triples", rows).raw("stats", stats).finish()
 }
 
-/// Evaluates an ordered (non-top-k) `/query` and returns the rendered rows
-/// **individually** — the shape the prefix cache stores, so any smaller
-/// limit can later be served by slicing. Returns
-/// `(rows, truncated, stats_json, stats)`.
-fn render_ordered_rows(
-    engine: &SmartEngine,
-    compiled: &Compiled,
+/// What one [`drain`] delivered.
+struct Drained {
+    /// Rows written.
+    count: u64,
+    /// `true` when a row past the limit showed that more rows exist.
+    truncated: bool,
+    /// The last row written: where a resumed stream picks up.
+    last: Option<Triple>,
+}
+
+/// Where [`drain`] writes rows: the body of a buffered response or the
+/// chunk buffer of a streamed one.
+trait RowSink {
+    /// Appends one row: `write` gets the buffer and appends the row's text.
+    fn row(&mut self, write: impl FnOnce(&mut String)) -> io::Result<()>;
+}
+
+/// A buffered response's rows, comma-separated, plus — when the prefix
+/// cache will keep them — the end offset of each row in `body`.
+struct BufferedRows {
+    body: String,
+    ends: Option<Vec<u32>>,
+}
+
+impl RowSink for BufferedRows {
+    fn row(&mut self, write: impl FnOnce(&mut String)) -> io::Result<()> {
+        write(&mut self.body);
+        if let Some(ends) = &mut self.ends {
+            // Only bodies of at most MAX_CACHED_FRAGMENT_BYTES are offered
+            // to the prefix cache, so every offset that is ever read fits.
+            ends.push(u32::try_from(self.body.len()).unwrap_or(u32::MAX));
+        }
+        Ok(())
+    }
+}
+
+/// A streamed response's chunk buffer. Each row first passes the two
+/// per-row fault-injection sites, `stream.chunk` and `stream.slow`.
+struct StreamedRows<'c, 'w, W: Write> {
+    chunked: &'c mut ChunkedWriter<'w, W>,
+    chaos: &'c Chaos,
+}
+
+impl<W: Write> RowSink for StreamedRows<'_, '_, W> {
+    fn row(&mut self, write: impl FnOnce(&mut String)) -> io::Result<()> {
+        self.chaos.io("stream.chunk")?;
+        self.chaos.trigger("stream.slow");
+        self.chunked.write_with(write)
+    }
+}
+
+/// The one row drain behind every `/query` and `/path` response, buffered
+/// or streamed: pulls rows until `limit` are written, writing each as
+/// `["s","p","o"]` into `sink`, comma-separated, with nothing allocated per
+/// row. The row after the limit is pulled but not written: it proves the
+/// limit cut the result short. A cancelled token stops the drain too.
+fn drain(
+    rows: impl Iterator<Item = Triple>,
     store: &Triplestore,
     limit: usize,
-    order: Permutation,
     cancel: &CancelToken,
-    trace: &mut Trace,
-) -> trial_core::Result<(Vec<String>, bool, String, EvalStats)> {
-    let plan_started = Instant::now();
-    let plan = compiled.plan(
-        engine,
-        store,
-        Some(limit.saturating_add(1)),
-        Some(order),
-        None,
-    )?;
-    let mut stream = engine.stream(plan, store)?;
-    trace.phase("plan", plan_started);
-    trace.set_plan(|| stream.plan().explain().trim_end().to_owned());
-    trace.set_profile(stream.profile());
-    let eval_started = Instant::now();
-    let mut rows = Vec::new();
-    let mut truncated = false;
-    while let Some(t) = stream.next_triple() {
-        if rows.len() == limit {
-            truncated = true;
+    sink: &mut impl RowSink,
+) -> io::Result<Drained> {
+    let mut drained = Drained {
+        count: 0,
+        truncated: false,
+        last: None,
+    };
+    for t in rows {
+        if drained.count as usize == limit {
+            drained.truncated = true;
             break;
         }
-        rows.push(render_row(store, &t));
+        // Streamed producers check the token between batches, but batches
+        // already queued in the exchange would still drain to the socket;
+        // checking per row keeps a slow client from stretching a dead
+        // deadline. Breaking drops the rows source, which terminates the
+        // producers exactly like the row cap.
+        if cancel.is_cancelled() {
+            break;
+        }
+        let first = drained.count == 0;
+        sink.row(|out| {
+            if !first {
+                out.push(',');
+            }
+            json::write_row(out, store, &t);
+        })?;
+        drained.count += 1;
+        drained.last = Some(t);
     }
-    trace.phase("eval", eval_started);
-    // A cancelled drain must not become a cached "complete" prefix: error
-    // out before the caller offers these rows to the prefix cache.
-    cancel.check()?;
-    let stats = *stream.stats();
-    let rendered = stats_json(&stats);
-    Ok((rows, truncated, rendered, stats))
-}
-
-/// Assembles an ordered `/query` result fragment from pre-rendered rows —
-/// field-for-field identical to what [`render_query_fragment`] produces for
-/// the same ordered query, so prefix-cache hits are byte-compatible with
-/// fresh evaluations.
-fn ordered_fragment(order: Permutation, rows: &[String], truncated: bool, stats: &str) -> String {
-    JsonObject::new()
-        .num("count", rows.len() as u64)
-        .boolean("truncated", truncated)
-        .str("order", order.name())
-        .raw("triples", &json::array(rows))
-        .raw("stats", stats)
-        .finish()
+    Ok(drained)
 }
 
 /// A fully validated `/query?stream=1` job.
@@ -1306,9 +1327,10 @@ pub(crate) struct StreamingQuery {
     limit: usize,
     order: Option<Permutation>,
     topk: Option<usize>,
-    /// `Some(key)` when resuming from a cursor token: the stream is seeked
-    /// strictly past this permutation key instead of replaying from row 0.
-    resume: Option<[trial_core::ObjectId; 3]>,
+    /// `Some((order, key))` when resuming from a cursor token: the stream
+    /// is seeked strictly past `key` in `order` instead of replaying from
+    /// row 0.
+    resume: Option<(Permutation, [ObjectId; 3])>,
     close: bool,
     /// The armed cancel token this stream evaluates under (request deadline
     /// or manual); registered with the server's in-flight set so drain can
@@ -1398,7 +1420,7 @@ fn streaming_query(
             }
         }
         order = Some(token.order);
-        resume = Some(token.last);
+        resume = Some((token.order, token.last));
     }
     let parse_started = Instant::now();
     let compiled = match compile_body(text, path_params.as_ref()) {
@@ -1461,19 +1483,12 @@ impl StreamingQuery {
         };
         let engine = SmartEngine::with_options(options);
         let store = self.snapshot.store();
-        let probe_limit = Some(self.limit.saturating_add(1));
-        let plan_started = Instant::now();
-        let stream = self
+        let probe = Some(self.limit.saturating_add(1));
+        let (order, topk, resume) = (self.order, self.topk, self.resume);
+        let opened = self
             .compiled
-            .plan(&engine, store, probe_limit, self.order, self.topk)
-            .and_then(|plan| match self.resume {
-                Some(after) => {
-                    let order = self.order.expect("cursor tokens always carry an order");
-                    engine.stream_after(plan, store, order, after)
-                }
-                None => engine.stream(plan, store),
-            });
-        let stream = match stream {
+            .open(&engine, store, probe, order, topk, resume, &mut trace);
+        let stream = match opened {
             Ok(stream) => stream,
             Err(e) => {
                 // Nothing is on the wire yet: plan-time failures still get
@@ -1487,9 +1502,6 @@ impl StreamingQuery {
                 return Ok(!self.close);
             }
         };
-        trace.phase("plan", plan_started);
-        trace.set_plan(|| stream.plan().explain().trim_end().to_owned());
-        trace.set_profile(stream.profile());
 
         // Head first, flushed immediately: time-to-first-byte is planning
         // time, not evaluation time. The `serialize` phase of a streamed
@@ -1510,7 +1522,7 @@ impl StreamingQuery {
             Some(trace.request_id()),
         )?;
         let mut head = String::from("{\"store\":");
-        head.push_str(&json::string(self.snapshot.name()));
+        json::push_string(&mut head, self.snapshot.name());
         head.push_str(&format!(
             ",\"epoch\":{},\"cached\":false,\"stream\":true",
             self.snapshot.epoch()
@@ -1529,58 +1541,35 @@ impl StreamingQuery {
         trace.phase("serialize", serialize_started);
 
         let eval_started = Instant::now();
-        let limit = self.limit;
-        let mut count: u64 = 0;
-        let mut truncated = false;
-        let mut last = None;
         // The pump runs under its own catch_unwind: once the 200 head is on
         // the wire the status can't change, so a worker panic (fault
         // injection or a real bug) must still reach `finish` below — the
         // terminal chunk plus an `X-Trial-Error` trailer naming the reason
         // is the only abort signal a chunked response has left.
-        let chaos = &state.chaos;
-        let cancel = self.cancel.clone();
-        let pumped =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| -> io::Result<EvalStats> {
-                let (rows_written, stats) =
-                    stream.channel(EXCHANGE_DEPTH_BATCHES, |rows| -> io::Result<()> {
-                        chaos.trigger("stream.pump");
-                        let mut array = ArrayStream::begin(|s: &str| chunked.write_text(s))?;
-                        while let Some(t) = rows.next_triple() {
-                            if count as usize == limit {
-                                // The probe row past the cap proves the stream
-                                // was cut short; returning drops the exchange
-                                // and terminates the producers.
-                                truncated = true;
-                                break;
-                            }
-                            // The producers check the token between batches,
-                            // but batches already queued in the exchange
-                            // would still drain to the socket; checking per
-                            // row keeps a slow client from stretching a dead
-                            // deadline. The break terminates the producers
-                            // exactly like the row cap.
-                            if cancel.is_cancelled() {
-                                break;
-                            }
-                            chaos.io("stream.chunk")?;
-                            chaos.trigger("stream.slow");
-                            array.element(&render_row(store, &t))?;
-                            count += 1;
-                            last = Some(t);
-                        }
-                        array.finish()?;
-                        Ok(())
+        let pumped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
+            || -> io::Result<(Drained, EvalStats)> {
+                let (drained, stats) =
+                    stream.channel(EXCHANGE_DEPTH_BATCHES, |rows| -> io::Result<Drained> {
+                        state.chaos.trigger("stream.pump");
+                        chunked.write_text("[")?;
+                        let mut sink = StreamedRows {
+                            chunked: &mut chunked,
+                            chaos: &state.chaos,
+                        };
+                        let drained = drain(rows, store, self.limit, &self.cancel, &mut sink)?;
+                        chunked.write_text("]")?;
+                        Ok(drained)
                     });
-                rows_written?;
+                let drained = drained?;
                 chunked.write_text("}")?;
-                Ok(stats)
-            }));
+                Ok((drained, stats))
+            },
+        ));
         trace.phase("eval", eval_started);
 
         let elapsed_us = (start.elapsed().as_micros() as u64).to_string();
-        let stats = match pumped {
-            Ok(Ok(stats)) => stats,
+        let (mut drained, stats) = match pumped {
+            Ok(Ok(pumped)) => pumped,
             Ok(Err(e)) => {
                 // Socket-level death (including an injected `stream.chunk`
                 // error): nothing more can be written, so there is no
@@ -1618,7 +1607,7 @@ impl StreamingQuery {
         // count it, and never mint a resume cursor from a cancelled position.
         let cancel_kind = self.cancel.reason().map(|r| r.as_str());
         if let Some(kind) = cancel_kind {
-            truncated = true;
+            drained.truncated = true;
             state.metrics.observe_cancel(kind);
             state.metrics.observe_error(kind);
         }
@@ -1626,11 +1615,11 @@ impl StreamingQuery {
         state.metrics.queries_served.inc();
         state.metrics.queries_streamed.inc();
         observe_fresh_eval(state, &stats);
-        state.metrics.observe_rows(count);
+        state.metrics.observe_rows(drained.count);
 
         let mut trailers: Vec<(&str, String)> = vec![
-            ("X-Trial-Count", count.to_string()),
-            ("X-Trial-Truncated", truncated.to_string()),
+            ("X-Trial-Count", drained.count.to_string()),
+            ("X-Trial-Truncated", drained.truncated.to_string()),
             ("X-Trial-Elapsed-Us", elapsed_us),
         ];
         // A truncated *ordered* stream is resumable: the next page picks up
@@ -1638,8 +1627,8 @@ impl StreamingQuery {
         // complete sets, unordered streams have no stable position, and a
         // cancelled stream's last row is not a trustworthy position —
         // none of those get a cursor.
-        if truncated && self.topk.is_none() && cancel_kind.is_none() {
-            if let (Some(order), Some(t)) = (self.order, last) {
+        if drained.truncated && self.topk.is_none() && cancel_kind.is_none() {
+            if let (Some(order), Some(t)) = (self.order, drained.last) {
                 let token = CursorToken {
                     store: self.snapshot.name().to_owned(),
                     epoch: self.snapshot.epoch(),
