@@ -22,7 +22,7 @@ use trial_workloads::{
     labeled_cycle_store, transport_network, PathCase, TransportConfig,
 };
 
-/// Timed runs per strategy in e15; the table reports the median.
+/// Timed samples per strategy in e15; the table reports their median.
 const SAMPLES: usize = 5;
 
 /// Two e15 medians closer than this fraction of the larger one are a tie:
@@ -42,13 +42,24 @@ fn faster(nfa_ms: f64, lower_ms: f64) -> &'static str {
     }
 }
 
-/// Median wall-clock milliseconds of [`SAMPLES`] calls of `f`.
+/// The least wall-clock time one e15 sample covers: a sample repeats its
+/// call back to back until this much time has passed, so sub-millisecond
+/// strategies are timed over many calls instead of one.
+const SAMPLE_MIN_MS: f64 = 2.0;
+
+/// Median over [`SAMPLES`] samples of the mean wall-clock milliseconds per
+/// call of `f`, each sample running `f` at least once and until
+/// [`SAMPLE_MIN_MS`] have passed.
 fn median_ms(mut f: impl FnMut()) -> f64 {
     let mut times: Vec<f64> = (0..SAMPLES)
         .map(|_| {
             let start = Instant::now();
-            f();
-            ms(start)
+            let mut calls = 0u32;
+            while calls == 0 || ms(start) < SAMPLE_MIN_MS {
+                f();
+                calls += 1;
+            }
+            ms(start) / f64::from(calls)
         })
         .collect();
     times.sort_by(f64::total_cmp);
@@ -167,7 +178,8 @@ pub fn e15_rpq_strategies(sizes: RpqSizes) -> Report {
     ];
     let _ = writeln!(
         body,
-        "Sizes: chain {}, cycle {}, grid {}×{}; median of {SAMPLES} runs.\n",
+        "Sizes: chain {}, cycle {}, grid {}×{}; median of {SAMPLES} samples, each the mean \
+         per call over at least {SAMPLE_MIN_MS} ms of back-to-back calls.\n",
         sizes.chain, sizes.cycle, sizes.grid, sizes.grid
     );
     let _ = writeln!(

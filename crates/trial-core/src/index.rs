@@ -60,37 +60,6 @@ impl<'a> RangeCursor<'a> {
         &self.slice[self.pos..]
     }
 
-    /// Splits the not-yet-yielded rest of this cursor into at most `parts`
-    /// disjoint contiguous sub-cursors that, drained in order, yield exactly
-    /// the same triples as draining `self` would.
-    ///
-    /// This is the **morsel** primitive of intra-query parallelism: a scan is
-    /// carved into near-equal ranges (the first `remaining % parts` morsels
-    /// carry one extra triple) and each range becomes an independent pipeline
-    /// instance on its own worker thread. Splitting is zero-copy — each
-    /// sub-cursor borrows a sub-slice of the same permutation run. Fewer than
-    /// `parts` cursors are returned when there are fewer remaining triples
-    /// than parts (an empty cursor yields no morsels at all), so callers
-    /// never see an empty morsel.
-    pub fn split(&self, parts: usize) -> Vec<RangeCursor<'a>> {
-        let rest = self.rest();
-        let parts = parts.max(1).min(rest.len());
-        if parts == 0 {
-            return Vec::new();
-        }
-        let base = rest.len() / parts;
-        let extra = rest.len() % parts;
-        let mut out = Vec::with_capacity(parts);
-        let mut start = 0;
-        for i in 0..parts {
-            let len = base + usize::from(i < extra);
-            out.push(RangeCursor::new(&rest[start..start + len]));
-            start += len;
-        }
-        debug_assert_eq!(start, rest.len());
-        out
-    }
-
     /// Advances the cursor past every triple whose [`Permutation::key`]
     /// under `perm` is `<= key`, in `O(log remaining)`.
     ///
@@ -507,38 +476,6 @@ impl RelationIndex {
         RangeCursor::new(self.matching(base, component, value))
     }
 
-    /// Carves a full scan of `base` (in the given permutation's order) into
-    /// at most `parts` disjoint contiguous [`RangeCursor`]s that together
-    /// cover exactly [`RelationIndex::scan_cursor`]'s range.
-    ///
-    /// This is the storage-layer entry point of morsel-driven parallelism:
-    /// each returned cursor is an independent zero-copy pipeline source, so
-    /// an executor can run one pipeline instance per morsel on its own
-    /// thread. Empty morsels are never returned; a relation smaller than
-    /// `parts` yields one cursor per triple.
-    pub fn partition_cursors<'a>(
-        &'a self,
-        base: &'a TripleSet,
-        perm: Permutation,
-        parts: usize,
-    ) -> Vec<RangeCursor<'a>> {
-        self.scan_cursor(base, perm).split(parts)
-    }
-
-    /// Carves the bounded run of [`RelationIndex::matching_cursor`] (all
-    /// triples whose `component` equals `value`) into at most `parts`
-    /// disjoint sub-range cursors covering exactly that run. Positioning is
-    /// still `O(log |base|)`; the split itself is zero-copy.
-    pub fn partition_matching_cursors<'a>(
-        &'a self,
-        base: &'a TripleSet,
-        component: usize,
-        value: ObjectId,
-        parts: usize,
-    ) -> Vec<RangeCursor<'a>> {
-        self.matching_cursor(base, component, value).split(parts)
-    }
-
     /// Number of distinct values per component `[|π₁|, |π₂|, |π₃|]` — the
     /// statistics behind the planner's selectivity estimates.
     pub fn distinct_counts(&self, base: &TripleSet) -> [usize; 3] {
@@ -822,72 +759,6 @@ mod tests {
         // A value absent from the component yields an empty cursor.
         let p = store.object_id("p").unwrap();
         assert_eq!(ix.matching_cursor(base, 0, p).count(), 0);
-    }
-
-    #[test]
-    fn split_covers_the_rest_disjointly() {
-        let store = store();
-        let (base, ix) = store.relation_with_index("E").unwrap();
-        for perm in [Permutation::Spo, Permutation::Pos, Permutation::Osp] {
-            let expected = ix.permutation(base, perm).to_vec();
-            for parts in 1..=6 {
-                let morsels = ix.partition_cursors(base, perm, parts);
-                assert!(morsels.len() <= parts);
-                assert!(morsels.iter().all(|m| m.remaining() > 0));
-                // Near-equal morsel sizes: max differs from min by at most 1.
-                let sizes: Vec<usize> = morsels.iter().map(RangeCursor::remaining).collect();
-                let (lo, hi) = (sizes.iter().min(), sizes.iter().max());
-                assert!(hi.unwrap() - lo.unwrap() <= 1, "skewed morsels: {sizes:?}");
-                // Concatenated in order, the morsels reproduce the full scan.
-                let drained: Vec<Triple> = morsels.into_iter().flatten().collect();
-                assert_eq!(drained, expected, "parts={parts} perm={perm:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn split_respects_already_consumed_prefixes() {
-        let store = store();
-        let (base, ix) = store.relation_with_index("E").unwrap();
-        let mut cursor = ix.scan_cursor(base, Permutation::Spo);
-        let first = cursor.next().unwrap();
-        let morsels = cursor.split(2);
-        let drained: Vec<Triple> = morsels.into_iter().flatten().collect();
-        let mut expected = base.as_slice().to_vec();
-        assert_eq!(expected.remove(0), first);
-        assert_eq!(drained, expected);
-    }
-
-    #[test]
-    fn split_edge_cases_never_yield_empty_morsels() {
-        // Empty cursor: no morsels at all.
-        assert!(RangeCursor::new(&[]).split(4).is_empty());
-        // Singleton cursor: exactly one morsel regardless of parts.
-        let one = [Triple::new(ObjectId(1), ObjectId(2), ObjectId(3))];
-        for parts in [1usize, 2, 8] {
-            let morsels = RangeCursor::new(&one).split(parts);
-            assert_eq!(morsels.len(), 1);
-            assert_eq!(morsels[0].remaining(), 1);
-        }
-        // parts = 0 is treated as 1.
-        assert_eq!(RangeCursor::new(&one).split(0).len(), 1);
-    }
-
-    #[test]
-    fn partition_matching_covers_the_bounded_run() {
-        let store = store();
-        let (base, ix) = store.relation_with_index("E").unwrap();
-        let a = store.object_id("a").unwrap();
-        let expected = ix.matching(base, 0, a).to_vec();
-        assert_eq!(expected.len(), 2);
-        for parts in 1..=4 {
-            let morsels = ix.partition_matching_cursors(base, 0, a, parts);
-            let drained: Vec<Triple> = morsels.into_iter().flatten().collect();
-            assert_eq!(drained, expected, "parts={parts}");
-        }
-        // A value absent from the component yields no morsels.
-        let p = store.object_id("p").unwrap();
-        assert!(ix.partition_matching_cursors(base, 0, p, 3).is_empty());
     }
 
     #[test]

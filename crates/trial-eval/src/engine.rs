@@ -174,6 +174,20 @@ pub fn default_profile_sample() -> u32 {
     })
 }
 
+impl EvalOptions {
+    /// The morsel-parallel degree for an operator over `rows` input rows:
+    /// [`EvalOptions::threads`] when parallelism is on and the input reaches
+    /// [`EvalOptions::parallel_min_rows`], 1 otherwise. The one place the
+    /// executor, the fixpoint and the stream exchange decide to fan out.
+    pub fn degree(&self, rows: usize) -> usize {
+        if self.threads > 1 && rows >= self.parallel_min_rows {
+            self.threads
+        } else {
+            1
+        }
+    }
+}
+
 impl Default for EvalOptions {
     fn default() -> Self {
         EvalOptions {

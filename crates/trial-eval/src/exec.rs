@@ -50,7 +50,9 @@ use crate::seminaive::semi_naive_star;
 use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
-use trial_core::{Error, ObjectId, Permutation, Result, Triple, TripleSet, Triplestore};
+use trial_core::{
+    Error, ObjectId, Permutation, RangeCursor, Result, Triple, TripleSet, Triplestore,
+};
 
 /// The identity of a plan node for per-node bookkeeping (actuals and wall
 /// timers): its address, stable for the lifetime of one evaluation — the
@@ -174,17 +176,6 @@ impl<'a> Executor<'a> {
         let result = Arc::new(compute(self, stats)?);
         *guard = Some(Arc::clone(&result));
         Ok(result)
-    }
-
-    /// The morsel-parallel degree for an operator over `rows` input rows:
-    /// [`EvalOptions::threads`] when parallelism is on and the input is
-    /// large enough to amortise spawn/merge overhead, 1 otherwise.
-    fn degree(&self, rows: usize) -> usize {
-        if self.options.threads > 1 && rows >= self.options.parallel_min_rows {
-            self.options.threads
-        } else {
-            1
-        }
     }
 
     /// Records a node's **materialised** output cardinality (no-op unless
@@ -316,8 +307,8 @@ impl<'a> Executor<'a> {
                     ScanAccess::After(order, after) => run.seek(order, after),
                     // Contiguous, disjoint, non-empty sub-ranges of the run.
                     ScanAccess::Morsel { index, of } => {
-                        match run.split(of).into_iter().nth(index) {
-                            Some(morsel) => run = morsel,
+                        match parallel::chunk(run.rest(), of).get(index) {
+                            Some(morsel) => run = RangeCursor::new(morsel),
                             None => return Ok(None),
                         }
                     }
@@ -405,18 +396,11 @@ impl<'a> Executor<'a> {
                 // the probe side stays a sequential pull-based stream (its
                 // consumer may stop at any triple).
                 let build = self.materialize(right, stats)?;
-                let degree = self.degree(build.len());
-                let table = if degree > 1 {
-                    ops::JoinTable::build_parallel(
-                        &build,
-                        keys,
-                        degree,
-                        &self.options.cancel,
-                        stats,
-                    )
-                } else {
-                    ops::JoinTable::build(&build, keys, stats)
-                };
+                let degree = self.options.degree(build.len());
+                let table =
+                    ops::JoinTable::build(&build, keys, degree, &self.options.cancel, stats);
+                // A build cut short by cancellation is a partial table.
+                self.options.cancel.check()?;
                 let probe = self.cursor(left, stats)?;
                 stats.joins_executed += 1;
                 Box::new(HashJoinCursor {
@@ -693,9 +677,7 @@ impl<'a> Executor<'a> {
         right: &PlanNode,
         stats: &mut EvalStats,
     ) -> Result<(TripleSet, TripleSet)> {
-        let overlap = self.options.threads > 1
-            && left.est().min(right.est()) >= self.options.parallel_min_rows;
-        if !overlap {
+        if self.options.degree(left.est().min(right.est())) == 1 {
             let l = self.materialize(left, stats)?;
             let r = self.materialize(right, stats)?;
             return Ok((l, r));
@@ -724,19 +706,10 @@ impl<'a> Executor<'a> {
             PlanNode::Filter { input, cond, .. } => {
                 let input = self.materialize(input, stats)?;
                 let cond = CompiledConditions::compile(cond, self.store);
-                let degree = self.degree(input.len());
-                Ok(if degree > 1 {
-                    ops::select_parallel(
-                        &input,
-                        &cond,
-                        self.store,
-                        degree,
-                        &self.options.cancel,
-                        stats,
-                    )
-                } else {
-                    ops::select(&input, &cond, self.store, stats)
-                })
+                let degree = self.options.degree(input.len());
+                let cancel = &self.options.cancel;
+                let rows = ops::select(input.as_slice(), &cond, self.store, degree, cancel, stats);
+                Ok(TripleSet::from_sorted_vec(rows))
             }
             PlanNode::HashJoin {
                 left,
@@ -752,39 +725,19 @@ impl<'a> Executor<'a> {
                 // matches what explain() displays; shard the build and
                 // partition the probe across workers when the sides are
                 // large enough.
-                let build_degree = self.degree(r.len());
+                let cancel = &self.options.cancel;
                 let build_start = self.profiler.is_some().then(Instant::now);
-                let table = if build_degree > 1 {
-                    ops::JoinTable::build_parallel(
-                        &r,
-                        keys,
-                        build_degree,
-                        &self.options.cancel,
-                        stats,
-                    )
-                } else {
-                    ops::JoinTable::build(&r, keys, stats)
-                };
+                let table =
+                    ops::JoinTable::build(&r, keys, self.options.degree(r.len()), cancel, stats);
                 // Mirror the cursor path's breaker semantics: the blocking
                 // table construction is reported as build time.
                 if let (Some(profiler), Some(start)) = (&self.profiler, build_start) {
                     profiler.timer(node_key(node)).add_build(start.elapsed());
                 }
-                let probe_degree = self.degree(l.len());
-                Ok(if probe_degree > 1 {
-                    ops::hash_join_probe_parallel(
-                        &l,
-                        &table,
-                        output,
-                        &cond,
-                        self.store,
-                        probe_degree,
-                        &self.options.cancel,
-                        stats,
-                    )
-                } else {
-                    ops::hash_join_probe(&l, &table, output, &cond, self.store, stats)
-                })
+                let degree = self.options.degree(l.len());
+                Ok(ops::hash_join_probe(
+                    &l, &table, output, &cond, self.store, degree, cancel, stats,
+                ))
             }
             PlanNode::MergeJoin {
                 left,
@@ -803,25 +756,19 @@ impl<'a> Executor<'a> {
                 // sorted copies otherwise. SPO keys borrow the set itself.
                 let l_sorted = self.key_sorted_view(left, &l, lc);
                 let r_sorted = self.key_sorted_view(right, &r, rc);
-                let degree = self.degree(l.len().max(r.len()));
-                Ok(if degree > 1 {
-                    ops::merge_join_parallel(
-                        &l_sorted,
-                        &r_sorted,
-                        lc,
-                        rc,
-                        output,
-                        &cond,
-                        self.store,
-                        degree,
-                        &self.options.cancel,
-                        stats,
-                    )
-                } else {
-                    ops::merge_join(
-                        &l_sorted, &r_sorted, lc, rc, output, &cond, self.store, stats,
-                    )
-                })
+                let degree = self.options.degree(l.len().max(r.len()));
+                Ok(ops::merge_join(
+                    &l_sorted,
+                    &r_sorted,
+                    lc,
+                    rc,
+                    output,
+                    &cond,
+                    self.store,
+                    degree,
+                    &self.options.cancel,
+                    stats,
+                ))
             }
             PlanNode::IndexNestedLoopJoin {
                 outer,
@@ -837,25 +784,18 @@ impl<'a> Executor<'a> {
                     .relation_with_index(relation)
                     .ok_or_else(|| Error::UnknownRelation(relation.clone()))?;
                 let cond = CompiledConditions::compile(cond, self.store);
-                let degree = self.degree(outer.len());
-                Ok(if degree > 1 {
-                    ops::index_nested_loop_join_parallel(
-                        &outer,
-                        base,
-                        index,
-                        *probe,
-                        output,
-                        &cond,
-                        self.store,
-                        degree,
-                        &self.options.cancel,
-                        stats,
-                    )
-                } else {
-                    ops::index_nested_loop_join(
-                        &outer, base, index, *probe, output, &cond, self.store, stats,
-                    )
-                })
+                Ok(ops::index_nested_loop_join(
+                    &outer,
+                    base,
+                    index,
+                    *probe,
+                    output,
+                    &cond,
+                    self.store,
+                    self.options.degree(outer.len()),
+                    &self.options.cancel,
+                    stats,
+                ))
             }
             PlanNode::NestedLoopJoin {
                 left,
@@ -866,21 +806,11 @@ impl<'a> Executor<'a> {
             } => {
                 let (l, r) = self.eval_pair(left, right, stats)?;
                 let cond = CompiledConditions::compile(cond, self.store);
-                let degree = self.degree(l.len());
-                Ok(if degree > 1 {
-                    ops::nested_loop_join_parallel(
-                        &l,
-                        &r,
-                        output,
-                        &cond,
-                        self.store,
-                        degree,
-                        &self.options.cancel,
-                        stats,
-                    )
-                } else {
-                    ops::nested_loop_join(&l, &r, output, &cond, self.store, stats)
-                })
+                let degree = self.options.degree(l.len());
+                let cancel = &self.options.cancel;
+                Ok(ops::nested_loop_join(
+                    &l, &r, output, &cond, self.store, degree, cancel, stats,
+                ))
             }
             PlanNode::Union { left, right, .. } => {
                 let (l, r) = self.eval_pair(left, right, stats)?;
@@ -902,9 +832,7 @@ impl<'a> Executor<'a> {
             PlanNode::Complement { input, .. } => {
                 // With parallelism on, the excluded input materialises on a
                 // worker while the universe builds on the current thread.
-                let overlap =
-                    self.options.threads > 1 && input.est() >= self.options.parallel_min_rows;
-                let (e, u) = if overlap {
+                let (e, u) = if self.options.degree(input.est()) > 1 {
                     let mut far = self.child();
                     let (u, e) = parallel::join_pair(
                         |stats| ops::universe(self.store, &self.options, stats),
@@ -1030,7 +958,8 @@ impl<'a> Executor<'a> {
     }
 
     /// Scans a relation, serving a pushed-down constant binding from the
-    /// matching permutation index.
+    /// matching permutation index. A residual filter is [`ops::select`] on
+    /// the scanned run.
     fn index_scan(
         &self,
         relation: &str,
@@ -1042,51 +971,21 @@ impl<'a> Executor<'a> {
             .store
             .relation_with_index(relation)
             .ok_or_else(|| Error::UnknownRelation(relation.to_owned()))?;
-        let Some((component, value)) = bound else {
-            if residual.is_empty() {
-                return Ok(base.clone());
-            }
-            let cond = CompiledConditions::compile(residual, self.store);
-            let degree = self.degree(base.len());
-            if degree > 1 {
-                // Full filtered scan: morsels are carved at the storage
-                // layer (disjoint zero-copy sub-ranges of the SPO
-                // permutation), one pipeline instance per morsel. Morsel
-                // order is scan order, so concatenation keeps the canonical
-                // sort.
-                let morsels = index.partition_cursors(base, Permutation::Spo, degree);
-                let out = self.filter_morsels(morsels, &cond, degree, stats);
-                return Ok(TripleSet::from_sorted_vec(out));
-            }
-            return Ok(ops::select(base, &cond, self.store, stats));
+        let (run, component) = match bound {
+            // A plain relation passthrough is free.
+            None if residual.is_empty() => return Ok(base.clone()),
+            None => (base.as_slice(), 0),
+            Some((component, value)) => (index.matching(base, component, value), component),
         };
-        let slice = index.matching(base, component, value);
-        let residual =
-            (!residual.is_empty()).then(|| CompiledConditions::compile(residual, self.store));
-        let out = match &residual {
-            // A filtered run splits into morsels when large: the residual
-            // check is the per-row work worth spreading (an unfiltered run
-            // is a plain copy and stays sequential). The bounded run is
-            // carved by the index itself into disjoint sub-range cursors.
-            Some(cond) if self.degree(slice.len()) > 1 => {
-                let degree = self.degree(slice.len());
-                let morsels = index.partition_matching_cursors(base, component, value, degree);
-                self.filter_morsels(morsels, cond, degree, stats)
-            }
-            _ => {
-                stats.triples_scanned += slice.len() as u64;
-                let mut out = Vec::with_capacity(slice.len());
-                for t in slice {
-                    if residual
-                        .as_ref()
-                        .is_none_or(|cond| cond.check_single(self.store, t))
-                    {
-                        out.push(*t);
-                        stats.triples_emitted += 1;
-                    }
-                }
-                out
-            }
+        let out = if residual.is_empty() {
+            // An unfiltered bounded run is a plain copy.
+            stats.triples_scanned += run.len() as u64;
+            stats.triples_emitted += run.len() as u64;
+            run.to_vec()
+        } else {
+            let cond = CompiledConditions::compile(residual, self.store);
+            let degree = self.options.degree(run.len());
+            ops::select(run, &cond, self.store, degree, &self.options.cancel, stats)
         };
         // Runs of the SPO permutation are already in canonical order; the
         // other permutations interleave, so their runs are re-sorted.
@@ -1095,29 +994,6 @@ impl<'a> Executor<'a> {
         } else {
             TripleSet::from_vec(out)
         })
-    }
-
-    /// Runs one filtering pipeline instance per partitioned scan morsel and
-    /// concatenates the outputs in morsel (= scan) order.
-    fn filter_morsels(
-        &self,
-        morsels: Vec<trial_core::RangeCursor<'_>>,
-        cond: &CompiledConditions,
-        degree: usize,
-        stats: &mut EvalStats,
-    ) -> Vec<trial_core::Triple> {
-        let tasks: Vec<_> = morsels
-            .into_iter()
-            .map(|morsel| {
-                move |stats: &mut EvalStats| {
-                    let run = morsel.rest();
-                    let mut out = Vec::with_capacity(run.len());
-                    ops::select_slice(run, cond, self.store, stats, &mut out);
-                    out
-                }
-            })
-            .collect();
-        parallel::run_tasks(degree, tasks, &self.options.cancel, stats).concat()
     }
 
     /// Runs a Proposition 5 reachability star over its materialised base.
@@ -1130,7 +1006,8 @@ impl<'a> Executor<'a> {
         // One BFS per distinct root: the base size bounds the number of
         // roots, which is what the morsel fan-out partitions.
         let cancel = &self.options.cancel;
-        let result = reach::reach_star(base, same_label, self.degree(base.len()), cancel, stats);
+        let degree = self.options.degree(base.len());
+        let result = reach::reach_star(base, same_label, degree, cancel, stats);
         // A closure cut short by cancellation is a partial set: surface the
         // error here so it never reaches downstream operators or caches.
         cancel.check()?;
@@ -1150,7 +1027,7 @@ impl<'a> Executor<'a> {
         let base = self.store.require_relation(relation)?;
         // One product BFS per graph node: that is the unit the fan-out
         // partitions, so size the degree on the node count's proxy.
-        let degree = self.degree(base.len());
+        let degree = self.options.degree(base.len());
         crate::rpq::eval_on_store(
             self.store,
             relation,

@@ -200,12 +200,17 @@
 //!
 //! [`EvalOptions::threads`]` = n` enables **morsel-driven intra-query
 //! parallelism** ([`parallel`]): operator inputs are carved into contiguous
-//! morsels — via [`trial_core::RelationIndex::partition_cursors`] at the
-//! storage layer, [`parallel`]'s slice chunking above it — and executed on a
-//! scoped `std::thread` worker pool, synchronising at the pipeline breakers
-//! that already exist in the streaming model. The default is 1 (the
-//! single-threaded path); `TRIAL_EVAL_THREADS` overrides the process default, which is how CI runs
-//! the suite a second time with parallelism on.
+//! morsels and executed on a scoped `std::thread` worker pool, synchronising
+//! at the pipeline breakers that already exist in the streaming model. The
+//! default is 1 (the single-threaded path); `TRIAL_EVAL_THREADS` overrides
+//! the process default, which is how CI runs the suite a second time with
+//! parallelism on.
+//!
+//! The degree is an **argument**, not a second operator: there is one
+//! kernel per operator in [`ops`], and it runs its morsels inline when the
+//! degree is 1. `parallel::chunk` is the only splitter (of slices, of scanned
+//! permutation runs and of a stream's exchange fan-out), and
+//! [`EvalOptions::degree`] is the only rule for when an operator fans out.
 //!
 //! **What parallelises** (tagged `[parallel×N]` by `explain()`):
 //!
@@ -227,15 +232,16 @@
 //!
 //! **Fallback rules.** A [`PlanNode::Limit`] subtree always runs as one
 //! sequential pull-based pipeline — racing workers past a limit would
-//! forfeit early termination — and operators stay sequential beneath
+//! forfeit early termination — and operators stay at degree 1 beneath
 //! [`EvalOptions::parallel_min_rows`] (morsel overhead beats the work on
 //! small inputs; the heuristic default is a few thousand rows). Results are
 //! **identical** at every degree: morsels are contiguous and their outputs
 //! concatenate in input order, so even pre-deduplication row sequences match
-//! the single-threaded run (`tests/parallel_differential.rs` proves result
-//! equality across `threads ∈ {1, 2, 4}` against the naive engine; counter
-//! totals are exact sums, with
-//! [`EvalStats::parallel_morsels`] recording the fan-out).
+//! the single-threaded run. Work counters are **equal** at every degree: they
+//! are exact sums over the morsels, and the merge join counts its scan once
+//! from the two runs. `tests/parallel_differential.rs` holds both against
+//! the naive engine across `threads ∈ {1, 2, 4}`, with
+//! [`EvalStats::parallel_morsels`] recording the fan-out.
 //!
 //! # Instrumentation
 //!

@@ -13,6 +13,7 @@
 //! optimisations of Propositions 4 and 5 help (the paper's Section 7
 //! future-work question).
 
+use crate::cancel::CancelToken;
 use crate::compile::CompiledConditions;
 use crate::engine::{Engine, EvalOptions, EvalStats, Evaluation};
 use crate::ops;
@@ -44,7 +45,15 @@ impl NaiveEngine {
             Expr::Select { input, cond } => {
                 let input = self.eval(input, store, stats)?;
                 let cond = CompiledConditions::compile(cond, store);
-                Ok(ops::select(&input, &cond, store, stats))
+                let rows = ops::select(
+                    input.as_slice(),
+                    &cond,
+                    store,
+                    1,
+                    &CancelToken::none(),
+                    stats,
+                );
+                Ok(TripleSet::from_sorted_vec(rows))
             }
             Expr::Union(a, b) => {
                 let a = self.eval(a, store, stats)?;
@@ -79,7 +88,16 @@ impl NaiveEngine {
                 let l = self.eval(left, store, stats)?;
                 let r = self.eval(right, store, stats)?;
                 let cond = CompiledConditions::compile(cond, store);
-                Ok(ops::nested_loop_join(&l, &r, output, &cond, store, stats))
+                Ok(ops::nested_loop_join(
+                    &l,
+                    &r,
+                    output,
+                    &cond,
+                    store,
+                    1,
+                    &CancelToken::none(),
+                    stats,
+                ))
             }
             Expr::Star {
                 input,
@@ -116,14 +134,12 @@ impl NaiveEngine {
             }
             rounds += 1;
             stats.fixpoint_rounds += 1;
-            let joined = match direction {
-                StarDirection::Right => {
-                    ops::nested_loop_join(&acc, base, output, cond, store, stats)
-                }
-                StarDirection::Left => {
-                    ops::nested_loop_join(base, &acc, output, cond, store, stats)
-                }
+            let (l, r) = match direction {
+                StarDirection::Right => (&acc, base),
+                StarDirection::Left => (base, &acc),
             };
+            let joined =
+                ops::nested_loop_join(l, r, output, cond, store, 1, &CancelToken::none(), stats);
             let next = acc.union(&joined);
             if next.len() == acc.len() {
                 return Ok(acc);

@@ -13,13 +13,15 @@
 //!
 //! Three primitives cover every parallel operator in [`crate::exec`]:
 //!
-//! * `chunk` — split a slice into near-equal contiguous morsels (the
-//!   in-memory mirror of `RelationIndex::partition_cursors` at the storage
-//!   layer);
+//! * `chunk` — split a slice into near-equal contiguous morsels. It is the
+//!   only splitter: the kernels of [`crate::ops`] carve their inputs with it,
+//!   and an index scan's morsel access carves its permutation run with it;
 //! * `run_tasks` — execute a batch of morsel tasks on up to `threads`
 //!   workers pulling from a shared queue, returning results **in task
 //!   order** (concatenating them reproduces the sequential output exactly —
-//!   the determinism the differential suite relies on);
+//!   the determinism the differential suite relies on). At degree 1 the
+//!   tasks run inline, which is how each operator has one kernel for every
+//!   degree;
 //! * `join_pair` — overlap one blocking side computation (a
 //!   difference/intersection right side, a complement input) with the
 //!   current thread's own work.
@@ -28,7 +30,7 @@
 //! merges them after the join, so counters are exact sums regardless of the
 //! interleaving: a parallel evaluation reports the same `pairs_considered`/
 //! `triples_scanned`/… as the single-threaded reference, plus a non-zero
-//! [`EvalStats::parallel_morsels`].
+//! [`EvalStats::parallel_morsels`]. Counters are equal at every degree.
 
 use crate::cancel::CancelToken;
 use crate::engine::EvalStats;

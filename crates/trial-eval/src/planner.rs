@@ -225,30 +225,28 @@ impl SmartEngine {
         // the exchange changes *when* rows are computed, never which or in
         // what order.
         let mut morsels = None;
-        if self.options.threads > 1 {
-            let (inner, peeled) = match &plan.root {
-                PlanNode::Limit { input, limit, .. } => (&**input, Some(*limit)),
-                other => (other, None),
+        let (inner, peeled) = match &plan.root {
+            PlanNode::Limit { input, limit, .. } => (&**input, Some(*limit)),
+            other => (other, None),
+        };
+        if inner.ordering().is_some() && self.options.degree(inner.est()) > 1 {
+            // Adaptive morsel granularity: size the fan-out from the
+            // planner's row estimate instead of always
+            // carving thread-count-equal splits — a stream barely past
+            // the parallel threshold gets two full morsels instead of
+            // `threads` slivers, and only estimates several thresholds
+            // deep fan out to the full degree.
+            let parts = if self.options.parallel_min_rows == 0 {
+                self.options.threads
+            } else {
+                inner
+                    .est()
+                    .div_ceil(self.options.parallel_min_rows)
+                    .clamp(2, self.options.threads)
             };
-            if inner.ordering().is_some() && inner.est() >= self.options.parallel_min_rows {
-                // Adaptive morsel granularity: size the fan-out from the
-                // planner's row estimate instead of always
-                // carving thread-count-equal splits — a stream barely past
-                // the parallel threshold gets two full morsels instead of
-                // `threads` slivers, and only estimates several thresholds
-                // deep fan out to the full degree.
-                let parts = if self.options.parallel_min_rows == 0 {
-                    self.options.threads
-                } else {
-                    inner
-                        .est()
-                        .div_ceil(self.options.parallel_min_rows)
-                        .clamp(2, self.options.threads)
-                };
-                morsels = executor
-                    .morsel_cursors(inner, parts, &mut stats)?
-                    .map(|cursors| (cursors, peeled));
-            }
+            morsels = executor
+                .morsel_cursors(inner, parts, &mut stats)?
+                .map(|cursors| (cursors, peeled));
         }
         let profile = executor.query_profile(&plan);
         let stream = QueryStream::new(plan, root, stats, profile, &self.options.cancel);

@@ -51,7 +51,9 @@ pub fn semi_naive_star(
     };
     let compiled = CompiledConditions::compile(&cond, store);
     let keys = compiled.cross_equalities();
-    let table = (!keys.is_empty()).then(|| JoinTable::build(base, &keys, stats));
+    let cancel = &options.cancel;
+    let table = (!keys.is_empty())
+        .then(|| JoinTable::build(base, &keys, options.degree(base.len()), cancel, stats));
     let mut acc = base.clone();
     let mut delta = base.clone();
     let mut rounds: u64 = 0;
@@ -68,24 +70,14 @@ pub fn semi_naive_star(
         }
         rounds += 1;
         stats.fixpoint_rounds += 1;
-        let threads = if options.threads > 1 && delta.len() >= options.parallel_min_rows {
-            options.threads
-        } else {
-            1
-        };
+        let threads = options.degree(delta.len());
         let joined = match &table {
-            Some(table) if threads > 1 => ops::hash_join_probe_parallel(
-                &delta,
-                table,
-                &output,
-                &compiled,
-                store,
-                threads,
-                &options.cancel,
-                stats,
+            Some(table) => ops::hash_join_probe(
+                &delta, table, &output, &compiled, store, threads, cancel, stats,
             ),
-            Some(table) => ops::hash_join_probe(&delta, table, &output, &compiled, store, stats),
-            None => ops::nested_loop_join(&delta, base, &output, &compiled, store, stats),
+            None => ops::nested_loop_join(
+                &delta, base, &output, &compiled, store, threads, cancel, stats,
+            ),
         };
         let fresh = joined.difference(&acc);
         if fresh.is_empty() {
@@ -94,6 +86,8 @@ pub fn semi_naive_star(
         acc = acc.union(&fresh);
         delta = fresh;
     }
+    // A round cut short by cancellation looks like a fixpoint.
+    options.cancel.check()?;
     Ok(acc)
 }
 

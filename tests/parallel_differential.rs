@@ -167,7 +167,8 @@ proptest! {
             );
             // Morsel execution reports the same work totals as the
             // sequential run (each pair/scan/edge is counted exactly once,
-            // wherever it ran).
+            // wherever it ran, and a merge join's scan is counted from its
+            // two runs, not from its morsels).
             prop_assert_eq!(
                 first.stats.pairs_considered,
                 reference.stats.pairs_considered,
@@ -177,6 +178,11 @@ proptest! {
                 first.stats.reach_edges_traversed,
                 reference.stats.reach_edges_traversed,
                 "edge counts diverge at threads={} on {}", threads, expr
+            );
+            prop_assert_eq!(
+                first.stats.work(),
+                reference.stats.work(),
+                "work diverges at threads={} on {}", threads, expr
             );
         }
     }
