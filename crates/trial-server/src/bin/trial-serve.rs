@@ -48,7 +48,8 @@ OPTIONS:
     --preload <NAME>     preload a workload store (repeatable);
                          names: figure1 transport social random chain
                                 cycle grid clique
-    --cache <N>          query-cache entries (0 = off) [default: 128]
+    --cache <N>          result-cache entries, all result kinds together
+                         (0 = off)                     [default: 128]
     --eval-threads <N>   intra-query parallelism degree (0 = all cores);
                          per-request override: ?threads= (clamped to 16)
                                                        [default: 1]

@@ -1,32 +1,31 @@
-//! LRU caches for query results, keyed by `(store, epoch, kind, text)`.
+//! The result cache: one LRU of prefix-closed answers, keyed by
+//! `(store, epoch, kind, text)` and the evaluation shape.
 //!
 //! A repeat of a query against the *same epoch* of a store skips
-//! parse + plan + evaluate entirely and serves the rendered JSON fragment
-//! from memory. Because the epoch is part of the key, a `/load` (which bumps
+//! parse + plan + evaluate entirely and serves the rendered rows from
+//! memory. Because the epoch is part of the key, a `/load` (which bumps
 //! the store's epoch) invalidates every cached result for that store without
 //! any explicit eviction pass — stale entries simply stop being reachable
 //! and age out of the LRU order.
 //!
-//! Two caches share the same LRU core:
+//! **Every entry is prefix-closed.** A response is a deterministic stream
+//! of rows cut at `?limit=`, so the rows served at limit `L` are the first
+//! `L` rows served at any larger limit — unordered, ordered, top-k and
+//! `/path` results alike. The limit is therefore not part of the key: one
+//! cached prefix of `k` rendered rows serves *every* `?limit=L` with
+//! `L ≤ k` by slicing (and every limit at all once the prefix is known
+//! complete). Deeper evaluations replace shallower entries, never the
+//! reverse. An `/explain` plan is cached as a complete entry whose body is
+//! the rendered plan; its plan limit rides in the key text instead.
+//! `/explain?analyze=1` and the count-only `?limit=0` bypass the cache both
+//! ways.
 //!
-//! * [`QueryCache`] — exact-key fragments: the whole rendered response for
-//!   one `(limit, threads, order, topk)` combination. `/explain?analyze=1`
-//!   bypasses it both ways: an analyze run always executes.
-//! * [`PrefixCache`] — **prefix-closed ordered results**: an ordered query's
-//!   rows under a fixed `(store, epoch, text, threads, order)` are the same
-//!   rows for every limit, just cut at a different length, so one cached
-//!   prefix of `k` rendered rows serves *every* `?limit=L` with `L ≤ k` by
-//!   slicing (and every limit at all once the prefix is known complete).
-//!   Deeper evaluations replace shallower entries, never the reverse.
-//!
-//! Hit/miss counters for both (the prefix cache's hits surface as
-//! `hits_prefix`) are exposed on `/healthz`, which is how the integration
-//! tests (and operators) observe cache behaviour.
+//! Hit/miss counters are exposed on `/healthz`, which is how the
+//! integration tests (and operators) observe cache behaviour.
 
 use std::collections::{HashMap, VecDeque};
-use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// What the cached text answers — `/query` results and `/explain` plans are
 /// cached independently even for identical query text. Path expressions get
@@ -45,8 +44,9 @@ pub enum QueryKind {
     PathExplain,
 }
 
-/// Cache key: store name + store epoch + endpoint kind + exact query text +
-/// effective result limit + evaluation shape (threads, order, top-k).
+/// Cache key: store name + store epoch + endpoint kind + query text +
+/// evaluation shape (threads, order, top-k). **No limit**: one entry serves
+/// every limit up to its depth.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// Registry name of the store.
@@ -55,91 +55,123 @@ pub struct CacheKey {
     pub epoch: u64,
     /// Which endpoint produced the value.
     pub kind: QueryKind,
-    /// The query text, byte-for-byte (no normalisation).
+    /// The query text, byte-for-byte (no normalisation), preceded by the
+    /// knobs that change the answer but are not fields here (the path
+    /// knobs, an explain's plan limit).
     pub text: String,
-    /// The `?limit=` the fragment was rendered with — the triple list is
-    /// truncated at render time, so different limits are different results
-    /// (0 for `/explain`, which has no limit).
-    pub limit: u64,
     /// The effective evaluation parallelism: `/explain` plans carry
     /// `[parallel×N]` tags and `/query` stats report morsel counts, so
-    /// fragments rendered at different degrees must not share an entry.
+    /// answers rendered at different degrees must not share an entry.
     pub threads: u64,
     /// The requested `?order=` permutation (`"spo"`/`"pos"`/`"osp"`), or
-    /// `None`: ordered fragments render rows in a different sequence (and
+    /// `None`: ordered answers list rows in a different sequence (and
     /// ordered explains show different scan permutations / sort breakers),
     /// so they must not share an entry with unordered ones.
     pub order: Option<&'static str>,
-    /// The requested `?topk=` bound, or `None`: a top-k fragment is a
+    /// The requested `?topk=` bound, or `None`: a top-k answer is a
     /// different result than a limit-truncated one.
     pub topk: Option<u64>,
 }
 
+/// A cached answer: the first [`Entry::len`] rows of a result, rendered as
+/// `["s","p","o"]` JSON arrays in one comma-separated body, with the end
+/// offset of each row so that any shorter prefix is a slice of the body.
+/// An explain's entry holds the rendered plan as its body and no rows.
 #[derive(Debug)]
-struct Slot<V> {
-    value: V,
-    stamp: u64,
+pub struct Entry {
+    /// The rendered rows in delivery order, comma-separated (or the
+    /// rendered plan of an explain).
+    pub body: String,
+    /// `ends[i]` is the offset in `body` just past row `i`.
+    pub ends: Vec<u32>,
+    /// `false` when more rows exist beyond these (the prefix is proper);
+    /// `true` means the rows are the **complete** result, serving any limit.
+    pub complete: bool,
+    /// Rendered work counters of the evaluation that produced the rows
+    /// (served verbatim on every hit).
+    pub stats: String,
 }
 
-/// The shared LRU core: a map plus an amortised recency queue. Not
-/// thread-safe by itself — both caches wrap it in a `Mutex`.
-#[derive(Debug)]
-struct Lru<K, V> {
-    map: HashMap<K, Slot<V>>,
-    /// Recency queue of `(key, stamp)`; an entry is current only if its
-    /// stamp matches the map's. Touches push fresh pairs and leave stale
-    /// ones to be skipped at eviction (amortised O(1), no linked list).
-    order: VecDeque<(K, u64)>,
-    tick: u64,
-}
-
-impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
-    fn new() -> Self {
-        Lru {
-            map: HashMap::new(),
-            order: VecDeque::new(),
-            tick: 0,
+impl Entry {
+    /// A complete entry without row offsets: an explain's rendered plan,
+    /// or a count-only answer's stats.
+    pub fn whole(body: String, stats: String) -> Entry {
+        Entry {
+            body,
+            ends: Vec::new(),
+            complete: true,
+            stats,
         }
     }
 
-    /// Looks up `key`, refreshing its recency on a hit.
-    fn get(&mut self, key: &K) -> Option<V> {
+    /// The number of rows held.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// `true` when no row is held.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The first `n` rows (at most [`Entry::len`]), comma-separated.
+    pub fn rows(&self, n: usize) -> &str {
+        match n.min(self.len()) {
+            0 => "",
+            n => &self.body[..self.ends[n - 1] as usize],
+        }
+    }
+
+    /// `true` when this entry can answer `?limit=limit` by slicing.
+    pub fn covers(&self, limit: usize) -> bool {
+        self.complete || self.len() >= limit
+    }
+}
+
+#[derive(Debug)]
+struct Slot {
+    entry: Arc<Entry>,
+    stamp: u64,
+}
+
+/// The LRU core: a map plus an amortised recency queue, behind the
+/// cache's `Mutex`.
+#[derive(Debug, Default)]
+struct Lru {
+    map: HashMap<CacheKey, Slot>,
+    /// Recency queue of `(key, stamp)`; an entry is current only if its
+    /// stamp matches the map's. Touches push fresh pairs and leave stale
+    /// ones to be skipped at eviction (amortised O(1), no linked list).
+    order: VecDeque<(CacheKey, u64)>,
+    tick: u64,
+}
+
+impl Lru {
+    /// Looks up `key` and, if its entry covers `limit`, refreshes its
+    /// recency and returns it.
+    fn get_covering(&mut self, key: &CacheKey, limit: usize) -> Option<Arc<Entry>> {
+        let slot = self.map.get_mut(key).filter(|s| s.entry.covers(limit))?;
         self.tick += 1;
-        let tick = self.tick;
-        let value = match self.map.get_mut(key) {
-            Some(slot) => {
-                slot.stamp = tick;
-                Some(slot.value.clone())
-            }
-            None => return None,
-        };
-        self.order.push_back((key.clone(), tick));
+        slot.stamp = self.tick;
+        let entry = Arc::clone(&slot.entry);
+        self.order.push_back((key.clone(), self.tick));
         self.compact();
-        value
+        Some(entry)
     }
 
-    /// Peeks at `key` without touching recency (used for replace-if-longer
-    /// decisions that must not promote the entry they might evict).
-    fn peek(&self, key: &K) -> Option<&V> {
-        self.map.get(key).map(|slot| &slot.value)
-    }
-
-    /// Inserts (or refreshes) `key → value`, evicting the least recently
+    /// Inserts (or refreshes) `key → entry`, evicting the least recently
     /// used entries if the map is over `capacity`.
-    fn insert(&mut self, key: K, value: V, capacity: usize) {
+    fn insert(&mut self, key: CacheKey, entry: Arc<Entry>, capacity: usize) {
         self.tick += 1;
-        let tick = self.tick;
-        self.map.insert(key.clone(), Slot { value, stamp: tick });
-        self.order.push_back((key, tick));
+        let stamp = self.tick;
+        self.map.insert(key.clone(), Slot { entry, stamp });
+        self.order.push_back((key, stamp));
         while self.map.len() > capacity {
-            match self.order.pop_front() {
-                Some((victim, stamp)) => {
-                    let current = self.map.get(&victim).map(|s| s.stamp) == Some(stamp);
-                    if current {
-                        self.map.remove(&victim);
-                    }
-                }
-                None => break,
+            let Some((victim, stamp)) = self.order.pop_front() else {
+                break;
+            };
+            if self.map.get(&victim).map(|s| s.stamp) == Some(stamp) {
+                self.map.remove(&victim);
             }
         }
         self.compact();
@@ -156,60 +188,72 @@ impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
     }
 }
 
-/// A thread-safe LRU cache of rendered JSON fragments.
+/// A thread-safe LRU of prefix-closed answers holding at most `capacity`
+/// entries of every kind together.
 #[derive(Debug)]
-pub struct QueryCache {
+pub struct ResultCache {
     capacity: usize,
-    inner: Mutex<Lru<CacheKey, Arc<String>>>,
+    inner: Mutex<Lru>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-impl QueryCache {
+impl ResultCache {
     /// Creates a cache holding at most `capacity` entries. Capacity 0
-    /// disables caching (every lookup misses, inserts are dropped).
+    /// disables caching (every lookup misses, offers are dropped).
     pub fn new(capacity: usize) -> Self {
-        QueryCache {
+        ResultCache {
             capacity,
-            inner: Mutex::new(Lru::new()),
+            inner: Mutex::new(Lru::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
-    /// Looks up `key`, counting a hit or miss and refreshing recency.
-    pub fn get(&self, key: &CacheKey) -> Option<Arc<String>> {
-        if self.capacity == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let value = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(key);
-        match value {
-            Some(value) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(value)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Inserts (or refreshes) `key → value`, evicting the least recently
-    /// used entries if the cache is over capacity.
-    pub fn insert(&self, key: CacheKey, value: Arc<String>) {
-        if self.capacity == 0 {
-            return;
-        }
+    fn lock(&self) -> MutexGuard<'_, Lru> {
         self.inner
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(key, value, self.capacity);
+    }
+
+    /// Looks up an entry deep enough to serve `limit` rows, counting a hit
+    /// or a miss. An entry that is too shallow counts as a miss (the caller
+    /// will evaluate deeper and [`ResultCache::offer`] the longer prefix
+    /// back).
+    pub fn get_covering(&self, key: &CacheKey, limit: usize) -> Option<Arc<Entry>> {
+        let entry = if self.capacity == 0 {
+            None
+        } else {
+            self.lock().get_covering(key, limit)
+        };
+        let counter = if entry.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        entry
+    }
+
+    /// Offers a freshly evaluated answer. Kept only if it is **deeper**
+    /// than the current entry (or completes it) — prefix-closure means a
+    /// longer prefix strictly subsumes a shorter one, so replacement only
+    /// ever goes deeper and a shallow re-evaluation can never clobber a
+    /// deep prefix.
+    pub fn offer(&self, key: CacheKey, entry: Arc<Entry>) {
+        if self.capacity == 0 {
+            return;
+        }
+        let mut inner = self.lock();
+        let keep = match inner.map.get(&key) {
+            Some(current) => {
+                !current.entry.complete && (entry.complete || entry.len() > current.entry.len())
+            }
+            None => true,
+        };
+        if keep {
+            inner.insert(key, entry, self.capacity);
+        }
     }
 
     /// Cache hits since startup.
@@ -217,18 +261,14 @@ impl QueryCache {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Cache misses since startup.
+    /// Cache misses (including too-shallow entries) since startup.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
 
     /// Current number of cached entries.
     pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .map
-            .len()
+        self.lock().map.len()
     }
 
     /// `true` if nothing is cached.
@@ -242,164 +282,6 @@ impl QueryCache {
     }
 }
 
-/// Key for the prefix-closed ordered cache. **No limit**: that is the whole
-/// point — one entry serves every limit up to its depth. Top-k results and
-/// explains never reach this cache (a top-k set is not a prefix of anything).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct PrefixKey {
-    /// Registry name of the store.
-    pub store: String,
-    /// Epoch of the snapshot the rows were computed against.
-    pub epoch: u64,
-    /// The query grammar the text belongs to ([`QueryKind::Query`] or
-    /// [`QueryKind::Path`]) — probed before parsing, so without it a path
-    /// text could slice a TriAL prefix whose bytes happen to match.
-    pub kind: QueryKind,
-    /// The query text, byte-for-byte.
-    pub text: String,
-    /// Evaluation parallelism (stats embedded in served fragments differ).
-    pub threads: u64,
-    /// The order the rows stream in (`"spo"`/`"pos"`/`"osp"`).
-    pub order: &'static str,
-}
-
-/// A cached ordered result prefix: the first [`PrefixEntry::len`] rows of
-/// the ordered result, rendered as `["s","p","o"]` JSON arrays in one
-/// comma-separated body, with the end offset of each row so that any
-/// shorter prefix is a slice of the body.
-#[derive(Debug)]
-pub struct PrefixEntry {
-    /// The rendered rows in the order's key order, comma-separated.
-    pub body: String,
-    /// `ends[i]` is the offset in `body` just past row `i`.
-    pub ends: Vec<u32>,
-    /// `false` when more rows exist beyond these (the prefix is proper);
-    /// `true` means the rows are the **complete** result, serving any limit.
-    pub complete: bool,
-    /// Rendered work counters of the evaluation that produced the prefix
-    /// (served verbatim on prefix hits, like exact-cache hits serve their
-    /// original stats).
-    pub stats: String,
-}
-
-impl PrefixEntry {
-    /// The number of rows held.
-    pub fn len(&self) -> usize {
-        self.ends.len()
-    }
-
-    /// `true` when no row is held.
-    pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
-    }
-
-    /// The first `n` rows (at most [`PrefixEntry::len`]), comma-separated.
-    pub fn rows(&self, n: usize) -> &str {
-        match n.min(self.len()) {
-            0 => "",
-            n => &self.body[..self.ends[n - 1] as usize],
-        }
-    }
-
-    /// `true` when this entry can answer `?limit=limit` by slicing.
-    pub fn covers(&self, limit: usize) -> bool {
-        self.complete || self.len() >= limit
-    }
-}
-
-/// A thread-safe LRU of prefix-closed ordered results.
-#[derive(Debug)]
-pub struct PrefixCache {
-    capacity: usize,
-    inner: Mutex<Lru<PrefixKey, Arc<PrefixEntry>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl PrefixCache {
-    /// Creates a cache holding at most `capacity` entries (0 disables).
-    pub fn new(capacity: usize) -> Self {
-        PrefixCache {
-            capacity,
-            inner: Mutex::new(Lru::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// Looks up an entry deep enough to serve `limit` rows. An entry that is
-    /// too shallow counts as a miss (the caller will evaluate deeper and
-    /// [`PrefixCache::offer`] the longer prefix back).
-    pub fn get_covering(&self, key: &PrefixKey, limit: usize) -> Option<Arc<PrefixEntry>> {
-        if self.capacity == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let covering = matches!(inner.peek(key), Some(entry) if entry.covers(limit));
-        let value = if covering { inner.get(key) } else { None };
-        drop(inner);
-        match value {
-            Some(entry) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Offers a freshly evaluated prefix. Kept only if it is **deeper** than
-    /// the current entry (or completes it) — prefix-closure means a longer
-    /// prefix strictly subsumes a shorter one, so replacement only ever goes
-    /// deeper and a shallow re-evaluation can never clobber a deep prefix.
-    pub fn offer(&self, key: PrefixKey, entry: Arc<PrefixEntry>) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let keep = match inner.peek(&key) {
-            Some(current) => !current.complete && (entry.complete || entry.len() > current.len()),
-            None => true,
-        };
-        if keep {
-            inner.insert(key, entry, self.capacity);
-        }
-    }
-
-    /// Prefix-cache hits since startup (`hits_prefix` on `/healthz`).
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Prefix-cache misses (including too-shallow entries) since startup.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Current number of cached prefixes.
-    pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .map
-            .len()
-    }
-
-    /// `true` if nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -410,114 +292,13 @@ mod tests {
             epoch,
             kind: QueryKind::Query,
             text: text.into(),
-            limit: 100,
             threads: 1,
             order: None,
             topk: None,
         }
     }
 
-    fn val(s: &str) -> Arc<String> {
-        Arc::new(s.to_owned())
-    }
-
-    #[test]
-    fn hit_and_miss_counting() {
-        let cache = QueryCache::new(4);
-        assert!(cache.get(&key("s", 1, "E")).is_none());
-        cache.insert(key("s", 1, "E"), val("r"));
-        assert_eq!(cache.get(&key("s", 1, "E")).unwrap().as_str(), "r");
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn epoch_bump_invalidates() {
-        let cache = QueryCache::new(4);
-        cache.insert(key("s", 1, "E"), val("old"));
-        // Same store and text, new epoch: different key, so a miss.
-        assert!(cache.get(&key("s", 2, "E")).is_none());
-        // The old epoch's entry is still present until evicted.
-        assert!(cache.get(&key("s", 1, "E")).is_some());
-        // Explain and Query results do not collide.
-        let explain = CacheKey {
-            kind: QueryKind::Explain,
-            ..key("s", 1, "E")
-        };
-        assert!(cache.get(&explain).is_none());
-        // Neither do renderings with different ?limit= values.
-        let other_limit = CacheKey {
-            limit: 1,
-            ..key("s", 1, "E")
-        };
-        assert!(cache.get(&other_limit).is_none());
-        // Nor fragments evaluated at a different parallel degree.
-        let other_threads = CacheKey {
-            threads: 4,
-            ..key("s", 1, "E")
-        };
-        assert!(cache.get(&other_threads).is_none());
-        // Ordered and top-k renderings are their own entries too.
-        let ordered = CacheKey {
-            order: Some("pos"),
-            ..key("s", 1, "E")
-        };
-        assert!(cache.get(&ordered).is_none());
-        let topk = CacheKey {
-            topk: Some(5),
-            ..key("s", 1, "E")
-        };
-        assert!(cache.get(&topk).is_none());
-    }
-
-    #[test]
-    fn lru_evicts_least_recently_used() {
-        let cache = QueryCache::new(2);
-        cache.insert(key("s", 1, "a"), val("1"));
-        cache.insert(key("s", 1, "b"), val("2"));
-        // Touch `a` so `b` is the LRU victim.
-        assert!(cache.get(&key("s", 1, "a")).is_some());
-        cache.insert(key("s", 1, "c"), val("3"));
-        assert_eq!(cache.len(), 2);
-        assert!(cache.get(&key("s", 1, "a")).is_some());
-        assert!(cache.get(&key("s", 1, "b")).is_none());
-        assert!(cache.get(&key("s", 1, "c")).is_some());
-    }
-
-    #[test]
-    fn zero_capacity_disables() {
-        let cache = QueryCache::new(0);
-        cache.insert(key("s", 1, "a"), val("1"));
-        assert!(cache.get(&key("s", 1, "a")).is_none());
-        assert!(cache.is_empty());
-        assert_eq!(cache.capacity(), 0);
-        assert_eq!(cache.misses(), 1); // the lookup still counts as a miss
-    }
-
-    #[test]
-    fn recency_queue_stays_bounded_under_repeated_hits() {
-        let cache = QueryCache::new(2);
-        cache.insert(key("s", 1, "a"), val("1"));
-        for _ in 0..10_000 {
-            assert!(cache.get(&key("s", 1, "a")).is_some());
-        }
-        let inner = cache.inner.lock().unwrap();
-        assert!(inner.order.len() <= inner.map.len() * 4 + 17);
-    }
-
-    fn pkey(text: &str, epoch: u64) -> PrefixKey {
-        PrefixKey {
-            store: "s".into(),
-            epoch,
-            kind: QueryKind::Query,
-            text: text.into(),
-            threads: 1,
-            order: "pos",
-        }
-    }
-
-    fn prefix(rows: usize, complete: bool) -> Arc<PrefixEntry> {
+    fn prefix(rows: usize, complete: bool) -> Arc<Entry> {
         let mut body = String::new();
         let mut ends = Vec::new();
         for i in 0..rows {
@@ -527,12 +308,98 @@ mod tests {
             body.push_str(&format!("[{i}]"));
             ends.push(body.len() as u32);
         }
-        Arc::new(PrefixEntry {
+        Arc::new(Entry {
             body,
             ends,
             complete,
             stats: "{}".into(),
         })
+    }
+
+    #[test]
+    fn hit_and_miss_counting() {
+        let cache = ResultCache::new(4);
+        assert!(cache.get_covering(&key("s", 1, "E"), 1).is_none());
+        cache.offer(key("s", 1, "E"), prefix(1, true));
+        assert_eq!(
+            cache.get_covering(&key("s", 1, "E"), 1).unwrap().body,
+            "[0]"
+        );
+        assert_eq!(cache.hits(), 1);
+        assert_eq!(cache.misses(), 1);
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn epoch_bump_invalidates() {
+        let cache = ResultCache::new(8);
+        cache.offer(key("s", 1, "E"), prefix(3, true));
+        // Same store and text, new epoch: different key, so a miss.
+        assert!(cache.get_covering(&key("s", 2, "E"), 1).is_none());
+        // The old epoch's entry is still present until evicted.
+        assert!(cache.get_covering(&key("s", 1, "E"), 1).is_some());
+        // Explain and Query results do not collide.
+        let explain = CacheKey {
+            kind: QueryKind::Explain,
+            ..key("s", 1, "E")
+        };
+        assert!(cache.get_covering(&explain, 1).is_none());
+        // Nor answers evaluated at a different parallel degree.
+        let other_threads = CacheKey {
+            threads: 4,
+            ..key("s", 1, "E")
+        };
+        assert!(cache.get_covering(&other_threads, 1).is_none());
+        // Ordered and top-k answers are their own entries too.
+        let ordered = CacheKey {
+            order: Some("pos"),
+            ..key("s", 1, "E")
+        };
+        assert!(cache.get_covering(&ordered, 1).is_none());
+        let topk = CacheKey {
+            topk: Some(5),
+            ..key("s", 1, "E")
+        };
+        assert!(cache.get_covering(&topk, 1).is_none());
+        // Different limits share the one entry: it serves every limit.
+        for limit in [0, 1, 3, 1_000] {
+            assert!(cache.get_covering(&key("s", 1, "E"), limit).is_some());
+        }
+    }
+
+    #[test]
+    fn lru_evicts_least_recently_used() {
+        let cache = ResultCache::new(2);
+        cache.offer(key("s", 1, "a"), prefix(1, true));
+        cache.offer(key("s", 1, "b"), prefix(1, true));
+        // Touch `a` so `b` is the LRU victim.
+        assert!(cache.get_covering(&key("s", 1, "a"), 1).is_some());
+        cache.offer(key("s", 1, "c"), prefix(1, true));
+        assert_eq!(cache.len(), 2);
+        assert!(cache.get_covering(&key("s", 1, "a"), 1).is_some());
+        assert!(cache.get_covering(&key("s", 1, "b"), 1).is_none());
+        assert!(cache.get_covering(&key("s", 1, "c"), 1).is_some());
+    }
+
+    #[test]
+    fn zero_capacity_disables() {
+        let cache = ResultCache::new(0);
+        cache.offer(key("s", 1, "a"), prefix(1, true));
+        assert!(cache.get_covering(&key("s", 1, "a"), 1).is_none());
+        assert!(cache.is_empty());
+        assert_eq!(cache.capacity(), 0);
+        assert_eq!(cache.misses(), 1); // the lookup still counts as a miss
+    }
+
+    #[test]
+    fn recency_queue_stays_bounded_under_repeated_hits() {
+        let cache = ResultCache::new(2);
+        cache.offer(key("s", 1, "a"), prefix(1, true));
+        for _ in 0..10_000 {
+            assert!(cache.get_covering(&key("s", 1, "a"), 1).is_some());
+        }
+        let inner = cache.lock();
+        assert!(inner.order.len() <= inner.map.len() * 4 + 17);
     }
 
     #[test]
@@ -550,51 +417,49 @@ mod tests {
 
     #[test]
     fn a_deep_prefix_serves_every_shallower_limit() {
-        let cache = PrefixCache::new(4);
-        assert!(cache.get_covering(&pkey("E", 1), 10).is_none());
-        cache.offer(pkey("E", 1), prefix(100, false));
+        let cache = ResultCache::new(4);
+        assert!(cache.get_covering(&key("s", 1, "E"), 10).is_none());
+        cache.offer(key("s", 1, "E"), prefix(100, false));
         // Any limit ≤ 100 slices out of the entry; 101 is too deep.
         for limit in [1, 50, 100] {
-            let entry = cache.get_covering(&pkey("E", 1), limit).unwrap();
+            let entry = cache.get_covering(&key("s", 1, "E"), limit).unwrap();
             assert!(entry.len() >= limit);
         }
-        assert!(cache.get_covering(&pkey("E", 1), 101).is_none());
+        assert!(cache.get_covering(&key("s", 1, "E"), 101).is_none());
         // A *complete* prefix covers any limit at all.
-        cache.offer(pkey("E", 1), prefix(100, true));
-        assert!(cache.get_covering(&pkey("E", 1), 100_000).is_some());
+        cache.offer(key("s", 1, "E"), prefix(100, true));
+        assert!(cache.get_covering(&key("s", 1, "E"), 100_000).is_some());
         assert_eq!(cache.hits(), 4);
         assert_eq!(cache.misses(), 2);
     }
 
     #[test]
     fn replacement_only_goes_deeper() {
-        let cache = PrefixCache::new(4);
-        cache.offer(pkey("E", 1), prefix(50, false));
+        let cache = ResultCache::new(4);
+        cache.offer(key("s", 1, "E"), prefix(50, false));
         // A shallower re-evaluation must not clobber the deeper prefix.
-        cache.offer(pkey("E", 1), prefix(10, false));
-        assert_eq!(cache.get_covering(&pkey("E", 1), 50).unwrap().len(), 50);
+        cache.offer(key("s", 1, "E"), prefix(10, false));
+        let entry = cache.get_covering(&key("s", 1, "E"), 50).unwrap();
+        assert_eq!(entry.len(), 50);
         // Deeper replaces; complete replaces deeper; nothing replaces
         // complete (it already serves everything).
-        cache.offer(pkey("E", 1), prefix(80, false));
-        assert_eq!(cache.get_covering(&pkey("E", 1), 60).unwrap().len(), 80);
-        cache.offer(pkey("E", 1), prefix(80, true));
-        cache.offer(pkey("E", 1), prefix(200, false));
-        let entry = cache.get_covering(&pkey("E", 1), 1).unwrap();
+        cache.offer(key("s", 1, "E"), prefix(80, false));
+        let entry = cache.get_covering(&key("s", 1, "E"), 60).unwrap();
+        assert_eq!(entry.len(), 80);
+        cache.offer(key("s", 1, "E"), prefix(80, true));
+        cache.offer(key("s", 1, "E"), prefix(200, false));
+        let entry = cache.get_covering(&key("s", 1, "E"), 1).unwrap();
         assert!(entry.complete);
         assert_eq!(entry.len(), 80);
     }
 
     #[test]
-    fn prefix_entries_are_epoch_scoped_and_lru_bounded() {
-        let cache = PrefixCache::new(2);
-        cache.offer(pkey("E", 1), prefix(10, true));
-        assert!(cache.get_covering(&pkey("E", 2), 5).is_none());
-        cache.offer(pkey("a", 1), prefix(10, true));
-        cache.offer(pkey("b", 1), prefix(10, true));
+    fn entries_are_epoch_scoped_and_lru_bounded() {
+        let cache = ResultCache::new(2);
+        cache.offer(key("s", 1, "E"), prefix(10, true));
+        assert!(cache.get_covering(&key("s", 2, "E"), 5).is_none());
+        cache.offer(key("s", 1, "a"), prefix(10, true));
+        cache.offer(key("s", 1, "b"), prefix(10, true));
         assert_eq!(cache.len(), 2);
-        let disabled = PrefixCache::new(0);
-        disabled.offer(pkey("E", 1), prefix(10, true));
-        assert!(disabled.get_covering(&pkey("E", 1), 1).is_none());
-        assert!(disabled.is_empty());
     }
 }

@@ -211,6 +211,16 @@ impl JsonObject {
         self
     }
 
+    /// Adds an object field that `fill` builds in this object's buffer, so
+    /// a nested object is never rendered apart and copied in.
+    pub fn object(mut self, key: &str, fill: impl FnOnce(JsonObject) -> JsonObject) -> Self {
+        self.key(key);
+        let mut buf = std::mem::take(&mut self.buf);
+        buf.push('{');
+        self.buf = fill(JsonObject { buf, first: true }).finish();
+        self
+    }
+
     /// Closes the object and returns the JSON text.
     pub fn finish(mut self) -> String {
         self.buf.push('}');

@@ -133,11 +133,12 @@
 //! row keys from the old epoch are meaningless), and top-k responses never
 //! mint cursors (they are complete sets, not stream positions).
 //!
-//! Two more pieces round out the serving path. A **prefix-closed ordered
-//! cache**: an ordered result under a fixed `(store, epoch, query, threads,
-//! order)` is the same row sequence for every limit, so one deep evaluation
-//! serves every smaller `?limit=` by slicing (hits show up as
-//! `hits_prefix` on `/healthz`). And **admission control**: each store has
+//! Two more pieces round out the serving path. A **prefix-closed result
+//! cache**: a response is a deterministic row sequence cut at `?limit=`,
+//! so under a fixed `(store, epoch, kind, query, threads, order, topk)` one
+//! deep evaluation serves every smaller `?limit=` by slicing — unordered,
+//! ordered, top-k and `/path` results alike (hits show up as `hits` on
+//! `/healthz`). And **admission control**: each store has
 //! a bounded pool of concurrent-evaluation permits plus a bounded wait
 //! queue; beyond both, requests are shed immediately with a complete
 //! `429 {"error":{"kind":"saturated",...}}` and a `Retry-After` hint rather
@@ -151,12 +152,13 @@
 //! drain serves every delivery shape: it pulls rows from the cursor tree
 //! (buffered responses) or from the exchange (streamed ones) and writes
 //! each as `["s","p","o"]` straight into the response buffer — the body,
-//! the prefix-cache entry or the 8 KiB chunk buffer — with nothing
+//! which is also the cache entry, or the 8 KiB chunk buffer — with nothing
 //! allocated per row. [`json::push_string`] copies a name in one
 //! `push_str` when no byte of it can need escaping and falls back to the
 //! per-char rules otherwise, so output bytes do not depend on the path
-//! taken. A prefix-cache entry is one body plus the end offset of each row,
-//! and a smaller limit is served as a slice of it. Every response leaves in
+//! taken. A cache entry is one body plus the end offset of each row, and
+//! a smaller limit is served as a slice of it; fresh and cached answers
+//! render through one function. Every response leaves in
 //! as few writes as its shape allows: a buffered one in one write (a
 //! vectored one when the body is larger than a chunk, so it is never
 //! copied), a streamed one as its head, one write per chunk and one for the
@@ -255,7 +257,7 @@
 //!
 //! Cancellation semantics: a cancelled query releases its admission permit
 //! and worker threads promptly (the in-tree harness asserts within 50 ms of
-//! the deadline), never seeds the query or prefix caches, and shows up in
+//! the deadline), never seeds the result cache, and shows up in
 //! `trial_queries_timeout_total` / `trial_queries_cancelled_total` on
 //! `/metrics`. A **buffered** response that hits its deadline is a complete
 //! `408`; a **chunked** response that has already streamed its head cannot
@@ -295,10 +297,11 @@
 //!   snapshot's dictionary, and the sorted batch is merged into the runs
 //!   and permutation indexes the snapshot had built, so a load costs its
 //!   batch plus one merge pass and the first read after it re-sorts nothing.
-//! * **[`cache`]** — an LRU of rendered result fragments keyed by
-//!   `(store, epoch, kind, query text)`, plus the prefix-closed ordered
-//!   cache that serves any smaller limit by slicing a deeper cached prefix.
-//!   Epoch bumps invalidate implicitly; hit/miss counters are served on
+//! * **[`cache`]** — one LRU of prefix-closed answers keyed by
+//!   `(store, epoch, kind, query text)` and the evaluation shape, without
+//!   the limit: an entry serves any smaller limit by slicing its rendered
+//!   rows, and `--cache` bounds the entries of every kind together. Epoch
+//!   bumps invalidate implicitly; hit/miss counters are served on
 //!   `/healthz`.
 //! * **[`admission`]** — per-store concurrent-evaluation permits with a
 //!   bounded wait queue; saturation sheds load as structured `429`s with
@@ -364,7 +367,7 @@ pub mod token;
 pub mod trace;
 
 pub use admission::{Admission, AdmissionPermit};
-pub use cache::{CacheKey, PrefixCache, PrefixEntry, PrefixKey, QueryCache, QueryKind};
+pub use cache::{CacheKey, Entry, QueryKind, ResultCache};
 pub use chaos::Chaos;
 pub use metrics::Metrics;
 pub use preload::{preload_workload, WORKLOAD_NAMES};
@@ -381,5 +384,5 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Server>();
     assert_send_sync::<StoreRegistry>();
-    assert_send_sync::<QueryCache>();
+    assert_send_sync::<ResultCache>();
 };

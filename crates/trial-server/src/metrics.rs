@@ -8,7 +8,7 @@
 //!   reads the very same atomics `/metrics` renders, so the two surfaces
 //!   cannot drift.
 //! * **Fn-backed series** (`counter_fn`/`gauge_fn`) expose state that
-//!   already has an owner — the query/prefix caches, the admission
+//!   already has an owner — the result cache, the admission
 //!   semaphore, the store registry — by reading it at scrape time instead
 //!   of duplicating it.
 //!
@@ -19,7 +19,7 @@
 //! five request phases, and `kind` over the server's structured error kinds.
 
 use crate::admission::Admission;
-use crate::cache::{PrefixCache, QueryCache};
+use crate::cache::ResultCache;
 use crate::registry::StoreRegistry;
 use std::sync::Arc;
 use std::time::Instant;
@@ -82,8 +82,7 @@ impl Metrics {
     /// the admission semaphore and the store registry.
     pub(crate) fn new(
         stores: &Arc<StoreRegistry>,
-        cache: &Arc<QueryCache>,
-        prefix: &Arc<PrefixCache>,
+        cache: &Arc<ResultCache>,
         admission: &Arc<Admission>,
         started: Instant,
     ) -> Metrics {
@@ -161,44 +160,30 @@ impl Metrics {
         let c = Arc::clone(cache);
         r.counter_fn(
             "trial_cache_hits_total",
-            "Exact-key query-cache hits.",
+            "Result-cache hits (answered by slicing a cached entry).",
             &[],
             move || c.hits(),
         );
         let c = Arc::clone(cache);
         r.counter_fn(
             "trial_cache_misses_total",
-            "Exact-key query-cache misses.",
+            "Result-cache misses (no entry, or one too shallow).",
             &[],
             move || c.misses(),
         );
         let c = Arc::clone(cache);
         r.gauge_fn(
             "trial_cache_entries",
-            "Live query-cache entries.",
+            "Live result-cache entries.",
             &[],
             move || c.len() as u64,
         );
         let c = Arc::clone(cache);
         r.gauge_fn(
             "trial_cache_capacity",
-            "Configured query-cache capacity.",
+            "Configured result-cache capacity in entries.",
             &[],
             move || c.capacity() as u64,
-        );
-        let p = Arc::clone(prefix);
-        r.counter_fn(
-            "trial_prefix_cache_hits_total",
-            "Ordered-prefix cache hits (answered by slicing a deeper prefix).",
-            &[],
-            move || p.hits(),
-        );
-        let p = Arc::clone(prefix);
-        r.gauge_fn(
-            "trial_prefix_cache_entries",
-            "Live ordered-prefix cache entries.",
-            &[],
-            move || p.len() as u64,
         );
 
         let a = Arc::clone(admission);

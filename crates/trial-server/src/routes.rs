@@ -51,8 +51,14 @@
 //! than `k` rows; over an already-ordered plan it collapses to a plain
 //! early-terminating limit. Both knobs apply to `/explain` too (the plan
 //! shows the chosen scan permutations and `[merge]`/`[sort]`/`[topk]`
-//! tags), are echoed in the result fragment, and are part of the cache key;
-//! epoch bumps invalidate ordered fragments like any other.
+//! tags), are echoed in the result, and are part of the cache key; epoch
+//! bumps invalidate ordered entries like any other.
+//!
+//! **Caching**: a buffered answer is a deterministic row sequence cut at
+//! `?limit=`, so one cached entry of `k` rendered rows answers every
+//! `?limit=L` with `L ≤ k` by slicing. Fresh and cached answers render
+//! through one function; a hit differs only in `cached`, `elapsed_us` and
+//! the stats of the evaluation that filled the entry.
 //!
 //! **Path queries**: `POST /path` takes a regular path expression (atoms,
 //! `/` concatenation, `|` alternation, `*`, `+`, `?`) over one relation
@@ -66,7 +72,7 @@
 //! timeouts, caching) applies unchanged.
 
 use crate::admission::AdmissionPermit;
-use crate::cache::{CacheKey, PrefixEntry, PrefixKey, QueryKind};
+use crate::cache::{CacheKey, Entry, QueryKind};
 use crate::chaos::Chaos;
 use crate::http::{self, ChunkedWriter, Request, Response};
 use crate::json::{self, JsonObject};
@@ -92,14 +98,16 @@ use trial_rdf::{parse_ntriples_iter, Term};
 /// `?limit=0` for an exact count).
 pub const DEFAULT_RESULT_LIMIT: usize = 10_000;
 
-/// Hard ceiling on `?limit=`: the limit is part of the cache key and each
-/// rendered fragment lives in the LRU, so an unbounded client-chosen limit
-/// would let well-formed requests pin unbounded memory. Requests above the
-/// ceiling are clamped (observable via `truncated`).
+/// Hard ceiling on `?limit=`: the limit bounds how many rows one response
+/// renders, evaluates and buffers, so an unbounded client-chosen limit
+/// would let one well-formed request pin unbounded memory. (It is not part
+/// of the cache key: one entry serves every limit up to its depth.)
+/// Requests above the ceiling are clamped (observable via `truncated`).
 pub const MAX_RESULT_LIMIT: usize = 100_000;
 
-/// Fragments larger than this are served but not cached — the LRU counts
-/// entries, not bytes, so giant renderings must not occupy slots.
+/// Answers whose rendered body is larger than this are served but not
+/// cached — the LRU counts entries, not bytes, so giant renderings must
+/// not occupy slots.
 const MAX_CACHED_FRAGMENT_BYTES: usize = 1 << 20;
 
 /// Hard ceiling on the per-request `?threads=` knob (and on `--eval-threads`
@@ -344,10 +352,6 @@ fn healthz(state: &ServerState) -> Response {
         .num("misses", state.cache.misses())
         .num("entries", state.cache.len() as u64)
         .num("capacity", state.cache.capacity() as u64)
-        // The prefix-closed ordered cache: hits served by slicing a cached
-        // ordered prefix that an exact-key lookup missed.
-        .num("hits_prefix", state.prefix.hits())
-        .num("prefix_entries", state.prefix.len() as u64)
         .finish();
     // Admission control: per-store evaluation permits, live occupancy and
     // the shed counter — the observable face of saturation behaviour.
@@ -705,19 +709,23 @@ fn parse_path_params(req: &Request) -> Result<PathParams, Box<Response>> {
     })
 }
 
-/// The cache-key text for a path request. The path kinds already separate
-/// the grammar namespaces; within them, the knobs that change the result
-/// ride in front of the expression text (the JSON-quoted relation cannot
-/// collide with the space-delimited fields after it).
-fn path_key_text(pp: &PathParams, text: &str) -> String {
-    let hops = pp
-        .max_hops
-        .map_or_else(|| "-".to_owned(), |h| h.to_string());
-    format!(
-        "{} {} {hops} {text}",
-        json::string(&pp.relation),
-        pp.strategy.name()
-    )
+/// The cache-key text of a request. The kinds already separate the
+/// grammar namespaces; within them, the knobs that change the answer but
+/// have no [`CacheKey`] field ride in front of the query text: an explain's
+/// plan limit (its plan shows the pushed `Limit`) and the path knobs (the
+/// JSON-quoted relation cannot collide with the space-delimited fields
+/// after it).
+fn key_text(kind: QueryKind, pp: Option<&PathParams>, limit: Option<usize>, text: &str) -> String {
+    let opt = |n: Option<usize>| n.map_or_else(|| "-".to_owned(), |n| n.to_string());
+    let mut key = match kind {
+        QueryKind::Explain | QueryKind::PathExplain => format!("{} ", opt(limit)),
+        QueryKind::Query | QueryKind::Path => String::new(),
+    };
+    if let Some(pp) = pp {
+        let (relation, algo) = (json::string(&pp.relation), pp.strategy.name());
+        key += &format!("{relation} {algo} {} ", opt(pp.max_hops));
+    }
+    key + text
 }
 
 /// A compiled request body, ready to plan: ordinary TriAL algebra —
@@ -847,8 +855,8 @@ fn rejected_response(store: &str, retry_after: u64) -> Response {
     response
 }
 
-/// `/query` and `/explain`: parse the TriAL text, consult the LRU cache
-/// keyed by `(store, epoch, kind, text)`, evaluate or plan on a miss.
+/// `/query`, `/path` and `/explain`: one lookup in the result cache; on a
+/// miss, parse, admit and evaluate (or plan), and offer the answer back.
 fn query(state: &ServerState, req: &Request, kind: QueryKind, trace: &mut Trace) -> Response {
     let start = Instant::now();
     let text = match query_text(req) {
@@ -878,12 +886,10 @@ fn query(state: &ServerState, req: &Request, kind: QueryKind, trace: &mut Trace)
     } else {
         None
     };
-    // Cache-key text: TriAL requests key on the body verbatim; path requests
-    // fold the path-only knobs in (they change the result).
-    let key_text = match &path_params {
-        Some(pp) => path_key_text(pp, text),
-        None => text.to_owned(),
-    };
+    // An explicit positive ?limit= shows the limit-pushed plan the
+    // equivalent /query would run; ?order=/?topk= likewise show the ordered
+    // plan (scan permutations, sort breakers, top-k heaps).
+    let plan_limit = requested_limit.filter(|&k| k > 0);
 
     let snapshot = match resolve_store(state, req) {
         Ok(s) => s,
@@ -895,62 +901,35 @@ fn query(state: &ServerState, req: &Request, kind: QueryKind, trace: &mut Trace)
         store: snapshot.name().to_owned(),
         epoch: snapshot.epoch(),
         kind,
-        text: key_text.clone(),
-        // The rendered fragment depends on the effective limit, so requests
-        // with different limits must not share an entry. Explain plans also
-        // change shape under an explicit limit (the pushed-down Limit nodes).
-        limit: if is_explain {
-            requested_limit.filter(|&k| k > 0).unwrap_or(0) as u64
-        } else {
-            limit as u64
-        },
+        text: key_text(kind, path_params.as_ref(), plan_limit, text),
         threads: threads as u64,
         order: order.map(Permutation::name),
         topk: topk.map(|k| k as u64),
     };
-    // `/explain?analyze=1` reports what one execution did, so it bypasses
-    // the result cache both ways: it never answers from an entry and never
-    // leaves one behind.
-    if let Some(fragment) = (!analyze).then(|| state.cache.get(&key)).flatten() {
+    // `/explain?analyze=1` reports what one execution did, and a count-only
+    // `?limit=0` has no rows to slice: both bypass the cache both ways.
+    // Every other answer is prefix-closed, so an entry holding at least
+    // `limit` rows (or all of them) answers by slicing — no parse, no plan,
+    // no evaluation, no admission.
+    let cacheable = !analyze && (is_explain || limit > 0);
+    if let Some(entry) = cacheable
+        .then(|| state.cache.get_covering(&key, limit))
+        .flatten()
+    {
         state.metrics.queries_served.inc();
         trace.set_cached();
-        return Response::ok(wrap(&snapshot, true, &fragment, start));
-    }
-
-    // Prefix-closed ordered cache: an ordered (non-top-k) result under a
-    // fixed `(store, epoch, text, threads, order)` is the same row sequence
-    // for every limit, so a cached prefix of ≥ limit rows answers this
-    // request by slicing — no parse, no plan, no evaluation, no admission.
-    let ordered_prefix = match (kind, order, topk) {
-        (QueryKind::Query | QueryKind::Path, Some(order), None) if limit > 0 => Some(PrefixKey {
-            store: snapshot.name().to_owned(),
-            epoch: snapshot.epoch(),
-            kind,
-            text: key_text.clone(),
-            threads: threads as u64,
-            order: order.name(),
-        }),
-        _ => None,
-    };
-    if let Some(prefix_key) = &ordered_prefix {
-        if let Some(entry) = state.prefix.get_covering(prefix_key, limit) {
+        let answer = if is_explain {
+            Answer::Plan(&entry.body)
+        } else {
             let count = entry.len().min(limit);
-            let truncated = count < entry.len() || !entry.complete;
-            let fragment = Arc::new(result_fragment(
-                count as u64,
-                truncated,
-                order,
-                None,
-                entry.rows(count),
-                &entry.stats,
-            ));
-            if fragment.len() <= MAX_CACHED_FRAGMENT_BYTES {
-                state.cache.insert(key, Arc::clone(&fragment));
+            Answer::Rows {
+                rows: entry.rows(count),
+                count: count as u64,
+                truncated: count < entry.len() || !entry.complete,
+                stats: &entry.stats,
             }
-            state.metrics.queries_served.inc();
-            trace.set_cached();
-            return Response::ok(wrap(&snapshot, true, &fragment, start));
-        }
+        };
+        return Response::ok(render(&snapshot, true, start, order, topk, answer));
     }
 
     let parse_started = Instant::now();
@@ -991,32 +970,22 @@ fn query(state: &ServerState, req: &Request, kind: QueryKind, trace: &mut Trace)
         ..state.eval.clone()
     };
     let engine = SmartEngine::with_options(options);
-    let fragment = match kind {
-        QueryKind::Query | QueryKind::Path => match fresh_fragment(
-            state,
-            &engine,
-            &compiled,
-            snapshot.store(),
-            limit,
-            order,
-            topk,
-            ordered_prefix,
-            &token,
-            trace,
-        ) {
-            Ok(fragment) => fragment,
-            Err(e) => return eval_error_response(state, &e),
-        },
+    let store = snapshot.store();
+    let (entry, drained) = match kind {
+        QueryKind::Query | QueryKind::Path => {
+            match evaluate(
+                state, &engine, &compiled, store, limit, order, topk, &token, trace,
+            ) {
+                Ok(evaluated) => evaluated,
+                Err(e) => return eval_error_response(state, &e),
+            }
+        }
         QueryKind::Explain | QueryKind::PathExplain => {
-            // An explicit positive ?limit= shows the limit-pushed plan the
-            // equivalent /query would run; ?order=/?topk= likewise show the
-            // ordered plan (scan permutations, sort breakers, top-k heaps).
-            let plan_limit = requested_limit.filter(|&k| k > 0);
-            if analyze {
+            let plan = if analyze {
                 let eval_started = Instant::now();
                 let analyzed = compiled
-                    .plan(&engine, snapshot.store(), plan_limit, order, topk)
-                    .and_then(|plan| engine.analyze(plan, snapshot.store()));
+                    .plan(&engine, store, plan_limit, order, topk)
+                    .and_then(|plan| engine.analyze(plan, store));
                 match analyzed {
                     Ok(analyzed) => {
                         // Analyze runs plan + evaluation in one call; the
@@ -1046,7 +1015,7 @@ fn query(state: &ServerState, req: &Request, kind: QueryKind, trace: &mut Trace)
                 }
             } else {
                 let plan_started = Instant::now();
-                let plan = match compiled.plan(&engine, snapshot.store(), plan_limit, order, topk) {
+                let plan = match compiled.plan(&engine, store, plan_limit, order, topk) {
                     Ok(p) => p,
                     Err(e) => return eval_error_response(state, &e),
                 };
@@ -1059,19 +1028,29 @@ fn query(state: &ServerState, req: &Request, kind: QueryKind, trace: &mut Trace)
                     .str("plan", plan.explain().trim_end())
                     .raw("tree", &tree)
                     .finish()
-            }
+            };
+            (Entry::whole(plan, String::new()), Drained::default())
         }
     };
 
     let serialize_started = Instant::now();
-    let fragment = Arc::new(fragment);
-    if !analyze && fragment.len() <= MAX_CACHED_FRAGMENT_BYTES {
-        state.cache.insert(key, Arc::clone(&fragment));
+    let answer = if is_explain {
+        Answer::Plan(&entry.body)
+    } else {
+        Answer::Rows {
+            rows: &entry.body,
+            count: drained.count,
+            truncated: drained.truncated,
+            stats: &entry.stats,
+        }
+    };
+    let body = render(&snapshot, false, start, order, topk, answer);
+    if cacheable && entry.body.len() <= MAX_CACHED_FRAGMENT_BYTES {
+        state.cache.offer(key, Arc::new(entry));
     }
     state.metrics.queries_served.inc();
-    let response = Response::ok(wrap(&snapshot, false, &fragment, start));
     trace.phase("serialize", serialize_started);
-    response
+    Response::ok(body)
 }
 
 /// Counts one fresh evaluation's execution shape (parallel vs. sequential)
@@ -1085,31 +1064,73 @@ fn observe_fresh_eval(state: &ServerState, stats: &EvalStats) {
     state.metrics.observe_eval(stats);
 }
 
-/// Assembles the response envelope around a cached (or fresh) payload
-/// fragment, in one buffer sized for it. `elapsed_us` is measured per
-/// request, so cache hits visibly undercut misses.
-fn wrap(snapshot: &StoreSnapshot, cached: bool, fragment: &str, start: Instant) -> String {
-    JsonObject::with_capacity(fragment.len() + snapshot.name().len() + 96)
+/// What a buffered response carries as its `result`.
+enum Answer<'a> {
+    /// An explain's rendered plan fragment.
+    Plan(&'a str),
+    /// The first `count` rows of a `/query` or `/path` result, rendered and
+    /// comma-separated; `truncated` when more rows exist.
+    Rows {
+        rows: &'a str,
+        count: u64,
+        truncated: bool,
+        stats: &'a str,
+    },
+}
+
+/// Renders a buffered `/query`, `/path` or `/explain` response in one
+/// buffer sized for it. Fresh evaluations and cache hits both come through
+/// here, so a hit matches a fresh response by construction. `elapsed_us` is
+/// measured per request, so cache hits visibly undercut misses. With
+/// `?order=` or `?topk=` a row result echoes the effective knobs, so
+/// responses are self-describing.
+fn render(
+    snapshot: &StoreSnapshot,
+    cached: bool,
+    start: Instant,
+    order: Option<Permutation>,
+    topk: Option<usize>,
+    answer: Answer,
+) -> String {
+    let size = match answer {
+        Answer::Plan(plan) => plan.len(),
+        Answer::Rows { rows, stats, .. } => rows.len() + stats.len() + 96,
+    };
+    let envelope = JsonObject::with_capacity(size + snapshot.name().len() + 96)
         .str("store", snapshot.name())
         .num("epoch", snapshot.epoch())
         .boolean("cached", cached)
-        .num("elapsed_us", start.elapsed().as_micros() as u64)
-        .raw("result", fragment)
-        .finish()
+        .num("elapsed_us", start.elapsed().as_micros() as u64);
+    match answer {
+        Answer::Plan(plan) => envelope.raw("result", plan),
+        Answer::Rows {
+            rows,
+            count,
+            truncated,
+            stats,
+        } => envelope.object("result", |mut result| {
+            result = result.num("count", count).boolean("truncated", truncated);
+            if let Some(p) = order.or_else(|| topk.map(|_| Permutation::Spo)) {
+                result = result.str("order", p.name());
+            }
+            if let Some(k) = topk {
+                result = result.num("topk", k as u64);
+            }
+            result.raw_array("triples", rows).raw("stats", stats)
+        }),
+    }
+    .finish()
 }
 
-/// Evaluates a buffered `/query` or `/path`, counts it on the metrics and
-/// renders its result fragment. Rows are written into the body **as they
-/// are pulled**, and a satisfied limit stops evaluation itself. An ordered,
-/// non-top-k request passes its `prefix` key: its rows, with the end offset
-/// of each, go to the prefix cache, which serves every smaller limit by
-/// slicing.
+/// Evaluates a buffered `/query` or `/path` and counts it on the metrics.
+/// Rows are written into the entry's body **as they are pulled**, and a
+/// satisfied limit stops evaluation itself.
 ///
 /// `?limit=0` is the count-only path: a counting drain of the stream that
 /// renders no rows and reports the exact cardinality (allocation-free for
 /// order-preserving plans; unordered plans track seen triples).
 #[allow(clippy::too_many_arguments)] // the buffered /query knobs, one call site
-fn fresh_fragment(
+fn evaluate(
     state: &ServerState,
     engine: &SmartEngine,
     compiled: &Compiled,
@@ -1117,10 +1138,9 @@ fn fresh_fragment(
     limit: usize,
     order: Option<Permutation>,
     topk: Option<usize>,
-    prefix: Option<PrefixKey>,
     cancel: &CancelToken,
     trace: &mut Trace,
-) -> trial_core::Result<String> {
+) -> trial_core::Result<(Entry, Drained)> {
     if limit == 0 {
         // Count-only: the cardinality is order-independent, so don't pay
         // for a sort breaker the drain would never observe (a top-k bound
@@ -1135,8 +1155,13 @@ fn fresh_fragment(
         cancel.check()?;
         observe_fresh_eval(state, &stats);
         state.metrics.observe_rows(0);
-        let stats = stats_json(&stats);
-        return Ok(result_fragment(count, count > 0, order, topk, "", &stats));
+        let entry = Entry::whole(String::new(), stats_json(&stats));
+        let drained = Drained {
+            count,
+            truncated: count > 0,
+            last: None,
+        };
+        return Ok((entry, drained));
     }
     // Ask for one distinct triple beyond the response cap: pulling it proves
     // the limit cut evaluation short without rendering it. Under ?order= the
@@ -1146,10 +1171,7 @@ fn fresh_fragment(
     let probe = Some(limit.saturating_add(1));
     let mut stream = compiled.open(engine, store, probe, order, topk, None, trace)?;
     let eval_started = Instant::now();
-    let mut rows = BufferedRows {
-        body: String::new(),
-        ends: prefix.is_some().then(Vec::new),
-    };
+    let mut rows = BufferedRows::default();
     let drained = drain(
         std::iter::from_fn(|| stream.next_triple()),
         store,
@@ -1166,56 +1188,17 @@ fn fresh_fragment(
     let stats = *stream.stats();
     observe_fresh_eval(state, &stats);
     state.metrics.observe_rows(drained.count);
-    let stats = stats_json(&stats);
-    let fragment = result_fragment(
-        drained.count,
-        drained.truncated,
-        order,
-        topk,
-        &rows.body,
-        &stats,
-    );
-    if let (Some(key), Some(ends)) = (prefix, rows.ends) {
-        if rows.body.len() <= MAX_CACHED_FRAGMENT_BYTES {
-            let entry = PrefixEntry {
-                body: rows.body,
-                ends,
-                complete: !drained.truncated,
-                stats,
-            };
-            state.prefix.offer(key, Arc::new(entry));
-        }
-    }
-    Ok(fragment)
-}
-
-/// Assembles a `/query` or `/path` result fragment around `rows` (the
-/// rendered rows, comma-separated), in one buffer sized for it. Fresh
-/// evaluations and prefix-cache slices both come through here, so a prefix
-/// hit is byte-compatible with a fresh evaluation. With `?order=` or
-/// `?topk=` the fragment echoes the effective knobs, so cached and fresh
-/// responses are self-describing.
-fn result_fragment(
-    count: u64,
-    truncated: bool,
-    order: Option<Permutation>,
-    topk: Option<usize>,
-    rows: &str,
-    stats: &str,
-) -> String {
-    let mut obj = JsonObject::with_capacity(rows.len() + stats.len() + 96)
-        .num("count", count)
-        .boolean("truncated", truncated);
-    if let Some(p) = order.or_else(|| topk.map(|_| Permutation::Spo)) {
-        obj = obj.str("order", p.name());
-    }
-    if let Some(k) = topk {
-        obj = obj.num("topk", k as u64);
-    }
-    obj.raw_array("triples", rows).raw("stats", stats).finish()
+    let entry = Entry {
+        body: rows.body,
+        ends: rows.ends,
+        complete: !drained.truncated,
+        stats: stats_json(&stats),
+    };
+    Ok((entry, drained))
 }
 
 /// What one [`drain`] delivered.
+#[derive(Default)]
 struct Drained {
     /// Rows written.
     count: u64,
@@ -1232,20 +1215,21 @@ trait RowSink {
     fn row(&mut self, write: impl FnOnce(&mut String)) -> io::Result<()>;
 }
 
-/// A buffered response's rows, comma-separated, plus — when the prefix
-/// cache will keep them — the end offset of each row in `body`.
+/// A buffered response's rows, comma-separated, plus the end offset of
+/// each row in `body` while the body is small enough to be cached.
+#[derive(Default)]
 struct BufferedRows {
     body: String,
-    ends: Option<Vec<u32>>,
+    ends: Vec<u32>,
 }
 
 impl RowSink for BufferedRows {
     fn row(&mut self, write: impl FnOnce(&mut String)) -> io::Result<()> {
         write(&mut self.body);
-        if let Some(ends) = &mut self.ends {
-            // Only bodies of at most MAX_CACHED_FRAGMENT_BYTES are offered
-            // to the prefix cache, so every offset that is ever read fits.
-            ends.push(u32::try_from(self.body.len()).unwrap_or(u32::MAX));
+        // Bodies past MAX_CACHED_FRAGMENT_BYTES are never cached, so their
+        // offsets would never be read.
+        if self.body.len() <= MAX_CACHED_FRAGMENT_BYTES {
+            self.ends.push(self.body.len() as u32);
         }
         Ok(())
     }

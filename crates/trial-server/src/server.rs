@@ -9,7 +9,7 @@
 //! registry and never hold a lock while evaluating.
 
 use crate::admission::Admission;
-use crate::cache::{PrefixCache, QueryCache};
+use crate::cache::ResultCache;
 use crate::chaos::Chaos;
 use crate::http::{self, ReadOutcome, Response};
 use crate::metrics::Metrics;
@@ -35,7 +35,8 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Per-request body size limit in bytes (requests above it get `413`).
     pub max_body_bytes: usize,
-    /// Query-cache capacity in entries (0 disables the cache).
+    /// Result-cache capacity in entries of every kind together (0 disables
+    /// the cache).
     pub cache_capacity: usize,
     /// Evaluation limits applied to **every** query. The defaults are much
     /// tighter than the library defaults because the input is untrusted: a
@@ -187,20 +188,19 @@ impl Inflight {
     }
 }
 
-/// Shared server state: the store registry, the query cache, evaluation
+/// Shared server state: the store registry, the result cache, evaluation
 /// limits, and the observability surface (metrics + flight recorder).
 ///
-/// The caches, the admission semaphore and the store registry sit behind
+/// The cache, the admission semaphore and the store registry sit behind
 /// `Arc`s because the metric registry's fn-backed series read them at
 /// scrape time — `/metrics` and `/healthz` observe the same atomics by
 /// construction. Service counters live in [`Metrics`] for the same reason.
 #[derive(Debug)]
 pub struct ServerState {
     pub(crate) registry: Arc<StoreRegistry>,
-    pub(crate) cache: Arc<QueryCache>,
-    /// Prefix-closed cache of ordered results: one deep prefix serves every
-    /// smaller `?limit=` by slicing.
-    pub(crate) prefix: Arc<PrefixCache>,
+    /// The result cache: one prefix-closed entry serves every `?limit=`
+    /// up to its depth.
+    pub(crate) cache: Arc<ResultCache>,
     /// Per-store admission semaphore; `Arc` so streaming responses can hold
     /// their permit across the whole chunked write.
     pub(crate) admission: Arc<Admission>,
@@ -229,14 +229,13 @@ impl ServerState {
     fn new(config: &ServerConfig) -> io::Result<Self> {
         let started = Instant::now();
         let registry = Arc::new(StoreRegistry::new());
-        let cache = Arc::new(QueryCache::new(config.cache_capacity));
-        let prefix = Arc::new(PrefixCache::new(config.cache_capacity));
+        let cache = Arc::new(ResultCache::new(config.cache_capacity));
         let admission = Arc::new(Admission::new(
             config.admission_permits,
             config.admission_max_waiters,
             config.admission_wait,
         ));
-        let metrics = Metrics::new(&registry, &cache, &prefix, &admission, started);
+        let metrics = Metrics::new(&registry, &cache, &admission, started);
         let chaos = match &config.chaos {
             Some(spec) => Chaos::parse(spec)
                 .map_err(|message| io::Error::new(io::ErrorKind::InvalidInput, message))?,
@@ -245,7 +244,6 @@ impl ServerState {
         Ok(ServerState {
             registry,
             cache,
-            prefix,
             admission,
             eval: config.eval.clone(),
             max_stores: config.max_stores,
@@ -344,14 +342,9 @@ impl Server {
         &self.state.registry
     }
 
-    /// The query cache (counters are also served on `/healthz`).
-    pub fn cache(&self) -> &QueryCache {
+    /// The result cache (counters are also served on `/healthz`).
+    pub fn cache(&self) -> &ResultCache {
         &self.state.cache
-    }
-
-    /// The prefix-closed ordered-result cache.
-    pub fn prefix_cache(&self) -> &PrefixCache {
-        &self.state.prefix
     }
 
     /// The per-store admission semaphore (counters on `/healthz`). Returned

@@ -12,16 +12,20 @@
 //! payload with an FNV-1a checksum:
 //!
 //! ```text
-//! v1|{store}|{epoch}|{order}|{s},{p},{o}|{fnv1a64:016x}
+//! v2|{epoch}|{order}|{s},{p},{o}|{store}|{fnv1a64:016x}
 //! ```
+//!
+//! The store name is the last payload field, so it may contain any
+//! character, `|` included: the checksum is split off the end and the
+//! fixed fields off the front.
 //!
 //! Tokens are *opaque but honest*: nothing in them is secret (the fields are
 //! the client's own request parameters plus a row key it already received),
 //! so the checksum guards against corruption and accidental cross-server
 //! reuse, not against tampering. Validation is strict and structured:
 //!
-//! * undecodable / checksum-mismatched / wrong-version tokens → `400
-//!   bad_cursor`;
+//! * undecodable / checksum-mismatched / wrong-version tokens (`v1`
+//!   included) → `400 bad_cursor`;
 //! * a token minted against an older epoch of the store → `410 stale_cursor`
 //!   (the store was reloaded; row keys from the old snapshot are
 //!   meaningless in the new one);
@@ -50,7 +54,7 @@ pub struct CursorToken {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MalformedToken;
 
-const VERSION: &str = "v1";
+const VERSION: &str = "v2";
 
 /// URL-safe base64 alphabet (RFC 4648 §5), emitted without padding.
 const B64: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_";
@@ -125,13 +129,13 @@ impl CursorToken {
     /// Renders the opaque wire form.
     pub fn encode(&self) -> String {
         let mut payload = format!(
-            "{VERSION}|{}|{}|{}|{},{},{}",
-            self.store,
+            "{VERSION}|{}|{}|{},{},{}|{}",
             self.epoch,
             self.order.name(),
             self.last[0].0,
             self.last[1].0,
             self.last[2].0,
+            self.store,
         );
         let checksum = fnv1a64(payload.as_bytes());
         write!(payload, "|{checksum:016x}").expect("writing to String cannot fail");
@@ -148,12 +152,12 @@ impl CursorToken {
         if checksum_hex.len() != 16 || fnv1a64(body.as_bytes()) != checksum {
             return Err(MalformedToken);
         }
-        let mut parts = body.split('|');
+        // The store is the last field and may itself contain `|`.
+        let mut parts = body.splitn(5, '|');
         let version = parts.next().ok_or(MalformedToken)?;
         if version != VERSION {
             return Err(MalformedToken);
         }
-        let store = parts.next().ok_or(MalformedToken)?.to_owned();
         let epoch = parts
             .next()
             .and_then(|s| s.parse::<u64>().ok())
@@ -163,9 +167,7 @@ impl CursorToken {
             .and_then(Permutation::parse)
             .ok_or(MalformedToken)?;
         let key_text = parts.next().ok_or(MalformedToken)?;
-        if parts.next().is_some() {
-            return Err(MalformedToken);
-        }
+        let store = parts.next().ok_or(MalformedToken)?.to_owned();
         let mut components = key_text.split(',');
         let mut last = [ObjectId(0); 3];
         for slot in &mut last {
@@ -190,6 +192,7 @@ impl CursorToken {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn token() -> CursorToken {
         CursorToken {
@@ -215,21 +218,22 @@ mod tests {
     #[test]
     fn round_trips_all_orders_and_awkward_store_names() {
         for order in Permutation::ALL {
-            for store in ["s", "a b/c?d=e", "store-with-|pipe"] {
+            for store in [
+                "s",
+                "",
+                "a b/c?d=e",
+                "store-with-|pipe",
+                "a|b",
+                "|",
+                "x|1|spo|",
+            ] {
                 let t = CursorToken {
                     store: store.into(),
                     epoch: u64::MAX,
                     order,
                     last: [ObjectId(0), ObjectId(1), ObjectId(2)],
                 };
-                // A `|` in the store name corrupts the payload framing; the
-                // checksum still matches (it covers the corrupted framing),
-                // so decode either fails or returns a *different* token —
-                // never panics. Pipe-free names must round-trip exactly.
-                match CursorToken::decode(&t.encode()) {
-                    Ok(decoded) if !store.contains('|') => assert_eq!(decoded, t),
-                    _ => {}
-                }
+                assert_eq!(CursorToken::decode(&t.encode()), Ok(t), "{store:?}");
             }
         }
     }
@@ -248,10 +252,12 @@ mod tests {
         assert!(CursorToken::decode("not!base64*").is_err());
         assert!(CursorToken::decode("").is_err());
         assert!(CursorToken::decode("AAAA").is_err());
-        // A well-formed payload with the wrong version string.
-        let payload = "v9|s|1|spo|1,2,3";
-        let with_sum = format!("{payload}|{:016x}", super::fnv1a64(payload.as_bytes()));
-        assert!(CursorToken::decode(&super::b64_encode(with_sum.as_bytes())).is_err());
+        // Well-formed payloads with the wrong version string, including
+        // the v1 layout (store first).
+        for payload in ["v9|1|spo|1,2,3|s", "v1|s|1|spo|1,2,3"] {
+            let with_sum = format!("{payload}|{:016x}", super::fnv1a64(payload.as_bytes()));
+            assert!(CursorToken::decode(&super::b64_encode(with_sum.as_bytes())).is_err());
+        }
     }
 
     #[test]
@@ -261,5 +267,49 @@ mod tests {
             assert_eq!(b64_decode(&b64_encode(&data)).unwrap(), data);
         }
         assert!(b64_decode("AAAAA").is_none()); // length ≡ 1 (mod 4)
+    }
+
+    /// Characters dense in the payload's own syntax (`|`, `,`, digits,
+    /// version and order letters) plus a few that need care elsewhere.
+    fn awkward_chars() -> impl Strategy<Value = Vec<char>> {
+        prop::collection::vec(
+            prop::sample::select(vec![
+                '|', ',', '0', '1', '2', '9', 'v', 's', 'p', 'o', '-', '_', ' ', 'A', 'é', '\u{0}',
+                '\n', '🦀',
+            ]),
+            0..24,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn arbitrary_tokens_round_trip_exactly(
+            store in awkward_chars(),
+            epoch in 0u64..u64::MAX,
+            order in 0usize..3,
+            (s, p, o) in (0u32..u32::MAX, 0u32..u32::MAX, 0u32..u32::MAX),
+        ) {
+            let t = CursorToken {
+                store: store.into_iter().collect(),
+                epoch,
+                order: Permutation::ALL[order],
+                last: [ObjectId(s), ObjectId(p), ObjectId(o)],
+            };
+            prop_assert_eq!(CursorToken::decode(&t.encode()), Ok(t));
+        }
+
+        /// Arbitrary text is rejected or decoded, never a panic — also once
+        /// it is wrapped with a valid checksum and reaches the field parser.
+        #[test]
+        fn arbitrary_text_never_panics_decode(chars in awkward_chars()) {
+            let text: String = chars.into_iter().collect();
+            let _ = CursorToken::decode(&text);
+            for payload in [text.clone(), format!("v2|{text}")] {
+                let with_sum = format!("{payload}|{:016x}", fnv1a64(payload.as_bytes()));
+                let _ = CursorToken::decode(&b64_encode(with_sum.as_bytes()));
+            }
+        }
     }
 }

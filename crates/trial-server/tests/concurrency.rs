@@ -140,8 +140,8 @@ fn endpoints_roundtrip_over_http() {
 }
 
 /// `?limit=` rides the plan as a `Limit` node: bounded queries do strictly
-/// less evaluation work than unbounded ones, every distinct limit is its own
-/// cache entry, and `/explain` exposes the pushdown as plan metadata.
+/// less evaluation work than unbounded ones, one complete cache entry
+/// serves every limit, and `/explain` exposes the pushdown as plan metadata.
 #[test]
 fn limit_pushdown_terminates_early_and_keys_the_cache() {
     let server = Server::spawn_ephemeral().unwrap();
@@ -173,13 +173,15 @@ fn limit_pushdown_terminates_early_and_keys_the_cache() {
         "limit pushdown did not cut work: {bounded_pairs} vs {full_pairs} pairs"
     );
 
-    // Each limit is a distinct cache key; repeats hit, different limits miss.
+    // The complete evaluation left one entry that answers every limit by
+    // slicing: repeats and other limits hit alike.
     let again = client::post(addr, "/query?store=chain&limit=3", query).unwrap();
     assert!(again.body.contains("\"cached\":true"), "{}", again.body);
     assert_eq!(json_u64(&again.body, "count"), 3);
     let other = client::post(addr, "/query?store=chain&limit=5", query).unwrap();
-    assert!(other.body.contains("\"cached\":false"));
+    assert!(other.body.contains("\"cached\":true"), "{}", other.body);
     assert_eq!(json_u64(&other.body, "count"), 5);
+    assert!(other.body.contains("\"truncated\":true"), "{}", other.body);
 
     // The count-only path still reports the exact cardinality (it drains a
     // counting cursor instead of rendering rows).
@@ -391,6 +393,52 @@ fn cache_hits_and_epoch_invalidation() {
     assert!(json_u64(&after.body, "count") > json_u64(&first.body, "count"));
     let again = client::post(addr, "/query?store=c", query).unwrap();
     assert!(again.body.contains("\"cached\":true"));
+
+    server.shutdown();
+}
+
+/// `--cache N` bounds the cached answers of every kind together: ordered,
+/// unordered and explain traffic share one LRU of at most `N` entries.
+#[test]
+fn cache_capacity_bounds_entries_of_every_kind() {
+    let server = Server::spawn(ServerConfig {
+        cache_capacity: 2,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let addr = server.addr();
+    client::post(addr, "/load?store=c", &batch("a", 10)).unwrap();
+
+    // Every cache-entry count `/healthz` reports, summed.
+    let cached_entries = || {
+        let health = client::get(addr, "/healthz").unwrap().body;
+        health
+            .match_indices("entries\":")
+            .map(|(at, field)| {
+                let digits = &health[at + field.len()..];
+                let end = digits.find(|c: char| !c.is_ascii_digit()).unwrap();
+                digits[..end].parse::<u64>().unwrap()
+            })
+            .sum::<u64>()
+    };
+    let mut peak = 0;
+    for text in ["E", "(E JOIN[1,2,3'] E)", "(E UNION E)"] {
+        for path in [
+            "/query?store=c&order=pos&limit=5",
+            "/query?store=c&order=pos&limit=3",
+            "/query?store=c&limit=4",
+            "/explain?store=c",
+            "/explain?store=c&limit=2",
+        ] {
+            let response = client::post(addr, path, text).unwrap();
+            assert_eq!(response.status, 200, "{path}: {}", response.body);
+            let entries = cached_entries();
+            assert!(entries <= 2, "{entries} entries after {path} {text}");
+            peak = peak.max(entries);
+        }
+    }
+    assert_eq!(peak, 2);
+    assert_eq!(server.cache().len(), 2);
 
     server.shutdown();
 }

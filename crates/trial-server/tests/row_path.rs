@@ -1,11 +1,14 @@
 //! The row path end to end: every delivery shape — buffered, ordered and
-//! fresh, sliced from the prefix cache, streamed at one and at four
+//! fresh, sliced from the result cache, streamed at one and at four
 //! threads — writes byte-identical `triples` arrays, also when the names
-//! need escaping, and prefix slices report `count` and `truncated` exactly.
+//! need escaping, and every cache hit (unordered, ordered, top-k and
+//! `/path` slices of complete and of incomplete entries) reports the same
+//! `triples`, `count`, `truncated`, `order` and `topk` as a server with the
+//! cache turned off.
 
 use trial_core::TriplestoreBuilder;
 use trial_server::client::{self, HttpResponse};
-use trial_server::Server;
+use trial_server::{Server, ServerConfig};
 
 /// Names that exercise each escaping rule, with their JSON string literals
 /// written out by hand (the oracle does not share code with the server).
@@ -107,17 +110,39 @@ fn streamed_triples(response: &HttpResponse) -> &str {
     &body[start..body.len() - 1]
 }
 
-/// Posts a buffered query and returns `(triples, count, truncated, cached)`.
-fn buffered(server: &Server, path: &str) -> (String, u64, bool, bool) {
-    let response = client::post(server.addr(), path, "E").unwrap();
+/// The value of `"field":"..."` (a knob echo, never escaped), if present.
+fn json_knob(body: &str, field: &str) -> Option<String> {
+    let needle = format!("\"{field}\":");
+    let at = body.find(&needle)? + needle.len();
+    let value = body[at..].split([',', '}']).next()?;
+    Some(value.trim_matches('"').to_owned())
+}
+
+/// What a buffered answer says about its rows: `triples`, `count`,
+/// `truncated`, and the echoed `order` and `topk`.
+#[derive(Debug, PartialEq)]
+struct Answer {
+    triples: String,
+    count: u64,
+    truncated: bool,
+    order: Option<String>,
+    topk: Option<String>,
+}
+
+/// Posts a buffered request and returns its answer and whether it was
+/// served from the cache.
+fn buffered(server: &Server, path: &str, body: &str) -> (Answer, bool) {
+    let response = client::post(server.addr(), path, body).unwrap();
     assert_eq!(response.status, 200, "{path}: {}", response.body);
     let body = &response.body;
-    (
-        buffered_triples(body).to_owned(),
-        json_u64(body, "count"),
-        body.contains("\"truncated\":true"),
-        body.contains("\"cached\":true"),
-    )
+    let answer = Answer {
+        triples: buffered_triples(body).to_owned(),
+        count: json_u64(body, "count"),
+        truncated: body.contains("\"truncated\":true"),
+        order: json_knob(body, "order"),
+        topk: json_knob(body, "topk"),
+    };
+    (answer, body.contains("\"cached\":true"))
 }
 
 /// Posts a streamed query and returns `(triples, count, truncated)`.
@@ -134,47 +159,112 @@ fn streamed(server: &Server, path: &str) -> (String, u64, bool) {
     )
 }
 
-fn prefix_hits(server: &Server) -> u64 {
-    server.prefix_cache().hits()
+/// A caching server and a cache-off oracle over the same hostile store.
+fn servers() -> (Server, Server, Vec<String>) {
+    let server = Server::spawn_ephemeral().unwrap();
+    let oracle = Server::spawn(ServerConfig {
+        cache_capacity: 0,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let (store, rows) = hostile_store();
+    server.registry().set("h", store.clone());
+    oracle.registry().set("h", store);
+    (server, oracle, rows)
+}
+
+/// Sends `path` to both servers: asserts that the answers agree, that the
+/// oracle evaluated afresh and that the server's `cached` flag matches its
+/// hit counter; returns `(answer, cached)`.
+fn agree(server: &Server, oracle: &Server, path: &str, body: &str) -> (Answer, bool) {
+    let before = server.cache().hits();
+    let (got, cached) = buffered(server, path, body);
+    assert_eq!(server.cache().hits(), before + u64::from(cached), "{path}");
+    let (fresh, oracle_cached) = buffered(oracle, path, body);
+    assert!(!oracle_cached, "{path}: the cache-off oracle hit");
+    assert_eq!(got, fresh, "{path}: cached={cached}");
+    (got, cached)
+}
+
+/// Sends `path` to both servers and asserts a hit matching the oracle.
+fn hit(server: &Server, oracle: &Server, path: &str, body: &str) -> Answer {
+    let (got, cached) = agree(server, oracle, path, body);
+    assert!(cached, "{path}: not a cache hit");
+    got
+}
+
+/// Sends `path` to both servers and asserts a miss matching the oracle.
+fn miss(server: &Server, oracle: &Server, path: &str, body: &str) -> Answer {
+    let (got, cached) = agree(server, oracle, path, body);
+    assert!(!cached, "{path}: unexpected cache hit");
+    got
 }
 
 #[test]
 fn every_delivery_shape_writes_the_same_bytes_for_hostile_names() {
-    let server = Server::spawn_ephemeral().unwrap();
-    let (store, rows) = hostile_store();
+    let (server, oracle, rows) = servers();
     let n = rows.len();
     assert_eq!(n, ROWS);
-    server.registry().set("h", store);
     let full = array(&rows, n);
 
-    // Buffered, no order: the plain body sink.
-    let (triples, count, truncated, _) = buffered(&server, "/query?store=h&limit=1000");
-    assert_eq!(triples, full);
-    assert_eq!((count, truncated), (n as u64, false));
-
-    // Ordered and fresh: the prefix-recording sink.
-    let before = prefix_hits(&server);
-    let (triples, count, truncated, cached) =
-        buffered(&server, "/query?store=h&order=spo&limit=1000");
-    assert!(!cached);
-    assert_eq!(triples, full);
-    assert_eq!((count, truncated), (n as u64, false));
-    assert_eq!(prefix_hits(&server), before);
-
-    // Prefix hits on the complete entry, just below, at and above n.
-    for (limit, count, truncated) in [(n - 1, n - 1, true), (n, n, false), (n + 1, n, false)] {
-        let before = prefix_hits(&server);
-        let path = format!("/query?store=h&order=spo&limit={limit}");
-        let got = buffered(&server, &path);
-        assert_eq!(
-            prefix_hits(&server),
-            before + 1,
-            "limit {limit}: not a prefix hit"
+    // Unordered and ordered, fresh: the body sink writes the expected bytes
+    // and leaves a complete entry behind.
+    for shape in ["", "&order=spo"] {
+        let fresh = miss(
+            &server,
+            &oracle,
+            &format!("/query?store=h&limit=1000{shape}"),
+            "E",
         );
-        assert_eq!(got, (array(&rows, count), count as u64, truncated, true));
-        // A fresh evaluation at the same limit agrees byte for byte.
-        let fresh = buffered(&server, &format!("/query?store=h&limit={limit}"));
-        assert_eq!(fresh, (got.0.clone(), got.1, got.2, false), "limit {limit}");
+        assert_eq!(fresh.triples, full);
+        assert_eq!((fresh.count, fresh.truncated), (n as u64, false));
+        // Hits on the complete entry, well below, just below, at and above n.
+        for (limit, count, truncated) in [
+            (1, 1, true),
+            (n - 1, n - 1, true),
+            (n, n, false),
+            (n + 1, n, false),
+        ] {
+            let path = format!("/query?store=h&limit={limit}{shape}");
+            let got = hit(&server, &oracle, &path, "E");
+            assert_eq!(got.triples, array(&rows, count), "{path}");
+            assert_eq!((got.count, got.truncated), (count as u64, truncated));
+        }
+    }
+
+    // Top-k: a complete set of 40 rows, echoed knobs, sliced by limit —
+    // with and without an explicit order.
+    for shape in ["&topk=40", "&topk=40&order=pos", "&topk=40&order=osp"] {
+        let fresh = miss(&server, &oracle, &format!("/query?store=h{shape}"), "E");
+        assert_eq!((fresh.count, fresh.truncated), (40, false));
+        assert_eq!(fresh.topk.as_deref(), Some("40"));
+        for limit in [1, 7, 39, 40, 41] {
+            hit(
+                &server,
+                &oracle,
+                &format!("/query?store=h&limit={limit}{shape}"),
+                "E",
+            );
+        }
+    }
+
+    // A `/path` answer (lowered to joins, and walked as an NFA) slices the
+    // same way.
+    for expr in ["plain", "plain/plain*"] {
+        for shape in ["", "&order=spo"] {
+            let path = format!("/path?store=h{shape}");
+            let fresh = miss(&server, &oracle, &format!("{path}&limit=1000"), expr);
+            assert!(fresh.count > 3, "{expr}: {fresh:?}");
+            for limit in [1, 3, fresh.count as usize] {
+                hit(&server, &oracle, &format!("{path}&limit={limit}"), expr);
+            }
+        }
+    }
+
+    // Count-only never touches the cache, not even on a repeat.
+    for _ in 0..2 {
+        let count = miss(&server, &oracle, "/query?store=h&limit=0", "E");
+        assert_eq!((count.count, count.triples.as_str()), (n as u64, "[]"));
     }
 
     // Streamed, sequential and through four morsel producers.
@@ -188,34 +278,28 @@ fn every_delivery_shape_writes_the_same_bytes_for_hostile_names() {
 
 #[test]
 fn slices_of_an_incomplete_prefix_stay_truncated() {
-    let server = Server::spawn_ephemeral().unwrap();
-    let (store, rows) = hostile_store();
+    let (server, oracle, rows) = servers();
     let n = rows.len();
-    server.registry().set("h", store);
 
-    // A shallow evaluation leaves an entry of n − 2 rows that knows more
-    // rows exist. (A repeat at n − 2 itself is an exact-cache hit.)
-    let shallow = buffered(
-        &server,
-        &format!("/query?store=h&order=spo&limit={}", n - 2),
-    );
-    assert_eq!(shallow, (array(&rows, n - 2), (n - 2) as u64, true, false));
-    for limit in [1, n - 4, n - 3] {
-        let before = prefix_hits(&server);
-        let got = buffered(&server, &format!("/query?store=h&order=spo&limit={limit}"));
-        assert_eq!(
-            prefix_hits(&server),
-            before + 1,
-            "limit {limit}: not a prefix hit"
-        );
-        assert_eq!(got, (array(&rows, limit), limit as u64, true, true));
+    for shape in ["&order=spo", ""] {
+        // A shallow evaluation leaves an entry of n − 2 rows that knows
+        // more rows exist.
+        let path = format!("/query?store=h&limit={}{shape}", n - 2);
+        let shallow = miss(&server, &oracle, &path, "E");
+        assert_eq!((shallow.count, shallow.truncated), ((n - 2) as u64, true));
+        if shape == "&order=spo" {
+            assert_eq!(shallow.triples, array(&rows, n - 2));
+        }
+        for limit in [1, n - 4, n - 3, n - 2] {
+            let path = format!("/query?store=h&limit={limit}{shape}");
+            let got = hit(&server, &oracle, &path, "E");
+            assert_eq!((got.count, got.truncated), (limit as u64, true), "{path}");
+        }
+        // One row deeper than the entry: evaluated afresh, and the deeper
+        // entry then serves it whole.
+        let path = format!("/query?store=h&limit={}{shape}", n - 1);
+        let deeper = miss(&server, &oracle, &path, "E");
+        assert_eq!((deeper.count, deeper.truncated), ((n - 1) as u64, true));
+        hit(&server, &oracle, &path, "E");
     }
-    // One row deeper than the entry: evaluated afresh, then served whole.
-    let before = prefix_hits(&server);
-    let deeper = buffered(
-        &server,
-        &format!("/query?store=h&order=spo&limit={}", n - 1),
-    );
-    assert_eq!(prefix_hits(&server), before);
-    assert_eq!(deeper, (array(&rows, n - 1), (n - 1) as u64, true, false));
 }
