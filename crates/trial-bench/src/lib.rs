@@ -323,50 +323,129 @@ pub fn e3_theorem3_scaling() -> Report {
     }
 }
 
-/// Proposition 4: equality-only joins routed through hash joins scale
-/// ≈|O|·|T| rather than |T|².
-pub fn e4_trial_eq_scaling() -> Report {
-    let mut body = String::new();
-    let naive = NaiveEngine::new();
-    let smart = SmartEngine::new();
-    let join = queries::example2("E");
-    let _ = writeln!(
-        body,
-        "| \\|T\\| | naive work | smart work | naive ms | smart ms |"
+/// The e4 ladder as `(|O|, triples drawn)` for `random_store` with seed 4
+/// and 5 distinct values (duplicates merge, so |T| is a little lower):
+/// four sparse rungs (|O| = |T|/2, where |O|·|T| and |T|² coincide up to a
+/// factor) and two dense ones (|O| = 20 and 50, |T| = 1 606 and 25 329),
+/// where Proposition 4's bound is far below |T|².
+pub const E4_LADDER: [(usize, usize); 6] = [
+    (100, 200),
+    (200, 400),
+    (400, 800),
+    (800, 1600),
+    (20, 1788),
+    (50, 28320),
+];
+
+/// The naive Theorem 3 engine runs only on stores up to this many triples.
+const E4_NAIVE_MAX_TRIPLES: usize = 2000;
+
+/// One e4 measurement: a TriAL⁼ join on one rung.
+#[derive(Debug, Clone)]
+pub struct E4Row {
+    /// `|O|`, the store's object count.
+    pub objects: usize,
+    /// `|T|`, the store's triple count.
+    pub triples: usize,
+    /// Which join.
+    pub query: &'static str,
+    /// The naive engine's work and time, where it ran.
+    pub naive: Option<(u64, f64)>,
+    /// The planned engine's work.
+    pub smart_work: u64,
+    /// The planned engine's time in ms.
+    pub smart_ms: f64,
+}
+
+impl E4Row {
+    /// The planned engine's work over Proposition 4's `|O|·|T|`.
+    pub fn ratio(&self) -> f64 {
+        self.smart_work as f64 / (self.objects * self.triples) as f64
+    }
+}
+
+/// Runs the two e4 joins on each rung: the object-equality join
+/// `E JOIN[1,2,3' | 3=1'] E` and Example 2, `E JOIN[1,3',3 | 2=1'] E`.
+pub fn e4_rows(rungs: &[(usize, usize)]) -> Vec<E4Row> {
+    let object_join = Expr::rel("E").join(
+        Expr::rel("E"),
+        trial_core::output(Pos::L1, Pos::L2, Pos::R3),
+        Conditions::new().obj_eq(Pos::L3, Pos::R1),
     );
-    let _ = writeln!(body, "|---|---|---|---|---|");
-    for triples in [200usize, 400, 800, 1600] {
+    let joins = [
+        ("object join [1,2,3' : 3=1']", object_join),
+        ("Example 2 [1,3',3 : 2=1']", queries::example2("E")),
+    ];
+    let mut rows = Vec::new();
+    for &(objects, triples) in rungs {
         let store = random_store(&RandomStoreConfig {
-            objects: triples / 2,
+            objects,
             triples,
             distinct_values: 5,
             seed: 4,
         });
-        let t0 = Instant::now();
-        let n = naive.evaluate(&join, &store).unwrap();
-        let naive_ms = ms(t0);
-        let t1 = Instant::now();
-        let s = smart.evaluate(&join, &store).unwrap();
-        let smart_ms = ms(t1);
-        assert_eq!(n.result, s.result);
+        for (query, join) in &joins {
+            let naive = (store.triple_count() <= E4_NAIVE_MAX_TRIPLES).then(|| {
+                let t0 = Instant::now();
+                let n = NaiveEngine::new().evaluate(join, &store).unwrap();
+                (n, ms(t0))
+            });
+            let t1 = Instant::now();
+            let s = SmartEngine::new().evaluate(join, &store).unwrap();
+            let smart_ms = ms(t1);
+            if let Some((n, _)) = &naive {
+                assert_eq!(n.result, s.result, "engines disagree on {join}");
+            }
+            rows.push(E4Row {
+                objects: store.object_count(),
+                triples: store.triple_count(),
+                query,
+                naive: naive.map(|(n, t)| (n.stats.work(), t)),
+                smart_work: s.stats.work(),
+                smart_ms,
+            });
+        }
+    }
+    rows
+}
+
+/// Proposition 4: equality-only joins run in O(|O|·|T|), not |T|².
+pub fn e4_trial_eq_scaling() -> Report {
+    let mut body = String::new();
+    let _ = writeln!(
+        body,
+        "| \\|O\\| | \\|T\\| | query | naive work | smart work | \\|O\\|·\\|T\\| | \
+         work/(\\|O\\|·\\|T\\|) | naive ms | smart ms |"
+    );
+    let _ = writeln!(body, "|---|---|---|---|---|---|---|---|---|");
+    for row in e4_rows(&E4_LADDER) {
+        let (naive_work, naive_ms) = match row.naive {
+            Some((work, t)) => (work.to_string(), format!("{t:.2}")),
+            None => ("—".to_owned(), "—".to_owned()),
+        };
         let _ = writeln!(
             body,
-            "| {} | {} | {} | {naive_ms:.2} | {smart_ms:.2} |",
-            store.triple_count(),
-            n.stats.work(),
-            s.stats.work()
+            "| {} | {} | {} | {naive_work} | {} | {} | {:.2} | {naive_ms} | {:.2} |",
+            row.objects,
+            row.triples,
+            row.query,
+            row.smart_work,
+            row.objects * row.triples,
+            row.ratio(),
+            row.smart_ms
         );
     }
     let _ = writeln!(
         body,
-        "\nExpected shape (Prop. 4 / fragment {}): the equality-only join is in TriAL⁼, so the \
-         hash-join engine's work grows roughly linearly in |T| while the naive engine grows \
-         quadratically.",
+        "\nExpected shape (Prop. 4 / fragment {}): both joins are in TriAL⁼, so the planned \
+         engine's work stays within a small constant of |O|·|T| on every rung, dense ones \
+         included, while the naive engine grows as |T|². Each side is read only through the \
+         positions the join uses, so a row meets at most |O| distinct partners.",
         fragment::classify(&queries::example2("E"))
     );
     Report {
         id: "e4",
-        title: "TriAL⁼ joins: hash join vs. nested loop (Proposition 4)",
+        title: "TriAL⁼ joins within |O|·|T| (Proposition 4)",
         body,
     }
 }
@@ -845,6 +924,23 @@ mod tests {
             let report = run_experiment(id).unwrap();
             assert_eq!(report.id, id);
             assert!(!report.body.is_empty());
+        }
+    }
+
+    /// Proposition 4 on the dense |O| = 20 rung: both joins stay within
+    /// twice |O|·|T|.
+    #[test]
+    fn e4_dense_joins_stay_within_prop4() {
+        let rows = e4_rows(&E4_LADDER[4..5]);
+        assert_eq!(rows.len(), 2);
+        for row in rows {
+            assert_eq!(row.objects, 20);
+            assert!(
+                row.ratio() <= 2.0,
+                "{} does {:.2}× |O|·|T|",
+                row.query,
+                row.ratio()
+            );
         }
     }
 

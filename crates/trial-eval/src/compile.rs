@@ -159,6 +159,20 @@ impl CompiledConditions {
         self.check_pair(store, t, t)
     }
 
+    /// Every position any atom names, once per occurrence: both sides of a
+    /// position comparison, the position of a constant comparison.
+    pub fn positions(&self) -> impl Iterator<Item = Pos> + '_ {
+        let theta = self.theta.iter().flat_map(|atom| match atom {
+            CompiledObjAtom::PosPos { lhs, rhs, .. } => [Some(*lhs), Some(*rhs)],
+            CompiledObjAtom::PosConst { lhs, .. } => [Some(*lhs), None],
+        });
+        let eta = self.eta.iter().flat_map(|atom| match atom {
+            CompiledDataAtom::PosPos { lhs, rhs, .. } => [Some(*lhs), Some(*rhs)],
+            CompiledDataAtom::PosConst { lhs, .. } => [Some(*lhs), None],
+        });
+        theta.chain(eta).flatten()
+    }
+
     /// The positions of cross equalities `(left, right)` usable as hash-join
     /// keys, after compilation. Mirrors
     /// [`Conditions::cross_equalities`](trial_core::Conditions::cross_equalities).
@@ -190,6 +204,46 @@ pub fn project(left: &Triple, right: &Triple, output: &trial_core::OutputSpec) -
         Triple::from_pair(left, right, output.get(1)),
         Triple::from_pair(left, right, output.get(2)),
     )
+}
+
+/// The components of one join side that the join reads, as a mask over
+/// components 1, 2, 3 (the U rule of [`crate::ops`]). Two rows of one side
+/// that agree on the mask produce exactly the same output rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Used(pub [bool; 3]);
+
+impl Used {
+    /// Every component: each row is its own projection, so nothing dedups.
+    pub const ALL: Used = Used([true; 3]);
+
+    /// `true` if the join reads every component of the side.
+    #[inline]
+    pub fn is_full(self) -> bool {
+        self.0 == [true; 3]
+    }
+
+    /// The components of `t` the join reads, packed into one word: two rows
+    /// of one side share the key exactly when they produce the same output.
+    /// Only a mask that is not full has a key, and it reads at most two
+    /// 32-bit ids.
+    #[inline]
+    pub fn key(self, t: &Triple) -> u64 {
+        debug_assert!(!self.is_full(), "a full mask has no one-word key");
+        (0..3)
+            .filter(|&c| self.0[c])
+            .fold(0, |key, c| key << 32 | u64::from(t.0[c].0))
+    }
+}
+
+/// The U rule: for each side of a join, `[left, right]`, every component
+/// that the output reads or that any `θ` or `η` atom names (cross, non-key,
+/// single-side and constant atoms alike).
+pub fn used_positions(output: &trial_core::OutputSpec, cond: &CompiledConditions) -> [Used; 2] {
+    let mut used = [[false; 3]; 2];
+    for p in output.iter().chain(cond.positions()) {
+        used[usize::from(p.is_right())][p.component_index()] = true;
+    }
+    used.map(Used)
 }
 
 #[cfg(test)]
@@ -285,6 +339,38 @@ mod tests {
         assert_eq!(
             c.cross_equalities(),
             vec![(Pos::L3, Pos::R1), (Pos::L2, Pos::R2)]
+        );
+    }
+
+    #[test]
+    fn used_positions_cover_output_and_every_atom() {
+        let (store, t1, t2) = store();
+        let cond = |c: Conditions| CompiledConditions::compile(&c, &store);
+        let out = OutputSpec::new(Pos::L1, Pos::R1, Pos::R1);
+        // Output plus the key: left {1, 3}, right {1}.
+        let [l, r] = used_positions(&out, &cond(Conditions::new().obj_eq(Pos::L3, Pos::R1)));
+        assert_eq!(
+            (l, r),
+            (Used([true, false, true]), Used([true, false, false]))
+        );
+        // A non-key inequality, an η atom and a constant each add their
+        // positions, even where no output slot reads them.
+        let c = Conditions::new()
+            .obj_eq(Pos::L3, Pos::R1)
+            .obj_neq(Pos::L2, Pos::R2)
+            .data_eq(Pos::R3, Pos::R3)
+            .obj_eq_const(Pos::L2, "b");
+        let [l, r] = used_positions(&out, &cond(c));
+        assert_eq!((l, r), (Used::ALL, Used::ALL));
+        assert!(!Used([true, false, true]).is_full());
+        // The key reads only what the mask keeps.
+        let m = Used([false, true, false]);
+        assert_eq!(m.key(&t1), m.key(&t2));
+        let m = Used([true, false, true]);
+        assert_ne!(m.key(&t1), m.key(&t2));
+        assert_eq!(
+            m.key(&t1),
+            u64::from(t1.0[0].0) << 32 | u64::from(t1.0[2].0)
         );
     }
 

@@ -37,7 +37,7 @@
 
 use crate::compile::{project, CompiledConditions};
 use crate::engine::EvalStats;
-use crate::ops::JoinTable;
+use crate::ops::{Distinct, JoinTable};
 use crate::plan::{Plan, PlanNode};
 use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
@@ -426,9 +426,13 @@ impl Cursor for ComplementCursor {
 
 /// Streaming probe phase of a hash join: the build side was materialised
 /// into a [`JoinTable`] at construction; each pulled probe triple is looked
-/// up once and its (condition-checked, projected) matches buffered.
+/// up once and its (condition-checked, projected) matches buffered. A probe
+/// triple whose projection already probed is skipped (the U rule of
+/// [`crate::ops`]).
 pub(crate) struct HashJoinCursor<'a> {
     pub(crate) probe: BoxCursor<'a>,
+    /// Projections of the probe side already looked up.
+    pub(crate) seen: Distinct,
     pub(crate) table: JoinTable,
     pub(crate) output: OutputSpec,
     pub(crate) cond: CompiledConditions,
@@ -447,9 +451,15 @@ impl Cursor for HashJoinCursor<'_> {
             }
             let l = self.probe.next(stats)?;
             stats.triples_scanned += 1;
+            let partners = self.table.probe(&l);
+            // A row without partners needs no seen-set entry: its repeats
+            // share its key and have none either.
+            if partners.is_empty() || !self.seen.first(&l) {
+                continue;
+            }
             self.buf.clear();
             self.buf_pos = 0;
-            for r in self.table.probe(&l) {
+            for r in partners {
                 stats.pairs_considered += 1;
                 if self.cond.check_pair(self.store, &l, r) {
                     self.buf.push(project(&l, r, &self.output));
@@ -462,9 +472,13 @@ impl Cursor for HashJoinCursor<'_> {
 
 /// Streaming index nested-loop join: pulls outer triples and walks the
 /// matching run of the inner relation's permutation index — no build phase,
-/// no buffering (the run is a borrowed slice of the store's index).
+/// no buffering (the run is a borrowed slice of the store's index). An outer
+/// triple whose projection already probed is skipped (the U rule of
+/// [`crate::ops`]).
 pub(crate) struct IndexJoinCursor<'a> {
     pub(crate) outer: BoxCursor<'a>,
+    /// Projections of the outer side already probed.
+    pub(crate) seen: Distinct,
     pub(crate) base: &'a TripleSet,
     pub(crate) index: &'a RelationIndex,
     pub(crate) probe: (Pos, Pos),
@@ -493,9 +507,14 @@ impl Cursor for IndexJoinCursor<'_> {
             let l = self.outer.next(stats)?;
             stats.triples_scanned += 1;
             let value = l.0[self.probe.0.component_index()];
-            self.run = self
+            let run = self
                 .index
                 .matching(self.base, self.probe.1.component_index(), value);
+            // As in the hash probe: only rows with partners are remembered.
+            if run.is_empty() || !self.seen.first(&l) {
+                continue;
+            }
+            self.run = run;
             self.run_pos = 0;
             self.current = Some(l);
         }
@@ -542,7 +561,10 @@ impl Cursor for NestedLoopCursor<'_> {
 /// The only buffering is the current right-side *key group* (all right rows
 /// sharing one key value), retained while consecutive left rows carry the
 /// same key so duplicated left keys cross-product correctly. Memory is
-/// bounded by the widest right duplicate run, not by the input size.
+/// bounded by the widest right duplicate run, not by the input size. The
+/// group keeps one row per right projection, and a left row whose
+/// projection already met the group is skipped (the U rule of
+/// [`crate::ops`]).
 pub(crate) struct MergeJoinCursor<'a> {
     pub(crate) left: BoxCursor<'a>,
     pub(crate) right: BoxCursor<'a>,
@@ -562,6 +584,10 @@ pub(crate) struct MergeJoinCursor<'a> {
     /// Buffered right rows of the current key group, and that key.
     pub(crate) group: Vec<Triple>,
     pub(crate) group_key: Option<ObjectId>,
+    /// Projections of the left rows that met the current group, and of the
+    /// right rows buffered in it.
+    pub(crate) left_seen: Distinct,
+    pub(crate) right_seen: Distinct,
     /// Cross-product progress of `l_cur` through `group`.
     pub(crate) group_pos: usize,
     /// The first right row *beyond* the buffered group.
@@ -590,12 +616,16 @@ impl MergeJoinCursor<'_> {
         }
         self.group.clear();
         self.group_key = Some(key);
+        self.left_seen.clear();
+        self.right_seen.clear();
         while let Some(r) = self.r_peek {
             if r.0[self.rc] != key {
                 break;
             }
             stats.triples_scanned += 1;
-            self.group.push(r);
+            if self.right_seen.first(&r) {
+                self.group.push(r);
+            }
             self.r_peek = self.right.next(stats);
         }
         true
@@ -613,6 +643,11 @@ impl Cursor for MergeJoinCursor<'_> {
             let l = self.l_cur?;
             let lk = l.0[self.lc];
             if self.group_key == Some(lk) {
+                if self.group_pos == 0 && !self.left_seen.first(&l) {
+                    // An earlier left row of this key run had the same
+                    // projection and already met the whole group.
+                    self.group_pos = self.group.len();
+                }
                 // Continue the cross product of the current left row with
                 // the buffered right group.
                 while self.group_pos < self.group.len() {
@@ -1052,5 +1087,226 @@ impl<'a> QueryStream<'a> {
             TripleSet::from_vec(out)
         };
         (set, self.stats)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cancel::CancelToken;
+    use crate::compile::used_positions;
+    use crate::ops;
+    use trial_core::{Conditions, TriplestoreBuilder, Value};
+
+    /// A small xorshift generator: the stores and orders below only need to
+    /// differ from seed to seed.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+
+        /// `rows` in a random order.
+        fn shuffled(&mut self, rows: &[Triple]) -> Vec<Triple> {
+            let mut rows = rows.to_vec();
+            for i in (1..rows.len()).rev() {
+                rows.swap(i, self.below(i + 1));
+            }
+            rows
+        }
+    }
+
+    /// Up to 30 triples over six objects whose data values alternate, so
+    /// subjects repeat with different predicates, objects and values.
+    fn random_store(rng: &mut Rng) -> Triplestore {
+        let mut b = TriplestoreBuilder::new();
+        for i in 0..6 {
+            b.object_with_value(format!("o{i}"), Value::int(i % 2));
+        }
+        for _ in 0..30 {
+            let [s, p, o] = [0; 3].map(|_| format!("o{}", rng.below(6)));
+            b.add_triple("E", s, p, o);
+        }
+        b.finish()
+    }
+
+    /// Joins keyed on `1=1'` whose output reads only `1, 1', 3'`: every
+    /// other position a side reads comes from a condition alone.
+    fn joins() -> Vec<Conditions> {
+        let key = || Conditions::new().obj_eq(Pos::L1, Pos::R1);
+        vec![
+            key(),
+            key().obj_neq(Pos::L2, Pos::R2),
+            key().data_eq(Pos::L3, Pos::R3),
+            key().obj_eq_const(Pos::L3, "o1"),
+            key().obj_neq_const(Pos::L2, "o2"),
+            key().obj_neq_const(Pos::R2, "o0"),
+        ]
+    }
+
+    fn drain(mut cursor: impl Cursor, stats: &mut EvalStats) -> Vec<Triple> {
+        std::iter::from_fn(|| cursor.next(stats)).collect()
+    }
+
+    /// The distinct rows of `rows` in order of first occurrence.
+    fn first_distinct(rows: &[Triple]) -> Vec<Triple> {
+        let mut seen = HashSet::new();
+        rows.iter().copied().filter(|t| seen.insert(*t)).collect()
+    }
+
+    fn rows_cursor<'a>(rows: &[Triple]) -> BoxCursor<'a> {
+        Box::new(RowsCursor {
+            rows: rows.to_vec(),
+            pos: 0,
+        })
+    }
+
+    /// Every keyed join cursor against a reference loop that probes every
+    /// outer row against every matching right row, with no projection
+    /// dedup: the distinct rows arrive in the same order. The set kernels
+    /// give the same set. Each join reads a position that its output and key
+    /// do not, so a mask built from those alone drops rows here.
+    #[test]
+    fn projection_dedup_keeps_the_first_seen_order() {
+        let output = OutputSpec::new(Pos::L1, Pos::R1, Pos::R3);
+        let key = (Pos::L1, Pos::R1);
+        let none = CancelToken::none();
+        let (mut reference_pairs, mut pairs) = (0, 0);
+        for seed in 1..=40u64 {
+            let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let store = random_store(&mut rng);
+            let (base, index) = store.relation_with_index("E").unwrap();
+            let outer = rng.shuffled(base.as_slice());
+            // Merge inputs: key-sorted, shuffled within each key run.
+            let mut merge_left = outer.clone();
+            merge_left.sort_by_key(|t| t.0[0]);
+            let mut merge_right = rng.shuffled(base.as_slice());
+            merge_right.sort_by_key(|t| t.0[0]);
+            for c in joins() {
+                let cond = CompiledConditions::compile(&c, &store);
+                let [left_used, right_used] = used_positions(&output, &cond);
+                let mut reference = |left: &[Triple], right_of: &dyn Fn(&Triple) -> Vec<Triple>| {
+                    let mut out = Vec::new();
+                    for l in left {
+                        for r in right_of(l) {
+                            reference_pairs += 1;
+                            if cond.check_pair(&store, l, &r) {
+                                out.push(project(l, &r, &output));
+                            }
+                        }
+                    }
+                    out
+                };
+                let by_subject = |rows: &[Triple], l: &Triple| -> Vec<Triple> {
+                    rows.iter().copied().filter(|r| r.0[0] == l.0[0]).collect()
+                };
+                let hash_ref = reference(&outer, &|l| by_subject(base.as_slice(), l));
+                let index_ref = reference(&outer, &|l| index.matching(base, 0, l.0[0]).to_vec());
+                let merge_ref = reference(&merge_left, &|l| by_subject(&merge_right, l));
+
+                let mut stats = EvalStats::new();
+                let table = JoinTable::build(base, &[key], right_used, 1, &none, &mut stats);
+                let hash = drain(
+                    HashJoinCursor {
+                        probe: rows_cursor(&outer),
+                        seen: Distinct::new(left_used),
+                        table,
+                        output,
+                        cond: cond.clone(),
+                        store: &store,
+                        buf: Vec::new(),
+                        buf_pos: 0,
+                    },
+                    &mut stats,
+                );
+                let indexed = drain(
+                    IndexJoinCursor {
+                        outer: rows_cursor(&outer),
+                        seen: Distinct::new(left_used),
+                        base,
+                        index,
+                        probe: key,
+                        output,
+                        cond: cond.clone(),
+                        store: &store,
+                        current: None,
+                        run: &[],
+                        run_pos: 0,
+                    },
+                    &mut stats,
+                );
+                let merged = drain(
+                    MergeJoinCursor {
+                        left: rows_cursor(&merge_left),
+                        right: rows_cursor(&merge_right),
+                        lc: 0,
+                        rc: 0,
+                        output,
+                        cond: cond.clone(),
+                        store: &store,
+                        emit_once: false,
+                        l_cur: None,
+                        group: Vec::new(),
+                        group_key: None,
+                        left_seen: Distinct::new(left_used),
+                        right_seen: Distinct::new(right_used),
+                        group_pos: 0,
+                        r_peek: None,
+                        primed: false,
+                    },
+                    &mut stats,
+                );
+                pairs += stats.pairs_considered;
+                let case = format!("seed {seed}, conditions {c}");
+                assert_eq!(
+                    first_distinct(&hash),
+                    first_distinct(&hash_ref),
+                    "hash, {case}"
+                );
+                assert_eq!(
+                    first_distinct(&indexed),
+                    first_distinct(&index_ref),
+                    "index, {case}"
+                );
+                assert_eq!(
+                    first_distinct(&merged),
+                    first_distinct(&merge_ref),
+                    "merge, {case}"
+                );
+
+                // The set kernels agree as sets.
+                let want: TripleSet = hash_ref.iter().copied().collect();
+                let s = &mut stats;
+                let table = JoinTable::build(base, &[key], right_used, 1, &none, s);
+                let outer_set: TripleSet = outer.iter().copied().collect();
+                let kernels = [
+                    ops::hash_join_probe(&outer_set, &table, &output, &cond, &store, 1, &none, s),
+                    ops::index_nested_loop_join(
+                        &outer_set, base, index, key, &output, &cond, &store, 1, &none, s,
+                    ),
+                    ops::merge_join(
+                        &merge_left,
+                        &merge_right,
+                        0,
+                        0,
+                        &output,
+                        &cond,
+                        &store,
+                        1,
+                        &none,
+                        s,
+                    ),
+                ];
+                for (kernel, got) in ["hash", "index", "merge"].iter().zip(kernels) {
+                    assert_eq!(got, want, "{kernel} kernel, {case}");
+                }
+            }
+        }
+        // The filters did drop probes and partners.
+        assert!(pairs < reference_pairs, "{pairs} vs {reference_pairs}");
     }
 }

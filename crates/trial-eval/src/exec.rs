@@ -33,7 +33,7 @@
 //! a virtual call and a set insertion per row against slice loops and one
 //! linear merge.
 
-use crate::compile::CompiledConditions;
+use crate::compile::{used_positions, CompiledConditions};
 use crate::cursor::{
     ArcSetCursor, BoxCursor, ChainUnionCursor, ComplementCursor, DiffCursor, EmptyCursor,
     FilterCursor, HashJoinCursor, IndexJoinCursor, IntersectCursor, LimitCursor, MergeJoinCursor,
@@ -41,7 +41,7 @@ use crate::cursor::{
     SkipCursor, TopKCursor, UniverseCursor,
 };
 use crate::engine::{EvalOptions, EvalStats};
-use crate::ops;
+use crate::ops::{self, Distinct};
 use crate::parallel;
 use crate::plan::{Plan, PlanNode};
 use crate::profile::{Profiler, QueryProfile};
@@ -397,17 +397,20 @@ impl<'a> Executor<'a> {
                 // consumer may stop at any triple).
                 let build = self.materialize(right, stats)?;
                 let degree = self.options.degree(build.len());
-                let table =
-                    ops::JoinTable::build(&build, keys, degree, &self.options.cancel, stats);
+                let cond = CompiledConditions::compile(cond, self.store);
+                let [left_used, right_used] = used_positions(output, &cond);
+                let cancel = &self.options.cancel;
+                let table = ops::JoinTable::build(&build, keys, right_used, degree, cancel, stats);
                 // A build cut short by cancellation is a partial table.
                 self.options.cancel.check()?;
                 let probe = self.cursor(left, stats)?;
                 stats.joins_executed += 1;
                 Box::new(HashJoinCursor {
                     probe,
+                    seen: Distinct::new(left_used),
                     table,
                     output: *output,
-                    cond: CompiledConditions::compile(cond, self.store),
+                    cond,
                     store: self.store,
                     buf: Vec::new(),
                     buf_pos: 0,
@@ -430,18 +433,22 @@ impl<'a> Executor<'a> {
                 let l = self.cursor(left, stats)?;
                 let r = self.cursor(right, stats)?;
                 stats.joins_executed += 1;
+                let cond = CompiledConditions::compile(cond, self.store);
+                let [left_used, right_used] = used_positions(output, &cond);
                 Box::new(MergeJoinCursor {
                     left: l,
                     right: r,
                     lc: key.0.component_index(),
                     rc: key.1.component_index(),
                     output: *output,
-                    cond: CompiledConditions::compile(cond, self.store),
+                    cond,
                     store: self.store,
                     emit_once: *output == trial_core::OutputSpec::IDENTITY,
                     l_cur: None,
                     group: Vec::new(),
                     group_key: None,
+                    left_seen: Distinct::new(left_used),
+                    right_seen: Distinct::new(right_used),
                     group_pos: 0,
                     r_peek: None,
                     primed: false,
@@ -464,13 +471,16 @@ impl<'a> Executor<'a> {
                     .ok_or_else(|| Error::UnknownRelation(relation.clone()))?;
                 let outer = self.cursor(outer, stats)?;
                 stats.joins_executed += 1;
+                let cond = CompiledConditions::compile(cond, self.store);
+                let [outer_used, _] = used_positions(output, &cond);
                 Box::new(IndexJoinCursor {
                     outer,
+                    seen: Distinct::new(outer_used),
                     base,
                     index,
                     probe: *probe,
                     output: *output,
-                    cond: CompiledConditions::compile(cond, self.store),
+                    cond,
                     store: self.store,
                     current: None,
                     run: &[],
@@ -727,8 +737,9 @@ impl<'a> Executor<'a> {
                 // large enough.
                 let cancel = &self.options.cancel;
                 let build_start = self.profiler.is_some().then(Instant::now);
-                let table =
-                    ops::JoinTable::build(&r, keys, self.options.degree(r.len()), cancel, stats);
+                let [_, right_used] = used_positions(output, &cond);
+                let degree = self.options.degree(r.len());
+                let table = ops::JoinTable::build(&r, keys, right_used, degree, cancel, stats);
                 // Mirror the cursor path's breaker semantics: the blocking
                 // table construction is reported as build time.
                 if let (Some(profiler), Some(start)) = (&self.profiler, build_start) {

@@ -81,6 +81,14 @@
 //! hold both walks to is the independent [`NaiveEngine`], not a second mode
 //! of this engine.
 //!
+//! **Joins see only the positions they use.** In both walks every keyed
+//! join reads each side through its U-projection: a probe row whose
+//! projection already probed is skipped, and build sides and merge groups
+//! keep one row per projection (the U rule, stated in [`ops`]). The plan
+//! does not change, and neither does the order in which distinct rows
+//! arrive; only `pairs_considered` and `triples_emitted` fall. This is what
+//! holds TriAL⁼ joins to Proposition 4's O(|O|·|T|) on dense stores.
+//!
 //! **Streaming operators** (first row costs O(1) beyond their children):
 //! index scans (over the store's cached SPO/POS/OSP permutation runs,
 //! zero-copy), selections, unions (merging when both inputs stream in

@@ -15,12 +15,40 @@
 //! on the calling thread, so the sequential reference and the morsel
 //! executor are the same code. Work counters are exact sums of the morsels'
 //! and therefore equal at every degree.
+//!
+//! # The U rule: a join sees only the positions it uses
+//!
+//! Under set semantics a join reads each side only through U, the
+//! components of that side that its output or any `θ`/`η` atom names
+//! ([`used_positions`]). Two rows of one side that agree on U produce exactly
+//! the same output rows, so after projection a row meets at most |O|
+//! distinct partners: this is why TriAL⁼ runs in O(|e|·|O|·|T|)
+//! (Proposition 4). Every keyed join applies it, in both walks:
+//!
+//! * **probe and outer sides** (hash and index nested-loop joins) skip a row
+//!   whose projection was already probed. The set kernels drop repeats in
+//!   one pass before carving morsels; the cursors keep a seen-set;
+//! * **build and buffered sides** keep one row per projection: each hash
+//!   bucket after the shards merge, each right key run of a merge join;
+//! * **merge key runs** also keep one left row per projection, local to the
+//!   key run and therefore to its morsel.
+//!
+//! Every filter keeps the first occurrence in input order, and every row it
+//! drops would have re-emitted rows already emitted. So the distinct rows of
+//! a stream arrive in the same order as without it, and a `?limit=` page is
+//! unchanged. A dropped row was still read and counts in `triples_scanned`;
+//! only `pairs_considered` and `triples_emitted` fall. A full mask (U is
+//! all three components) filters nothing and costs nothing.
+//! [`nested_loop_join`] is the paper's Procedure 1 verbatim and does not
+//! apply the rule: `NaiveEngine` is built on it and is the oracle.
 
 use crate::cancel::CancelToken;
-use crate::compile::{project, CompiledConditions};
+use crate::compile::{project, used_positions, CompiledConditions, Used};
 use crate::engine::{EvalOptions, EvalStats};
 use crate::parallel;
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use trial_core::{
     Error, ObjectId, OutputSpec, Pos, RelationIndex, Result, Triple, TripleSet, Triplestore,
 };
@@ -48,6 +76,109 @@ where
         1 => parts.pop().unwrap_or_default(),
         _ => parts.concat(),
     }
+}
+
+/// A multiply-rotate hasher for projection keys ([`Used::key`]). The keys
+/// are the store's own ids, not outside input, so the seen-sets need no
+/// flooding resistance and skip SipHash's cost on every probe row.
+#[derive(Debug, Default, Clone, Copy)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        // The multiply leaves its entropy in the high bits; the table
+        // indexes by the low ones.
+        self.0.rotate_left(26)
+    }
+}
+
+/// A first-occurrence filter over the projections of one join side (the U
+/// rule). Under a full mask every row passes and nothing is stored. The
+/// first few projections are compared linearly, and past `LINEAR` they move
+/// into a hash set, so a small group without duplicates costs a few
+/// compares and no hashing.
+#[derive(Debug)]
+pub(crate) struct Distinct {
+    used: Used,
+    few: Vec<u64>,
+    many: HashSet<u64, BuildHasherDefault<IdHasher>>,
+}
+
+/// Projections a [`Distinct`] compares linearly before it starts hashing.
+const LINEAR: usize = 16;
+
+impl Distinct {
+    pub(crate) fn new(used: Used) -> Distinct {
+        Distinct {
+            used,
+            few: Vec::new(),
+            many: HashSet::default(),
+        }
+    }
+
+    /// `true` the first time a row with `t`'s projection is offered.
+    #[inline]
+    pub(crate) fn first(&mut self, t: &Triple) -> bool {
+        if self.used.is_full() {
+            return true;
+        }
+        let key = self.used.key(t);
+        if self.many.is_empty() {
+            if self.few.contains(&key) {
+                return false;
+            }
+            if self.few.len() < LINEAR {
+                self.few.push(key);
+                return true;
+            }
+            self.many.extend(self.few.drain(..));
+        }
+        self.many.insert(key)
+    }
+
+    /// Forgets every projection seen so far.
+    pub(crate) fn clear(&mut self) {
+        self.few.clear();
+        self.many.clear();
+    }
+
+    /// `run` with every repeated projection dropped, in order: the run
+    /// itself when nothing can repeat, else a filtered copy in `buf`.
+    pub(crate) fn run<'r>(&mut self, run: &'r [Triple], buf: &'r mut Vec<Triple>) -> &'r [Triple] {
+        if self.used.is_full() || run.len() < 2 {
+            return run;
+        }
+        self.clear();
+        buf.clear();
+        buf.extend(run.iter().filter(|t| self.first(t)));
+        buf
+    }
+}
+
+/// The probe rows of a keyed join: `rows` with every repeat of an earlier
+/// row's projection dropped, in order. The dropped rows were read, so they
+/// count as scanned here; the kernel counts the rest.
+fn probe_rows<'r>(rows: &'r [Triple], used: Used, stats: &mut EvalStats) -> Cow<'r, [Triple]> {
+    if used.is_full() {
+        return Cow::Borrowed(rows);
+    }
+    let mut seen = Distinct::new(used);
+    let kept: Vec<Triple> = rows.iter().filter(|t| seen.first(t)).copied().collect();
+    stats.triples_scanned += (rows.len() - kept.len()) as u64;
+    Cow::Owned(kept)
 }
 
 /// Filters a run by compiled (left-only) conditions, keeping its order.
@@ -145,13 +276,16 @@ pub struct JoinTable {
 
 impl JoinTable {
     /// Hashes `right` on the key columns of `keys` (the cross equalities
-    /// `(left position, right position)`).
+    /// `(left position, right position)`), keeping one row per projection
+    /// under `used`, the right side's mask (the U rule).
     ///
     /// Each morsel of `right` is hashed into a private shard. One shard is
     /// the table; several are merged **in morsel order**, which makes every
     /// bucket the same sub-sequence of `right`'s order at every degree, so
     /// probe results (and streamed row order under a limit) never depend on
-    /// the degree.
+    /// the degree. Buckets drop repeated projections only after the merge,
+    /// keeping each first occurrence, so they too are the same at every
+    /// degree.
     ///
     /// # Panics
     /// Panics if `keys` is empty — key-free joins have no hashable column and
@@ -159,6 +293,7 @@ impl JoinTable {
     pub fn build(
         right: &TripleSet,
         keys: &[(Pos, Pos)],
+        used: Used,
         threads: usize,
         cancel: &CancelToken,
         stats: &mut EvalStats,
@@ -186,6 +321,13 @@ impl JoinTable {
         for shard in shards {
             for (key, mut bucket) in shard {
                 table.entry(key).or_default().append(&mut bucket);
+            }
+        }
+        if !used.is_full() {
+            let mut seen = Distinct::new(used);
+            for bucket in table.values_mut().filter(|b| b.len() > 1) {
+                seen.clear();
+                bucket.retain(|r| seen.first(r));
             }
         }
         JoinTable {
@@ -218,7 +360,7 @@ impl JoinTable {
 
 /// Probe phase of a hash join: streams each morsel of `left` against a
 /// pre-built, shared read-only [`JoinTable`], checking the full condition
-/// set per matching pair.
+/// set per matching pair. Each distinct projection of `left` probes once.
 #[allow(clippy::too_many_arguments)]
 pub fn hash_join_probe(
     left: &TripleSet,
@@ -231,7 +373,9 @@ pub fn hash_join_probe(
     stats: &mut EvalStats,
 ) -> TripleSet {
     stats.joins_executed += 1;
-    let morsels = parallel::chunk(left.as_slice(), threads);
+    let [used, _] = used_positions(output, cond);
+    let left = probe_rows(left.as_slice(), used, stats);
+    let morsels = parallel::chunk(&left, threads);
     TripleSet::from_vec(per_morsel(
         morsels,
         threads,
@@ -261,7 +405,7 @@ pub fn hash_join_probe(
 /// triple's component at `probe.0` must equal the relation's component at
 /// `probe.1`. Remaining conditions (including further keys) are checked per
 /// candidate pair. The outer input plays the *left* role of the join and is
-/// the side carved into morsels.
+/// the side carved into morsels; each distinct projection of it probes once.
 #[allow(clippy::too_many_arguments)]
 pub fn index_nested_loop_join(
     outer: &TripleSet,
@@ -282,7 +426,9 @@ pub fn index_nested_loop_join(
     // Build the probed permutation before the fan-out, so workers never
     // contend on its lazy initialisation.
     index.permutation(base, trial_core::Permutation::keyed_on(inner_component));
-    let morsels = parallel::chunk(outer.as_slice(), threads);
+    let [used, _] = used_positions(output, cond);
+    let outer = probe_rows(outer.as_slice(), used, stats);
+    let morsels = parallel::chunk(&outer, threads);
     TripleSet::from_vec(per_morsel(
         morsels,
         threads,
@@ -309,7 +455,8 @@ pub fn index_nested_loop_join(
 /// Sort-merge join over two runs sorted by (at least) their key components
 /// `lc` and `rc`: one synchronized forward pass expanding equal-key run
 /// pairs into cross products. No hash table, no build phase — the
-/// set-at-a-time twin of [`crate::cursor`]'s `MergeJoinCursor`.
+/// set-at-a-time twin of [`crate::cursor`]'s `MergeJoinCursor`. Each side of
+/// a key run pair keeps one row per projection before the product.
 ///
 /// The left run is carved into key-aligned morsels (`key_aligned_morsels`)
 /// and each merges against the right rows of its own key range. The scan is
@@ -338,12 +485,16 @@ pub fn merge_join(
         stats.triples_scanned += read as u64;
     }
     let morsels = key_aligned_morsels(left, lc, threads);
+    let [left_used, right_used] = used_positions(output, cond);
     TripleSet::from_vec(per_morsel(
         morsels,
         threads,
         cancel,
         stats,
         |morsel, stats| {
+            let (mut left_seen, mut right_seen) =
+                (Distinct::new(left_used), Distinct::new(right_used));
+            let (mut left_buf, mut right_buf) = (Vec::new(), Vec::new());
             // The right sub-run covering this morsel's key range.
             let (lo, hi) = (morsel[0].0[lc], morsel[morsel.len() - 1].0[lc]);
             let start = right.partition_point(|t| t.0[rc] < lo);
@@ -361,8 +512,9 @@ pub fn merge_join(
                 } else {
                     let i_end = i + morsel[i..].partition_point(|t| t.0[lc] == lk);
                     let j_end = j + right[j..].partition_point(|t| t.0[rc] == rk);
-                    for l in &morsel[i..i_end] {
-                        for r in &right[j..j_end] {
+                    let right_run = right_seen.run(&right[j..j_end], &mut right_buf);
+                    for l in left_seen.run(&morsel[i..i_end], &mut left_buf) {
+                        for r in right_run {
                             stats.pairs_considered += 1;
                             if cond.check_pair(store, l, r) {
                                 out.push(project(l, r, output));
@@ -488,7 +640,8 @@ mod tests {
         store: &Triplestore,
         stats: &mut EvalStats,
     ) -> TripleSet {
-        let table = JoinTable::build(right, &cond.cross_equalities(), 1, &none(), stats);
+        let [_, used] = used_positions(output, cond);
+        let table = JoinTable::build(right, &cond.cross_equalities(), used, 1, &none(), stats);
         hash_join_probe(left, &table, output, cond, store, 1, &none(), stats)
     }
 
@@ -559,7 +712,8 @@ mod tests {
         let cond = CompiledConditions::compile(&Conditions::new().obj_eq(Pos::L3, Pos::R1), &store);
         let keys = cond.cross_equalities();
         let mut stats = EvalStats::new();
-        let table = JoinTable::build(&e, &keys, 1, &none(), &mut stats);
+        let [_, used] = used_positions(&out_spec, &cond);
+        let table = JoinTable::build(&e, &keys, used, 1, &none(), &mut stats);
         assert!(!table.is_empty());
         assert_eq!(table.len(), 3); // distinct first components a, b, c
         let probe = |left: &TripleSet, stats: &mut EvalStats| {
@@ -642,7 +796,14 @@ mod tests {
     #[test]
     fn every_kernel_is_degree_invariant() {
         let mut b = TriplestoreBuilder::new();
-        for (s, p, o) in [("a", "p", "b"), ("b", "p", "c"), ("c", "q", "d")] {
+        // (b, q, c) repeats (b, p, c)'s projection on the right side, so the
+        // table's bucket for b drops it at every degree.
+        for (s, p, o) in [
+            ("a", "p", "b"),
+            ("b", "p", "c"),
+            ("b", "q", "c"),
+            ("c", "q", "d"),
+        ] {
             b.add_triple("E", s, p, o);
         }
         // R first, so that k1 < k2 < … < k6 in id order.
@@ -664,10 +825,11 @@ mod tests {
         let neq = compile(Conditions::new().obj_neq(Pos::L1, Pos::R1));
         let sel = compile(Conditions::new().obj_eq_const(Pos::L2, "p"));
         let keys = eq.cross_equalities();
+        let [_, used] = used_positions(&out_spec, &eq);
         let run = |threads: usize| {
             let cancel = &none();
             let mut stats = EvalStats::new();
-            let table = JoinTable::build(&e, &keys, threads, cancel, &mut stats);
+            let table = JoinTable::build(&e, &keys, used, threads, cancel, &mut stats);
             let buckets: Vec<Vec<Triple>> = e.iter().map(|t| table.probe(t).to_vec()).collect();
             let s = &mut stats;
             let rows = vec![

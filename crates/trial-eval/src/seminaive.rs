@@ -22,7 +22,7 @@
 //! therefore the round count and the result — are identical to the
 //! single-threaded run.
 
-use crate::compile::CompiledConditions;
+use crate::compile::{used_positions, CompiledConditions};
 use crate::engine::{EvalOptions, EvalStats};
 use crate::ops::{self, JoinTable};
 use trial_core::{Conditions, Error, OutputSpec, Result, StarDirection, TripleSet, Triplestore};
@@ -51,9 +51,11 @@ pub fn semi_naive_star(
     };
     let compiled = CompiledConditions::compile(&cond, store);
     let keys = compiled.cross_equalities();
+    let [_, base_used] = used_positions(&output, &compiled);
     let cancel = &options.cancel;
-    let table = (!keys.is_empty())
-        .then(|| JoinTable::build(base, &keys, options.degree(base.len()), cancel, stats));
+    let degree = options.degree(base.len());
+    let table =
+        (!keys.is_empty()).then(|| JoinTable::build(base, &keys, base_used, degree, cancel, stats));
     let mut acc = base.clone();
     let mut delta = base.clone();
     let mut rounds: u64 = 0;
