@@ -223,20 +223,22 @@ impl std::fmt::Display for Permutation {
 /// the successor lookup of the Proposition 5 and RPQ walks in `trial-eval`:
 /// the edge graph of a relation is its SPO run read as `x → y` per triple
 /// `(x, ℓ, y)`, so the walks need no structure of their own.
+///
+/// The table holds no borrow of the run: every lookup is handed the run it
+/// was built from, so a cursor can own its run and its table side by side.
 #[derive(Debug, Clone)]
-pub struct SubjectRuns<'a> {
-    run: &'a [Triple],
+pub struct SubjectRuns {
     lo: usize,
     offsets: Vec<u32>,
 }
 
-impl<'a> SubjectRuns<'a> {
+impl SubjectRuns {
     /// Builds the offset table of `run`, which must be sorted by subject
     /// (any SPO-sorted slice, such as a [`TripleSet`]).
     ///
     /// # Panics
     /// Panics if `run` holds more than `u32::MAX` triples.
-    pub fn new(run: &'a [Triple]) -> Self {
+    pub fn new(run: &[Triple]) -> Self {
         let len = u32::try_from(run.len()).expect("a subject run indexes at most u32::MAX triples");
         let lo = run.first().map_or(0, |t| t.s().index());
         let span = run.last().map_or(0, |t| t.s().index() - lo + 1);
@@ -247,20 +249,21 @@ impl<'a> SubjectRuns<'a> {
             offsets.resize(t.s().index() - lo + 1, i);
         }
         offsets.push(len);
-        SubjectRuns { run, lo, offsets }
+        SubjectRuns { lo, offsets }
     }
 
-    /// The triples with subject `x` and, if `label` is given, middle element
-    /// `label`, as a contiguous sub-slice in SPO order. Empty for a subject
-    /// outside the run.
-    pub fn of(&self, x: ObjectId, label: Option<ObjectId>) -> &'a [Triple] {
+    /// The triples of `run` — the slice the table was built from — with
+    /// subject `x` and, if `label` is given, middle element `label`, as a
+    /// contiguous sub-slice in SPO order. Empty for a subject outside the
+    /// run.
+    pub fn of<'r>(&self, run: &'r [Triple], x: ObjectId, label: Option<ObjectId>) -> &'r [Triple] {
         let Some(k) = x.index().checked_sub(self.lo) else {
             return &[];
         };
         let (Some(&start), Some(&end)) = (self.offsets.get(k), self.offsets.get(k + 1)) else {
             return &[];
         };
-        let run = &self.run[start as usize..end as usize];
+        let run = &run[start as usize..end as usize];
         match label {
             None => run,
             Some(label) => {
@@ -839,8 +842,8 @@ mod tests {
         let id = ObjectId;
         // An empty base has no runs, whatever the subject or label.
         let empty = SubjectRuns::new(&[]);
-        assert!(empty.of(id(0), None).is_empty());
-        assert!(empty.of(id(7), Some(id(1))).is_empty());
+        assert!(empty.of(&[], id(0), None).is_empty());
+        assert!(empty.of(&[], id(7), Some(id(1))).is_empty());
 
         // Subjects 3, 5 and 6 (4 is a gap); 5 carries labels 1, 2 and 4, and
         // 6 has a self-loop.
@@ -853,33 +856,36 @@ mod tests {
             t(6, 2, 6),
         ];
         let runs = SubjectRuns::new(&run);
-        assert_eq!(runs.of(id(3), None), &run[..1]);
-        assert_eq!(runs.of(id(5), None), &run[1..5]);
-        assert_eq!(runs.of(id(6), None), &run[5..]);
+        assert_eq!(runs.of(&run, id(3), None), &run[..1]);
+        assert_eq!(runs.of(&run, id(5), None), &run[1..5]);
+        assert_eq!(runs.of(&run, id(6), None), &run[5..]);
         // Below `lo`, above `hi` and in the gap between subjects.
         for x in [0, 2, 4, 7, 1000] {
-            assert!(runs.of(id(x), None).is_empty(), "subject {x}");
-            assert!(runs.of(id(x), Some(id(1))).is_empty(), "subject {x}");
+            assert!(runs.of(&run, id(x), None).is_empty(), "subject {x}");
+            assert!(runs.of(&run, id(x), Some(id(1))).is_empty(), "subject {x}");
         }
         // Labels at the first and last position of a run, in the middle,
         // absent below, between and above the run's labels.
-        assert_eq!(runs.of(id(5), Some(id(1))), &run[1..3]);
-        assert_eq!(runs.of(id(5), Some(id(2))), &run[3..4]);
-        assert_eq!(runs.of(id(5), Some(id(4))), &run[4..5]);
+        assert_eq!(runs.of(&run, id(5), Some(id(1))), &run[1..3]);
+        assert_eq!(runs.of(&run, id(5), Some(id(2))), &run[3..4]);
+        assert_eq!(runs.of(&run, id(5), Some(id(4))), &run[4..5]);
         for label in [0, 3, 5] {
-            assert!(runs.of(id(5), Some(id(label))).is_empty(), "label {label}");
+            assert!(
+                runs.of(&run, id(5), Some(id(label))).is_empty(),
+                "label {label}"
+            );
         }
         // A self-loop is an ordinary successor of its own subject.
-        assert_eq!(runs.of(id(6), Some(id(2))), &[t(6, 2, 6)]);
+        assert_eq!(runs.of(&run, id(6), Some(id(2))), &[t(6, 2, 6)]);
 
         // One triple with a large subject id: a two-entry table.
         let far = [t(u32::MAX - 1, 0, 0)];
         let runs = SubjectRuns::new(&far);
         assert_eq!(runs.offsets.len(), 2);
-        assert_eq!(runs.of(id(u32::MAX - 1), None), &far);
-        assert_eq!(runs.of(id(u32::MAX - 1), Some(id(0))), &far);
-        assert!(runs.of(id(u32::MAX), None).is_empty());
-        assert!(runs.of(id(0), None).is_empty());
+        assert_eq!(runs.of(&far, id(u32::MAX - 1), None), &far);
+        assert_eq!(runs.of(&far, id(u32::MAX - 1), Some(id(0))), &far);
+        assert!(runs.of(&far, id(u32::MAX), None).is_empty());
+        assert!(runs.of(&far, id(0), None).is_empty());
     }
 
     proptest! {
@@ -898,7 +904,7 @@ mod tests {
                         .filter(|t| t.s() == ObjectId(x) && label.is_none_or(|l| t.p() == ObjectId(l)))
                         .copied()
                         .collect();
-                    prop_assert_eq!(runs.of(ObjectId(x), label.map(ObjectId)), expected.as_slice());
+                    prop_assert_eq!(runs.of(run.as_slice(), ObjectId(x), label.map(ObjectId)), expected.as_slice());
                 }
             }
         }

@@ -19,7 +19,9 @@
 //!   probes need the whole set;
 //! * **complement inputs** — the complement then *streams* the universe,
 //!   skipping members, without materialising `adom³`;
-//! * **star fixpoints** — a Kleene closure is not known until it converges;
+//! * **star inputs** — a generic Kleene closure is not known until its
+//!   fixpoint converges; a Proposition 5 star needs its whole base, but then
+//!   streams its closure one source at a time (`SourceCursor`);
 //! * **memo slots** — a shared sub-result must exist to be shared.
 //!
 //! Everything else — scans, selections, unions (merging when both inputs are
@@ -203,6 +205,54 @@ impl SetCursor {
 impl Cursor for SetCursor {
     fn next(&mut self, _stats: &mut EvalStats) -> Option<Triple> {
         let t = self.set.as_slice().get(self.pos).copied()?;
+        self.pos += 1;
+        Some(t)
+    }
+}
+
+/// Streams a closure one source at a time: `refill` appends the rows of the
+/// next source to the buffer (possibly none) and returns `false` once no
+/// source is left. Each source's rows come sorted and the sources come in
+/// order, so the stream is in SPO order when the closure's sources are.
+/// The token is checked before every refill, and the cursor ends early
+/// once it latches.
+pub(crate) struct SourceCursor<F> {
+    refill: F,
+    buf: Vec<Triple>,
+    pos: usize,
+    cancel: crate::cancel::CancelToken,
+}
+
+impl<F> SourceCursor<F>
+where
+    F: FnMut(&mut Vec<Triple>, &mut EvalStats) -> bool,
+{
+    pub(crate) fn new(cancel: crate::cancel::CancelToken, refill: F) -> Self {
+        SourceCursor {
+            refill,
+            buf: Vec::new(),
+            pos: 0,
+            cancel,
+        }
+    }
+}
+
+impl<F> Cursor for SourceCursor<F>
+where
+    F: FnMut(&mut Vec<Triple>, &mut EvalStats) -> bool,
+{
+    fn next(&mut self, stats: &mut EvalStats) -> Option<Triple> {
+        while self.pos == self.buf.len() {
+            if self.cancel.is_cancelled() {
+                return None;
+            }
+            self.buf.clear();
+            self.pos = 0;
+            if !(self.refill)(&mut self.buf, stats) {
+                return None;
+            }
+        }
+        let t = self.buf[self.pos];
         self.pos += 1;
         Some(t)
     }

@@ -46,6 +46,7 @@ use crate::parallel;
 use crate::plan::{Plan, PlanNode};
 use crate::profile::{Profiler, QueryProfile};
 use crate::reach;
+use crate::rpq;
 use crate::seminaive::semi_naive_star;
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -64,7 +65,9 @@ pub(crate) fn node_key(node: &PlanNode) -> usize {
 /// Plan nodes that perform **blocking work at cursor-construction time**
 /// (materialising an input, building a table, running a fixpoint) — the
 /// pipeline breakers whose construction latency the profiler reports as
-/// `build_us`, separate from per-row pull time.
+/// `build_us`, separate from per-row pull time. A reach star's build is its
+/// base; its closure runs source by source as it is pulled, so that work is
+/// pull time, as is all of a `PathNfa`'s.
 fn records_build_time(node: &PlanNode) -> bool {
     matches!(
         node,
@@ -75,7 +78,6 @@ fn records_build_time(node: &PlanNode) -> bool {
             | PlanNode::Complement { .. }
             | PlanNode::StarSemiNaive { .. }
             | PlanNode::StarReach { .. }
-            | PlanNode::PathNfa { .. }
             | PlanNode::Memo { .. }
             | PlanNode::Sort { .. }
             | PlanNode::Universe { .. }
@@ -574,6 +576,8 @@ impl<'a> Executor<'a> {
                 )?;
                 Box::new(SetCursor::new(result))
             }
+            // Proposition 5 closures stream source by source, in SPO order:
+            // only the base of a reach star is materialised up front.
             (
                 PlanNode::StarReach {
                     input, same_label, ..
@@ -581,8 +585,8 @@ impl<'a> Executor<'a> {
                 ScanAccess::Whole,
             ) => {
                 let base = self.materialize(input, stats)?;
-                let result = self.star_reach(&base, *same_label, stats)?;
-                Box::new(SetCursor::new(result))
+                let cancel = self.options.cancel.clone();
+                Box::new(reach::reach_cursor(base, *same_label, cancel))
             }
             (
                 PlanNode::PathNfa {
@@ -593,8 +597,10 @@ impl<'a> Executor<'a> {
                 },
                 ScanAccess::Whole,
             ) => {
-                let result = self.path_nfa(relation, path, *max_hops, stats)?;
-                Box::new(SetCursor::new(result))
+                let cancel = self.options.cancel.clone();
+                Box::new(rpq::path_cursor(
+                    self.store, relation, path, *max_hops, cancel,
+                )?)
             }
             (PlanNode::Memo { slot, input }, ScanAccess::Whole) => {
                 let set =
@@ -1014,8 +1020,8 @@ impl<'a> Executor<'a> {
         same_label: bool,
         stats: &mut EvalStats,
     ) -> Result<TripleSet> {
-        // One BFS per distinct root: the base size bounds the number of
-        // roots, which is what the morsel fan-out partitions.
+        // One BFS per `(x, ℓ)` source: the base size bounds the number of
+        // sources, which is what the morsel fan-out partitions.
         let cancel = &self.options.cancel;
         let degree = self.options.degree(base.len());
         let result = reach::reach_star(base, same_label, degree, cancel, stats);
@@ -1036,10 +1042,11 @@ impl<'a> Executor<'a> {
         stats: &mut EvalStats,
     ) -> Result<TripleSet> {
         let base = self.store.require_relation(relation)?;
-        // One product BFS per graph node: that is the unit the fan-out
-        // partitions, so size the degree on the node count's proxy.
+        // One product BFS per root (a subject, or any node when the path
+        // accepts ε): that is the unit the fan-out partitions, so size the
+        // degree on the relation's size as a proxy.
         let degree = self.options.degree(base.len());
-        crate::rpq::eval_on_store(
+        rpq::eval_on_store(
             self.store,
             relation,
             path,

@@ -94,11 +94,14 @@
 //! zero-copy), selections, unions (merging when both inputs stream in
 //! canonical order, concatenating otherwise), hash-join *probe* sides,
 //! index nested-loop joins, complements (the universe `adom³` is enumerated
-//! lazily), and limits.
+//! lazily), NFA path walks (one root per refill), and limits.
 //!
 //! **Pipeline breakers** (materialise an input before the first row):
 //! hash-join *build* sides, nested-loop / difference / intersection *right*
-//! sides, complement inputs, Kleene-star fixpoints, and memo slots.
+//! sides, complement inputs, Kleene-star inputs and fixpoints, and memo
+//! slots. A Proposition 5 star materialises only its base: its closure then
+//! streams one `(x, ℓ)` source per refill, in SPO order, so a limit or an
+//! SPO top-k above it stops after the first sources.
 //! [`PlanNode::pipelined`] exposes the distinction and `explain()` tags
 //! every node `[pipelined]` or `[breaker]`.
 //!
@@ -198,8 +201,8 @@
 //! `PathStrategy::Auto` (the `/path` endpoint default) lowers closure-free
 //! expressions — those plans are exactly as optimisable as hand-written
 //! TriAL — and walks the product for closures or bounded queries, where the
-//! planner's plan is a [`PlanNode::PathNfa`] breaker leaf. The two
-//! strategies are held to byte-identical result sets by
+//! planner's plan is a [`PlanNode::PathNfa`] leaf that streams root by
+//! root. The two strategies are held to byte-identical result sets by
 //! `tests/rpq_differential.rs` (against an independent reachability
 //! reference) and the planner-level entry points are
 //! [`SmartEngine::plan_path_query`] / [`SmartEngine::stream_path_query`].
@@ -232,7 +235,7 @@
 //!   morsels (order-preserving: morsel outputs concatenate in run order);
 //! * **star fixpoints** — semi-naive rounds partition each round's delta
 //!   across workers probing the build-once hash table; the Proposition 5
-//!   walk partitions its BFS roots over the shared SPO run;
+//!   walk partitions its `(x, ℓ)` sources over the shared SPO run;
 //! * **union / difference / intersection / complement** — the two sides
 //!   (for complement: the excluded input and the universe) materialise
 //!   concurrently on sibling executors sharing the memo slots, so a

@@ -193,8 +193,9 @@ pub enum PlanNode {
         /// Estimated output rows.
         est: usize,
     },
-    /// Kleene star by the Proposition 5 reachability procedures (one BFS
-    /// per root over the base's SPO run).
+    /// Kleene star by the Proposition 5 reachability procedures: one BFS
+    /// per `(x, ℓ)` source of the base's SPO run, the sources closed in SPO
+    /// order.
     StarReach {
         /// Plan for the starred expression.
         input: Box<PlanNode>,
@@ -206,8 +207,8 @@ pub enum PlanNode {
     /// Regular path query evaluated as a BFS over the product of a stored
     /// relation's edge graph with a Thompson NFA of the path expression
     /// ([`crate::rpq::eval_product`]). A leaf: the executor walks the
-    /// relation's SPO run directly. Emits the pair
-    /// encoding `(x, x, y)` for every pair the path matches.
+    /// relation's SPO run directly, one root at a time in id order. Emits
+    /// the pair encoding `(x, x, y)` for every pair the path matches.
     PathNfa {
         /// The stored relation whose triples are the edge graph.
         relation: String,
@@ -385,8 +386,10 @@ impl PlanNode {
             | PlanNode::MergeJoin { .. }
             | PlanNode::IndexNestedLoopJoin { .. }
             | PlanNode::NestedLoopJoin { .. } => None,
-            // Fixpoints, NFA walks and memo slots materialise into sorted
-            // `TripleSet`s.
+            // Fixpoints and memo slots materialise into sorted `TripleSet`s.
+            // The Proposition 5 closures stream their sources in SPO order,
+            // each source's rows sorted — the same order, from the first
+            // source on.
             PlanNode::StarSemiNaive { .. }
             | PlanNode::StarReach { .. }
             | PlanNode::PathNfa { .. }
@@ -466,7 +469,14 @@ impl PlanNode {
     /// pulled; `false` if it is a **pipeline breaker** that must fully
     /// consume at least one input before emitting its first row (hash-join
     /// build sides, nested-loop and difference/intersection right sides,
-    /// complement inputs, star fixpoints, memo slots).
+    /// complement inputs, star inputs, memo slots).
+    ///
+    /// The two Proposition 5 closures differ here only by their input. A
+    /// `PathNfa` is a leaf over a stored relation whose product walk runs
+    /// one root per pull, so it is pipelined. A `StarReach` streams its
+    /// closure source by source too, but must first materialise the base it
+    /// walks, so it stays a breaker; the generic fixpoint does all its work
+    /// before the first row.
     pub fn pipelined(&self) -> bool {
         match self {
             PlanNode::IndexScan { .. }
@@ -476,6 +486,7 @@ impl PlanNode {
             | PlanNode::Union { .. }
             | PlanNode::MergeJoin { .. }
             | PlanNode::IndexNestedLoopJoin { .. }
+            | PlanNode::PathNfa { .. }
             | PlanNode::Limit { .. } => true,
             PlanNode::HashJoin { .. }
             | PlanNode::NestedLoopJoin { .. }
@@ -484,7 +495,6 @@ impl PlanNode {
             | PlanNode::Complement { .. }
             | PlanNode::StarSemiNaive { .. }
             | PlanNode::StarReach { .. }
-            | PlanNode::PathNfa { .. }
             | PlanNode::Memo { .. }
             // A sort materialises its whole input; a top-k heap must see
             // every row before the smallest k are known (but buffers at most

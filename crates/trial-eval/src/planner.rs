@@ -206,9 +206,10 @@ impl SmartEngine {
     /// Compiles `plan` into a streaming [`QueryStream`] over `store` — the
     /// pull-based way to run a plan.
     ///
-    /// Pipeline breakers (hash-join build sides, star fixpoints, difference
-    /// right sides, memo slots, sorts) run here, at compile time; everything
-    /// else runs as the caller pulls. Dropping the stream abandons all
+    /// Pipeline breakers (hash-join build sides, semi-naive star fixpoints,
+    /// reach-star bases, difference right sides, memo slots, sorts) run
+    /// here, at compile time; everything else — the Proposition 5 closures
+    /// included — runs as the caller pulls. Dropping the stream abandons all
     /// remaining work, so a bounded consumer pays for the triples it reads,
     /// not for the full result. Row order is deterministic whenever the plan
     /// was built for an order: the root either delivers the permutation

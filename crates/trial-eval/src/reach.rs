@@ -12,48 +12,153 @@
 //!
 //! The paper's Procedures 3 and 4 compute these with a reachability matrix
 //! plus Warshall's transitive closure, giving `O(|e|·|O|·|T|)`. We obtain
-//! the same bound with one BFS per source, which is also far cheaper in
+//! the same bound with one search per source, which is also far cheaper in
 //! practice on sparse data — the `e5` table of the `trial-bench` `tables`
 //! binary compares it against the generic fixpoint engines.
 //!
-//! Both shapes are one walk, [`reach_star`]. The edge graph is the base's own
-//! SPO run: a [`SubjectRuns`] offset table, built per star in one pass, hands
-//! out the successors of `x` (or only its `ℓ`-labelled ones) as a sub-slice
-//! of the run, so nothing is cached and nothing outlives the query.
+//! Both shapes are one kernel, `close_group`. A **source** is an `(x, ℓ)`
+//! group of the base's SPO run: one multi-source BFS from the group's
+//! endpoints yields every `(x, ℓ, w)` of the closure, sorted and distinct.
+//! The groups come in SPO order, so the closure is the in-order
+//! concatenation of its groups' rows, and the kernel has two walks over it:
+//!
+//! * [`reach_star`], the set walk, chunks the groups across `threads`
+//!   workers and concatenates their parts into the result as they are;
+//! * `reach_cursor`, the cursor walk, closes one group per pull that finds
+//!   its buffer empty, so a limit or an SPO top-k above it stops after the
+//!   first few sources.
+//!
+//! The edge graph is the base's own SPO run: a [`SubjectRuns`] offset table,
+//! built per star in one pass, hands out the successors of `x` (or only its
+//! `ℓ`-labelled ones) as a sub-slice of the run. A walk's visited set is a
+//! bitset over the base's id span (`Marks`), reused from one source to the
+//! next, so nothing is cached and nothing outlives the query.
 
 use crate::cancel::CancelToken;
+use crate::cursor::{Cursor, SourceCursor};
 use crate::engine::EvalStats;
 use crate::parallel;
-use std::collections::{HashMap, HashSet, VecDeque};
 use trial_core::{ObjectId, SubjectRuns, Triple, TripleSet};
 
-/// A BFS root: the edge label it is restricted to, if any, and its start.
-type Root = (Option<ObjectId>, ObjectId);
+/// A visited set over the slots `0..len`, one bit per slot, reused from one
+/// walk to the next: a walk unmarks the slots it marked before it ends, so
+/// starting the next one costs nothing and a walk costs what it touches,
+/// not the length of the range.
+pub(crate) struct Marks {
+    words: Vec<u64>,
+}
 
-/// Objects reachable from `start` in **one or more** steps along `runs`,
-/// following only `label`-labelled edges when a label is given.
-fn reachable_from(
-    start: ObjectId,
-    label: Option<ObjectId>,
-    runs: &SubjectRuns<'_>,
+impl Marks {
+    pub(crate) fn new(len: usize) -> Marks {
+        Marks {
+            words: vec![0; len.div_ceil(64)],
+        }
+    }
+
+    /// Marks `slot`; `true` if it was not marked yet.
+    pub(crate) fn insert(&mut self, slot: usize) -> bool {
+        let (word, bit) = (&mut self.words[slot / 64], 1 << (slot % 64));
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
+    }
+
+    /// Unmarks `slot`.
+    pub(crate) fn remove(&mut self, slot: usize) {
+        self.words[slot / 64] &= !(1 << (slot % 64));
+    }
+}
+
+/// The edge graph of an SPO-sorted base, read as `x → y` per triple
+/// `(x, ℓ, y)`: its [`SubjectRuns`] successor lookup, plus the id span of
+/// its nodes (every subject and object), which numbers the slots of a
+/// walk's [`Marks`].
+pub(crate) struct EdgeGraph {
+    pub(crate) runs: SubjectRuns,
+    lo: usize,
+    /// How many ids `[lo, lo + span)` covers; 0 for an empty base.
+    pub(crate) span: usize,
+}
+
+impl EdgeGraph {
+    pub(crate) fn new(base: &[Triple]) -> EdgeGraph {
+        let ids = base.iter().flat_map(|t| [t.s().index(), t.o().index()]);
+        let (lo, hi) = ids.fold((usize::MAX, 0), |(lo, hi), id| (lo.min(id), hi.max(id)));
+        EdgeGraph {
+            runs: SubjectRuns::new(base),
+            lo,
+            // Empty when the base is: `lo` is then past `hi`.
+            span: (hi + 1).saturating_sub(lo),
+        }
+    }
+
+    /// The slot of a node of the base, `0..span`.
+    pub(crate) fn slot(&self, node: ObjectId) -> usize {
+        node.index() - self.lo
+    }
+}
+
+/// `true` when two adjacent base triples belong to one `(x, ℓ)` source.
+fn same_source(a: &Triple, b: &Triple) -> bool {
+    a.s() == b.s() && a.p() == b.p()
+}
+
+/// A worker's reusable state for [`close_group`], carried from group to group.
+struct Walk {
+    marks: Marks,
+    /// The group's endpoints, then every node reached from them: both the
+    /// BFS queue and, once sorted, the group's output objects.
+    reached: Vec<ObjectId>,
+}
+
+impl Walk {
+    fn new(graph: &EdgeGraph) -> Walk {
+        Walk {
+            marks: Marks::new(graph.span),
+            reached: Vec::new(),
+        }
+    }
+}
+
+/// Closes one source: `group` is the non-empty run of base triples
+/// `(x, ℓ, z)` sharing `x` and `ℓ`, and this appends `(x, ℓ, w)` to `out`,
+/// in `w` order, for every endpoint `z` and every node `w` reachable from
+/// one in one or more steps of `graph` (along `ℓ`-edges only when
+/// `same_label`). Every node is expanded once, endpoints included, so
+/// `reach_edges_traversed` grows by the out-degrees of the reached nodes;
+/// `triples_emitted` counts the rows the closure adds to the group.
+fn close_group(
+    group: &[Triple],
+    base: &[Triple],
+    graph: &EdgeGraph,
+    same_label: bool,
+    walk: &mut Walk,
     stats: &mut EvalStats,
-) -> Vec<ObjectId> {
-    let mut seen: HashSet<ObjectId> = HashSet::new();
-    // `start` is expanded once, up front, without being marked seen: it is
-    // only included if a cycle leads back to it (the closure has no implicit
-    // ε step), and reaching it again records it but never re-queues it.
-    let mut queue: VecDeque<ObjectId> = VecDeque::from([start]);
-    while let Some(node) = queue.pop_front() {
-        for t in runs.of(node, label) {
+    out: &mut Vec<Triple>,
+) {
+    let (x, l) = (group[0].s(), group[0].p());
+    let label = same_label.then_some(l);
+    walk.reached.clear();
+    for t in group {
+        walk.marks.insert(graph.slot(t.o()));
+        walk.reached.push(t.o());
+    }
+    let mut next = 0;
+    while let Some(&node) = walk.reached.get(next) {
+        next += 1;
+        for t in graph.runs.of(base, node, label) {
             stats.reach_edges_traversed += 1;
-            if seen.insert(t.o()) && t.o() != start {
-                queue.push_back(t.o());
+            if walk.marks.insert(graph.slot(t.o())) {
+                walk.reached.push(t.o());
             }
         }
     }
-    let mut out: Vec<ObjectId> = seen.into_iter().collect();
-    out.sort_unstable();
-    out
+    stats.triples_emitted += (walk.reached.len() - group.len()) as u64;
+    walk.reached.sort_unstable();
+    for &w in &walk.reached {
+        walk.marks.remove(graph.slot(w));
+        out.push(Triple::new(x, l, w));
+    }
 }
 
 /// Procedures 3 and 4: computes `(base ✶^{1,2,3'}_{3=1'})^*`, or with
@@ -64,12 +169,13 @@ fn reachable_from(
 /// (in one or more steps) in the edge graph of `base` — for `same_label`,
 /// along edges whose middle element is `ℓ` only.
 ///
-/// One BFS runs per distinct root (the endpoint `z`, or the pair `(ℓ, z)`
-/// for `same_label`), and the roots are partitioned across `threads`
-/// workers (inline at one). Each BFS is independent, so the counters are
-/// exact sums and the result is the same at every thread count.
+/// The `(x, ℓ)` sources are partitioned across `threads` workers (inline at
+/// one) in SPO order, and each worker's rows are already sorted, so the
+/// parts concatenate into the result. Each source is closed independently,
+/// so the counters are exact sums and the result is the same at every
+/// thread count.
 ///
-/// Checks `cancel` between BFS roots; on cancellation the empty set is
+/// Checks `cancel` between sources; on cancellation the empty set is
 /// returned and the caller is expected to surface the error (the executor
 /// re-checks the token after every closure).
 pub fn reach_star(
@@ -79,50 +185,65 @@ pub fn reach_star(
     cancel: &CancelToken,
     stats: &mut EvalStats,
 ) -> TripleSet {
-    let runs = &SubjectRuns::new(base.as_slice());
-    // The prefixes `(x, ℓ)` of the base triples, grouped by BFS root: the
-    // endpoint `z`, or `(ℓ, z)` for `same_label`.
-    let mut by_root: HashMap<Root, Vec<(ObjectId, ObjectId)>> = HashMap::new();
-    for t in base.iter() {
-        let root = (same_label.then_some(t.p()), t.o());
-        by_root.entry(root).or_default().push((t.s(), t.p()));
-    }
-    let roots: Vec<(Root, Vec<(ObjectId, ObjectId)>)> = by_root.into_iter().collect();
-    let tasks: Vec<_> = parallel::chunk(&roots, threads)
+    let rows = base.as_slice();
+    let graph = &EdgeGraph::new(rows);
+    let groups: Vec<&[Triple]> = rows.chunk_by(same_source).collect();
+    let tasks: Vec<_> = parallel::chunk(&groups, threads)
         .into_iter()
         .map(|morsel| {
             move |stats: &mut EvalStats| {
+                let mut walk = Walk::new(graph);
                 let mut out: Vec<Triple> = Vec::new();
-                for ((label, endpoint), prefixes) in morsel {
-                    // One BFS per root: check between roots so a cancelled
-                    // closure stops mid-morsel instead of finishing it.
+                for group in morsel {
+                    // Check between sources so a cancelled closure stops
+                    // mid-morsel instead of finishing it.
                     if cancel.is_cancelled() {
                         break;
                     }
-                    let reach = reachable_from(*endpoint, *label, runs, stats);
-                    for &(x, l) in prefixes {
-                        for &w in &reach {
-                            out.push(Triple::new(x, l, w));
-                            stats.triples_emitted += 1;
-                        }
-                    }
+                    close_group(group, rows, graph, same_label, &mut walk, stats, &mut out);
                 }
                 out
             }
         })
         .collect();
     let parts = parallel::run_tasks(threads, tasks, cancel, stats);
-    // Discard the accumulation outright on cancellation: sorting a partial
-    // set the caller is about to throw away only delays the error.
     if cancel.is_cancelled() {
         return TripleSet::new();
     }
-    let mut out: Vec<Triple> = Vec::with_capacity(base.len());
-    out.extend(base.iter().copied());
+    TripleSet::from_sorted_vec(concat(parts))
+}
+
+/// The in-order concatenation of a fan-out's parts, reusing the first.
+pub(crate) fn concat(parts: Vec<Vec<Triple>>) -> Vec<Triple> {
+    let mut parts = parts.into_iter();
+    let mut out = parts.next().unwrap_or_default();
     for part in parts {
         out.extend(part);
     }
-    TripleSet::from_vec(out)
+    out
+}
+
+/// The cursor walk of [`reach_star`]: the same closure, streamed in SPO
+/// order one `(x, ℓ)` source at a time. It owns its base, closes a source
+/// only when the rows of the previous one are all pulled, and checks
+/// `cancel` between sources, ending early once it latches.
+pub(crate) fn reach_cursor(
+    base: TripleSet,
+    same_label: bool,
+    cancel: CancelToken,
+) -> impl Cursor + Send {
+    let graph = EdgeGraph::new(base.as_slice());
+    let mut walk = Walk::new(&graph);
+    let mut next = 0;
+    SourceCursor::new(cancel, move |out, stats| {
+        let rows = base.as_slice();
+        let Some(group) = rows[next..].chunk_by(same_source).next() else {
+            return false;
+        };
+        next += group.len();
+        close_group(group, rows, &graph, same_label, &mut walk, stats, out);
+        true
+    })
 }
 
 #[cfg(test)]
@@ -213,11 +334,18 @@ mod tests {
         let b = base(&labelled_chain());
         let mut stats = EvalStats::new();
         let expected = [plain(&b, &mut stats), same_label(&b, &mut stats)];
-        // `(same_label, edges traversed, triples emitted)`: every BFS
-        // expands each node once, its root included, even when the
-        // a→b→c→d→a cycle or the x self-loop leads back to the root.
+        // `(same_label, edges traversed, triples emitted)`, one BFS per
+        // `(x, ℓ)` source, which expands each reached node once, endpoints
+        // included. Plain: the four cycle sources (a,red), (b,red),
+        // (c,blue), (d,blue) each reach all of a, b, c, d over 4 edges and
+        // add 3 rows to their one base row; (x,red) crosses its self-loop
+        // once and adds nothing: 4·4 + 1 = 17 edges, 4·3 = 12 rows.
+        // Same label: (a,red) crosses b→c and adds (a,red,c), (c,blue)
+        // crosses d→a and adds (c,blue,a), (x,red) crosses its self-loop,
+        // and (b,red), (d,blue) have no edge of their label: 3 edges, 2
+        // rows. (Rows that repeat a base triple are not emitted work.)
         for threads in [1usize, 2, 4] {
-            for (same, edges, emitted) in [(false, 17, 17), (true, 3, 3)] {
+            for (same, edges, emitted) in [(false, 17, 12), (true, 3, 2)] {
                 let mut par = EvalStats::new();
                 let result = reach_star(&b, same, threads, &CancelToken::none(), &mut par);
                 assert_eq!(result, expected[usize::from(same)]);

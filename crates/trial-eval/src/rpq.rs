@@ -13,10 +13,22 @@
 //! * [`eval_product`] evaluates the same semantics directly, as a BFS over
 //!   the product of the edge graph with a Thompson [`Nfa`] of the
 //!   expression — the classic PTIME RPQ procedure. It walks the relation's
-//!   SPO run through the same [`SubjectRuns`] lookup and morsel fan-out as
-//!   [`crate::reach`], checks the [`CancelToken`] between BFS roots, and is
-//!   the only strategy that supports a `max_hops` bound (the product BFS is
-//!   level-synchronous, so bounding path length is free).
+//!   SPO run through the same [`SubjectRuns`](trial_core::SubjectRuns)
+//!   lookup as [`crate::reach`], checks the [`CancelToken`] between BFS
+//!   roots, and is the only strategy that supports a `max_hops` bound (the
+//!   product BFS is level-synchronous, so bounding path length is free).
+//!
+//! The unit of work is one root: its product BFS yields the root's pairs
+//! `(root, root, y)` sorted by `y`, and the roots are taken in increasing id
+//! order, so the answer is the in-order concatenation of the roots' rows.
+//! Like a reach star, that one kernel is run two ways:
+//! [`eval_product`] fans the roots out across `threads` workers and
+//! concatenates their parts into a [`TripleSet`], and the executor's cursor
+//! walk runs one root per pull that finds its buffer empty, so a limit or an
+//! SPO top-k above a `PathNfa` stops after the first roots. The roots are
+//! the relation's subjects, or every node of the relation when the
+//! expression accepts the empty word (only then can a node without an
+//! out-edge answer).
 //!
 //! Both strategies return the identical [`TripleSet`] — the differential
 //! suite (`tests/rpq_differential.rs`) proves it against an independent
@@ -34,12 +46,13 @@
 //! one of its triples.
 
 use crate::cancel::CancelToken;
+use crate::cursor::{Cursor, SourceCursor};
 use crate::engine::EvalStats;
 use crate::parallel;
-use std::collections::{HashMap, HashSet, VecDeque};
+use crate::reach::{concat, EdgeGraph, Marks};
+use std::collections::{HashMap, VecDeque};
 use trial_core::{
-    Conditions, Expr, ObjectId, OutputSpec, Pos, Result, SubjectRuns, Triple, TripleSet,
-    Triplestore,
+    Conditions, Expr, ObjectId, OutputSpec, Pos, Result, Triple, TripleSet, Triplestore,
 };
 use trial_parser::PathExpr;
 
@@ -335,7 +348,8 @@ impl Nfa {
 
 /// The distinct nodes of a relation — every object occurring as a subject or
 /// object of one of its triples, sorted. These are the BFS roots and the
-/// range of identity pairs, matching [`lower`]'s `ident` semantics.
+/// range of identity pairs when the expression accepts the empty word,
+/// matching [`lower`]'s `ident` semantics.
 pub fn node_universe(base: &TripleSet) -> Vec<ObjectId> {
     let mut nodes: Vec<ObjectId> = Vec::with_capacity(base.len() * 2);
     for t in base.iter() {
@@ -347,70 +361,141 @@ pub fn node_universe(base: &TripleSet) -> Vec<ObjectId> {
     nodes
 }
 
-/// BFS over the product of the edge graph with the NFA, from a single root.
-/// Appends `(root, root, y)` to `out` for every node `y` reachable in an
-/// accepting product state within `max_hops` graph edges (unbounded when
-/// `None`). BFS explores by edge count, so the first visit to a product
-/// state is at its minimum hop depth — a plain visited set implements the
-/// bound exactly. `labels` holds the object id of each NFA label (`None` if
-/// the store has no such object).
-fn product_bfs(
-    root: ObjectId,
-    nfa: &Nfa,
-    labels: &[Option<ObjectId>],
-    runs: &SubjectRuns<'_>,
+/// One path query's product graph over one relation, walked root by root:
+/// the Thompson NFA, the object id of each of its labels (`None` if the
+/// store has no such object), the relation's [`EdgeGraph`] and the roots in
+/// increasing id order. A root's rows `(root, root, y)` come out sorted by
+/// `y`, so the rows of the roots in order are the answer in SPO order.
+struct Product<'b> {
+    base: &'b [Triple],
+    nfa: Nfa,
+    labels: Vec<Option<ObjectId>>,
+    graph: EdgeGraph,
+    roots: Vec<ObjectId>,
     max_hops: Option<usize>,
-    stats: &mut EvalStats,
-    out: &mut Vec<Triple>,
-) {
-    let mut visited: HashSet<(ObjectId, usize)> = HashSet::new();
-    let mut accepted: Vec<ObjectId> = Vec::new();
-    // `frontier` holds the product states first reached after `depth` edges,
-    // already expanded through epsilon closures.
-    let mut frontier: Vec<(ObjectId, usize)> = Vec::new();
-    for &q in &nfa.closure[nfa.start] {
-        if visited.insert((root, q)) {
-            if q == nfa.accept {
-                accepted.push(root);
-            }
-            frontier.push((root, q));
+}
+
+/// A worker's reusable state for [`Product::close_root`], kept across roots.
+struct ProductWalk {
+    /// Visited product states `(node, q)`, slot `node · |states| + q`.
+    visited: Marks,
+    /// Every product state the walk visited, in BFS order.
+    states: Vec<(ObjectId, usize)>,
+    accepted: Vec<ObjectId>,
+}
+
+impl<'b> Product<'b> {
+    /// `label_ids` resolves atom labels to object ids; labels absent from the
+    /// map (or from `base`) simply have no transitions.
+    fn new(
+        base: &'b TripleSet,
+        label_ids: &HashMap<String, ObjectId>,
+        path: &PathExpr,
+        max_hops: Option<usize>,
+    ) -> Self {
+        let nfa = Nfa::compile(path);
+        let labels = nfa
+            .labels
+            .iter()
+            .map(|l| label_ids.get(l).copied())
+            .collect();
+        // Only the empty word pairs a node with itself without an edge: any
+        // other answer starts with an edge, so its root is a subject, and
+        // the SPO run lists the subjects in order already.
+        let roots = if nfa.accepts_empty() {
+            node_universe(base)
+        } else {
+            let mut subjects: Vec<ObjectId> = base.iter().map(|t| t.s()).collect();
+            subjects.dedup();
+            subjects
+        };
+        Product {
+            base: base.as_slice(),
+            labels,
+            graph: EdgeGraph::new(base.as_slice()),
+            roots,
+            nfa,
+            max_hops,
         }
     }
-    let mut depth = 0;
-    while !frontier.is_empty() && max_hops.is_none_or(|h| depth < h) {
-        let mut next: Vec<(ObjectId, usize)> = Vec::new();
-        for (node, q) in frontier {
-            for &(label, q2) in &nfa.trans[q] {
-                let Some(label) = labels[label] else { continue };
-                for t in runs.of(node, Some(label)) {
-                    let succ = t.o();
-                    stats.reach_edges_traversed += 1;
-                    for &q3 in &nfa.closure[q2] {
-                        if visited.insert((succ, q3)) {
-                            if q3 == nfa.accept {
-                                accepted.push(succ);
+
+    fn walk(&self) -> ProductWalk {
+        ProductWalk {
+            visited: Marks::new(self.graph.span * self.nfa.state_count()),
+            states: Vec::new(),
+            accepted: Vec::new(),
+        }
+    }
+
+    /// BFS over the product of the edge graph with the NFA, from a single
+    /// root. Appends `(root, root, y)` to `out`, in `y` order, for every node
+    /// `y` reachable in an accepting product state within `max_hops` graph
+    /// edges (unbounded when `None`). BFS explores by edge count, so the
+    /// first visit to a product state is at its minimum hop depth — a plain
+    /// visited set implements the bound exactly, and an accepted node is
+    /// recorded once.
+    fn close_root(
+        &self,
+        root: ObjectId,
+        walk: &mut ProductWalk,
+        stats: &mut EvalStats,
+        out: &mut Vec<Triple>,
+    ) {
+        let nfa = &self.nfa;
+        let slot = |node: ObjectId, q: usize| self.graph.slot(node) * nfa.state_count() + q;
+        let ProductWalk {
+            visited,
+            states,
+            accepted,
+        } = walk;
+        states.clear();
+        for &q in &nfa.closure[nfa.start] {
+            if visited.insert(slot(root, q)) {
+                states.push((root, q));
+            }
+        }
+        // `states[level..]` are the product states first reached after
+        // `depth` edges, already expanded through epsilon closures.
+        let (mut level, mut depth) = (0, 0);
+        while level < states.len() && self.max_hops.is_none_or(|h| depth < h) {
+            let end = states.len();
+            for i in level..end {
+                let (node, q) = states[i];
+                for &(label, q2) in &nfa.trans[q] {
+                    let Some(label) = self.labels[label] else {
+                        continue;
+                    };
+                    for t in self.graph.runs.of(self.base, node, Some(label)) {
+                        stats.reach_edges_traversed += 1;
+                        for &q3 in &nfa.closure[q2] {
+                            if visited.insert(slot(t.o(), q3)) {
+                                states.push((t.o(), q3));
                             }
-                            next.push((succ, q3));
                         }
                     }
                 }
             }
+            level = end;
+            depth += 1;
         }
-        frontier = next;
-        depth += 1;
-    }
-    accepted.sort_unstable();
-    accepted.dedup();
-    for y in accepted {
-        out.push(Triple::new(root, root, y));
-        stats.triples_emitted += 1;
+        accepted.clear();
+        for &(node, q) in states.iter() {
+            visited.remove(slot(node, q));
+            if q == nfa.accept {
+                accepted.push(node);
+            }
+        }
+        accepted.sort_unstable();
+        stats.triples_emitted += accepted.len() as u64;
+        out.extend(accepted.iter().map(|&y| Triple::new(root, root, y)));
     }
 }
 
 /// Evaluates a path expression as a product-graph BFS over the SPO run of
 /// `base`, whose `(x, ℓ)` sub-runs are the `ℓ`-labelled successors of `x`,
 /// fanning the roots out across `threads` workers exactly like
-/// [`crate::reach::reach_star`].
+/// [`crate::reach::reach_star`]: each worker's rows are sorted, so the parts
+/// concatenate into the result.
 ///
 /// `label_ids` resolves atom labels to object ids; labels absent from the
 /// map (or from `base`) simply have no transitions. Checks `cancel` between
@@ -425,18 +510,12 @@ pub fn eval_product(
     cancel: &CancelToken,
     stats: &mut EvalStats,
 ) -> TripleSet {
-    let nfa = &Nfa::compile(path);
-    let labels: &[Option<ObjectId>] = &nfa
-        .labels
-        .iter()
-        .map(|l| label_ids.get(l).copied())
-        .collect::<Vec<_>>();
-    let runs = &SubjectRuns::new(base.as_slice());
-    let roots = node_universe(base);
-    let tasks: Vec<_> = parallel::chunk(&roots, threads)
+    let product = &Product::new(base, label_ids, path, max_hops);
+    let tasks: Vec<_> = parallel::chunk(&product.roots, threads)
         .into_iter()
         .map(|morsel| {
             move |stats: &mut EvalStats| {
+                let mut walk = product.walk();
                 let mut out: Vec<Triple> = Vec::new();
                 for &root in morsel {
                     // One product BFS per root: check between roots so a
@@ -444,7 +523,7 @@ pub fn eval_product(
                     if cancel.is_cancelled() {
                         break;
                     }
-                    product_bfs(root, nfa, labels, runs, max_hops, stats, &mut out);
+                    product.close_root(root, &mut walk, stats, &mut out);
                 }
                 out
             }
@@ -454,11 +533,16 @@ pub fn eval_product(
     if cancel.is_cancelled() {
         return TripleSet::new();
     }
-    let mut out: Vec<Triple> = Vec::new();
-    for part in parts {
-        out.extend(part);
-    }
-    TripleSet::from_vec(out)
+    TripleSet::from_sorted_vec(concat(parts))
+}
+
+/// The object ids of a path's atom labels in `store`; labels the store has
+/// never seen are left out, and match no edge.
+fn label_ids(store: &Triplestore, path: &PathExpr) -> HashMap<String, ObjectId> {
+    path.labels()
+        .into_iter()
+        .filter_map(|l| store.object_id(l).map(|id| (l.to_owned(), id)))
+        .collect()
 }
 
 /// Evaluates a path expression against a stored relation by
@@ -473,14 +557,35 @@ pub fn eval_on_store(
     stats: &mut EvalStats,
 ) -> Result<TripleSet> {
     let base = store.require_relation(relation)?;
-    let label_ids: HashMap<String, ObjectId> = path
-        .labels()
-        .into_iter()
-        .filter_map(|l| store.object_id(l).map(|id| (l.to_owned(), id)))
-        .collect();
+    let label_ids = label_ids(store, path);
     let result = eval_product(base, &label_ids, path, max_hops, threads, cancel, stats);
     cancel.check()?;
     Ok(result)
+}
+
+/// The cursor walk of [`eval_on_store`]: the same pairs, streamed in SPO
+/// order one root at a time. A root's product BFS runs only when the rows of
+/// the previous one are all pulled, and `cancel` is checked between roots,
+/// ending the stream early once it latches.
+pub(crate) fn path_cursor<'a>(
+    store: &'a Triplestore,
+    relation: &str,
+    path: &PathExpr,
+    max_hops: Option<usize>,
+    cancel: CancelToken,
+) -> Result<impl Cursor + Send + 'a> {
+    let base = store.require_relation(relation)?;
+    let product = Product::new(base, &label_ids(store, path), path, max_hops);
+    let mut walk = product.walk();
+    let mut next = 0;
+    Ok(SourceCursor::new(cancel, move |out, stats| {
+        let Some(&root) = product.roots.get(next) else {
+            return false;
+        };
+        next += 1;
+        product.close_root(root, &mut walk, stats, out);
+        true
+    }))
 }
 
 #[cfg(test)]

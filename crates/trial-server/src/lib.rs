@@ -266,6 +266,16 @@
 //! `internal` after a mid-stream fault) — a stream that aborts mid-flight
 //! always tells you why before the connection closes.
 //!
+//! Which of the two a deadline meets depends on where the query's work
+//! happens. A breaker's blocking input (a hash join's build side, a generic
+//! semi-naive fixpoint such as a left star) is computed when the stream is
+//! opened, in the `plan` phase, so a deadline there still gets a buffered
+//! `408`. The Proposition 5 closures — reach-shaped right stars and the
+//! `/path` NFA walk — stream source by source in SPO order instead: their
+//! work shows under `eval`, their first rows are on the wire after the
+//! first source, and a deadline mid-closure ends the chunked response with
+//! the trailer.
+//!
 //! **Graceful shutdown.** [`Server::drain`] (and SIGTERM in `trial-serve`)
 //! stops accepting new work (late requests get a complete
 //! `503 {"error":{"kind":"shutdown",...}}`), lets in-flight requests finish

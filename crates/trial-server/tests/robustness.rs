@@ -10,11 +10,18 @@ use std::time::{Duration, Instant};
 use trial_server::client::{self, HttpClient};
 use trial_server::{Server, ServerConfig};
 
-/// A transitive closure big enough that evaluation takes seconds in debug
-/// builds — the deadline always fires long before it finishes. Cancellation
-/// is checked every fixpoint round (milliseconds apart on a chain), so the
+/// A transitive closure that does all its work before its first row: the
+/// *left* star, which the planner runs as the generic semi-naive fixpoint
+/// (one round per chain hop), so the server's row cap cannot cut it short
+/// and the deadline always fires long before it finishes. Cancellation is
+/// checked every fixpoint round (milliseconds apart on a chain), so the
 /// release-latency assertions are meaningful, not lucky.
-const SLOW_QUERY: &str = "STAR(E JOIN[1,2,3' | 3=1'])";
+const SLOW_QUERY: &str = "STAR(JOIN[1,2,3' | 3=1'] E)";
+
+/// The right star of the same closure: the Proposition 5 walk, which
+/// streams its rows source by source, so rows are on the wire from the
+/// first source on.
+const STREAMING_CLOSURE: &str = "STAR(E JOIN[1,2,3' | 3=1'])";
 
 /// An N-Triples chain `<n0> <next> <n1> . … <n{n-1}> <next> <n{n}> .`.
 fn chain_doc(n: usize) -> String {
@@ -122,8 +129,11 @@ fn server_default_timeout_applies_and_zero_opts_out() {
     assert_eq!(response.status, 200, "{}", response.body);
 
     // ?timeout_ms=0 opts out entirely: the slow query runs to completion.
+    // The fixpoint's rounds grow with the closure, so it completes on a
+    // shorter chain, which still outlasts the default in a debug build.
+    client::post(addr, "/load?store=short", &chain_doc(200)).unwrap();
     let response =
-        client::post(addr, "/query?store=chain&timeout_ms=0&limit=5", SLOW_QUERY).unwrap();
+        client::post(addr, "/query?store=short&timeout_ms=0&limit=5", SLOW_QUERY).unwrap();
     assert_eq!(response.status, 200, "{}", response.body);
     server.shutdown();
 }
@@ -132,7 +142,9 @@ fn server_default_timeout_applies_and_zero_opts_out() {
 fn cancelled_queries_never_seed_the_caches() {
     let server = Server::spawn_ephemeral().unwrap();
     let addr = server.addr();
-    client::post(addr, "/load?store=chain", &chain_doc(800)).unwrap();
+    // Short enough that the fixpoint runs to completion below, long enough
+    // that it outlasts a 60 ms deadline in a debug build.
+    client::post(addr, "/load?store=chain", &chain_doc(200)).unwrap();
 
     // Cancelled buffered evaluation (plain and ordered): both 408.
     let r = client::post(addr, "/query?store=chain&timeout_ms=60", SLOW_QUERY).unwrap();
@@ -194,7 +206,7 @@ fn streamed_deadline_names_itself_in_the_error_trailer() {
     let response = client::post(
         addr,
         "/query?store=chain&stream=1&timeout_ms=300&limit=50000",
-        SLOW_QUERY,
+        STREAMING_CLOSURE,
     )
     .unwrap();
     let elapsed = started.elapsed();

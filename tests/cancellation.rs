@@ -1,17 +1,21 @@
 //! Eval-layer cancellation: a deadline or explicit cancel surfaces as
 //! [`trial_eval::Error::Cancelled`] promptly — within tens of milliseconds
 //! of the cut-off, not after the evaluation would have finished anyway —
-//! across the reach specialisation, the generic semi-naive fixpoint, and
-//! every morsel degree.
+//! across the reach specialisation, the generic semi-naive fixpoint, the
+//! closures' source-by-source cursors, and every morsel degree.
 
 use std::time::{Duration, Instant};
 use trial_core::Error;
-use trial_eval::{CancelReason, CancelToken, Engine, EvalOptions, SmartEngine};
+use trial_core::{Triplestore, TriplestoreBuilder};
+use trial_eval::{CancelReason, CancelToken, Engine, EvalOptions, QueryStream, SmartEngine};
 use trial_workloads::chain_store;
 
-/// A transitive closure whose full evaluation takes seconds in debug
-/// builds — the deadline always fires long before it finishes.
+/// The right-star transitive closure: the Proposition 5 walk, one BFS per
+/// `(x, ℓ)` source.
 const SLOW_QUERY: &str = "STAR(E JOIN[1,2,3' | 3=1'])";
+
+/// The same-label closure, the other Proposition 5 shape.
+const SAME_LABEL_QUERY: &str = "STAR(E JOIN[1,2,3' | 3=1',2=2'])";
 
 /// The same closure written as a *left* star. Proposition 5 covers right
 /// stars only, so the planner runs this one through the generic semi-naive
@@ -23,6 +27,20 @@ const SLOW_GENERIC_QUERY: &str = "STAR(JOIN[1,2,3' | 3=1'] E)";
 /// comfortably inside that.
 const RELEASE_BUDGET: Duration = Duration::from_millis(50);
 
+/// `nodes` nodes with an edge under each of `labels` labels from every node
+/// to every other.
+fn parallel_labels(nodes: usize, labels: usize) -> Triplestore {
+    let mut b = TriplestoreBuilder::new();
+    for l in 0..labels {
+        for i in 0..nodes {
+            for j in (0..nodes).filter(|&j| j != i) {
+                b.add_triple("E", format!("n{i}"), format!("l{l}"), format!("n{j}"));
+            }
+        }
+    }
+    b.finish()
+}
+
 fn expect_cancelled(result: Result<usize, Error>, slug: &str) {
     match result {
         Err(Error::Cancelled(reason)) => assert_eq!(reason, slug),
@@ -32,7 +50,17 @@ fn expect_cancelled(result: Result<usize, Error>, slug: &str) {
 
 #[test]
 fn deadline_cancels_the_reach_closure_at_every_degree() {
-    let store = chain_store(2000);
+    // Six nodes, every ordered pair joined by 2 000 parallel labels: each
+    // of the 12 000 `(x, ℓ)` sources reaches all six nodes over 60 000
+    // edges, so the closure does 720 M edge visits for 72 000 rows. A
+    // release build on a 2-CPU Xeon VM took 2.57 s at one thread and
+    // 1.35 s at four (debug builds take many times that), so the 200 ms
+    // deadline fires mid-closure in every build; the token is checked
+    // between sources, tens of microseconds apart in release. (A chain
+    // grows its rows as fast as its work: chain(2000) finished in 42 ms in
+    // release, and a longer one would hold hundreds of megabytes of rows by
+    // the deadline.)
+    let store = parallel_labels(6, 2000);
     let expr = trial_parser::parse(SLOW_QUERY).unwrap();
     let deadline = Duration::from_millis(200);
     for threads in [1usize, 2, 4] {
@@ -146,4 +174,77 @@ fn every_way_of_draining_a_stream_honours_cancellation() {
         std::iter::from_fn(|| exchange.next_triple()).count()
     });
     assert_eq!(rows, checkpoint);
+}
+
+/// Drains `stream` one of four ways, returning the rows it delivered: a
+/// `next_triple` loop, `count`, `collect_set` or the single-producer
+/// `channel`.
+fn drain(stream: QueryStream<'_>, how: &str) -> usize {
+    match how {
+        "next_triple" => {
+            let mut stream = stream;
+            std::iter::from_fn(|| stream.next_triple()).count()
+        }
+        "count" => stream.count().0 as usize,
+        "collect_set" => stream.collect_set().0.len(),
+        "channel" => {
+            let (rows, _) = stream.channel(4, |exchange| {
+                std::iter::from_fn(|| exchange.next_triple()).count()
+            });
+            rows
+        }
+        other => unreachable!("no drain named {other}"),
+    }
+}
+
+#[test]
+fn deadlines_cut_streamed_closures_mid_drain() {
+    // The closures stream source by source, so their work happens during
+    // the drain, not when the stream is opened. chain(4000) has 8 002 000
+    // closure rows, and a release build on a 2-CPU Xeon VM drained them in
+    // 0.17 s (right star) and 0.39 s (`next+`): a 50 ms deadline fires after
+    // the first rows and well before the last, in every build. Whatever
+    // way the stream is drained, the rows stop short and the token carries
+    // the error that the caller's `Result` layer surfaces — never a short
+    // answer passed off as complete.
+    let store = chain_store(4000);
+    let total = 4000 * 4001 / 2;
+    let path = trial_parser::parse_path("next+").unwrap();
+    let deadline = Duration::from_millis(50);
+    for threads in [1usize, 2, 4] {
+        let planner = SmartEngine::with_options(EvalOptions {
+            threads,
+            ..EvalOptions::default()
+        });
+        let plans =
+            [("right star", SLOW_QUERY), ("same label", SAME_LABEL_QUERY)].map(|(shape, text)| {
+                let expr = trial_parser::parse(text).unwrap();
+                let plan = planner.plan_query(&expr, &store, None, None, None).unwrap();
+                assert!(
+                    matches!(plan.root, trial_eval::PlanNode::StarReach { .. }),
+                    "{shape}: {}",
+                    plan.explain()
+                );
+                (shape, plan)
+            });
+        let nfa = planner
+            .plan_path_query(&path, "E", &store, None, None, None, None)
+            .unwrap();
+        assert!(matches!(nfa.root, trial_eval::PlanNode::PathNfa { .. }));
+        for (shape, plan) in plans.into_iter().chain([("path nfa", nfa)]) {
+            for how in ["next_triple", "count", "collect_set", "channel"] {
+                let token = CancelToken::with_timeout(deadline);
+                let engine = SmartEngine::with_options(EvalOptions {
+                    threads,
+                    cancel: token.clone(),
+                    ..EvalOptions::default()
+                });
+                let rows = drain(engine.stream(plan.clone(), &store).unwrap(), how);
+                let case = format!("{shape}, {how}, threads={threads}");
+                assert!(rows > 0, "{case}: cancelled before the first row");
+                assert!(rows < total, "{case}: drained all {total} rows");
+                expect_cancelled(token.check().map(|()| rows), "deadline_exceeded");
+            }
+        }
+    }
 }
