@@ -14,7 +14,7 @@ use std::time::Instant;
 use trial_core::builder::queries;
 use trial_core::{TripleSet, Triplestore};
 use trial_datalog::{evaluate_program, expr_to_program};
-use trial_eval::rpq::{self, PathStrategy};
+use trial_eval::rpq;
 use trial_eval::{CancelToken, Engine, EvalStats, SmartEngine};
 use trial_parser::parse_path;
 use trial_workloads::{
@@ -161,8 +161,7 @@ fn lowered_eval(store: &Triplestore, case: &PathCase) -> TripleSet {
 /// lowering on chain, cycle and grid stores. Every unbounded case is
 /// evaluated both ways and compared before it is timed; bounded cases
 /// (`max_hops`) run NFA-only, since the lowering evaluates full fixpoints
-/// and cannot express a hop budget. The `auto` column is the strategy
-/// `PathStrategy::Auto` picks.
+/// and cannot express a hop budget.
 pub fn e15_rpq_strategies(sizes: RpqSizes) -> Report {
     let mut body = String::new();
     let workloads: [(Triplestore, Vec<PathCase>); 3] = [
@@ -184,17 +183,11 @@ pub fn e15_rpq_strategies(sizes: RpqSizes) -> Report {
     );
     let _ = writeln!(
         body,
-        "| case | path | \\|T\\| | rows | nfa ms | lower ms | auto | faster | agree |"
+        "| case | path | \\|T\\| | rows | nfa ms | lower ms | faster | agree |"
     );
-    let _ = writeln!(body, "|---|---|---|---|---|---|---|---|---|");
+    let _ = writeln!(body, "|---|---|---|---|---|---|---|---|");
     for (store, suite) in &workloads {
         for case in suite {
-            let path = parse_path(case.path).expect("suite paths parse");
-            let auto = if PathStrategy::Auto.resolves_to_nfa(&path, case.max_hops) {
-                "nfa"
-            } else {
-                "lower"
-            };
             let nfa = nfa_eval(store, case);
             let agree = case
                 .max_hops
@@ -220,7 +213,7 @@ pub fn e15_rpq_strategies(sizes: RpqSizes) -> Report {
                 .map_or_else(String::new, |h| format!(" ≤{h} hops"));
             let _ = writeln!(
                 body,
-                "| {} | `{}`{hops} | {} | {} | {nfa_ms:.3} | {lower_ms} | {auto} | {faster} | {agree} |",
+                "| {} | `{}`{hops} | {} | {} | {nfa_ms:.3} | {lower_ms} | {faster} | {agree} |",
                 case.name,
                 case.path.replace('|', "\\|"),
                 store.triple_count(),
@@ -231,9 +224,7 @@ pub fn e15_rpq_strategies(sizes: RpqSizes) -> Report {
     let _ = writeln!(
         body,
         "\nExpected (Thm. 7): both strategies return the same pairs on every unbounded case. \
-         Which one is faster depends on the store's shape, not only on whether the path has a \
-         closure, which is the syntactic rule `auto` follows. `faster` reads `tie` when the two \
-         medians are within {:.0} % of each other.",
+         `faster` reads `tie` when the two medians are within {:.0} % of each other.",
         TIE_FRACTION * 100.0
     );
     Report {

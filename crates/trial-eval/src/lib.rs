@@ -182,30 +182,25 @@
 //! [`rpq`] evaluates **regular path queries** — [`trial_parser::PathExpr`]
 //! expressions built from label atoms, `/` concatenation, `|` alternation
 //! and the `*`/`+`/`?` closures — over one edge relation, returning the
-//! reachable node pairs `(x, y)` encoded as triples `(x, x, y)`. Two
-//! strategies share that contract, selected by [`PathStrategy`]:
+//! reachable node pairs `(x, y)` encoded as triples `(x, x, y)`. One
+//! evaluator answers them, the **NFA product walk**
+//! ([`rpq::eval_on_store`]): the expression compiles to a Thompson NFA
+//! ([`rpq::Nfa`]) and a BFS explores the product of the graph with the
+//! automaton over the relation's SPO run, with optional per-walk hop bounds
+//! (`max_hops`), root-partitioned parallelism and cancellation checkpoints.
+//! Its plan is a [`PlanNode::PathNfa`] leaf that streams root by root, so a
+//! limit or an SPO top-k above it stops after the first roots; the entry
+//! points are [`SmartEngine::plan_path_query`] /
+//! [`SmartEngine::stream_path_query`].
 //!
-//! * **Lowering** ([`rpq::lower`]) — a total translation into the TriAL
-//!   algebra: atoms become label-bound selections self-joined to the
-//!   `(x, x, y)` shape, concatenation becomes composition joins, closures
-//!   become right-star fixpoints. The result is an ordinary
-//!   [`Expr`](trial_core::Expr), so concatenation chains inherit the whole
-//!   planner — merge/hash/index join selection, memoisation of repeated
-//!   label scans, limit and order pushdown.
-//! * **NFA product walk** ([`rpq::eval_on_store`]) — the expression compiles
-//!   to a Thompson NFA ([`rpq::Nfa`]) and a BFS explores the product of the
-//!   graph with the automaton over the relation's SPO run, with
-//!   optional per-walk hop bounds (`max_hops`, which the lowering cannot
-//!   express), root-partitioned parallelism and cancellation checkpoints.
-//!
-//! `PathStrategy::Auto` (the `/path` endpoint default) lowers closure-free
-//! expressions — those plans are exactly as optimisable as hand-written
-//! TriAL — and walks the product for closures or bounded queries, where the
-//! planner's plan is a [`PlanNode::PathNfa`] leaf that streams root by
-//! root. The two strategies are held to byte-identical result sets by
-//! `tests/rpq_differential.rs` (against an independent reachability
-//! reference) and the planner-level entry points are
-//! [`SmartEngine::plan_path_query`] / [`SmartEngine::stream_path_query`].
+//! [`rpq::lower`] is Theorem 7 made executable: a total translation into the
+//! TriAL algebra (atoms become label-bound selections self-joined to the
+//! `(x, x, y)` shape, concatenation becomes composition joins, closures
+//! become right-star fixpoints). The result is an ordinary
+//! [`Expr`](trial_core::Expr) any engine runs. It is the witness the walk is
+//! held to — `tests/rpq_differential.rs` checks both against an independent
+//! reachability reference — not a second way to answer `/path`: the walk
+//! was faster on every case `tables e15` measures.
 //!
 //! # Parallel execution
 //!

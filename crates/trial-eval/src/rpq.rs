@@ -3,20 +3,24 @@
 //! The paper's central theorem is that TriAL* captures regular path
 //! queries. This module makes the claim executable in both directions:
 //!
+//! * [`eval_product`] evaluates a [`PathExpr`] as a BFS over the product of
+//!   the edge graph with a Thompson [`Nfa`] of the expression — the classic
+//!   PTIME RPQ procedure, and the one evaluator behind the server's `/path`
+//!   (its plan is a [`PlanNode::PathNfa`](crate::PlanNode::PathNfa) leaf).
+//!   It walks the relation's SPO run through the same
+//!   [`SubjectRuns`](trial_core::SubjectRuns) lookup as [`crate::reach`],
+//!   checks the [`CancelToken`] between BFS roots, and supports a
+//!   `max_hops` bound (the product BFS is level-synchronous, so bounding
+//!   path length is free).
 //! * [`lower`] compiles every [`PathExpr`] into a plain TriAL\*
-//!   [`Expr`] — pairs `(x, y)` are encoded as triples
-//!   `(x, x, y)`, concatenation becomes a triple join
-//!   `✶^{1,1,3'}_{3=1'}`, alternation a union, and Kleene closures a right
-//!   Kleene star of the same join shape. The lowering is **total**: the
-//!   resulting expression goes through the ordinary cost-based planner, so
-//!   star-free chains pick up merge/hash joins and `explain()` for free.
-//! * [`eval_product`] evaluates the same semantics directly, as a BFS over
-//!   the product of the edge graph with a Thompson [`Nfa`] of the
-//!   expression — the classic PTIME RPQ procedure. It walks the relation's
-//!   SPO run through the same [`SubjectRuns`](trial_core::SubjectRuns)
-//!   lookup as [`crate::reach`], checks the [`CancelToken`] between BFS
-//!   roots, and is the only strategy that supports a `max_hops` bound (the
-//!   product BFS is level-synchronous, so bounding path length is free).
+//!   [`Expr`] — pairs `(x, y)` are encoded as triples `(x, x, y)`,
+//!   concatenation becomes a triple join `✶^{1,1,3'}_{3=1'}`, alternation a
+//!   union, and Kleene closures a right Kleene star of the same join shape.
+//!   The lowering is **total**, which is Theorem 7's witness: the
+//!   differential suite, `tables e15` and the `lower-*` explain goldens run
+//!   it, and anyone can POST its rendering to `/query`. It is not a second
+//!   way to answer `/path`: the walk was faster on every case `tables e15`
+//!   measures.
 //!
 //! The unit of work is one root: its product BFS yields the root's pairs
 //! `(root, root, y)` sorted by `y`, and the roots are taken in increasing id
@@ -30,9 +34,9 @@
 //! expression accepts the empty word (only then can a node without an
 //! out-edge answer).
 //!
-//! Both strategies return the identical [`TripleSet`] — the differential
-//! suite (`tests/rpq_differential.rs`) proves it against an independent
-//! reference on generated graphs.
+//! The walk and the lowering return the identical [`TripleSet`] — the
+//! differential suite (`tests/rpq_differential.rs`) proves it against an
+//! independent reference on generated graphs.
 //!
 //! ## Pair encoding
 //!
@@ -56,49 +60,27 @@ use trial_core::{
 };
 use trial_parser::PathExpr;
 
-/// Which execution strategy a path query runs under — the server's
-/// `?algo=` knob.
+/// How a path query is planned: the NFA walk `/path` runs, or the TriAL\*
+/// lowering that witnesses Theorem 7.
+///
+/// The type survives only because the layer-replay benchmark
+/// (`bench/src/bin/layers.rs`) names it to plan a path the way the server
+/// does; once that call goes, so does the type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PathStrategy {
-    /// Pick per query: star-free expressions take the [`lower`]ing (the
-    /// planner then gets to choose merge/hash joins), Kleene closures and
-    /// `max_hops` bounds take the NFA walk.
+    /// What `/path` runs: the product-NFA walk, for every expression.
     Auto,
-    /// Always the product-NFA traversal.
-    Nfa,
-    /// Always the TriAL lowering. Incompatible with `max_hops` (a join
-    /// plan has no hop counter); callers reject that combination up front.
+    /// The TriAL\* [`lower`]ing, planned like any hand-written query. It has
+    /// no hop counter, so it ignores `max_hops`.
     Lower,
 }
 
 impl PathStrategy {
-    /// Parses the `?algo=` parameter value (case-insensitive).
-    pub fn parse(name: &str) -> Option<PathStrategy> {
-        match name.to_ascii_lowercase().as_str() {
-            "auto" => Some(PathStrategy::Auto),
-            "nfa" => Some(PathStrategy::Nfa),
-            "lower" | "star" => Some(PathStrategy::Lower),
-            _ => None,
-        }
-    }
-
-    /// The strategy's canonical name.
-    pub fn name(self) -> &'static str {
-        match self {
-            PathStrategy::Auto => "auto",
-            PathStrategy::Nfa => "nfa",
-            PathStrategy::Lower => "lower",
-        }
-    }
-
-    /// Resolves `Auto` for a concrete query: `true` means the NFA walk runs,
-    /// `false` means the query lowers onto TriAL.
-    pub fn resolves_to_nfa(self, path: &PathExpr, max_hops: Option<usize>) -> bool {
-        match self {
-            PathStrategy::Nfa => true,
-            PathStrategy::Lower => false,
-            PathStrategy::Auto => path.has_closure() || max_hops.is_some(),
-        }
+    /// `true` when the strategy runs the NFA walk, `false` when the query
+    /// lowers onto TriAL. The walk answers every expression and bound, so
+    /// neither argument changes the answer.
+    pub fn resolves_to_nfa(self, _path: &PathExpr, _max_hops: Option<usize>) -> bool {
+        self == PathStrategy::Auto
     }
 }
 

@@ -32,5 +32,15 @@ pub mod path;
 pub mod pretty;
 
 pub use parser::parse;
-pub use path::{parse_path, PathExpr};
+pub use path::{parse_path, PathExpr, MAX_PATH_SIZE};
 pub use pretty::pretty;
+
+/// The deepest expression either grammar accepts, counted in operators
+/// (AST nodes on a root-to-leaf path), and the most brackets it lets stand
+/// open at once. Every stage after parsing — planning, explain, opening
+/// cursors, `Display` and drop — recurses on the tree, so the cap is what
+/// keeps a short request from overflowing a thread's stack. A union chain
+/// this deep opens its cursors within a 2 MiB thread stack in a debug
+/// build; `trial-server` gives its workers four times that. Deeper input is
+/// a parse error at the operator or bracket that crosses the cap.
+pub const MAX_DEPTH: usize = 64;

@@ -1,6 +1,7 @@
 //! Recursive-descent parser for the TriAL expression syntax.
 
 use crate::lexer::{tokenize, Token, TokenKind};
+use crate::MAX_DEPTH;
 use trial_core::{Cmp, Conditions, Error, Expr, OutputSpec, Pos, Result, Side, Value};
 
 /// Parses a TriAL / TriAL\* expression from its textual form.
@@ -27,18 +28,32 @@ use trial_core::{Cmp, Conditions, Error, Expr, OutputSpec, Pos, Result, Side, Va
 /// unparenthesised chains group as `((a op b) op c)`. The
 /// [`Display`](std::fmt::Display) form of [`Expr`] always parenthesises, so
 /// round-tripping is unambiguous.
+///
+/// An expression deeper than [`MAX_DEPTH`] operators, or with more than
+/// [`MAX_DEPTH`] brackets open at once, is a parse error at the token that
+/// crosses the limit.
 pub fn parse(input: &str) -> Result<Expr> {
     let tokens = tokenize(input)?;
-    let mut parser = Parser { tokens, index: 0 };
-    let expr = parser.parse_expr()?;
+    let mut parser = Parser {
+        tokens,
+        index: 0,
+        open: 0,
+    };
+    let (expr, _) = parser.parse_expr()?;
     parser.expect_eof()?;
     expr.validate()?;
     Ok(expr)
 }
 
+/// A parsed subexpression with its height: the most AST nodes on a path
+/// from its root to a leaf.
+type Node = (Expr, usize);
+
 struct Parser {
     tokens: Vec<Token>,
     index: usize,
+    /// Brackets opened and not yet closed: bounds the parser's recursion.
+    open: usize,
 }
 
 impl Parser {
@@ -86,48 +101,82 @@ impl Parser {
         matches!(self.peek(), TokenKind::Ident(s) if s == word)
     }
 
-    fn parse_expr(&mut self) -> Result<Expr> {
-        let mut left = self.parse_term()?;
+    /// The height of a node built by the token at `offset` over children
+    /// at most `below` high: an error if it is deeper than [`MAX_DEPTH`].
+    fn deepen(&self, below: usize, offset: usize) -> Result<usize> {
+        if below >= MAX_DEPTH {
+            return Err(Error::Parse {
+                message: format!("expression nests deeper than {MAX_DEPTH} operators"),
+                offset,
+            });
+        }
+        Ok(below + 1)
+    }
+
+    /// Consumes a `(`: an error if it would leave more than [`MAX_DEPTH`]
+    /// brackets open.
+    fn open(&mut self) -> Result<()> {
+        if self.open >= MAX_DEPTH && matches!(self.peek(), TokenKind::LParen) {
+            return Err(self.error(format!("more than {MAX_DEPTH} nested brackets")));
+        }
+        self.expect(&TokenKind::LParen)?;
+        self.open += 1;
+        Ok(())
+    }
+
+    /// Consumes the `)` that closes the innermost open bracket.
+    fn close(&mut self) -> Result<()> {
+        self.expect(&TokenKind::RParen)?;
+        self.open -= 1;
+        Ok(())
+    }
+
+    fn parse_expr(&mut self) -> Result<Node> {
+        let (mut left, mut height) = self.parse_term()?;
         loop {
+            let offset = self.peek_offset();
+            let (right, below);
             if self.ident_is("UNION") {
                 self.advance();
-                let right = self.parse_term()?;
+                (right, below) = self.parse_term()?;
                 left = left.union(right);
             } else if self.ident_is("MINUS") {
                 self.advance();
-                let right = self.parse_term()?;
+                (right, below) = self.parse_term()?;
                 left = left.minus(right);
             } else if self.ident_is("INTERSECT") {
                 self.advance();
-                let right = self.parse_term()?;
+                (right, below) = self.parse_term()?;
                 left = left.intersect(right);
             } else if self.ident_is("JOIN") {
                 self.advance();
                 let (output, cond) = self.parse_spec()?;
-                let right = self.parse_term()?;
+                (right, below) = self.parse_term()?;
                 left = left.join(right, output, cond);
             } else {
-                return Ok(left);
+                return Ok((left, height));
             }
+            height = self.deepen(height.max(below), offset)?;
         }
     }
 
-    fn parse_term(&mut self) -> Result<Expr> {
+    fn parse_term(&mut self) -> Result<Node> {
+        let offset = self.peek_offset();
         match self.peek().clone() {
             TokenKind::LParen => {
-                self.advance();
+                self.open()?;
                 let inner = self.parse_expr()?;
-                self.expect(&TokenKind::RParen)?;
+                self.close()?;
                 Ok(inner)
             }
             TokenKind::Ident(word) => match word.as_str() {
                 "EMPTY" => {
                     self.advance();
-                    Ok(Expr::Empty)
+                    Ok((Expr::Empty, 1))
                 }
                 "U" => {
                     self.advance();
-                    Ok(Expr::Universe)
+                    Ok((Expr::Universe, 1))
                 }
                 "SELECT" => {
                     self.advance();
@@ -135,31 +184,31 @@ impl Parser {
                     if output.is_some() {
                         return Err(self.error("SELECT takes only conditions, not an output list"));
                     }
-                    self.expect(&TokenKind::LParen)?;
-                    let inner = self.parse_expr()?;
-                    self.expect(&TokenKind::RParen)?;
-                    Ok(inner.select(cond))
+                    self.open()?;
+                    let (inner, below) = self.parse_expr()?;
+                    self.close()?;
+                    Ok((inner.select(cond), self.deepen(below, offset)?))
                 }
                 "COMPL" => {
                     self.advance();
-                    self.expect(&TokenKind::LParen)?;
-                    let inner = self.parse_expr()?;
-                    self.expect(&TokenKind::RParen)?;
-                    Ok(inner.complement())
+                    self.open()?;
+                    let (inner, below) = self.parse_expr()?;
+                    self.close()?;
+                    Ok((inner.complement(), self.deepen(below, offset)?))
                 }
                 "STAR" => {
                     self.advance();
-                    self.expect(&TokenKind::LParen)?;
-                    let star = self.parse_star_body()?;
-                    self.expect(&TokenKind::RParen)?;
-                    Ok(star)
+                    self.open()?;
+                    let (star, below) = self.parse_star_body()?;
+                    self.close()?;
+                    Ok((star, self.deepen(below, offset)?))
                 }
                 "UNION" | "MINUS" | "INTERSECT" | "JOIN" => {
                     Err(self.error(format!("`{word}` is a keyword, not a relation name")))
                 }
                 _ => {
                     self.advance();
-                    Ok(Expr::rel(word))
+                    Ok((Expr::rel(word), 1))
                 }
             },
             other => Err(self.error(format!("expected an expression, found {other}"))),
@@ -175,35 +224,45 @@ impl Parser {
     /// disambiguation rule is that the star's join spec is the one
     /// immediately followed by the closing parenthesis (a term can never
     /// start with `)`).
-    fn parse_star_body(&mut self) -> Result<Expr> {
+    ///
+    /// The height returned is the star's operand's: the caller counts the
+    /// star itself.
+    fn parse_star_body(&mut self) -> Result<Node> {
         if self.ident_is("JOIN") {
             self.advance();
             let (output, cond) = self.parse_spec()?;
-            let inner = self.parse_expr()?;
-            return Ok(inner.left_star(output, cond));
+            let (inner, below) = self.parse_expr()?;
+            return Ok((inner.left_star(output, cond), below));
         }
-        let mut left = self.parse_term()?;
+        let (mut left, mut height) = self.parse_term()?;
         loop {
+            let offset = self.peek_offset();
+            let (right, below);
             if self.ident_is("UNION") {
                 self.advance();
-                left = left.union(self.parse_term()?);
+                (right, below) = self.parse_term()?;
+                left = left.union(right);
             } else if self.ident_is("MINUS") {
                 self.advance();
-                left = left.minus(self.parse_term()?);
+                (right, below) = self.parse_term()?;
+                left = left.minus(right);
             } else if self.ident_is("INTERSECT") {
                 self.advance();
-                left = left.intersect(self.parse_term()?);
+                (right, below) = self.parse_term()?;
+                left = left.intersect(right);
             } else if self.ident_is("JOIN") {
                 self.advance();
                 let (output, cond) = self.parse_spec()?;
                 if matches!(self.peek(), TokenKind::RParen) {
                     // This JOIN is the star's own join.
-                    return Ok(left.right_star(output, cond));
+                    return Ok((left.right_star(output, cond), height));
                 }
-                left = left.join(self.parse_term()?, output, cond);
+                (right, below) = self.parse_term()?;
+                left = left.join(right, output, cond);
             } else {
                 return Err(self.error("expected JOIN inside STAR(...)"));
             }
+            height = self.deepen(height.max(below), offset)?;
         }
     }
 
@@ -346,7 +405,7 @@ impl Parser {
                 Ok(Value::Null)
             }
             TokenKind::LParen => {
-                self.advance();
+                self.open()?;
                 let mut items = Vec::new();
                 if !matches!(self.peek(), TokenKind::RParen) {
                     loop {
@@ -358,7 +417,7 @@ impl Parser {
                         }
                     }
                 }
-                self.expect(&TokenKind::RParen)?;
+                self.close()?;
                 Ok(Value::Tuple(items))
             }
             other => Err(self.error(format!(
@@ -520,6 +579,43 @@ mod tests {
         assert_eq!(offset_of(""), 0);
         assert_eq!(offset_of("(E"), 2); // missing `)`
         assert_eq!(offset_of("E JOIN[1,2,3' | 1**2] E"), 17); // bad comparator
+    }
+
+    #[test]
+    fn nesting_is_capped_at_the_crossing_token() {
+        let offset_of = |input: &str| match parse(input) {
+            Err(Error::Parse { offset, .. }) => offset,
+            other => panic!("expected a parse error, got {other:?}"),
+        };
+        // A flat chain of `n` unions is `n + 1` deep: the error points at
+        // the union that makes it `MAX_DEPTH + 1`.
+        let chain = |n: usize| vec!["E"; n + 1].join(" UNION ");
+        assert!(parse(&chain(MAX_DEPTH - 1)).is_ok());
+        assert_eq!(offset_of(&chain(MAX_DEPTH)), chain(MAX_DEPTH - 1).len() + 1);
+        // Unary operators and a star's join count one level each.
+        let compl = |n: usize| format!("{}E{}", "COMPL(".repeat(n), ")".repeat(n));
+        assert!(parse(&compl(MAX_DEPTH - 1)).is_ok());
+        assert_eq!(offset_of(&compl(MAX_DEPTH)), 0);
+        let star = |n: usize| {
+            format!(
+                "{}E{}",
+                "STAR(".repeat(n),
+                " JOIN[1,2,3' | 3=1'])".repeat(n)
+            )
+        };
+        assert!(parse(&star(MAX_DEPTH - 1)).is_ok());
+        assert!(parse(&star(MAX_DEPTH)).is_err());
+        // Brackets that add no operator still bound the recursion, and so
+        // do nested tuple values.
+        let parens = |n: usize| format!("{}E{}", "(".repeat(n), ")".repeat(n));
+        assert_eq!(parse(&parens(MAX_DEPTH)).unwrap(), Expr::rel("E"));
+        assert_eq!(offset_of(&parens(MAX_DEPTH + 1)), MAX_DEPTH);
+        let tuple = |n: usize| format!("SELECT[rho(1)={}1{}](E)", "(".repeat(n), ")".repeat(n));
+        assert!(parse(&tuple(MAX_DEPTH)).is_ok());
+        assert!(parse(&tuple(MAX_DEPTH + 1)).is_err());
+        // What `Display` renders at the cap parses back.
+        let deep = parse(&chain(MAX_DEPTH - 1)).unwrap();
+        assert_eq!(parse(&deep.to_string()).unwrap(), deep);
     }
 
     #[test]

@@ -28,9 +28,23 @@
 //! [`PathExpr`]'s [`Display`](std::fmt::Display) form always re-parses to
 //! the same AST (round-tripping is tested), which is what lets the engine
 //! cache and log path queries by their text.
+//!
+//! ## Limits
+//!
+//! A path may nest at most [`MAX_DEPTH`] deep, counting each closure and
+//! each `/` or `|` list as one level, and have at most [`MAX_DEPTH`]
+//! parentheses open at once. It may hold at most [`MAX_PATH_SIZE`] atoms
+//! and closure operators together: each adds at most two states to the
+//! Thompson NFA the engine builds, whose ε-closures take time quadratic in
+//! the state count.
 
+use crate::MAX_DEPTH;
 use std::fmt;
 use trial_core::{Error, Result};
+
+/// The most atoms plus closure operators (`*`, `+`, `?`) one path may
+/// hold; see the module's *Limits*.
+pub const MAX_PATH_SIZE: usize = 256;
 
 /// A regular path expression over edge labels.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -52,19 +66,6 @@ pub enum PathExpr {
 }
 
 impl PathExpr {
-    /// `true` if the expression contains a Kleene closure (`*` or `+`) —
-    /// the shapes whose lowering needs a TriAL star (and whose NFA-product
-    /// traversal can revisit nodes). `?` is *not* a closure: it only adds
-    /// identity pairs, and lowers to a plain union.
-    pub fn has_closure(&self) -> bool {
-        match self {
-            PathExpr::Atom(_) => false,
-            PathExpr::Seq(parts) | PathExpr::Alt(parts) => parts.iter().any(Self::has_closure),
-            PathExpr::Star(_) | PathExpr::Plus(_) => true,
-            PathExpr::Opt(inner) => inner.has_closure(),
-        }
-    }
-
     /// Every distinct atom label, in first-appearance order.
     pub fn labels(&self) -> Vec<&str> {
         fn walk<'e>(e: &'e PathExpr, out: &mut Vec<&'e str>) {
@@ -100,7 +101,9 @@ fn is_label_char(c: char) -> bool {
 /// Parses a regular path expression.
 ///
 /// Errors carry the byte offset of the failing character, like
-/// [`crate::parse`], so the server can report them structurally.
+/// [`crate::parse`], so the server can report them structurally. A path
+/// past the module's *Limits* fails at the operator, bracket or atom that
+/// crosses one.
 pub fn parse_path(input: &str) -> Result<PathExpr> {
     let chars: Vec<char> = input.chars().collect();
     let mut offsets: Vec<usize> = Vec::with_capacity(chars.len() + 1);
@@ -114,9 +117,11 @@ pub fn parse_path(input: &str) -> Result<PathExpr> {
         chars,
         offsets,
         index: 0,
+        open: 0,
+        size: 0,
     };
     parser.skip_ws();
-    let expr = parser.parse_alt()?;
+    let (expr, _) = parser.parse_alt()?;
     parser.skip_ws();
     if parser.index < parser.chars.len() {
         return Err(parser.error(format!(
@@ -127,17 +132,29 @@ pub fn parse_path(input: &str) -> Result<PathExpr> {
     Ok(expr)
 }
 
+/// A parsed subexpression with its height: the most AST nodes on a path
+/// from its root to a leaf.
+type Node = (PathExpr, usize);
+
 struct PathParser {
     chars: Vec<char>,
     offsets: Vec<usize>,
     index: usize,
+    /// Parentheses opened and not yet closed: bounds the recursion.
+    open: usize,
+    /// Atoms and closure operators read so far.
+    size: usize,
 }
 
 impl PathParser {
     fn error(&self, message: impl Into<String>) -> Error {
+        self.error_at(self.index, message)
+    }
+
+    fn error_at(&self, index: usize, message: impl Into<String>) -> Error {
         Error::Parse {
             message: message.into(),
-            offset: self.offsets[self.index.min(self.chars.len())],
+            offset: self.offsets[index.min(self.chars.len())],
         }
     }
 
@@ -155,69 +172,89 @@ impl PathParser {
         self.chars.get(self.index).copied()
     }
 
-    fn parse_alt(&mut self) -> Result<PathExpr> {
-        let mut parts = vec![self.parse_seq()?];
+    /// The height of a node built by the operator at char `at` over
+    /// children at most `below` high: an error if it is deeper than
+    /// [`MAX_DEPTH`].
+    fn deepen(&self, below: usize, at: usize) -> Result<usize> {
+        if below >= MAX_DEPTH {
+            return Err(self.error_at(at, format!("path nests deeper than {MAX_DEPTH} operators")));
+        }
+        Ok(below + 1)
+    }
+
+    /// Counts one atom or closure operator at the cursor against
+    /// [`MAX_PATH_SIZE`].
+    fn grow(&mut self) -> Result<()> {
+        if self.size >= MAX_PATH_SIZE {
+            return Err(self.error(format!(
+                "path has more than {MAX_PATH_SIZE} atoms and closure operators"
+            )));
+        }
+        self.size += 1;
+        Ok(())
+    }
+
+    /// Parses `part (sep part)*`: one part as is, several as the list node
+    /// `list` builds, one level above its highest part.
+    fn parse_list(
+        &mut self,
+        sep: char,
+        part: fn(&mut Self) -> Result<Node>,
+        list: fn(Vec<PathExpr>) -> PathExpr,
+    ) -> Result<Node> {
+        let (first, mut height) = part(self)?;
+        let mut parts = vec![first];
+        let mut first_sep = None;
         loop {
             self.skip_ws();
-            if self.peek() == Some('|') {
-                self.index += 1;
-                self.skip_ws();
-                parts.push(self.parse_seq()?);
-            } else {
+            if self.peek() != Some(sep) {
                 break;
             }
+            first_sep.get_or_insert(self.index);
+            self.index += 1;
+            self.skip_ws();
+            let (next, below) = part(self)?;
+            parts.push(next);
+            height = height.max(below);
         }
-        Ok(if parts.len() == 1 {
-            parts.pop().expect("one part")
-        } else {
-            PathExpr::Alt(parts)
-        })
+        match first_sep {
+            None => Ok((parts.pop().expect("one part"), height)),
+            Some(at) => Ok((list(parts), self.deepen(height, at)?)),
+        }
     }
 
-    fn parse_seq(&mut self) -> Result<PathExpr> {
-        let mut parts = vec![self.parse_postfix()?];
+    fn parse_alt(&mut self) -> Result<Node> {
+        self.parse_list('|', Self::parse_seq, PathExpr::Alt)
+    }
+
+    fn parse_seq(&mut self) -> Result<Node> {
+        self.parse_list('/', Self::parse_postfix, PathExpr::Seq)
+    }
+
+    fn parse_postfix(&mut self) -> Result<Node> {
+        let (mut expr, mut height) = self.parse_primary()?;
         loop {
             self.skip_ws();
-            if self.peek() == Some('/') {
-                self.index += 1;
-                self.skip_ws();
-                parts.push(self.parse_postfix()?);
-            } else {
-                break;
-            }
-        }
-        Ok(if parts.len() == 1 {
-            parts.pop().expect("one part")
-        } else {
-            PathExpr::Seq(parts)
-        })
-    }
-
-    fn parse_postfix(&mut self) -> Result<PathExpr> {
-        let mut expr = self.parse_primary()?;
-        loop {
-            self.skip_ws();
-            match self.peek() {
-                Some('*') => {
-                    self.index += 1;
-                    expr = PathExpr::Star(Box::new(expr));
-                }
-                Some('+') => {
-                    self.index += 1;
-                    expr = PathExpr::Plus(Box::new(expr));
-                }
-                Some('?') => {
-                    self.index += 1;
-                    expr = PathExpr::Opt(Box::new(expr));
-                }
-                _ => return Ok(expr),
-            }
+            let closure: fn(Box<PathExpr>) -> PathExpr = match self.peek() {
+                Some('*') => PathExpr::Star,
+                Some('+') => PathExpr::Plus,
+                Some('?') => PathExpr::Opt,
+                _ => return Ok((expr, height)),
+            };
+            height = self.deepen(height, self.index)?;
+            self.grow()?;
+            self.index += 1;
+            expr = closure(Box::new(expr));
         }
     }
 
-    fn parse_primary(&mut self) -> Result<PathExpr> {
+    fn parse_primary(&mut self) -> Result<Node> {
         match self.peek() {
             Some('(') => {
+                if self.open >= MAX_DEPTH {
+                    return Err(self.error(format!("more than {MAX_DEPTH} nested parentheses")));
+                }
+                self.open += 1;
                 self.index += 1;
                 self.skip_ws();
                 let inner = self.parse_alt()?;
@@ -226,9 +263,11 @@ impl PathParser {
                     return Err(self.error("expected `)`"));
                 }
                 self.index += 1;
+                self.open -= 1;
                 Ok(inner)
             }
             Some('\'') => {
+                self.grow()?;
                 let open = self.index;
                 self.index += 1;
                 let mut label = String::new();
@@ -239,7 +278,7 @@ impl PathParser {
                             self.index = open;
                             return Err(self.error("empty quoted label"));
                         }
-                        return Ok(PathExpr::Atom(label));
+                        return Ok((PathExpr::Atom(label), 1));
                     }
                     label.push(c);
                     self.index += 1;
@@ -248,6 +287,7 @@ impl PathParser {
                 Err(self.error("unterminated quoted label"))
             }
             Some(c) if is_label_char(c) => {
+                self.grow()?;
                 let mut label = String::new();
                 while let Some(c) = self.peek() {
                     if is_label_char(c) {
@@ -257,7 +297,7 @@ impl PathParser {
                         break;
                     }
                 }
-                Ok(PathExpr::Atom(label))
+                Ok((PathExpr::Atom(label), 1))
             }
             Some(c) => Err(self.error(format!(
                 "expected an edge label, `(` or a quoted label, found `{c}`"
@@ -469,12 +509,41 @@ mod tests {
     }
 
     #[test]
-    fn closure_detection_and_labels() {
+    fn depth_and_size_are_capped_at_the_crossing_character() {
+        let offset_of = |input: &str| match parse_path(input) {
+            Err(Error::Parse { offset, .. }) => offset,
+            other => panic!("expected a parse error, got {other:?}"),
+        };
+        // `a` under `n` closures is `n + 1` deep.
+        let postfix = |n: usize| format!("a{}", "?".repeat(n));
+        assert!(parse_path(&postfix(MAX_DEPTH - 1)).is_ok());
+        assert_eq!(offset_of(&postfix(MAX_DEPTH)), MAX_DEPTH);
+        // Each parenthesised list is one level, so the outermost list is
+        // the one too deep: the offset is its `/`.
+        let nested = |n: usize| format!("{}a{}", "(".repeat(n), "/a)".repeat(n));
+        assert!(parse_path(&nested(MAX_DEPTH - 1)).is_ok());
+        assert_eq!(offset_of(&nested(MAX_DEPTH)), 4 * MAX_DEPTH - 2);
+        let parens = |n: usize| format!("{}a{}", "(".repeat(n), ")".repeat(n));
+        assert_eq!(parse_path(&parens(MAX_DEPTH)).unwrap(), atom("a"));
+        assert_eq!(offset_of(&parens(MAX_DEPTH + 1)), MAX_DEPTH);
+        // A flat list is shallow, but its atoms count against the size.
+        let flat = |n: usize| vec!["a"; n].join("|");
+        assert!(parse_path(&flat(MAX_PATH_SIZE)).is_ok());
+        assert_eq!(offset_of(&flat(MAX_PATH_SIZE + 1)), 2 * MAX_PATH_SIZE);
+        // ...and so do closure operators.
+        let starred = |n: usize| vec!["a*"; n].join("/");
+        assert!(parse_path(&starred(MAX_PATH_SIZE / 2)).is_ok());
+        assert_eq!(
+            offset_of(&starred(MAX_PATH_SIZE / 2 + 1)),
+            3 * MAX_PATH_SIZE / 2
+        );
+    }
+
+    #[test]
+    fn labels_in_first_appearance_order() {
         let e = parse_path("a/(b|c)+/d?").unwrap();
-        assert!(e.has_closure());
         assert_eq!(e.labels(), vec!["a", "b", "c", "d"]);
         let flat = parse_path("a/b?|a").unwrap();
-        assert!(!flat.has_closure());
         assert_eq!(flat.labels(), vec!["a", "b"]);
     }
 }

@@ -77,21 +77,22 @@
 //! `POST /path` evaluates a **regular path query** — label atoms, `/`
 //! concatenation, `|` alternation, `*`/`+`/`?` closures — over one edge
 //! relation (`?relation=`, default `E`) and returns the reachable pairs
-//! `(x, y)` encoded as triples `(x, x, y)`. Closure-free expressions are
-//! lowered to TriAL algebra and inherit the whole planner; closures (or a
-//! `?max_hops=` walk bound, which the lowering cannot express) run the
-//! Thompson-NFA product walk. `?algo=auto|nfa|lower` pins the strategy,
-//! and every `/query` delivery knob — `?limit=`, `?order=`, `?topk=`,
-//! `?stream=1`, cursors, caching, `?timeout_ms=` — works identically:
+//! `(x, y)` encoded as triples `(x, x, y)`. Every expression runs as a
+//! Thompson-NFA product walk that streams root by root (`?max_hops=` bounds
+//! it to walks of at most that many edges), and every `/query` delivery
+//! knob — `?limit=`, `?order=`, `?topk=`, `?stream=1`, cursors, caching,
+//! `?timeout_ms=` — works identically. The TriAL\* lowering of a path
+//! (`trial_eval::rpq::lower`, Theorem 7) is an ordinary expression: POST
+//! its text to `/query` to run it as a join plan.
 //!
 //! ```bash
-//! # Two-step connections: lowers to a join plan the planner optimises.
+//! # Two-step connections.
 //! curl -s localhost:7878/path -d "a/b"
 //!
 //! # Reachability over either label, bounded to walks of at most 4 edges.
 //! curl -s "localhost:7878/path?max_hops=4" -d "(a|b)+"
 //!
-//! # Which strategy `auto` resolved to, and the plan it produced.
+//! # The walk's plan: a PathNfa leaf under the delivery operators.
 //! curl -s "localhost:7878/explain?path=1" -d "(a/b)*"
 //!
 //! # Ordered, paginated path results — same cursor protocol as /query.

@@ -63,13 +63,12 @@
 //! **Path queries**: `POST /path` takes a regular path expression (atoms,
 //! `/` concatenation, `|` alternation, `*`, `+`, `?`) over one relation
 //! (`?relation=`, default `E`) and returns the reachable pairs encoded as
-//! `(x, x, y)` triples. `?algo=auto|nfa|lower` picks the strategy —
-//! closure-free paths **lower to TriAL joins** the planner
-//! optimises like any hand-written query, while starred paths (or a
-//! `?max_hops=` bound) run as a Thompson-NFA product walk — and
-//! `/explain?path=1` renders whichever plan the same request would run.
-//! Every `/query` knob (limit, threads, order, topk, streaming, cursors,
-//! timeouts, caching) applies unchanged.
+//! `(x, x, y)` triples. Every path runs as a Thompson-NFA product walk
+//! (`?max_hops=` bounds its length in edges), and `/explain?path=1` renders
+//! its `PathNfa` plan. Every `/query` knob (limit, threads, order, topk,
+//! streaming, cursors, timeouts, caching) applies unchanged. The TriAL
+//! lowering of a path (`trial_eval::rpq::lower`) is an ordinary
+//! expression: POST its text to `/query` to run it.
 
 use crate::admission::AdmissionPermit;
 use crate::cache::{CacheKey, Entry, QueryKind};
@@ -87,7 +86,7 @@ use std::time::{Duration, Instant};
 use trial_core::{
     Error, Expr, ObjectId, Permutation, Triple, Triplestore, TriplestoreBuilder, Value,
 };
-use trial_eval::{CancelToken, EvalStats, NodeProfile, PathStrategy, QueryStream, SmartEngine};
+use trial_eval::{CancelToken, EvalStats, NodeProfile, QueryStream, SmartEngine};
 use trial_parser::PathExpr;
 use trial_rdf::{parse_ntriples_iter, Term};
 
@@ -663,11 +662,10 @@ fn query_text(req: &Request) -> Result<&str, Box<Response>> {
 }
 
 /// The path-specific request knobs: `?relation=` names the edge relation
-/// the expression walks (default `E`), `?algo=` picks the execution
-/// strategy and `?max_hops=` bounds the walk length in graph edges.
+/// the expression walks (default `E`) and `?max_hops=` bounds the walk
+/// length in graph edges.
 struct PathParams {
     relation: String,
-    strategy: PathStrategy,
     max_hops: Option<usize>,
 }
 
@@ -675,17 +673,6 @@ struct PathParams {
 fn parse_path_params(req: &Request) -> Result<PathParams, Box<Response>> {
     let bad = |message: String| Box::new(error_response(400, "bad_request", &message, None));
     let relation = req.param("relation").unwrap_or("E").to_owned();
-    let strategy = match req.param("algo") {
-        Some(raw) => match PathStrategy::parse(raw) {
-            Some(s) => s,
-            None => {
-                return Err(bad(format!(
-                    "unparsable ?algo= value `{raw}` (expected auto, nfa or lower)"
-                )))
-            }
-        },
-        None => PathStrategy::Auto,
-    };
     let max_hops = match req.param("max_hops") {
         Some(raw) => match raw.parse::<usize>() {
             Ok(h) => Some(h),
@@ -693,20 +680,7 @@ fn parse_path_params(req: &Request) -> Result<PathParams, Box<Response>> {
         },
         None => None,
     };
-    // The TriAL lowering evaluates full fixpoints; it has no notion of a
-    // hop budget, so forcing it alongside one would silently drop the bound.
-    if strategy == PathStrategy::Lower && max_hops.is_some() {
-        return Err(bad(
-            "?algo=lower cannot honour ?max_hops= (the TriAL lowering runs full closures); \
-             use ?algo=auto or ?algo=nfa"
-                .to_owned(),
-        ));
-    }
-    Ok(PathParams {
-        relation,
-        strategy,
-        max_hops,
-    })
+    Ok(PathParams { relation, max_hops })
 }
 
 /// The cache-key text of a request. The kinds already separate the
@@ -722,17 +696,13 @@ fn key_text(kind: QueryKind, pp: Option<&PathParams>, limit: Option<usize>, text
         QueryKind::Query | QueryKind::Path => String::new(),
     };
     if let Some(pp) = pp {
-        let (relation, algo) = (json::string(&pp.relation), pp.strategy.name());
-        key += &format!("{relation} {algo} {} ", opt(pp.max_hops));
+        key += &format!("{} {} ", json::string(&pp.relation), opt(pp.max_hops));
     }
     key + text
 }
 
-/// A compiled request body, ready to plan: ordinary TriAL algebra —
-/// including the **TriAL lowering** of a path expression, which from here
-/// on is indistinguishable from a hand-written query and gets the
-/// planner's full treatment — or a path expression kept whole for the
-/// Thompson-NFA product walk.
+/// A compiled request body, ready to plan: ordinary TriAL algebra, or a
+/// path expression kept whole for the Thompson-NFA product walk.
 enum Compiled {
     Trial(Expr),
     Path {
@@ -796,44 +766,30 @@ impl Compiled {
     }
 }
 
-/// Parses the request body under the endpoint's grammar and resolves the
-/// path execution strategy. Path expressions whose strategy resolves to the
-/// TriAL lowering come back as [`Compiled::Trial`].
+/// Parses the request body under the endpoint's grammar: a path for
+/// `/path` requests, TriAL otherwise.
 fn compile_body(text: &str, path_params: Option<&PathParams>) -> trial_core::Result<Compiled> {
-    match path_params {
-        Some(pp) => {
-            let path = trial_parser::parse_path(text)?;
-            Ok(if pp.strategy.resolves_to_nfa(&path, pp.max_hops) {
-                Compiled::Path {
-                    path,
-                    relation: pp.relation.clone(),
-                    max_hops: pp.max_hops,
-                }
-            } else {
-                Compiled::Trial(trial_eval::rpq::lower(&path, &pp.relation))
-            })
-        }
-        None => Ok(Compiled::Trial(trial_parser::parse(text)?)),
-    }
+    Ok(match path_params {
+        Some(pp) => Compiled::Path {
+            path: trial_parser::parse_path(text)?,
+            relation: pp.relation.clone(),
+            max_hops: pp.max_hops,
+        },
+        None => Compiled::Trial(trial_parser::parse(text)?),
+    })
 }
 
 /// The shared head of an explain fragment: the canonical query text plus,
-/// for path explains, the knobs and the **resolved** strategy (what `auto`
-/// actually picked) — the observable answer to "did this path lower to
-/// joins or run as an NFA walk".
-fn explain_head(compiled: &Compiled, path_params: Option<&PathParams>) -> JsonObject {
+/// for path explains, the path knobs.
+fn explain_head(compiled: &Compiled) -> JsonObject {
     let mut obj = JsonObject::new().str("query", &compiled.display());
-    if let Some(pp) = path_params {
-        obj = obj.str("relation", &pp.relation).str(
-            "algo",
-            if matches!(compiled, Compiled::Path { .. }) {
-                "nfa"
-            } else {
-                "lower"
-            },
-        );
-        if let Some(h) = pp.max_hops {
-            obj = obj.num("max_hops", h as u64);
+    if let Compiled::Path {
+        relation, max_hops, ..
+    } = compiled
+    {
+        obj = obj.str("relation", relation);
+        if let Some(h) = max_hops {
+            obj = obj.num("max_hops", *h as u64);
         }
     }
     obj
@@ -1003,7 +959,7 @@ fn query(state: &ServerState, req: &Request, kind: QueryKind, trace: &mut Trace)
                             Some(&analyzed.profiles),
                             &mut index,
                         );
-                        explain_head(&compiled, path_params.as_ref())
+                        explain_head(&compiled)
                             .num("threads", threads as u64)
                             .str("plan", analyzed.plan.explain().trim_end())
                             .num("rows", analyzed.evaluation.result.len() as u64)
@@ -1023,7 +979,7 @@ fn query(state: &ServerState, req: &Request, kind: QueryKind, trace: &mut Trace)
                 trace.set_plan(|| plan.explain().trim_end().to_owned());
                 let mut index = 0;
                 let tree = plan_tree_json(&plan.root, threads, None, None, &mut index);
-                explain_head(&compiled, path_params.as_ref())
+                explain_head(&compiled)
                     .num("threads", threads as u64)
                     .str("plan", plan.explain().trim_end())
                     .raw("tree", &tree)

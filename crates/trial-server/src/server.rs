@@ -24,6 +24,13 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use trial_eval::{CancelReason, CancelToken, EvalOptions};
 
+/// The stack of each connection worker. Parsing, planning, explaining and
+/// opening a query's cursors all recurse on its tree, so the stack bounds
+/// how deep a tree the server can answer: a union chain of
+/// [`trial_parser::MAX_DEPTH`] operators needs most of the 2 MiB default
+/// in a debug build, and this leaves it a fourfold margin.
+const WORKER_STACK_BYTES: usize = 8 << 20;
+
 /// Configuration for [`Server::spawn`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -289,13 +296,17 @@ impl Server {
             let state = Arc::clone(&state);
             let max_body = config.max_body_bytes;
             let read_timeout = config.read_timeout;
-            threads.push(std::thread::spawn(move || loop {
-                let next = rx.lock().expect("worker receiver lock poisoned").recv();
-                match next {
-                    Ok(stream) => handle_connection(&state, stream, max_body, read_timeout),
-                    Err(_) => break, // acceptor gone: shutdown
-                }
-            }));
+            threads.push(
+                std::thread::Builder::new()
+                    .stack_size(WORKER_STACK_BYTES)
+                    .spawn(move || loop {
+                        let next = rx.lock().expect("worker receiver lock poisoned").recv();
+                        match next {
+                            Ok(stream) => handle_connection(&state, stream, max_body, read_timeout),
+                            Err(_) => break, // acceptor gone: shutdown
+                        }
+                    })?,
+            );
         }
 
         let acceptor_shutdown = Arc::clone(&shutdown);

@@ -1,12 +1,13 @@
 //! Integration tests for the `/path` endpoint: regular path queries over
-//! real sockets. Strategy parity (`?algo=auto|nfa|lower` return identical
-//! row sets), resolved-strategy observability through `/explain?path=1`,
-//! delivery knobs (limit/order/topk/stream/cursor) matching `/query`
-//! semantics, cache namespacing, the structured knob errors — and the two
-//! HTTP-layer bugfixes riding along in this change: store names containing
-//! a literal `+` survive path/query decoding end to end, and `?order=` is
-//! case-insensitive with an `accepted` list in the failure body.
+//! real sockets. Theorem 7 parity (the NFA walk `/path` runs returns the
+//! same rows as `/query` of the path's TriAL\* lowering), the `PathNfa`
+//! plan through `/explain?path=1`, delivery knobs
+//! (limit/order/topk/stream/cursor) matching `/query` semantics, cache
+//! namespacing, the structured knob errors, store names containing a
+//! literal `+` surviving path/query decoding end to end, and a
+//! case-insensitive `?order=` with an `accepted` list in the failure body.
 
+use trial_eval::rpq;
 use trial_server::client::{self, HttpClient, HttpResponse};
 use trial_server::Server;
 
@@ -64,8 +65,8 @@ fn path_strategies_agree_and_bounds_bound() {
     client::post(addr, "/load?store=chain", &labeled_chain_doc(40)).unwrap();
     let mut http = HttpClient::new(addr);
 
-    // Every strategy returns the same rows for the same expression — the
-    // NFA walk, the TriAL lowering, and whatever `auto` picks.
+    // The walk returns the same rows as the path's TriAL lowering, sent
+    // to `/query` as an ordinary expression.
     for path in [
         "a",
         "a/b",
@@ -75,22 +76,13 @@ fn path_strategies_agree_and_bounds_bound() {
         "(a/b)*",
         "(a|b)+",
     ] {
-        let auto = ok(http.post("/path?store=chain&order=spo", path).unwrap());
-        let nfa = ok(http
-            .post("/path?store=chain&order=spo&algo=nfa", path)
-            .unwrap());
-        let lower = ok(http
-            .post("/path?store=chain&order=spo&algo=lower", path)
-            .unwrap());
+        let walked = ok(http.post("/path?store=chain&order=spo", path).unwrap());
+        let lowered = rpq::lower(&trial_parser::parse_path(path).unwrap(), "E").to_string();
+        let lowered = ok(http.post("/query?store=chain&order=spo", &lowered).unwrap());
         assert_eq!(
-            buffered_triples(&auto.body),
-            buffered_triples(&nfa.body),
-            "auto/nfa divergence for `{path}`"
-        );
-        assert_eq!(
-            buffered_triples(&auto.body),
-            buffered_triples(&lower.body),
-            "auto/lower divergence for `{path}`"
+            buffered_triples(&walked.body),
+            buffered_triples(&lowered.body),
+            "walk/lowering divergence for `{path}`"
         );
     }
 
@@ -112,34 +104,27 @@ fn path_explain_reports_the_resolved_strategy() {
     client::post(addr, "/load?store=chain", &labeled_chain_doc(10)).unwrap();
     let mut http = HttpClient::new(addr);
 
-    // A concatenation resolves to the lowering: the explain head says so
-    // and the plan is a join tree, not a walk.
-    let seq = ok(http.post("/explain?store=chain&path=1", "a/b").unwrap());
-    assert!(seq.body.contains("\"algo\":\"lower\""), "{}", seq.body);
-    assert!(seq.body.contains("\"relation\":\"E\""), "{}", seq.body);
-    assert!(seq.body.contains("Join"), "{}", seq.body);
-    assert!(!seq.body.contains("PathNfa"), "{}", seq.body);
-
-    // A closure resolves to the NFA product walk.
-    let star = ok(http.post("/explain?store=chain&path=1", "(a/b)*").unwrap());
-    assert!(star.body.contains("\"algo\":\"nfa\""), "{}", star.body);
-    assert!(star.body.contains("PathNfa"), "{}", star.body);
-
-    // A hop bound forces the walk even on a closure-free expression…
-    let bounded = ok(http
-        .post("/explain?store=chain&path=1&max_hops=3", "a/b")
-        .unwrap());
-    assert!(
-        bounded.body.contains("\"algo\":\"nfa\""),
-        "{}",
-        bounded.body
-    );
-    assert!(bounded.body.contains("\"max_hops\":3"), "{}", bounded.body);
-    // …and so does asking for it explicitly.
-    let forced = ok(http
-        .post("/explain?store=chain&path=1&algo=nfa", "a/b")
-        .unwrap());
-    assert!(forced.body.contains("\"algo\":\"nfa\""), "{}", forced.body);
+    // Concatenations, closures and hop bounds all plan the product walk;
+    // a leftover `?algo=` is ignored like any unknown parameter.
+    for (knobs, path) in [
+        ("", "a/b"),
+        ("", "(a/b)*"),
+        ("&max_hops=3", "a/b"),
+        ("&algo=lower", "a/b"),
+    ] {
+        let explained = ok(http
+            .post(&format!("/explain?store=chain&path=1{knobs}"), path)
+            .unwrap());
+        let body = &explained.body;
+        assert!(body.contains("PathNfa"), "{body}");
+        assert!(!body.contains("Join"), "{body}");
+        assert!(body.contains("\"relation\":\"E\""), "{body}");
+        assert_eq!(
+            body.contains("\"max_hops\":3"),
+            knobs.contains("max_hops"),
+            "{body}"
+        );
+    }
 
     server.shutdown();
 }
@@ -151,23 +136,8 @@ fn path_knob_errors_are_structured() {
     client::post(addr, "/load?store=chain", &labeled_chain_doc(4)).unwrap();
     let mut http = HttpClient::new(addr);
 
-    let bad_algo = http.post("/path?store=chain&algo=bogus", "a").unwrap();
-    assert_eq!(bad_algo.status, 400, "{}", bad_algo.body);
-    assert!(
-        bad_algo.body.contains("expected auto, nfa or lower"),
-        "{}",
-        bad_algo.body
-    );
-
     let bad_hops = http.post("/path?store=chain&max_hops=lots", "a").unwrap();
     assert_eq!(bad_hops.status, 400, "{}", bad_hops.body);
-
-    // The lowering runs full closures; it cannot honour a hop budget.
-    let conflict = http
-        .post("/path?store=chain&algo=lower&max_hops=2", "a")
-        .unwrap();
-    assert_eq!(conflict.status, 400, "{}", conflict.body);
-    assert!(conflict.body.contains("cannot honour"), "{}", conflict.body);
 
     // An unparsable path expression is a structured parse error.
     let bad_path = http.post("/path?store=chain", "a//b").unwrap();
@@ -280,13 +250,7 @@ fn path_cache_keys_are_namespaced_by_knobs_and_epoch() {
     let repeat = ok(http.post("/path?store=chain", "a/b").unwrap());
     assert!(repeat.body.contains("\"cached\":true"), "{}", repeat.body);
 
-    // A different strategy or hop bound is a different fragment.
-    let other_algo = ok(http.post("/path?store=chain&algo=nfa", "a/b").unwrap());
-    assert!(
-        other_algo.body.contains("\"cached\":false"),
-        "{}",
-        other_algo.body
-    );
+    // A different hop bound is a different fragment.
     let bounded = ok(http.post("/path?store=chain&max_hops=2", "a/b").unwrap());
     assert!(
         bounded.body.contains("\"cached\":false"),

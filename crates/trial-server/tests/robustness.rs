@@ -351,3 +351,90 @@ fn client_retries_saturated_responses_when_opted_in() {
     assert_eq!(hog.join().unwrap().status, 408);
     server.shutdown();
 }
+
+/// Request bodies past `trial_parser::MAX_DEPTH` or `MAX_PATH_SIZE` are
+/// structured 400s at the offending offset, the bodies at the caps are
+/// answered on every delivery shape, and the server keeps serving: before
+/// the caps, a 1 KB body overflowed a worker's stack and aborted the
+/// process.
+#[test]
+fn nesting_and_size_caps_reject_before_the_stack_overflows() {
+    use trial_parser::{MAX_DEPTH, MAX_PATH_SIZE};
+    let server = Server::spawn_ephemeral().unwrap();
+    let addr = server.addr();
+    client::post(addr, "/load?store=chain", &chain_doc(20)).unwrap();
+    let mut http = HttpClient::new(addr);
+
+    // `n` operators deep: a union chain, a closure chain, and a flat
+    // alternation of `n` atoms, which is shallow but counts against the
+    // path size.
+    let unions = |n: usize| vec!["E"; n].join(" UNION ");
+    let closures = |n: usize| format!("next{}", "?".repeat(n - 1));
+    let atoms = |n: usize| vec!["next"; n].join("|");
+    let cases: [(&str, &[&str], String, String); 3] = [
+        (
+            "/query",
+            &[
+                "/query",
+                "/query?stream=1",
+                "/explain",
+                "/explain?analyze=1",
+            ],
+            unions(MAX_DEPTH),
+            unions(MAX_DEPTH + 1),
+        ),
+        (
+            "/path",
+            &[
+                "/path",
+                "/path?stream=1",
+                "/explain?path=1",
+                "/explain?path=1&analyze=1",
+            ],
+            closures(MAX_DEPTH),
+            closures(MAX_DEPTH + 1),
+        ),
+        (
+            "/path",
+            &["/path", "/path?stream=1", "/explain?path=1"],
+            atoms(MAX_PATH_SIZE),
+            atoms(MAX_PATH_SIZE + 1),
+        ),
+    ];
+    for (rejecting, accepting, at_cap, past_cap) in &cases {
+        for endpoint in *accepting {
+            let sep = if endpoint.contains('?') { '&' } else { '?' };
+            let response = http
+                .post(&format!("{endpoint}{sep}store=chain"), at_cap)
+                .unwrap();
+            assert_eq!(response.status, 200, "{endpoint}: {}", response.body);
+        }
+        let response = http
+            .post(&format!("{rejecting}?store=chain"), past_cap)
+            .unwrap();
+        assert_eq!(response.status, 400, "{rejecting}: {}", response.body);
+        assert!(response.body.contains("\"offset\""), "{}", response.body);
+    }
+
+    // The bodies that used to abort the process.
+    for (endpoint, body) in [
+        ("/query", unions(1000)),
+        (
+            "/query",
+            format!("{}E{}", "(".repeat(5000), ")".repeat(5000)),
+        ),
+        ("/path", closures(1001)),
+    ] {
+        let response = http
+            .post(&format!("{endpoint}?store=chain"), &body)
+            .unwrap();
+        assert_eq!(response.status, 400, "{endpoint}: {}", response.body);
+        assert!(response.body.contains("\"offset\""), "{}", response.body);
+    }
+    let healthz = client::get(addr, "/healthz").unwrap();
+    assert_eq!(healthz.status, 200, "{}", healthz.body);
+
+    // Hang up first: shutdown waits for open keep-alive connections.
+    drop(http);
+    server.shutdown();
+}

@@ -37,10 +37,9 @@
 //! `POST /path` evaluates regular path queries — label atoms, `/`
 //! concatenation, `|` alternation, `*`/`+`/`?` closures — over one edge
 //! relation, returning reachable pairs `(x, y)` as `(x, x, y)` triples.
-//! Closure-free expressions lower to TriAL join plans the planner
-//! optimises; closures and `?max_hops=` walk bounds run a Thompson-NFA
-//! product walk (`?algo=` pins the strategy). All `/query` delivery knobs
-//! apply. See the [`eval`] crate's *Path queries* section.
+//! Every expression runs as a Thompson-NFA product walk, optionally bounded
+//! by `?max_hops=`. All `/query` delivery knobs apply. See the [`eval`]
+//! crate's *Path queries* section.
 //!
 //! `?stream=1` switches the response to chunked transfer encoding fed by a
 //! parallel exchange — rows hit the wire as evaluation produces them, and

@@ -1,10 +1,10 @@
 //! Golden-file explain corpus for regular path queries: each case pins how
-//! a path expression compiles — closure-free concatenation chains must keep
-//! lowering to TriAL join plans the planner optimizes, while
-//! closures and `max_hops` bounds must keep resolving to the `PathNfa`
-//! product walk. The checked-in trees under `tests/golden/rpq/` make a
-//! strategy flip (an RPQ silently degrading to the NFA walk, or a bounded
-//! walk silently running a full fixpoint) a readable text diff.
+//! a path expression compiles. The `nfa-*` cases plan what `/path` runs —
+//! the `PathNfa` product walk, under every delivery knob — and the
+//! `lower-*` cases plan the TriAL\* lowering (Theorem 7's witness), whose
+//! join trees the planner optimises like any hand-written query. The
+//! checked-in trees under `tests/golden/rpq/` make a plan change a readable
+//! text diff.
 //!
 //! Regenerate after an *intentional* change with:
 //!
@@ -23,7 +23,7 @@ struct Case {
     name: &'static str,
     /// Path expression in `trial_parser::parse_path` concrete syntax.
     path: &'static str,
-    /// `?algo=` strategy.
+    /// `Auto` plans what `/path` runs; `Lower` plans the TriAL lowering.
     strategy: PathStrategy,
     /// `?max_hops=` walk bound.
     max_hops: Option<usize>,
@@ -47,28 +47,29 @@ const fn case(name: &'static str, path: &'static str) -> Case {
     }
 }
 
+/// A case planned through the TriAL lowering.
+const fn lowered(name: &'static str, path: &'static str) -> Case {
+    Case {
+        strategy: PathStrategy::Lower,
+        ..case(name, path)
+    }
+}
+
 const CASES: &[Case] = &[
-    // Closure-free expressions: `auto` lowers these to TriAL algebra, so
-    // the plans below are scans, σ-selections and joins — never a PathNfa.
-    case("lower-atom", "a"),
-    case("lower-seq2", "a/b"),
-    case("lower-seq4", "a/b/a/b"),
-    case("lower-alt", "a|b"),
-    case("lower-opt", "a?/b"),
-    case("lower-alt-seq", "(a|b)/(a|b)"),
-    // Closures resolve to the NFA product walk.
+    // The lowering: scans, σ-selections and joins — never a PathNfa.
+    lowered("lower-atom", "a"),
+    lowered("lower-seq2", "a/b"),
+    lowered("lower-seq4", "a/b/a/b"),
+    lowered("lower-alt", "a|b"),
+    lowered("lower-opt", "a?/b"),
+    lowered("lower-alt-seq", "(a|b)/(a|b)"),
+    // `/path` walks the NFA product, closures or not.
+    case("nfa-seq2", "a/b"),
     case("nfa-star-seq", "(a/b)*"),
     case("nfa-plus-alt", "(a|b)+"),
-    // A hop bound forces the walk even on a closure-free expression: the
-    // lowering evaluates full compositions and cannot count edges.
     Case {
         max_hops: Some(3),
         ..case("nfa-bounded-seq", "a/b")
-    },
-    // `?algo=nfa` overrides the lowering on a concatenation.
-    Case {
-        strategy: PathStrategy::Nfa,
-        ..case("nfa-forced-seq", "a/b")
     },
     // Delivery knobs compose over the walk like over any other breaker.
     Case {
@@ -82,7 +83,7 @@ const CASES: &[Case] = &[
     },
     Case {
         order: Some(Permutation::Osp),
-        ..case("lower-order-seq", "a/b")
+        ..lowered("lower-order-seq", "a/b")
     },
 ];
 
@@ -91,9 +92,8 @@ fn store() -> Triplestore {
     labeled_chain_store(6, &["a", "b"])
 }
 
-/// Renders one case exactly the way `/path` compiles it: resolve the
-/// strategy, then either lower to TriAL algebra and plan that expression,
-/// or plan the NFA product walk.
+/// Renders one case: plans the NFA product walk, as `/path` does, or lowers
+/// the path to TriAL algebra and plans that expression.
 fn render(case: &Case, store: &Triplestore) -> String {
     let path = trial_parser::parse_path(case.path)
         .unwrap_or_else(|e| panic!("case `{}` does not parse: {e}", case.name));
@@ -129,9 +129,9 @@ fn render(case: &Case, store: &Triplestore) -> String {
         None => String::new(),
     };
     format!(
-        "# path: {}\n# knobs: algo={}{}{}{}{}\n# resolved: {}\n{}",
+        "# path: {}\n# knobs: strategy={}{}{}{}{}\n# resolved: {}\n{}",
         case.path,
-        case.strategy.name(),
+        if to_nfa { "auto" } else { "lower" },
         knob("max_hops", case.max_hops.map(|h| h.to_string())),
         knob("limit", case.limit.map(|k| k.to_string())),
         knob("order", case.order.map(|p| p.to_string())),
@@ -147,16 +147,25 @@ fn golden_path(name: &str) -> std::path::PathBuf {
         .join(format!("{name}.txt"))
 }
 
-/// Checked independently of the golden files: a concatenation RPQ
-/// compiles to a join plan, not an NFA walk.
+/// Checked independently of the golden files: the lowering of a
+/// concatenation compiles to a join plan, not an NFA walk, and every path
+/// `/path` runs plans the walk.
 #[test]
 fn concatenation_lowers_to_joins_not_nfa() {
     let store = store();
-    for case in CASES.iter().filter(|c| c.name.starts_with("lower-")) {
+    for case in CASES {
         let rendered = render(case, &store);
-        assert!(
-            !rendered.contains("PathNfa"),
-            "case `{}` was expected to lower but planned a walk:\n{rendered}",
+        let lowered = case.strategy == PathStrategy::Lower;
+        assert_eq!(
+            case.name.starts_with("lower-"),
+            lowered,
+            "case `{}` is named for the other strategy",
+            case.name
+        );
+        assert_eq!(
+            rendered.contains("PathNfa"),
+            !lowered,
+            "case `{}` planned the wrong evaluator:\n{rendered}",
             case.name
         );
     }
@@ -168,14 +177,6 @@ fn concatenation_lowers_to_joins_not_nfa() {
         seq2.contains("Join"),
         "`a/b` should compile to a join plan:\n{seq2}"
     );
-    for case in CASES.iter().filter(|c| c.name.starts_with("nfa-")) {
-        let rendered = render(case, &store);
-        assert!(
-            rendered.contains("PathNfa"),
-            "case `{}` was expected to walk the NFA product:\n{rendered}",
-            case.name
-        );
-    }
 }
 
 #[test]
