@@ -1,7 +1,7 @@
 //! Experiments e14–e15: one query, two evaluation strategies, equal
 //! answers. e14 runs query Q as a ReachTripleDatalog¬ program and as the
 //! TriAL\* expression it came from (Proposition 2 / Theorem 2); e15 runs
-//! regular path queries through the Thompson-NFA product walk and through
+//! regular path queries through the automaton product walk and through
 //! their TriAL\* lowering (Theorem 7 in practice).
 //!
 //! Both tables check agreement *before* timing anything and report it per

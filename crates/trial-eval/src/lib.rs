@@ -184,10 +184,12 @@
 //! and the `*`/`+`/`?` closures — over one edge relation, returning the
 //! reachable node pairs `(x, y)` encoded as triples `(x, x, y)`. One
 //! evaluator answers them, the **NFA product walk**
-//! ([`rpq::eval_on_store`]): the expression compiles to a Thompson NFA
-//! ([`rpq::Nfa`]) and a BFS explores the product of the graph with the
-//! automaton over the relation's SPO run, with optional per-walk hop bounds
-//! (`max_hops`), root-partitioned parallelism and cancellation checkpoints.
+//! ([`rpq::eval_on_store`]): the expression compiles to its position
+//! automaton ([`rpq::Nfa`]: one state per atom and no moves on the empty
+//! word, so stacked closures cost what one closure costs) and a BFS
+//! explores the product of the graph with the automaton over the
+//! relation's SPO run, with optional per-walk hop bounds (`max_hops`),
+//! root-partitioned parallelism and cancellation checkpoints.
 //! Its plan is a [`PlanNode::PathNfa`] leaf that streams root by root, so a
 //! limit or an SPO top-k above it stops after the first roots; the entry
 //! points are [`SmartEngine::plan_path_query`] /

@@ -205,8 +205,8 @@ pub enum PlanNode {
         est: usize,
     },
     /// Regular path query evaluated as a BFS over the product of a stored
-    /// relation's edge graph with a Thompson NFA of the path expression
-    /// ([`crate::rpq::eval_product`]). A leaf: the executor walks the
+    /// relation's edge graph with the position automaton of the path
+    /// expression ([`crate::rpq::eval_on_store`]). A leaf: the executor walks the
     /// relation's SPO run directly, one root at a time in id order. Emits
     /// the pair encoding `(x, x, y)` for every pair the path matches.
     PathNfa {

@@ -23,7 +23,8 @@
 //! concatenation of its groups' rows, and the kernel has two walks over it:
 //!
 //! * [`reach_star`], the set walk, chunks the groups across `threads`
-//!   workers and concatenates their parts into the result as they are;
+//!   workers and concatenates their parts into the result as they are
+//!   (`close_sources`, which the path walk of [`crate::rpq`] shares);
 //! * `reach_cursor`, the cursor walk, closes one group per pull that finds
 //!   its buffer empty, so a limit or an SPO top-k above it stops after the
 //!   first few sources.
@@ -169,15 +170,9 @@ fn close_group(
 /// (in one or more steps) in the edge graph of `base` — for `same_label`,
 /// along edges whose middle element is `ℓ` only.
 ///
-/// The `(x, ℓ)` sources are partitioned across `threads` workers (inline at
-/// one) in SPO order, and each worker's rows are already sorted, so the
-/// parts concatenate into the result. Each source is closed independently,
-/// so the counters are exact sums and the result is the same at every
-/// thread count.
-///
-/// Checks `cancel` between sources; on cancellation the empty set is
-/// returned and the caller is expected to surface the error (the executor
-/// re-checks the token after every closure).
+/// Each `(x, ℓ)` source is closed independently, so the counters are exact
+/// sums and the result is the same at every thread count. On cancellation
+/// the caller is expected to surface the error.
 pub fn reach_star(
     base: &TripleSet,
     same_label: bool,
@@ -188,39 +183,55 @@ pub fn reach_star(
     let rows = base.as_slice();
     let graph = &EdgeGraph::new(rows);
     let groups: Vec<&[Triple]> = rows.chunk_by(same_source).collect();
-    let tasks: Vec<_> = parallel::chunk(&groups, threads)
+    close_sources(
+        &groups,
+        threads,
+        cancel,
+        stats,
+        || Walk::new(graph),
+        |group, walk, stats, out| close_group(group, rows, graph, same_label, walk, stats, out),
+    )
+}
+
+/// The set walk of a per-source kernel: each of up to `threads` workers
+/// runs `close` over its share of `sources` with one `walk()` state,
+/// checking `cancel` between sources. Sources come in SPO order and close
+/// to sorted rows, so the parts concatenate into the result (empty on
+/// cancellation).
+pub(crate) fn close_sources<S: Sync, W>(
+    sources: &[S],
+    threads: usize,
+    cancel: &CancelToken,
+    stats: &mut EvalStats,
+    walk: impl Fn() -> W + Sync,
+    close: impl Fn(&S, &mut W, &mut EvalStats, &mut Vec<Triple>) + Sync,
+) -> TripleSet {
+    let (walk, close) = (&walk, &close);
+    let tasks: Vec<_> = parallel::chunk(sources, threads)
         .into_iter()
         .map(|morsel| {
             move |stats: &mut EvalStats| {
-                let mut walk = Walk::new(graph);
+                let mut state = walk();
                 let mut out: Vec<Triple> = Vec::new();
-                for group in morsel {
-                    // Check between sources so a cancelled closure stops
-                    // mid-morsel instead of finishing it.
+                for source in morsel {
                     if cancel.is_cancelled() {
                         break;
                     }
-                    close_group(group, rows, graph, same_label, &mut walk, stats, &mut out);
+                    close(source, &mut state, stats, &mut out);
                 }
                 out
             }
         })
         .collect();
-    let parts = parallel::run_tasks(threads, tasks, cancel, stats);
+    let mut parts = parallel::run_tasks(threads, tasks, cancel, stats).into_iter();
     if cancel.is_cancelled() {
         return TripleSet::new();
     }
-    TripleSet::from_sorted_vec(concat(parts))
-}
-
-/// The in-order concatenation of a fan-out's parts, reusing the first.
-pub(crate) fn concat(parts: Vec<Vec<Triple>>) -> Vec<Triple> {
-    let mut parts = parts.into_iter();
-    let mut out = parts.next().unwrap_or_default();
+    let mut rows = parts.next().unwrap_or_default();
     for part in parts {
-        out.extend(part);
+        rows.extend(part);
     }
-    out
+    TripleSet::from_sorted_vec(rows)
 }
 
 /// The cursor walk of [`reach_star`]: the same closure, streamed in SPO

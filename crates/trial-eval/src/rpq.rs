@@ -3,11 +3,11 @@
 //! The paper's central theorem is that TriAL* captures regular path
 //! queries. This module makes the claim executable in both directions:
 //!
-//! * [`eval_product`] evaluates a [`PathExpr`] as a BFS over the product of
-//!   the edge graph with a Thompson [`Nfa`] of the expression — the classic
-//!   PTIME RPQ procedure, and the one evaluator behind the server's `/path`
-//!   (its plan is a [`PlanNode::PathNfa`](crate::PlanNode::PathNfa) leaf).
-//!   It walks the relation's SPO run through the same
+//! * [`eval_on_store`] evaluates a [`PathExpr`] as a BFS over the product of
+//!   the edge graph with the position automaton ([`Nfa`]) of the expression
+//!   — the classic PTIME RPQ procedure, and the one evaluator behind the
+//!   server's `/path` (its plan is a [`PlanNode::PathNfa`](crate::PlanNode::PathNfa)
+//!   leaf). It walks the relation's SPO run through the same
 //!   [`SubjectRuns`](trial_core::SubjectRuns) lookup as [`crate::reach`],
 //!   checks the [`CancelToken`] between BFS roots, and supports a
 //!   `max_hops` bound (the product BFS is level-synchronous, so bounding
@@ -26,13 +26,12 @@
 //! `(root, root, y)` sorted by `y`, and the roots are taken in increasing id
 //! order, so the answer is the in-order concatenation of the roots' rows.
 //! Like a reach star, that one kernel is run two ways:
-//! [`eval_product`] fans the roots out across `threads` workers and
-//! concatenates their parts into a [`TripleSet`], and the executor's cursor
-//! walk runs one root per pull that finds its buffer empty, so a limit or an
-//! SPO top-k above a `PathNfa` stops after the first roots. The roots are
-//! the relation's subjects, or every node of the relation when the
-//! expression accepts the empty word (only then can a node without an
-//! out-edge answer).
+//! [`eval_on_store`] fans the roots out across `threads` workers, and the
+//! executor's cursor walk runs one root per pull that finds its buffer
+//! empty, so a limit or an SPO top-k above a `PathNfa` stops after the
+//! first roots. The roots are the relation's subjects, or every node of the
+//! relation when the expression accepts the empty word (only then can a
+//! node without an out-edge answer).
 //!
 //! The walk and the lowering return the identical [`TripleSet`] — the
 //! differential suite (`tests/rpq_differential.rs`) proves it against an
@@ -52,9 +51,7 @@
 use crate::cancel::CancelToken;
 use crate::cursor::{Cursor, SourceCursor};
 use crate::engine::EvalStats;
-use crate::parallel;
-use crate::reach::{concat, EdgeGraph, Marks};
-use std::collections::{HashMap, VecDeque};
+use crate::reach::{close_sources, EdgeGraph, Marks};
 use trial_core::{
     Conditions, Expr, ObjectId, OutputSpec, Pos, Result, Triple, TripleSet, Triplestore,
 };
@@ -175,142 +172,145 @@ pub fn lower(path: &PathExpr, relation: &str) -> Expr {
 }
 
 // ---------------------------------------------------------------------------
-// Thompson NFA
+// Position automaton
 // ---------------------------------------------------------------------------
 
-/// A Thompson NFA over edge labels, with a single start and accept state.
+/// The position (Glushkov) automaton of a path expression over edge labels.
 ///
-/// States are dense indices; label transitions refer into [`Nfa::labels`]
-/// (the distinct atom labels of the source expression). Epsilon closures are
-/// precomputed per state — path expressions are tiny, the graphs are not.
+/// A state is one atom occurrence of the expression, read as "about to read
+/// this atom", plus an accepting state that reads nothing. One pass over
+/// the expression computes whether the empty word matches, which atoms a
+/// match can start with (`first`) and end with (`last`), and which states
+/// follow each atom. There are no moves on the empty word, so stacked
+/// closures compile to the automaton of the single closure: `a**`, `(a?)+`
+/// and `a*` have one state for `a` alike. The sets are bit rows, one bit
+/// per state.
 #[derive(Debug)]
 pub struct Nfa {
+    /// The distinct atom labels, in first-use order.
     labels: Vec<String>,
-    /// Per state: `(label index, target state)` transitions.
-    trans: Vec<Vec<(usize, usize)>>,
-    /// Per state: its epsilon closure (always contains the state itself).
-    closure: Vec<Vec<usize>>,
-    start: usize,
-    accept: usize,
+    /// Per atom, in source order: the index of its label in `labels`.
+    atoms: Vec<usize>,
+    /// Per atom: the atoms that can be read right after it, plus bit
+    /// `atoms.len()`, the accepting state, if a match can end with it.
+    follow: Vec<Vec<u64>>,
+    /// The whole expression's `nullable`, `first` and `last`.
+    root: Positions,
 }
 
-/// NFA under construction: raw epsilon edges, closures not yet computed.
-#[derive(Default)]
-struct NfaBuilder {
-    labels: Vec<String>,
-    trans: Vec<Vec<(usize, usize)>>,
-    eps: Vec<Vec<usize>>,
+/// A sub-expression's `nullable` and its `first` and `last` atoms as bit
+/// rows (bits past a row's end are clear); its follow pairs go straight
+/// into [`Nfa::follow`].
+#[derive(Debug, Default)]
+struct Positions {
+    nullable: bool,
+    first: Vec<u64>,
+    last: Vec<u64>,
 }
 
-impl NfaBuilder {
-    fn state(&mut self) -> usize {
-        self.trans.push(Vec::new());
-        self.eps.push(Vec::new());
-        self.trans.len() - 1
-    }
+/// The set bits of a bit row, in increasing order.
+fn ones(row: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    row.iter().enumerate().flat_map(|(w, &word)| {
+        let rest = |&x: &u64| Some(x & (x - 1)).filter(|&x| x != 0);
+        std::iter::successors(Some(word).filter(|&x| x != 0), rest)
+            .map(move |x| w * 64 + x.trailing_zeros() as usize)
+    })
+}
 
-    fn label_index(&mut self, label: &str) -> usize {
-        match self.labels.iter().position(|l| l == label) {
-            Some(i) => i,
-            None => {
-                self.labels.push(label.to_owned());
-                self.labels.len() - 1
-            }
-        }
-    }
+/// The bit row holding only `bit`.
+fn singleton(bit: usize) -> Vec<u64> {
+    let mut row = vec![0; bit / 64 + 1];
+    row[bit / 64] = 1 << (bit % 64);
+    row
+}
 
-    /// Thompson construction: returns `(start, accept)` for the fragment.
-    fn fragment(&mut self, path: &PathExpr) -> (usize, usize) {
-        match path {
-            PathExpr::Atom(label) => {
-                let (s, t) = (self.state(), self.state());
-                let l = self.label_index(label);
-                self.trans[s].push((l, t));
-                (s, t)
-            }
-            PathExpr::Seq(parts) => {
-                let mut iter = parts.iter();
-                let (s, mut t) = self.fragment(iter.next().expect("Seq has parts"));
-                for p in iter {
-                    let (ns, nt) = self.fragment(p);
-                    self.eps[t].push(ns);
-                    t = nt;
-                }
-                (s, t)
-            }
-            PathExpr::Alt(parts) => {
-                let (s, t) = (self.state(), self.state());
-                for p in parts {
-                    let (ps, pt) = self.fragment(p);
-                    self.eps[s].push(ps);
-                    self.eps[pt].push(t);
-                }
-                (s, t)
-            }
-            PathExpr::Star(inner) => {
-                let (s, t) = (self.state(), self.state());
-                let (is, it) = self.fragment(inner);
-                self.eps[s].push(is);
-                self.eps[s].push(t);
-                self.eps[it].push(is);
-                self.eps[it].push(t);
-                (s, t)
-            }
-            PathExpr::Plus(inner) => {
-                let (is, it) = self.fragment(inner);
-                let t = self.state();
-                self.eps[it].push(is);
-                self.eps[it].push(t);
-                (is, t)
-            }
-            PathExpr::Opt(inner) => {
-                let (s, t) = (self.state(), self.state());
-                let (is, it) = self.fragment(inner);
-                self.eps[s].push(is);
-                self.eps[s].push(t);
-                self.eps[it].push(t);
-                (s, t)
-            }
-        }
-    }
+fn union_into(row: &mut Vec<u64>, other: &[u64]) {
+    row.resize(row.len().max(other.len()), 0);
+    row.iter_mut().zip(other).for_each(|(a, b)| *a |= b);
 }
 
 impl Nfa {
-    /// Compiles a path expression via the Thompson construction.
+    /// Compiles a path expression into its position automaton.
     pub fn compile(path: &PathExpr) -> Nfa {
-        let mut b = NfaBuilder::default();
-        let (start, accept) = b.fragment(path);
-        let n = b.trans.len();
-        let mut closure = Vec::with_capacity(n);
-        for state in 0..n {
-            let mut seen = vec![false; n];
-            let mut queue = VecDeque::from([state]);
-            seen[state] = true;
-            let mut out = Vec::new();
-            while let Some(q) = queue.pop_front() {
-                out.push(q);
-                for &next in &b.eps[q] {
-                    if !seen[next] {
-                        seen[next] = true;
-                        queue.push_back(next);
-                    }
+        let mut nfa = Nfa {
+            labels: Vec::new(),
+            atoms: Vec::new(),
+            follow: Vec::new(),
+            root: Positions::default(),
+        };
+        let root = nfa.positions(path);
+        nfa.link(&root.last, &singleton(nfa.atoms.len()));
+        nfa.root = root;
+        nfa
+    }
+
+    /// Numbers the atoms of `path` after those seen so far and links their
+    /// follow rows.
+    fn positions(&mut self, path: &PathExpr) -> Positions {
+        match path {
+            PathExpr::Atom(label) => {
+                let row = singleton(self.atoms.len());
+                let known = self.labels.iter().position(|l| l == label);
+                self.atoms.push(known.unwrap_or(self.labels.len()));
+                if known.is_none() {
+                    self.labels.push(label.to_owned());
+                }
+                self.follow.push(Vec::new());
+                Positions {
+                    nullable: false,
+                    first: row.clone(),
+                    last: row,
                 }
             }
-            out.sort_unstable();
-            closure.push(out);
-        }
-        Nfa {
-            labels: b.labels,
-            trans: b.trans,
-            closure,
-            start,
-            accept,
+            PathExpr::Seq(parts) => {
+                let mut seq = self.positions(&parts[0]);
+                for part in &parts[1..] {
+                    let next = self.positions(part);
+                    self.link(&seq.last, &next.first);
+                    if seq.nullable {
+                        union_into(&mut seq.first, &next.first);
+                    }
+                    if !next.nullable {
+                        seq.last.fill(0);
+                    }
+                    union_into(&mut seq.last, &next.last);
+                    seq.nullable &= next.nullable;
+                }
+                seq
+            }
+            PathExpr::Alt(parts) => {
+                let mut alt = self.positions(&parts[0]);
+                for part in &parts[1..] {
+                    let next = self.positions(part);
+                    union_into(&mut alt.first, &next.first);
+                    union_into(&mut alt.last, &next.last);
+                    alt.nullable |= next.nullable;
+                }
+                alt
+            }
+            PathExpr::Star(inner) | PathExpr::Plus(inner) => {
+                let inner = self.positions(inner);
+                self.link(&inner.last, &inner.first);
+                let nullable = inner.nullable || matches!(path, PathExpr::Star(_));
+                Positions { nullable, ..inner }
+            }
+            PathExpr::Opt(inner) => Positions {
+                nullable: true,
+                ..self.positions(inner)
+            },
         }
     }
 
-    /// Number of states (for explain labels and tests).
+    /// Lets every atom of `from` be followed by every state of `to`.
+    fn link(&mut self, from: &[u64], to: &[u64]) {
+        for atom in ones(from) {
+            union_into(&mut self.follow[atom], to);
+        }
+    }
+
+    /// Number of states: one per atom, plus the accepting state.
     pub fn state_count(&self) -> usize {
-        self.trans.len()
+        self.atoms.len() + 1
     }
 
     /// The distinct atom labels, in first-use order.
@@ -318,9 +318,9 @@ impl Nfa {
         &self.labels
     }
 
-    /// `true` if the empty word is accepted (start's closure reaches accept).
+    /// `true` if the empty word is accepted.
     pub fn accepts_empty(&self) -> bool {
-        self.closure[self.start].contains(&self.accept)
+        self.root.nullable
     }
 }
 
@@ -344,14 +344,16 @@ pub fn node_universe(base: &TripleSet) -> Vec<ObjectId> {
 }
 
 /// One path query's product graph over one relation, walked root by root:
-/// the Thompson NFA, the object id of each of its labels (`None` if the
-/// store has no such object), the relation's [`EdgeGraph`] and the roots in
-/// increasing id order. A root's rows `(root, root, y)` come out sorted by
-/// `y`, so the rows of the roots in order are the answer in SPO order.
+/// the position automaton, the object id of the label each state reads
+/// (`None` for the accepting state and for labels the store has never
+/// seen, which match no edge), the relation's [`EdgeGraph`] and the roots
+/// in increasing id order. A root's rows `(root, root, y)` come out
+/// sorted by `y`, so the rows of the roots in order are the answer in SPO
+/// order.
 struct Product<'b> {
     base: &'b [Triple],
     nfa: Nfa,
-    labels: Vec<Option<ObjectId>>,
+    reads: Vec<Option<ObjectId>>,
     graph: EdgeGraph,
     roots: Vec<ObjectId>,
     max_hops: Option<usize>,
@@ -367,20 +369,15 @@ struct ProductWalk {
 }
 
 impl<'b> Product<'b> {
-    /// `label_ids` resolves atom labels to object ids; labels absent from the
-    /// map (or from `base`) simply have no transitions.
     fn new(
+        store: &Triplestore,
         base: &'b TripleSet,
-        label_ids: &HashMap<String, ObjectId>,
         path: &PathExpr,
         max_hops: Option<usize>,
     ) -> Self {
         let nfa = Nfa::compile(path);
-        let labels = nfa
-            .labels
-            .iter()
-            .map(|l| label_ids.get(l).copied())
-            .collect();
+        let atoms = nfa.atoms.iter().map(|&l| store.object_id(&nfa.labels[l]));
+        let reads = atoms.chain([None]).collect();
         // Only the empty word pairs a node with itself without an edge: any
         // other answer starts with an edge, so its root is a subject, and
         // the SPO run lists the subjects in order already.
@@ -393,7 +390,7 @@ impl<'b> Product<'b> {
         };
         Product {
             base: base.as_slice(),
-            labels,
+            reads,
             graph: EdgeGraph::new(base.as_slice()),
             roots,
             nfa,
@@ -409,13 +406,14 @@ impl<'b> Product<'b> {
         }
     }
 
-    /// BFS over the product of the edge graph with the NFA, from a single
-    /// root. Appends `(root, root, y)` to `out`, in `y` order, for every node
-    /// `y` reachable in an accepting product state within `max_hops` graph
-    /// edges (unbounded when `None`). BFS explores by edge count, so the
-    /// first visit to a product state is at its minimum hop depth — a plain
-    /// visited set implements the bound exactly, and an accepted node is
-    /// recorded once.
+    /// BFS over the product of the edge graph with the automaton, from a
+    /// single root. Appends `(root, root, y)` to `out`, in `y` order, for
+    /// every node `y` a match ends at within `max_hops` graph edges
+    /// (unbounded when `None`). Each visited state reads its atom's
+    /// `(node, ℓ)` run once. BFS explores by edge count, so the first visit
+    /// to a product state is at its minimum hop depth — a plain visited set
+    /// implements the bound exactly, and an accepted node is recorded once
+    /// however many last atoms reach it.
     fn close_root(
         &self,
         root: ObjectId,
@@ -424,6 +422,7 @@ impl<'b> Product<'b> {
         out: &mut Vec<Triple>,
     ) {
         let nfa = &self.nfa;
+        let accept = nfa.atoms.len();
         let slot = |node: ObjectId, q: usize| self.graph.slot(node) * nfa.state_count() + q;
         let ProductWalk {
             visited,
@@ -431,28 +430,26 @@ impl<'b> Product<'b> {
             accepted,
         } = walk;
         states.clear();
-        for &q in &nfa.closure[nfa.start] {
-            if visited.insert(slot(root, q)) {
-                states.push((root, q));
-            }
+        let start = ones(&nfa.root.first).chain(nfa.accepts_empty().then_some(accept));
+        for q in start {
+            visited.insert(slot(root, q));
+            states.push((root, q));
         }
         // `states[level..]` are the product states first reached after
-        // `depth` edges, already expanded through epsilon closures.
+        // `depth` edges.
         let (mut level, mut depth) = (0, 0);
         while level < states.len() && self.max_hops.is_none_or(|h| depth < h) {
             let end = states.len();
             for i in level..end {
                 let (node, q) = states[i];
-                for &(label, q2) in &nfa.trans[q] {
-                    let Some(label) = self.labels[label] else {
-                        continue;
-                    };
-                    for t in self.graph.runs.of(self.base, node, Some(label)) {
-                        stats.reach_edges_traversed += 1;
-                        for &q3 in &nfa.closure[q2] {
-                            if visited.insert(slot(t.o(), q3)) {
-                                states.push((t.o(), q3));
-                            }
+                let Some(label) = self.reads[q] else {
+                    continue;
+                };
+                for t in self.graph.runs.of(self.base, node, Some(label)) {
+                    stats.reach_edges_traversed += 1;
+                    for q2 in ones(&nfa.follow[q]) {
+                        if visited.insert(slot(t.o(), q2)) {
+                            states.push((t.o(), q2));
                         }
                     }
                 }
@@ -463,7 +460,7 @@ impl<'b> Product<'b> {
         accepted.clear();
         for &(node, q) in states.iter() {
             visited.remove(slot(node, q));
-            if q == nfa.accept {
+            if q == accept {
                 accepted.push(node);
             }
         }
@@ -473,62 +470,11 @@ impl<'b> Product<'b> {
     }
 }
 
-/// Evaluates a path expression as a product-graph BFS over the SPO run of
-/// `base`, whose `(x, ℓ)` sub-runs are the `ℓ`-labelled successors of `x`,
-/// fanning the roots out across `threads` workers exactly like
-/// [`crate::reach::reach_star`]: each worker's rows are sorted, so the parts
-/// concatenate into the result.
-///
-/// `label_ids` resolves atom labels to object ids; labels absent from the
-/// map (or from `base`) simply have no transitions. Checks `cancel` between
-/// BFS roots; on cancellation the empty set is returned and the caller is
-/// expected to surface the error.
-pub fn eval_product(
-    base: &TripleSet,
-    label_ids: &HashMap<String, ObjectId>,
-    path: &PathExpr,
-    max_hops: Option<usize>,
-    threads: usize,
-    cancel: &CancelToken,
-    stats: &mut EvalStats,
-) -> TripleSet {
-    let product = &Product::new(base, label_ids, path, max_hops);
-    let tasks: Vec<_> = parallel::chunk(&product.roots, threads)
-        .into_iter()
-        .map(|morsel| {
-            move |stats: &mut EvalStats| {
-                let mut walk = product.walk();
-                let mut out: Vec<Triple> = Vec::new();
-                for &root in morsel {
-                    // One product BFS per root: check between roots so a
-                    // cancelled query stops mid-morsel.
-                    if cancel.is_cancelled() {
-                        break;
-                    }
-                    product.close_root(root, &mut walk, stats, &mut out);
-                }
-                out
-            }
-        })
-        .collect();
-    let parts = parallel::run_tasks(threads, tasks, cancel, stats);
-    if cancel.is_cancelled() {
-        return TripleSet::new();
-    }
-    TripleSet::from_sorted_vec(concat(parts))
-}
-
-/// The object ids of a path's atom labels in `store`; labels the store has
-/// never seen are left out, and match no edge.
-fn label_ids(store: &Triplestore, path: &PathExpr) -> HashMap<String, ObjectId> {
-    path.labels()
-        .into_iter()
-        .filter_map(|l| store.object_id(l).map(|id| (l.to_owned(), id)))
-        .collect()
-}
-
-/// Evaluates a path expression against a stored relation by
-/// [`eval_product`] over its triples.
+/// Evaluates a path expression against a stored relation as a product-graph
+/// BFS over its SPO run, whose `(x, ℓ)` sub-runs are the `ℓ`-labelled
+/// successors of `x`, fanning the roots out across `threads` workers like
+/// [`crate::reach::reach_star`]. Atom labels the store has never seen match
+/// no edge. Checks `cancel` between BFS roots and fails once it latches.
 pub fn eval_on_store(
     store: &Triplestore,
     relation: &str,
@@ -539,8 +485,15 @@ pub fn eval_on_store(
     stats: &mut EvalStats,
 ) -> Result<TripleSet> {
     let base = store.require_relation(relation)?;
-    let label_ids = label_ids(store, path);
-    let result = eval_product(base, &label_ids, path, max_hops, threads, cancel, stats);
+    let product = &Product::new(store, base, path, max_hops);
+    let result = close_sources(
+        &product.roots,
+        threads,
+        cancel,
+        stats,
+        || product.walk(),
+        |&root, walk, stats, out| product.close_root(root, walk, stats, out),
+    );
     cancel.check()?;
     Ok(result)
 }
@@ -557,7 +510,7 @@ pub(crate) fn path_cursor<'a>(
     cancel: CancelToken,
 ) -> Result<impl Cursor + Send + 'a> {
     let base = store.require_relation(relation)?;
-    let product = Product::new(base, &label_ids(store, path), path, max_hops);
+    let product = Product::new(store, base, path, max_hops);
     let mut walk = product.walk();
     let mut next = 0;
     Ok(SourceCursor::new(cancel, move |out, stats| {
@@ -789,6 +742,23 @@ mod tests {
         .is_err());
     }
 
+    /// `(state_count, nullable, first, last, follow rows)`: everything the
+    /// walk reads off an automaton.
+    type Shape = (usize, bool, Vec<usize>, Vec<usize>, Vec<Vec<usize>>);
+
+    fn shape(text: &str) -> Shape {
+        let nfa = Nfa::compile(&parse_path(text).unwrap());
+        (
+            nfa.state_count(),
+            nfa.accepts_empty(),
+            ones(&nfa.root.first).collect(),
+            ones(&nfa.root.last).collect(),
+            (0..nfa.atoms.len())
+                .map(|a| ones(&nfa.follow[a]).collect())
+                .collect(),
+        )
+    }
+
     #[test]
     fn nfa_shape_sanity() {
         let nfa = Nfa::compile(&parse_path("a/(b|c)*").unwrap());
@@ -797,5 +767,76 @@ mod tests {
         assert!(Nfa::compile(&parse_path("a*").unwrap()).accepts_empty());
         assert!(Nfa::compile(&parse_path("a?").unwrap()).accepts_empty());
         assert!(!Nfa::compile(&parse_path("a+").unwrap()).accepts_empty());
+        // Atoms 0 = a, 1 = b, 2 = c; state 3 accepts.
+        let (first, last, follow) = (vec![0], vec![0, 1, 2], vec![vec![1, 2, 3]; 3]);
+        assert_eq!(shape("a/(b|c)*"), (4, false, first, last, follow));
+        // A nullable prefix lets the next part start a match too.
+        let follow = vec![vec![1, 2], vec![2], vec![3]];
+        assert_eq!(shape("a?/b?/c"), (4, false, vec![0, 1, 2], vec![2], follow));
+        // Every occurrence is its own state, even of a repeated label.
+        let nfa = Nfa::compile(&parse_path("a/a|a").unwrap());
+        assert_eq!(
+            (nfa.state_count(), nfa.labels()),
+            (4, &["a".to_owned()][..])
+        );
+    }
+
+    #[test]
+    fn stacked_closures_compile_to_the_single_closure() {
+        for op in ["*", "+", "?"] {
+            let single = shape(&format!("next{op}"));
+            assert_eq!(single.0, 2, "one state for `next`, plus the start");
+            for n in [1, 7, 62] {
+                let stacked = format!("next{}", op.repeat(n));
+                assert_eq!(shape(&stacked), single, "`next` + {n} `{op}`");
+            }
+        }
+        let star = shape("next*");
+        for text in ["(next?)+", "(next+)?", "(next+)*", "((next*)?)+"] {
+            assert_eq!(shape(text), star, "`{text}`");
+        }
+    }
+
+    #[test]
+    fn stacked_closures_walk_like_the_single_closure() {
+        let mut b = TriplestoreBuilder::new();
+        for i in 0..40 {
+            b.add_triple("E", format!("n{i}"), "next", format!("n{}", i + 1));
+        }
+        let s = b.finish();
+        let run = |text: &str, max_hops| {
+            let mut stats = EvalStats::new();
+            let path = parse_path(text).unwrap();
+            let none = CancelToken::none();
+            let rows = eval_on_store(&s, "E", &path, max_hops, 1, &none, &mut stats).unwrap();
+            (rows, stats.reach_edges_traversed, stats.triples_emitted)
+        };
+        let stacked = format!("next{}", "*".repeat(63));
+        for max_hops in [None, Some(5)] {
+            for (single, same) in [
+                ("next*", stacked.as_str()),
+                ("next*", "(next?)+"),
+                ("next*", "next**"),
+                ("next+", "next++"),
+                ("next?", "next???"),
+            ] {
+                assert_eq!(run(same, max_hops), run(single, max_hops), "`{same}`");
+            }
+        }
+        // Root n_i reads the 40 - i edges below it and answers 41 - i rows.
+        let (rows, edges, emitted) = run(&stacked, None);
+        assert_eq!((rows.len(), edges, emitted), (861, 820, 861));
+    }
+
+    #[test]
+    fn a_wide_alternation_under_stacked_stars_has_one_state_per_atom() {
+        let atoms: Vec<String> = (0..192).map(|i| format!("a{i}")).collect();
+        let body = format!("({}){}", atoms.join("|"), "*".repeat(62));
+        assert_eq!(body.len(), 913);
+        // Every atom starts and ends a match and follows every atom, across
+        // the four words of each follow row.
+        let all: Vec<usize> = (0..192).collect();
+        let follow = vec![(0..=192).collect::<Vec<_>>(); 192];
+        assert_eq!(shape(&body), (193, true, all.clone(), all, follow));
     }
 }

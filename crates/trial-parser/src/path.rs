@@ -34,9 +34,11 @@
 //! A path may nest at most [`MAX_DEPTH`] deep, counting each closure and
 //! each `/` or `|` list as one level, and have at most [`MAX_DEPTH`]
 //! parentheses open at once. It may hold at most [`MAX_PATH_SIZE`] atoms
-//! and closure operators together: each adds at most two states to the
-//! Thompson NFA the engine builds, whose ε-closures take time quadratic in
-//! the state count.
+//! and closure operators together. The engine's position automaton has one
+//! state per atom, and an atom may be followed by every atom, so compiling
+//! takes time quadratic in the atom count and each edge the walk reads can
+//! enter that many states; the cap bounds both. A closure operator adds no
+//! state, but each is one more level of every pass over the expression.
 
 use crate::MAX_DEPTH;
 use std::fmt;

@@ -78,10 +78,10 @@
 //! concatenation, `|` alternation, `*`/`+`/`?` closures — over one edge
 //! relation (`?relation=`, default `E`) and returns the reachable pairs
 //! `(x, y)` encoded as triples `(x, x, y)`. Every expression runs as a
-//! Thompson-NFA product walk that streams root by root (`?max_hops=` bounds
-//! it to walks of at most that many edges), and every `/query` delivery
-//! knob — `?limit=`, `?order=`, `?topk=`, `?stream=1`, cursors, caching,
-//! `?timeout_ms=` — works identically. The TriAL\* lowering of a path
+//! product walk over its position automaton that streams root by root
+//! (`?max_hops=` bounds it to walks of at most that many edges), and every
+//! `/query` delivery knob — `?limit=`, `?order=`, `?topk=`, `?stream=1`,
+//! cursors, caching, `?timeout_ms=` — works identically. The TriAL\* lowering of a path
 //! (`trial_eval::rpq::lower`, Theorem 7) is an ordinary expression: POST
 //! its text to `/query` to run it as a join plan.
 //!

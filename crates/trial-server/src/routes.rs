@@ -63,7 +63,7 @@
 //! **Path queries**: `POST /path` takes a regular path expression (atoms,
 //! `/` concatenation, `|` alternation, `*`, `+`, `?`) over one relation
 //! (`?relation=`, default `E`) and returns the reachable pairs encoded as
-//! `(x, x, y)` triples. Every path runs as a Thompson-NFA product walk
+//! `(x, x, y)` triples. Every path runs as an automaton product walk
 //! (`?max_hops=` bounds its length in edges), and `/explain?path=1` renders
 //! its `PathNfa` plan. Every `/query` knob (limit, threads, order, topk,
 //! streaming, cursors, timeouts, caching) applies unchanged. The TriAL
@@ -702,7 +702,7 @@ fn key_text(kind: QueryKind, pp: Option<&PathParams>, limit: Option<usize>, text
 }
 
 /// A compiled request body, ready to plan: ordinary TriAL algebra, or a
-/// path expression kept whole for the Thompson-NFA product walk.
+/// path expression kept whole for the automaton product walk.
 enum Compiled {
     Trial(Expr),
     Path {

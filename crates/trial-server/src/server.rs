@@ -16,10 +16,11 @@ use crate::metrics::Metrics;
 use crate::registry::StoreRegistry;
 use crate::routes::{self, Routed};
 use crate::trace::{FlightRecorder, Span};
+use std::collections::HashMap;
 use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use trial_eval::{CancelReason, CancelToken, EvalOptions};
@@ -195,6 +196,67 @@ impl Inflight {
     }
 }
 
+/// The sockets of the open connections, so that shutdown can shut their
+/// read halves: a worker blocked reading an idle keep-alive connection then
+/// sees the end of the stream at once instead of waiting out its read
+/// timeout. A connection registers once, not once per request.
+#[derive(Debug, Default)]
+pub(crate) struct Connections {
+    open: Mutex<OpenSockets>,
+}
+
+#[derive(Debug, Default)]
+struct OpenSockets {
+    next_id: u64,
+    sockets: HashMap<u64, TcpStream>,
+    /// Set by [`Connections::close_reads`]: a connection that registers
+    /// afterwards has its read half shut at once.
+    closed: bool,
+}
+
+/// A registered connection; dropping it unregisters the socket.
+struct OpenConnection<'a> {
+    connections: &'a Connections,
+    id: u64,
+}
+
+impl Connections {
+    fn lock(&self) -> MutexGuard<'_, OpenSockets> {
+        self.open.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Registers a connection's socket until the returned guard drops.
+    fn register(&self, socket: TcpStream) -> OpenConnection<'_> {
+        let mut open = self.lock();
+        if open.closed {
+            let _ = socket.shutdown(Shutdown::Read);
+        }
+        open.next_id += 1;
+        let id = open.next_id;
+        open.sockets.insert(id, socket);
+        OpenConnection {
+            connections: self,
+            id,
+        }
+    }
+
+    /// Shuts the read half of every open connection, and of every one that
+    /// registers later. Responses still being written are not cut.
+    fn close_reads(&self) {
+        let mut open = self.lock();
+        open.closed = true;
+        for socket in open.sockets.values() {
+            let _ = socket.shutdown(Shutdown::Read);
+        }
+    }
+}
+
+impl Drop for OpenConnection<'_> {
+    fn drop(&mut self) {
+        self.connections.lock().sockets.remove(&self.id);
+    }
+}
+
 /// Shared server state: the store registry, the result cache, evaluation
 /// limits, and the observability surface (metrics + flight recorder).
 ///
@@ -224,6 +286,8 @@ pub struct ServerState {
     pub(crate) default_timeout: Option<Duration>,
     /// Armed cancel tokens of in-flight requests, for the drain path.
     pub(crate) inflight: Inflight,
+    /// The open connections, for both shutdown paths.
+    pub(crate) connections: Connections,
     /// The fault-injection plan (inert unless configured).
     pub(crate) chaos: Chaos,
     /// Set by [`Server::drain`]: new work is refused with a structured
@@ -260,6 +324,7 @@ impl ServerState {
             started,
             default_timeout: config.default_timeout,
             inflight: Inflight::default(),
+            connections: Connections::default(),
             chaos,
             draining: AtomicBool::new(false),
         })
@@ -370,7 +435,9 @@ impl Server {
         &self.state.metrics
     }
 
-    /// Stops accepting, drains the workers and joins all threads.
+    /// Stops accepting, shuts the read half of every open connection (so an
+    /// idle keep-alive connection closes at once, while a response being
+    /// written still completes) and joins all threads.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
@@ -387,9 +454,11 @@ impl Server {
     /// `grace` to finish on their own, then cancel the stragglers with
     /// [`CancelReason::Shutdown`] — cancelled evaluations unwind at their
     /// next checkpoint, release their admission permits and close their
-    /// streams with an `X-Trial-Error: shutdown` trailer. Finally joins
-    /// every thread and flushes the flight recorder, returning the retained
-    /// spans so the process can log them before exiting.
+    /// streams with an `X-Trial-Error: shutdown` trailer. Then shuts the
+    /// read half of every open connection, so idle keep-alive connections
+    /// close at once. Finally joins every thread and flushes the flight
+    /// recorder, returning the retained spans so the process can log them
+    /// before exiting.
     pub fn drain_within(mut self, grace: Duration) -> Vec<Arc<Span>> {
         // Refuse new work first, then stop accepting: a connection that
         // slips past the acceptor check still gets a clean 503.
@@ -401,6 +470,7 @@ impl Server {
             std::thread::sleep(Duration::from_millis(2));
         }
         self.state.inflight.cancel_all(CancelReason::Shutdown);
+        self.state.connections.close_reads();
         for handle in self.threads.drain(..) {
             let _ = handle.join();
         }
@@ -411,8 +481,10 @@ impl Server {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Wake the acceptor out of `accept()` with a throwaway connection.
+        // Wake the acceptor out of `accept()` with a throwaway connection,
+        // and the workers out of reading idle keep-alive connections.
         let _ = TcpStream::connect(self.addr);
+        self.state.connections.close_reads();
         for handle in self.threads.drain(..) {
             let _ = handle.join();
         }
@@ -435,10 +507,11 @@ fn handle_connection(
 ) {
     let _ = stream.set_read_timeout(Some(read_timeout));
     let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
+    let (mut writer, socket) = match (stream.try_clone(), stream.try_clone()) {
+        (Ok(writer), Ok(socket)) => (writer, socket),
+        _ => return,
     };
+    let _open = state.connections.register(socket);
     let mut reader = BufReader::new(stream);
     loop {
         match http::read_request(&mut reader, &mut writer, max_body) {

@@ -318,6 +318,28 @@ fn drain_of_an_idle_server_returns_immediately() {
 }
 
 #[test]
+fn shutdown_does_not_wait_out_idle_keep_alive_connections() {
+    for drain in [false, true] {
+        // The default 10 s read timeout: a worker left blocked reading the
+        // idle connection would hold shutdown that long.
+        let server = Server::spawn_ephemeral().unwrap();
+        let mut idle = HttpClient::new(server.addr());
+        assert_eq!(idle.get("/healthz").unwrap().status, 200);
+        let started = Instant::now();
+        if drain {
+            server.drain();
+        } else {
+            server.shutdown();
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "drain={drain}: shutdown took {:?} with an idle client open",
+            started.elapsed()
+        );
+    }
+}
+
+#[test]
 fn client_retries_saturated_responses_when_opted_in() {
     // A server with one permit and no wait queue sheds the second query.
     let server = Server::spawn(ServerConfig {

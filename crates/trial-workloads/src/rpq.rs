@@ -111,6 +111,8 @@ pub fn chain_path_suite() -> Vec<PathCase> {
 /// The expression suite for a `next`-labelled cycle ([`crate::cycle_store`]
 /// or [`labeled_cycle_store`] with one label): closures over a graph where
 /// every node reaches every node, the worst case for transitive closure.
+/// `next**` and `(next?)+` spell `next*` with stacked closures, which must
+/// neither change the answer nor cost more than the single star.
 pub fn cycle_path_suite() -> Vec<PathCase> {
     vec![
         PathCase {
@@ -121,6 +123,16 @@ pub fn cycle_path_suite() -> Vec<PathCase> {
         PathCase {
             name: "cycle/star",
             path: "next*",
+            max_hops: None,
+        },
+        PathCase {
+            name: "cycle/star-star",
+            path: "next**",
+            max_hops: None,
+        },
+        PathCase {
+            name: "cycle/opt-plus",
+            path: "(next?)+",
             max_hops: None,
         },
         PathCase {

@@ -37,8 +37,8 @@
 //! `POST /path` evaluates regular path queries — label atoms, `/`
 //! concatenation, `|` alternation, `*`/`+`/`?` closures — over one edge
 //! relation, returning reachable pairs `(x, y)` as `(x, x, y)` triples.
-//! Every expression runs as a Thompson-NFA product walk, optionally bounded
-//! by `?max_hops=`. All `/query` delivery knobs apply. See the [`eval`]
+//! Every expression runs as a product walk over its position automaton,
+//! optionally bounded by `?max_hops=`. All `/query` delivery knobs apply. See the [`eval`]
 //! crate's *Path queries* section.
 //!
 //! `?stream=1` switches the response to chunked transfer encoding fed by a

@@ -1,4 +1,4 @@
-//! Differential suite for regular path queries: the Thompson-NFA product
+//! Differential suite for regular path queries: the automaton product
 //! walk, the TriAL star lowering and an independent naive reference must
 //! agree on random labelled graphs and random path expressions.
 //!
