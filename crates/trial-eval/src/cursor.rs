@@ -1,12 +1,11 @@
-//! Pull-based streaming operators: the cursor half of the executor.
+//! Pull-based streaming operators: the executor's one walk.
 //!
-//! The set-at-a-time kernels of [`crate::ops`] compute every intermediate
-//! [`TripleSet`] in full, so a `LIMIT 10` over a million-triple join would
-//! pay the whole join. This module provides the alternative: each
-//! physical operator is compiled into a [`Cursor`] that yields one
-//! [`Triple`] per [`Cursor::next`] call and performs work only when pulled.
-//! Stopping early (a satisfied limit, a closed connection) abandons the
-//! remaining work for free.
+//! Each physical operator is compiled into a [`Cursor`] that yields one
+//! [`Triple`] per [`Cursor::next`] call and performs work only when pulled,
+//! so a `LIMIT 10` over a million-triple join pays for ten rows, not the
+//! whole join. Stopping early (a satisfied limit, a closed connection)
+//! abandons the remaining work for free, and a full result is the root
+//! cursor drained into a [`TripleSet`].
 //!
 //! # Pipeline breakers
 //!
@@ -105,7 +104,7 @@ impl<'a> ProfiledCursor<'a> {
 
     fn flush(&mut self) {
         if self.local_rows > 0 || self.tick > 0 {
-            self.timer.add_cur_rows(self.local_rows);
+            self.timer.add_rows(self.local_rows);
             self.local_rows = 0;
         }
         if self.local_ns > 0 {
@@ -1145,8 +1144,8 @@ mod tests {
     use super::*;
     use crate::cancel::CancelToken;
     use crate::compile::used_positions;
-    use crate::ops;
-    use trial_core::{Conditions, TriplestoreBuilder, Value};
+    use crate::{Engine, NaiveEngine};
+    use trial_core::{Conditions, Expr, TriplestoreBuilder, Value};
 
     /// A small xorshift generator: the stores and orders below only need to
     /// differ from seed to seed.
@@ -1217,9 +1216,10 @@ mod tests {
 
     /// Every keyed join cursor against a reference loop that probes every
     /// outer row against every matching right row, with no projection
-    /// dedup: the distinct rows arrive in the same order. The set kernels
-    /// give the same set. Each join reads a position that its output and key
-    /// do not, so a mask built from those alone drops rows here.
+    /// dedup: the distinct rows arrive in the same order, and as a set they
+    /// are the join `NaiveEngine` computes. Each join reads a position that
+    /// its output and key do not, so a mask built from those alone drops
+    /// rows here.
     #[test]
     fn projection_dedup_keeps_the_first_seen_order() {
         let output = OutputSpec::new(Pos::L1, Pos::R1, Pos::R3);
@@ -1328,31 +1328,12 @@ mod tests {
                     "merge, {case}"
                 );
 
-                // The set kernels agree as sets.
-                let want: TripleSet = hash_ref.iter().copied().collect();
-                let s = &mut stats;
-                let table = JoinTable::build(base, &[key], right_used, 1, &none, s);
-                let outer_set: TripleSet = outer.iter().copied().collect();
-                let kernels = [
-                    ops::hash_join_probe(&outer_set, &table, &output, &cond, &store, 1, &none, s),
-                    ops::index_nested_loop_join(
-                        &outer_set, base, index, key, &output, &cond, &store, 1, &none, s,
-                    ),
-                    ops::merge_join(
-                        &merge_left,
-                        &merge_right,
-                        0,
-                        0,
-                        &output,
-                        &cond,
-                        &store,
-                        1,
-                        &none,
-                        s,
-                    ),
-                ];
-                for (kernel, got) in ["hash", "index", "merge"].iter().zip(kernels) {
-                    assert_eq!(got, want, "{kernel} kernel, {case}");
+                // As sets, all three are the join itself.
+                let join = Expr::rel("E").join(Expr::rel("E"), output, c.clone());
+                let want = NaiveEngine::new().run(&join, &store).unwrap();
+                for (cursor, got) in [("hash", hash), ("index", indexed), ("merge", merged)] {
+                    let got: TripleSet = got.into_iter().collect();
+                    assert_eq!(got, want, "{cursor} cursor, {case}");
                 }
             }
         }

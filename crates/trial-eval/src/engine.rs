@@ -101,12 +101,14 @@ pub struct EvalOptions {
     /// Degree of intra-query parallelism: the number of worker threads
     /// morsel-parallel operators may use (see the *Parallel execution*
     /// section of the crate docs). `1` (the built-in default) is the
-    /// single-threaded path; `n > 1` lets qualifying operators — hash-join builds and probes,
-    /// index/plain nested-loop joins, filtered scans, star fixpoint rounds,
-    /// reachability BFS fan-outs, and the blocking sides of
-    /// difference/intersection/complement — split their input into morsels
-    /// executed on a scoped worker pool. Results are identical for every
-    /// value (the differential suite proves it); only wall-clock changes.
+    /// single-threaded path; `n > 1` lets the set work that breakers own
+    /// split into morsels executed on a scoped worker pool: hash-join
+    /// builds, filtered index scans a breaker materialises, semi-naive
+    /// rounds, and the per-source Proposition 5 closures (`StarReach`,
+    /// `PathNfa`) a breaker materialises; the stream exchange fans out an
+    /// ordered root. Cursors run on the thread that pulls them. Results are
+    /// identical for every value (the differential suite proves it); only
+    /// wall-clock changes.
     ///
     /// The environment variable `TRIAL_EVAL_THREADS` overrides the default
     /// (read once per process), which is how CI runs the whole test suite a

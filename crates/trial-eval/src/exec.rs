@@ -1,37 +1,27 @@
-//! The plan executor: two walks over a [`PlanNode`] tree.
+//! The plan executor: one walk over a [`PlanNode`] tree.
 //!
 //! This is the only evaluation path of the [`crate::SmartEngine`] — the
 //! logical `Expr` tree is consumed by the planner and never inspected here.
 //! The executor owns the per-query memo slots and threads the shared
 //! [`EvalStats`] counters through every physical operator.
 //!
-//! * **Compile to cursors** (`Executor::cursor`) — each operator becomes a
-//!   pull-based [`Cursor`](crate::cursor::Cursor): work happens as rows are
-//!   pulled and stops the moment the consumer stops (a satisfied
-//!   [`PlanNode::Limit`], a closed connection). Pipeline breakers (hash-join
-//!   build sides, difference/intersection right sides, star fixpoints, memo
-//!   slots, complement inputs, sorts) fill their blocking input at
-//!   cursor-construction time through the other walk. A `ScanAccess` says
-//!   which part of an index scan's run the pipeline reads — all of it, the
-//!   rows after a key (resumable pagination) or one morsel (the exchange
-//!   fan-out) — and only the scan interprets it.
-//! * **Evaluate to a set** (`Executor::materialize`) — each operator
-//!   computes its full [`TripleSet`] with the set-at-a-time kernels of
-//!   [`crate::ops`], which also carry the morsel parallelism. A bounded
-//!   subtree ([`PlanNode::Limit`], [`PlanNode::TopK`]) switches back to a
-//!   cursor pipeline so it still terminates early.
+//! Every operator compiles to a pull-based [`Cursor`](crate::cursor::Cursor)
+//! (`Executor::cursor`): work happens as rows are pulled and stops the
+//! moment the consumer stops (a satisfied [`PlanNode::Limit`], a closed
+//! connection). A `ScanAccess` says which part of an index scan's run the
+//! pipeline reads — all of it, the rows after a key (resumable pagination)
+//! or one morsel (the exchange fan-out) — and only the scan interprets it.
 //!
-//! The plan shape and the consumer pick the walk, never an option: a limit,
-//! a top-k bound or a streamed consumer compiles cursors; a breaker input or
-//! a full result runs the kernels.
-//!
-//! Both stay because each wins somewhere. Only cursors can stop early. And
-//! draining cursors into a set in place of the sequential kernels was
-//! measured: it left the `engine_mix` benchmark workload where it was
-//! (`latency_p50_ms` 19.9 → 19.2, bodies there are top-k bounded) but ran a
-//! 500k-row join at 0.89× and a 600k-row union at 0.80× the kernels' speed —
-//! a virtual call and a set insertion per row against slice loops and one
-//! linear merge.
+//! **Breakers own their set work.** A pipeline breaker (a hash-join build
+//! side, a nested-loop, difference or intersection right side, a complement
+//! input, a star base, a memo slot, a sort) fills its blocking input when
+//! its cursor is built, through `Executor::materialize`. That computes a
+//! set directly only where the set work is a breaker's own: an index scan's
+//! stored run (zero-copy, or copied, with a residual filter that fans out),
+//! a memo slot, and the closures — semi-naive rounds and the per-source
+//! closures of `StarReach` and `PathNfa`, which fan out. Every other node is
+//! materialised by draining its own cursor, and so is a full result
+//! ([`crate::SmartEngine::execute`]).
 
 use crate::compile::{used_positions, CompiledConditions};
 use crate::cursor::{
@@ -48,11 +38,11 @@ use crate::profile::{Profiler, QueryProfile};
 use crate::reach;
 use crate::rpq;
 use crate::seminaive::semi_naive_star;
-use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 use trial_core::{
-    Error, ObjectId, Permutation, RangeCursor, Result, Triple, TripleSet, Triplestore,
+    Conditions, Error, ObjectId, OutputSpec, Permutation, Pos, RangeCursor, Result, StarDirection,
+    TripleSet, Triplestore,
 };
 
 /// The identity of a plan node for per-node bookkeeping (actuals and wall
@@ -103,33 +93,28 @@ pub(crate) enum ScanAccess {
     },
 }
 
-/// Memo slots shared by an executor and its worker-thread siblings: one
-/// mutex-guarded slot per [`PlanNode::Memo`]. The slot's lock is **held
-/// while the shared sub-expression is computed**, so exactly one executor
-/// ever evaluates it (concurrent arrivals block, then hit) — work counters
-/// stay identical to the single-threaded run. Holding a lock across the
-/// recursive evaluation cannot deadlock: a memo slot can only wait on slots
-/// of its *strict* sub-expressions, and the sub-expression relation is
-/// acyclic.
-type MemoSlots = Arc<Vec<std::sync::Mutex<Option<Arc<TripleSet>>>>>;
+/// A compiled pipeline, or `None` when the node cannot serve the access it
+/// was compiled for (see [`ScanAccess::Morsel`]).
+type Compiled<'a> = Result<Option<BoxCursor<'a>>>;
 
 /// Interprets plan trees; one instance per top-level evaluation.
 pub(crate) struct Executor<'a> {
     store: &'a Triplestore,
     options: EvalOptions,
-    memo: MemoSlots,
-    /// Per-node wall timers and actual-cardinality records: every pull timed
-    /// for an analyzed run, one in [`EvalOptions::profile_sample`] when that
-    /// is positive, absent otherwise.
+    /// One slot per [`PlanNode::Memo`]: the shared sub-result, once the
+    /// first memo node of the slot has computed it.
+    memo: Vec<Option<Arc<TripleSet>>>,
+    /// Per-node wall timers and row counts: every pull timed for an
+    /// analyzed run, one in [`EvalOptions::profile_sample`] when that is
+    /// positive, absent otherwise.
     profiler: Option<Profiler>,
 }
 
 impl<'a> Executor<'a> {
     /// Creates an executor with one empty memo slot per [`PlanNode::Memo`]
     /// in the plan. `analyze` turns on the `EXPLAIN ANALYZE` bookkeeping:
-    /// every node's actual output cardinality is recorded and the wall-clock
-    /// profiler times every pull instead of one in
-    /// [`EvalOptions::profile_sample`].
+    /// the wall-clock profiler counts every node's rows and times every pull
+    /// instead of one in [`EvalOptions::profile_sample`].
     pub(crate) fn new(
         store: &'a Triplestore,
         options: EvalOptions,
@@ -140,65 +125,8 @@ impl<'a> Executor<'a> {
         Executor {
             store,
             options,
-            memo: Arc::new((0..plan.memo_slots).map(|_| Default::default()).collect()),
+            memo: vec![None; plan.memo_slots],
             profiler: (stride > 0).then(|| Profiler::new(stride)),
-        }
-    }
-
-    /// A sibling executor for evaluating an independent subtree on a worker
-    /// thread. It shares the store, options, **memo slots** (so a repeated
-    /// sub-expression is still computed exactly once, whichever side reaches
-    /// it first) and the **profiler** — sibling measurements land in the
-    /// same per-node timers, no merge step needed.
-    fn child(&self) -> Executor<'a> {
-        Executor {
-            store: self.store,
-            options: self.options.clone(),
-            memo: Arc::clone(&self.memo),
-            profiler: self.profiler.clone(),
-        }
-    }
-
-    /// Resolves a memo slot: returns the cached sub-result or computes it
-    /// with `compute` while holding the slot's lock (see [`MemoSlots`]).
-    fn memo_slot(
-        &mut self,
-        slot: usize,
-        stats: &mut EvalStats,
-        compute: impl FnOnce(&mut Self, &mut EvalStats) -> Result<TripleSet>,
-    ) -> Result<Arc<TripleSet>> {
-        let slots = Arc::clone(&self.memo);
-        let mut guard = slots[slot]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(cached) = &*guard {
-            stats.memo_hits += 1;
-            return Ok(Arc::clone(cached));
-        }
-        let result = Arc::new(compute(self, stats)?);
-        *guard = Some(Arc::clone(&result));
-        Ok(result)
-    }
-
-    /// Records a node's **materialised** output cardinality (no-op unless
-    /// the profiler is active).
-    fn record(&mut self, node: &PlanNode, rows: usize) {
-        if let Some(profiler) = &self.profiler {
-            profiler.timer(node_key(node)).set_mat_rows(rows as u64);
-        }
-    }
-
-    /// `EXPLAIN ANALYZE` actuals in plan preorder: each node's materialised
-    /// output cardinality, `None` for nodes that only executed inside a
-    /// streaming pipeline (or with the profiler off).
-    pub(crate) fn node_actuals(&self, plan: &Plan) -> Vec<Option<u64>> {
-        let nodes = plan.root.preorder();
-        match &self.profiler {
-            Some(profiler) => nodes
-                .into_iter()
-                .map(|node| profiler.mat_rows_of(node_key(node)))
-                .collect(),
-            None => vec![None; nodes.len()],
         }
     }
 
@@ -248,18 +176,19 @@ impl<'a> Executor<'a> {
         Ok((!cursors.is_empty()).then_some(cursors))
     }
 
-    /// The compile-to-cursor walk: `node` as a pull-based pipeline reading
-    /// the part of its scan selected by `access`, or `None` when `access` is
-    /// a morsel the node cannot serve. A seek needs `node` ordered under the
-    /// seek permutation. With the profiler active every compiled operator is
-    /// wrapped in a [`ProfiledCursor`] shim, and pipeline breakers
-    /// additionally record their blocking construction work as build time.
+    /// The cursor walk: `node` as a pull-based pipeline reading the part of
+    /// its scan selected by `access`, or `None` when `access` is a morsel
+    /// the node cannot serve. A seek needs `node` ordered under the seek
+    /// permutation. With the profiler active every compiled operator is
+    /// wrapped in a [`ProfiledCursor`] shim, its construction counts toward
+    /// its elapsed time, and pipeline breakers also report that blocking
+    /// work as build time.
     pub(crate) fn cursor_at(
         &mut self,
         node: &PlanNode,
         access: ScanAccess,
         stats: &mut EvalStats,
-    ) -> Result<Option<BoxCursor<'a>>> {
+    ) -> Compiled<'a> {
         let Some(profiler) = self.profiler.clone() else {
             return self.cursor_inner(node, access, stats);
         };
@@ -268,8 +197,10 @@ impl<'a> Executor<'a> {
             return Ok(None);
         };
         let timer = profiler.timer(node_key(node));
+        let built = start.elapsed();
+        timer.add_full(built);
         if records_build_time(node) {
-            timer.add_build(start.elapsed());
+            timer.add_build(built);
         }
         Ok(Some(Box::new(ProfiledCursor::new(
             inner,
@@ -278,13 +209,16 @@ impl<'a> Executor<'a> {
         ))))
     }
 
+    /// Dispatches `node` to the function that compiles it. Every arm is one
+    /// call: a deep plan recurses through this frame once per level, so it
+    /// holds no arm's locals.
     fn cursor_inner(
         &mut self,
         node: &PlanNode,
         access: ScanAccess,
         stats: &mut EvalStats,
-    ) -> Result<Option<BoxCursor<'a>>> {
-        let cursor: BoxCursor<'a> = match (node, access) {
+    ) -> Compiled<'a> {
+        match (node, access) {
             (
                 PlanNode::IndexScan {
                     relation,
@@ -294,94 +228,25 @@ impl<'a> Executor<'a> {
                     ..
                 },
                 _,
-            ) => {
-                let (base, index) = self
-                    .store
-                    .relation_with_index(relation)
-                    .ok_or_else(|| Error::UnknownRelation(relation.clone()))?;
-                let mut run = match bound {
-                    None => index.scan_cursor(base, *order),
-                    Some((component, value)) => index.matching_cursor(base, *component, *value),
-                };
-                match access {
-                    ScanAccess::Whole => {}
-                    // `O(log n)` on the permutation run.
-                    ScanAccess::After(order, after) => run.seek(order, after),
-                    // Contiguous, disjoint, non-empty sub-ranges of the run.
-                    ScanAccess::Morsel { index, of } => {
-                        match parallel::chunk(run.rest(), of).get(index) {
-                            Some(morsel) => run = RangeCursor::new(morsel),
-                            None => return Ok(None),
-                        }
-                    }
-                }
-                let residual = (!residual.is_empty())
-                    .then(|| CompiledConditions::compile(residual, self.store));
-                Box::new(ScanCursor {
-                    // Mirror the set kernels' instrumentation: plain
-                    // relation passthroughs are free, indexed runs and
-                    // filtered scans count their rows.
-                    instrument: bound.is_some() || residual.is_some(),
-                    run,
-                    residual,
-                    store: self.store,
-                })
-            }
+            ) => self.scan_cursor(relation, *bound, residual, *order, access),
             // Filters distribute over any access to their input.
             (PlanNode::Filter { input, cond, .. }, _) => {
-                let Some(input) = self.cursor_at(input, access, stats)? else {
-                    return Ok(None);
-                };
-                Box::new(FilterCursor {
-                    input,
-                    cond: CompiledConditions::compile(cond, self.store),
-                    store: self.store,
-                })
+                self.filter_cursor(input, cond, access, stats)
             }
             // A limit passes a seek through (the countdown restarts fresh
             // for the resumed page) but not a morsel: per-morsel countdowns
             // would not concatenate to the whole stream's.
             (PlanNode::Limit { input, limit, .. }, ScanAccess::Whole | ScanAccess::After(..)) => {
-                if *limit == 0 {
-                    return Ok(Some(Box::new(EmptyCursor)));
-                }
-                // A stream sorted under *any* permutation key is strictly
-                // increasing in a total order, hence duplicate-free: the
-                // countdown needs no seen-set.
-                let seen = input
-                    .ordering()
-                    .is_none()
-                    .then(std::collections::HashSet::new);
-                let Some(input) = self.cursor_at(input, access, stats)? else {
-                    return Ok(None);
-                };
-                Box::new(LimitCursor {
-                    input,
-                    remaining: *limit,
-                    seen,
-                })
+                self.limit_cursor(input, *limit, access, stats)
             }
             // No other operator can hand a partial access down to a scan.
             // Only contiguous ranges of one permutation run are morsels...
-            (_, ScanAccess::Morsel { .. }) => return Ok(None),
+            (_, ScanAccess::Morsel { .. }) => Ok(None),
             // ...and a seek degrades to dropping the already-served prefix:
             // correct for any ordered root, linear in the rows skipped.
-            (_, ScanAccess::After(order, after)) => {
-                let Some(input) = self.cursor_inner(node, ScanAccess::Whole, stats)? else {
-                    return Ok(None);
-                };
-                Box::new(SkipCursor {
-                    input,
-                    order,
-                    after,
-                    skipping: true,
-                })
-            }
-            (PlanNode::Universe { .. }, ScanAccess::Whole) => {
-                let adom = ops::universe_domain(self.store, &self.options)?;
-                Box::new(UniverseCursor::new(adom))
-            }
-            (PlanNode::Empty, ScanAccess::Whole) => Box::new(EmptyCursor),
+            (_, ScanAccess::After(order, after)) => self.skip_cursor(node, order, after, stats),
+            (PlanNode::Universe { .. }, ScanAccess::Whole) => self.universe_cursor(),
+            (PlanNode::Empty, ScanAccess::Whole) => Ok(Some(Box::new(EmptyCursor))),
             (
                 PlanNode::HashJoin {
                     left,
@@ -392,32 +257,7 @@ impl<'a> Executor<'a> {
                     ..
                 },
                 ScanAccess::Whole,
-            ) => {
-                // Build side: the one genuine materialisation of a hash
-                // join. The build itself shards across workers when large;
-                // the probe side stays a sequential pull-based stream (its
-                // consumer may stop at any triple).
-                let build = self.materialize(right, stats)?;
-                let degree = self.options.degree(build.len());
-                let cond = CompiledConditions::compile(cond, self.store);
-                let [left_used, right_used] = used_positions(output, &cond);
-                let cancel = &self.options.cancel;
-                let table = ops::JoinTable::build(&build, keys, right_used, degree, cancel, stats);
-                // A build cut short by cancellation is a partial table.
-                self.options.cancel.check()?;
-                let probe = self.cursor(left, stats)?;
-                stats.joins_executed += 1;
-                Box::new(HashJoinCursor {
-                    probe,
-                    seen: Distinct::new(left_used),
-                    table,
-                    output: *output,
-                    cond,
-                    store: self.store,
-                    buf: Vec::new(),
-                    buf_pos: 0,
-                })
-            }
+            ) => self.hash_join_cursor(left, right, output, cond, keys, stats),
             (
                 PlanNode::MergeJoin {
                     left,
@@ -428,34 +268,7 @@ impl<'a> Executor<'a> {
                     ..
                 },
                 ScanAccess::Whole,
-            ) => {
-                // Both inputs stream pre-sorted on the join-key component
-                // (the planner guarantees it); the join is a synchronized
-                // pass with no build side and no hash table.
-                let l = self.cursor(left, stats)?;
-                let r = self.cursor(right, stats)?;
-                stats.joins_executed += 1;
-                let cond = CompiledConditions::compile(cond, self.store);
-                let [left_used, right_used] = used_positions(output, &cond);
-                Box::new(MergeJoinCursor {
-                    left: l,
-                    right: r,
-                    lc: key.0.component_index(),
-                    rc: key.1.component_index(),
-                    output: *output,
-                    cond,
-                    store: self.store,
-                    emit_once: *output == trial_core::OutputSpec::IDENTITY,
-                    l_cur: None,
-                    group: Vec::new(),
-                    group_key: None,
-                    left_seen: Distinct::new(left_used),
-                    right_seen: Distinct::new(right_used),
-                    group_pos: 0,
-                    r_peek: None,
-                    primed: false,
-                })
-            }
+            ) => self.merge_join_cursor(left, right, output, cond, *key, stats),
             (
                 PlanNode::IndexNestedLoopJoin {
                     outer,
@@ -466,29 +279,7 @@ impl<'a> Executor<'a> {
                     ..
                 },
                 ScanAccess::Whole,
-            ) => {
-                let (base, index) = self
-                    .store
-                    .relation_with_index(relation)
-                    .ok_or_else(|| Error::UnknownRelation(relation.clone()))?;
-                let outer = self.cursor(outer, stats)?;
-                stats.joins_executed += 1;
-                let cond = CompiledConditions::compile(cond, self.store);
-                let [outer_used, _] = used_positions(output, &cond);
-                Box::new(IndexJoinCursor {
-                    outer,
-                    seen: Distinct::new(outer_used),
-                    base,
-                    index,
-                    probe: *probe,
-                    output: *output,
-                    cond,
-                    store: self.store,
-                    current: None,
-                    run: &[],
-                    run_pos: 0,
-                })
-            }
+            ) => self.index_join_cursor(outer, relation, *probe, output, cond, stats),
             (
                 PlanNode::NestedLoopJoin {
                     left,
@@ -498,61 +289,18 @@ impl<'a> Executor<'a> {
                     ..
                 },
                 ScanAccess::Whole,
-            ) => {
-                let right = self.materialize(right, stats)?;
-                let left = self.cursor(left, stats)?;
-                stats.joins_executed += 1;
-                Box::new(NestedLoopCursor {
-                    left,
-                    right,
-                    output: *output,
-                    cond: CompiledConditions::compile(cond, self.store),
-                    store: self.store,
-                    current: None,
-                    r_pos: 0,
-                })
-            }
+            ) => self.nested_loop_cursor(left, right, output, cond, stats),
             (PlanNode::Union { left, right, .. }, ScanAccess::Whole) => {
-                let l = self.cursor(left, stats)?;
-                let r = self.cursor(right, stats)?;
-                // Merge whenever the two sides share *any* sort order (not
-                // just the canonical one), so ordered deliveries survive
-                // unions; concatenate otherwise.
-                let shared = left.ordering().filter(|p| right.ordering() == Some(*p));
-                if let Some(perm) = shared {
-                    Box::new(MergeUnionCursor {
-                        left: l,
-                        right: r,
-                        perm,
-                        l_peek: None,
-                        r_peek: None,
-                        primed: false,
-                    })
-                } else {
-                    Box::new(ChainUnionCursor {
-                        left: l,
-                        right: r,
-                        on_right: false,
-                    })
-                }
+                self.union_cursor(left, right, stats)
             }
             (PlanNode::Diff { left, right, .. }, ScanAccess::Whole) => {
-                let rhs = self.materialize(right, stats)?;
-                let input = self.cursor(left, stats)?;
-                Box::new(DiffCursor { input, rhs })
+                self.diff_cursor(left, right, stats)
             }
             (PlanNode::Intersect { left, right, .. }, ScanAccess::Whole) => {
-                let rhs = self.materialize(right, stats)?;
-                let input = self.cursor(left, stats)?;
-                Box::new(IntersectCursor { input, rhs })
+                self.intersect_cursor(left, right, stats)
             }
             (PlanNode::Complement { input, .. }, ScanAccess::Whole) => {
-                let exclude = self.materialize(input, stats)?;
-                let adom = ops::universe_domain(self.store, &self.options)?;
-                Box::new(ComplementCursor {
-                    universe: UniverseCursor::new(adom),
-                    exclude,
-                })
+                self.complement_cursor(input, stats)
             }
             (
                 PlanNode::StarSemiNaive {
@@ -563,31 +311,13 @@ impl<'a> Executor<'a> {
                     ..
                 },
                 ScanAccess::Whole,
-            ) => {
-                let base = self.materialize(input, stats)?;
-                let result = semi_naive_star(
-                    &base,
-                    output,
-                    cond,
-                    *direction,
-                    self.store,
-                    &self.options,
-                    stats,
-                )?;
-                Box::new(SetCursor::new(result))
-            }
-            // Proposition 5 closures stream source by source, in SPO order:
-            // only the base of a reach star is materialised up front.
+            ) => self.semi_naive_cursor(input, output, cond, *direction, stats),
             (
                 PlanNode::StarReach {
                     input, same_label, ..
                 },
                 ScanAccess::Whole,
-            ) => {
-                let base = self.materialize(input, stats)?;
-                let cancel = self.options.cancel.clone();
-                Box::new(reach::reach_cursor(base, *same_label, cancel))
-            }
+            ) => self.reach_cursor(input, *same_label, stats),
             (
                 PlanNode::PathNfa {
                     relation,
@@ -596,274 +326,450 @@ impl<'a> Executor<'a> {
                     ..
                 },
                 ScanAccess::Whole,
-            ) => {
-                let cancel = self.options.cancel.clone();
-                Box::new(rpq::path_cursor(
-                    self.store, relation, path, *max_hops, cancel,
-                )?)
-            }
+            ) => self.path_cursor(relation, path, *max_hops),
             (PlanNode::Memo { slot, input }, ScanAccess::Whole) => {
-                let set =
-                    self.memo_slot(*slot, stats, |this, stats| this.materialize(input, stats))?;
-                Box::new(ArcSetCursor { set, pos: 0 })
+                self.memo_cursor(*slot, input, stats)
             }
             (PlanNode::Sort { input, order, .. }, ScanAccess::Whole) => {
-                // The order breaker: materialise the input (set-at-a-time,
-                // breakers beneath still parallelise), then re-emit in the
-                // requested permutation's key order.
-                let set = self.materialize(input, stats)?;
-                if *order == Permutation::Spo {
-                    Box::new(SetCursor::new(set))
-                } else {
-                    let mut rows = set.into_vec();
-                    rows.sort_unstable_by_key(|t| order.key(t));
-                    Box::new(RowsCursor { rows, pos: 0 })
-                }
+                self.sort_cursor(input, *order, stats)
             }
             (
                 PlanNode::TopK {
                     input, k, order, ..
                 },
                 ScanAccess::Whole,
-            ) => {
-                if *k == 0 {
-                    return Ok(Some(Box::new(EmptyCursor)));
-                }
-                let input = self.cursor(input, stats)?;
-                Box::new(TopKCursor {
-                    input,
-                    k: *k,
-                    order: *order,
-                    out: Vec::new(),
-                    pos: 0,
-                    drained: false,
-                    cancel: self.options.cancel.checker(),
-                })
-            }
-        };
-        Ok(Some(cursor))
+            ) => self.topk_cursor(input, *k, *order, stats),
+        }
     }
 
-    /// The evaluate-to-set walk: `node`'s full output as a [`TripleSet`].
+    /// An index scan's run, or the part of it `access` selects, with any
+    /// residual filter applied as it streams.
+    fn scan_cursor(
+        &self,
+        relation: &str,
+        bound: Option<(usize, ObjectId)>,
+        residual: &Conditions,
+        order: Permutation,
+        access: ScanAccess,
+    ) -> Compiled<'a> {
+        let (base, index) = self
+            .store
+            .relation_with_index(relation)
+            .ok_or_else(|| Error::UnknownRelation(relation.to_owned()))?;
+        let mut run = match bound {
+            None => index.scan_cursor(base, order),
+            Some((component, value)) => index.matching_cursor(base, component, value),
+        };
+        match access {
+            ScanAccess::Whole => {}
+            // `O(log n)` on the permutation run.
+            ScanAccess::After(order, after) => run.seek(order, after),
+            // Contiguous, disjoint, non-empty sub-ranges of the run.
+            ScanAccess::Morsel { index, of } => match parallel::chunk(run.rest(), of).get(index) {
+                Some(morsel) => run = RangeCursor::new(morsel),
+                None => return Ok(None),
+            },
+        }
+        let residual =
+            (!residual.is_empty()).then(|| CompiledConditions::compile(residual, self.store));
+        Ok(Some(Box::new(ScanCursor {
+            // Mirror `index_scan`'s instrumentation: plain relation
+            // passthroughs are free, indexed runs and filtered scans count
+            // their rows.
+            instrument: bound.is_some() || residual.is_some(),
+            run,
+            residual,
+            store: self.store,
+        })))
+    }
+
+    fn skip_cursor(
+        &mut self,
+        node: &PlanNode,
+        order: Permutation,
+        after: [ObjectId; 3],
+        stats: &mut EvalStats,
+    ) -> Compiled<'a> {
+        let Some(input) = self.cursor_inner(node, ScanAccess::Whole, stats)? else {
+            return Ok(None);
+        };
+        Ok(Some(Box::new(SkipCursor {
+            input,
+            order,
+            after,
+            skipping: true,
+        })))
+    }
+
+    fn universe_cursor(&self) -> Compiled<'a> {
+        let adom = ops::universe_domain(self.store, &self.options)?;
+        Ok(Some(Box::new(UniverseCursor::new(adom))))
+    }
+
+    fn filter_cursor(
+        &mut self,
+        input: &PlanNode,
+        cond: &Conditions,
+        access: ScanAccess,
+        stats: &mut EvalStats,
+    ) -> Compiled<'a> {
+        let Some(input) = self.cursor_at(input, access, stats)? else {
+            return Ok(None);
+        };
+        Ok(Some(Box::new(FilterCursor {
+            input,
+            cond: CompiledConditions::compile(cond, self.store),
+            store: self.store,
+        })))
+    }
+
+    fn limit_cursor(
+        &mut self,
+        input: &PlanNode,
+        limit: usize,
+        access: ScanAccess,
+        stats: &mut EvalStats,
+    ) -> Compiled<'a> {
+        if limit == 0 {
+            return Ok(Some(Box::new(EmptyCursor)));
+        }
+        // A stream sorted under *any* permutation key is strictly
+        // increasing in a total order, hence duplicate-free: the countdown
+        // needs no seen-set.
+        let seen = input
+            .ordering()
+            .is_none()
+            .then(std::collections::HashSet::new);
+        let Some(input) = self.cursor_at(input, access, stats)? else {
+            return Ok(None);
+        };
+        Ok(Some(Box::new(LimitCursor {
+            input,
+            remaining: limit,
+            seen,
+        })))
+    }
+
+    /// Build side: the one genuine materialisation of a hash join. The build
+    /// itself shards across workers when large; the probe side stays a
+    /// sequential pull-based stream (its consumer may stop at any triple).
+    fn hash_join_cursor(
+        &mut self,
+        left: &PlanNode,
+        right: &PlanNode,
+        output: &OutputSpec,
+        cond: &Conditions,
+        keys: &[(Pos, Pos)],
+        stats: &mut EvalStats,
+    ) -> Compiled<'a> {
+        let build = self.materialize(right, stats)?;
+        let degree = self.options.degree(build.len());
+        let cond = CompiledConditions::compile(cond, self.store);
+        let [left_used, right_used] = used_positions(output, &cond);
+        let cancel = &self.options.cancel;
+        let table = ops::JoinTable::build(&build, keys, right_used, degree, cancel, stats);
+        // A build cut short by cancellation is a partial table.
+        self.options.cancel.check()?;
+        let probe = self.cursor(left, stats)?;
+        stats.joins_executed += 1;
+        Ok(Some(Box::new(HashJoinCursor {
+            probe,
+            seen: Distinct::new(left_used),
+            table,
+            output: *output,
+            cond,
+            store: self.store,
+            buf: Vec::new(),
+            buf_pos: 0,
+        })))
+    }
+
+    /// Both inputs stream pre-sorted on the join-key component (the planner
+    /// guarantees it); the join is a synchronized pass with no build side
+    /// and no hash table.
+    fn merge_join_cursor(
+        &mut self,
+        left: &PlanNode,
+        right: &PlanNode,
+        output: &OutputSpec,
+        cond: &Conditions,
+        key: (Pos, Pos),
+        stats: &mut EvalStats,
+    ) -> Compiled<'a> {
+        let l = self.cursor(left, stats)?;
+        let r = self.cursor(right, stats)?;
+        stats.joins_executed += 1;
+        let cond = CompiledConditions::compile(cond, self.store);
+        let [left_used, right_used] = used_positions(output, &cond);
+        Ok(Some(Box::new(MergeJoinCursor {
+            left: l,
+            right: r,
+            lc: key.0.component_index(),
+            rc: key.1.component_index(),
+            output: *output,
+            cond,
+            store: self.store,
+            emit_once: *output == OutputSpec::IDENTITY,
+            l_cur: None,
+            group: Vec::new(),
+            group_key: None,
+            left_seen: Distinct::new(left_used),
+            right_seen: Distinct::new(right_used),
+            group_pos: 0,
+            r_peek: None,
+            primed: false,
+        })))
+    }
+
+    fn index_join_cursor(
+        &mut self,
+        outer: &PlanNode,
+        relation: &str,
+        probe: (Pos, Pos),
+        output: &OutputSpec,
+        cond: &Conditions,
+        stats: &mut EvalStats,
+    ) -> Compiled<'a> {
+        let (base, index) = self
+            .store
+            .relation_with_index(relation)
+            .ok_or_else(|| Error::UnknownRelation(relation.to_owned()))?;
+        let outer = self.cursor(outer, stats)?;
+        stats.joins_executed += 1;
+        let cond = CompiledConditions::compile(cond, self.store);
+        let [outer_used, _] = used_positions(output, &cond);
+        Ok(Some(Box::new(IndexJoinCursor {
+            outer,
+            seen: Distinct::new(outer_used),
+            base,
+            index,
+            probe,
+            output: *output,
+            cond,
+            store: self.store,
+            current: None,
+            run: &[],
+            run_pos: 0,
+        })))
+    }
+
+    fn nested_loop_cursor(
+        &mut self,
+        left: &PlanNode,
+        right: &PlanNode,
+        output: &OutputSpec,
+        cond: &Conditions,
+        stats: &mut EvalStats,
+    ) -> Compiled<'a> {
+        let right = self.materialize(right, stats)?;
+        let left = self.cursor(left, stats)?;
+        stats.joins_executed += 1;
+        Ok(Some(Box::new(NestedLoopCursor {
+            left,
+            right,
+            output: *output,
+            cond: CompiledConditions::compile(cond, self.store),
+            store: self.store,
+            current: None,
+            r_pos: 0,
+        })))
+    }
+
+    /// Merges whenever the two sides share *any* sort order (not just the
+    /// canonical one), so ordered deliveries survive unions; concatenates
+    /// otherwise.
+    fn union_cursor(
+        &mut self,
+        left: &PlanNode,
+        right: &PlanNode,
+        stats: &mut EvalStats,
+    ) -> Compiled<'a> {
+        let l = self.cursor(left, stats)?;
+        let r = self.cursor(right, stats)?;
+        let shared = left.ordering().filter(|p| right.ordering() == Some(*p));
+        Ok(Some(match shared {
+            Some(perm) => Box::new(MergeUnionCursor {
+                left: l,
+                right: r,
+                perm,
+                l_peek: None,
+                r_peek: None,
+                primed: false,
+            }),
+            None => Box::new(ChainUnionCursor {
+                left: l,
+                right: r,
+                on_right: false,
+            }),
+        }))
+    }
+
+    fn diff_cursor(
+        &mut self,
+        left: &PlanNode,
+        right: &PlanNode,
+        stats: &mut EvalStats,
+    ) -> Compiled<'a> {
+        let rhs = self.materialize(right, stats)?;
+        let input = self.cursor(left, stats)?;
+        Ok(Some(Box::new(DiffCursor { input, rhs })))
+    }
+
+    fn intersect_cursor(
+        &mut self,
+        left: &PlanNode,
+        right: &PlanNode,
+        stats: &mut EvalStats,
+    ) -> Compiled<'a> {
+        let rhs = self.materialize(right, stats)?;
+        let input = self.cursor(left, stats)?;
+        Ok(Some(Box::new(IntersectCursor { input, rhs })))
+    }
+
+    fn complement_cursor(&mut self, input: &PlanNode, stats: &mut EvalStats) -> Compiled<'a> {
+        let exclude = self.materialize(input, stats)?;
+        let adom = ops::universe_domain(self.store, &self.options)?;
+        Ok(Some(Box::new(ComplementCursor {
+            universe: UniverseCursor::new(adom),
+            exclude,
+        })))
+    }
+
+    /// The generic fixpoint runs to convergence before the first row.
+    fn semi_naive_cursor(
+        &mut self,
+        input: &PlanNode,
+        output: &OutputSpec,
+        cond: &Conditions,
+        direction: StarDirection,
+        stats: &mut EvalStats,
+    ) -> Compiled<'a> {
+        let base = self.materialize(input, stats)?;
+        let store = self.store;
+        let result = semi_naive_star(&base, output, cond, direction, store, &self.options, stats)?;
+        Ok(Some(Box::new(SetCursor::new(result))))
+    }
+
+    /// A Proposition 5 closure streams source by source, in SPO order: only
+    /// its base is materialised up front.
+    fn reach_cursor(
+        &mut self,
+        input: &PlanNode,
+        same_label: bool,
+        stats: &mut EvalStats,
+    ) -> Compiled<'a> {
+        let base = self.materialize(input, stats)?;
+        let cancel = self.options.cancel.clone();
+        Ok(Some(Box::new(reach::reach_cursor(
+            base, same_label, cancel,
+        ))))
+    }
+
+    /// An NFA path walk streams root by root, from a product graph built
+    /// here.
+    fn path_cursor(
+        &self,
+        relation: &str,
+        path: &trial_parser::PathExpr,
+        max_hops: Option<usize>,
+    ) -> Compiled<'a> {
+        let cancel = self.options.cancel.clone();
+        let walk = rpq::path_cursor(self.store, relation, path, max_hops, cancel)?;
+        Ok(Some(Box::new(walk)))
+    }
+
+    fn memo_cursor(
+        &mut self,
+        slot: usize,
+        input: &PlanNode,
+        stats: &mut EvalStats,
+    ) -> Compiled<'a> {
+        let set = self.memo_slot(slot, input, stats)?;
+        Ok(Some(Box::new(ArcSetCursor { set, pos: 0 })))
+    }
+
+    /// The order breaker: materialise the input, then re-emit it in the
+    /// requested permutation's key order.
+    fn sort_cursor(
+        &mut self,
+        input: &PlanNode,
+        order: Permutation,
+        stats: &mut EvalStats,
+    ) -> Compiled<'a> {
+        let set = self.materialize(input, stats)?;
+        if order == Permutation::Spo {
+            return Ok(Some(Box::new(SetCursor::new(set))));
+        }
+        let mut rows = set.into_vec();
+        rows.sort_unstable_by_key(|t| order.key(t));
+        Ok(Some(Box::new(RowsCursor { rows, pos: 0 })))
+    }
+
+    fn topk_cursor(
+        &mut self,
+        input: &PlanNode,
+        k: usize,
+        order: Permutation,
+        stats: &mut EvalStats,
+    ) -> Compiled<'a> {
+        if k == 0 {
+            return Ok(Some(Box::new(EmptyCursor)));
+        }
+        let input = self.cursor(input, stats)?;
+        Ok(Some(Box::new(TopKCursor {
+            input,
+            k,
+            order,
+            out: Vec::new(),
+            pos: 0,
+            drained: false,
+            cancel: self.options.cancel.checker(),
+        })))
+    }
+
+    /// Resolves a memo slot: the shared sub-result, computed from `input`
+    /// by the first memo node of the slot that runs.
+    fn memo_slot(
+        &mut self,
+        slot: usize,
+        input: &PlanNode,
+        stats: &mut EvalStats,
+    ) -> Result<Arc<TripleSet>> {
+        if let Some(cached) = &self.memo[slot] {
+            stats.memo_hits += 1;
+            return Ok(Arc::clone(cached));
+        }
+        let set = Arc::new(self.materialize(input, stats)?);
+        self.memo[slot] = Some(Arc::clone(&set));
+        Ok(set)
+    }
+
+    /// `node`'s full output as a [`TripleSet`]: how a breaker fills its
+    /// blocking input and how an unbounded evaluation collects its result.
     ///
-    /// This is how pipeline breakers consume their blocking inputs and how
-    /// an unbounded evaluation collects its result: operators whose output
-    /// is naturally a full set build it directly with the set-at-a-time
-    /// kernels (see the module docs for what pulling it row by row through
-    /// cursors would cost). Records per-node actual cardinalities when the
-    /// profiler is active.
+    /// Index scans, memo slots and closures compute their sets directly (the
+    /// filtered scan, the semi-naive rounds and the per-source closures fan
+    /// out across workers); every other node drains its cursor. A sort is
+    /// the identity on sets and passes straight through.
     pub(crate) fn materialize(
         &mut self,
         node: &PlanNode,
         stats: &mut EvalStats,
     ) -> Result<TripleSet> {
-        // Per-node checkpoint: every operator (and every fixpoint base,
-        // breaker input, memo fill) passes through here, so a latched token
-        // stops the evaluation at the next node boundary — and discards any
-        // partial morsel output a cancelled `run_tasks` fan-out may have
-        // produced.
+        // Per-node checkpoint: every breaker input, fixpoint base and memo
+        // fill passes through here, so a latched token stops the evaluation
+        // at the next node boundary — and discards any partial morsel output
+        // a cancelled `run_tasks` fan-out may have produced.
         self.options.cancel.check()?;
-        // A bounded subtree runs as a cursor pipeline whose profiling shims
-        // time it already.
-        let bounded = matches!(node, PlanNode::Limit { .. } | PlanNode::TopK { .. });
-        let start = (self.profiler.is_some() && !bounded).then(Instant::now);
-        let result = self.eval_set(node, stats)?;
-        // Re-check on the way out: a morsel fan-out (or a bounded drain)
-        // cancelled mid-node delivers a truncated set, which must surface as
-        // the error, not as this node's result.
-        self.options.cancel.check()?;
-        if let (Some(profiler), Some(start)) = (&self.profiler, start) {
-            // Inclusive wall time: a parent's measurement covers its
-            // children (mirroring the cursor shim's semantics).
-            profiler.timer(node_key(node)).add_full(start.elapsed());
-        }
-        self.record(node, result.len());
-        Ok(result)
-    }
-
-    /// Evaluates the two inputs of a binary operator, overlapping them on
-    /// two threads when parallelism is on and both sides are estimated
-    /// large enough to be worth a spawn: the right (blocking) side
-    /// materialises on a worker driven by a sibling executor while the left
-    /// side runs on the current thread — how difference/intersection right
-    /// sides and join build sides stop serialising behind their siblings.
-    fn eval_pair(
-        &mut self,
-        left: &PlanNode,
-        right: &PlanNode,
-        stats: &mut EvalStats,
-    ) -> Result<(TripleSet, TripleSet)> {
-        if self.options.degree(left.est().min(right.est())) == 1 {
-            let l = self.materialize(left, stats)?;
-            let r = self.materialize(right, stats)?;
-            return Ok((l, r));
-        }
-        let mut far = self.child();
-        // The sibling shares the profiler: its per-node measurements land in
-        // the same timers, so nothing needs merging back.
-        let (l, r) = parallel::join_pair(
-            |stats| self.materialize(left, stats),
-            move |stats| far.materialize(right, stats),
-            stats,
-        );
-        Ok((l?, r?))
-    }
-
-    fn eval_set(&mut self, node: &PlanNode, stats: &mut EvalStats) -> Result<TripleSet> {
-        match node {
+        let start = self.profiler.is_some().then(Instant::now);
+        let result = match node {
             PlanNode::IndexScan {
                 relation,
                 bound,
                 residual,
                 ..
-            } => self.index_scan(relation, *bound, residual, stats),
-            PlanNode::Universe { .. } => ops::universe(self.store, &self.options, stats),
-            PlanNode::Empty => Ok(TripleSet::new()),
-            PlanNode::Filter { input, cond, .. } => {
-                let input = self.materialize(input, stats)?;
-                let cond = CompiledConditions::compile(cond, self.store);
-                let degree = self.options.degree(input.len());
-                let cancel = &self.options.cancel;
-                let rows = ops::select(input.as_slice(), &cond, self.store, degree, cancel, stats);
-                Ok(TripleSet::from_sorted_vec(rows))
-            }
-            PlanNode::HashJoin {
-                left,
-                right,
-                output,
-                cond,
-                keys,
-                ..
-            } => {
-                let (l, r) = self.eval_pair(left, right, stats)?;
-                let cond = CompiledConditions::compile(cond, self.store);
-                // Build on the planner's chosen keys so execution always
-                // matches what explain() displays; shard the build and
-                // partition the probe across workers when the sides are
-                // large enough.
-                let cancel = &self.options.cancel;
-                let build_start = self.profiler.is_some().then(Instant::now);
-                let [_, right_used] = used_positions(output, &cond);
-                let degree = self.options.degree(r.len());
-                let table = ops::JoinTable::build(&r, keys, right_used, degree, cancel, stats);
-                // Mirror the cursor path's breaker semantics: the blocking
-                // table construction is reported as build time.
-                if let (Some(profiler), Some(start)) = (&self.profiler, build_start) {
-                    profiler.timer(node_key(node)).add_build(start.elapsed());
-                }
-                let degree = self.options.degree(l.len());
-                Ok(ops::hash_join_probe(
-                    &l, &table, output, &cond, self.store, degree, cancel, stats,
-                ))
-            }
-            PlanNode::MergeJoin {
-                left,
-                right,
-                output,
-                cond,
-                key,
-                ..
-            } => {
-                let (l, r) = self.eval_pair(left, right, stats)?;
-                let cond = CompiledConditions::compile(cond, self.store);
-                let lc = key.0.component_index();
-                let rc = key.1.component_index();
-                // Key-sorted views of the two sides: borrowed straight from
-                // a store permutation when a side is a stored relation,
-                // sorted copies otherwise. SPO keys borrow the set itself.
-                let l_sorted = self.key_sorted_view(left, &l, lc);
-                let r_sorted = self.key_sorted_view(right, &r, rc);
-                let degree = self.options.degree(l.len().max(r.len()));
-                Ok(ops::merge_join(
-                    &l_sorted,
-                    &r_sorted,
-                    lc,
-                    rc,
-                    output,
-                    &cond,
-                    self.store,
-                    degree,
-                    &self.options.cancel,
-                    stats,
-                ))
-            }
-            PlanNode::IndexNestedLoopJoin {
-                outer,
-                relation,
-                probe,
-                output,
-                cond,
-                ..
-            } => {
-                let outer = self.materialize(outer, stats)?;
-                let (base, index) = self
-                    .store
-                    .relation_with_index(relation)
-                    .ok_or_else(|| Error::UnknownRelation(relation.clone()))?;
-                let cond = CompiledConditions::compile(cond, self.store);
-                Ok(ops::index_nested_loop_join(
-                    &outer,
-                    base,
-                    index,
-                    *probe,
-                    output,
-                    &cond,
-                    self.store,
-                    self.options.degree(outer.len()),
-                    &self.options.cancel,
-                    stats,
-                ))
-            }
-            PlanNode::NestedLoopJoin {
-                left,
-                right,
-                output,
-                cond,
-                ..
-            } => {
-                let (l, r) = self.eval_pair(left, right, stats)?;
-                let cond = CompiledConditions::compile(cond, self.store);
-                let degree = self.options.degree(l.len());
-                let cancel = &self.options.cancel;
-                Ok(ops::nested_loop_join(
-                    &l, &r, output, &cond, self.store, degree, cancel, stats,
-                ))
-            }
-            PlanNode::Union { left, right, .. } => {
-                let (l, r) = self.eval_pair(left, right, stats)?;
-                stats.triples_scanned += (l.len() + r.len()) as u64;
-                Ok(l.union(&r))
-            }
-            PlanNode::Diff { left, right, .. } => {
-                // The right side materialises concurrently with the left
-                // when parallelism is on (see eval_pair).
-                let (l, r) = self.eval_pair(left, right, stats)?;
-                stats.triples_scanned += (l.len() + r.len()) as u64;
-                Ok(l.difference(&r))
-            }
-            PlanNode::Intersect { left, right, .. } => {
-                let (l, r) = self.eval_pair(left, right, stats)?;
-                stats.triples_scanned += (l.len() + r.len()) as u64;
-                Ok(l.intersection(&r))
-            }
-            PlanNode::Complement { input, .. } => {
-                // With parallelism on, the excluded input materialises on a
-                // worker while the universe builds on the current thread.
-                let (e, u) = if self.options.degree(input.est()) > 1 {
-                    let mut far = self.child();
-                    let (u, e) = parallel::join_pair(
-                        |stats| ops::universe(self.store, &self.options, stats),
-                        move |stats| far.materialize(input, stats),
-                        stats,
-                    );
-                    (e?, u?)
-                } else {
-                    let e = self.materialize(input, stats)?;
-                    (e, ops::universe(self.store, &self.options, stats)?)
-                };
-                stats.triples_scanned += (e.len() + u.len()) as u64;
-                Ok(u.difference(&e))
-            }
+            } => self.index_scan(relation, *bound, residual, stats)?,
+            PlanNode::Memo { slot, input } => (*self.memo_slot(*slot, input, stats)?).clone(),
             PlanNode::StarSemiNaive {
                 input,
                 output,
@@ -880,7 +786,7 @@ impl<'a> Executor<'a> {
                     self.store,
                     &self.options,
                     stats,
-                )
+                )?
             }
             PlanNode::StarReach {
                 input, same_label, ..
@@ -893,85 +799,49 @@ impl<'a> Executor<'a> {
                 path,
                 max_hops,
                 ..
-            } => self.path_nfa(relation, path, *max_hops, stats),
-            PlanNode::Memo { slot, input } => {
-                let set =
-                    self.memo_slot(*slot, stats, |this, stats| this.materialize(input, stats))?;
-                Ok((*set).clone())
-            }
-            PlanNode::Limit { .. } | PlanNode::TopK { .. } => {
-                // The first `limit` distinct triples the pipeline yields
-                // (the `k` smallest for a top-k), with evaluation stopping at
-                // the boundary. This is the **explicit sequential fallback**
-                // of the parallel executor: a parallel drain would race
-                // workers past the limit and forfeit early termination, and
-                // the top-k cursor's bounded heap is what keeps memory at
-                // ≤ k buffered rows above the deepest breaker (breakers
-                // beneath still parallelise inside their own
-                // materialisation).
-                let mut cursor = self.cursor(node, stats)?;
-                // Seed capacity from the estimate, capped so a wild estimate
-                // cannot over-allocate.
-                let mut out = Vec::with_capacity(node.est().min(1 << 16));
-                // The drain is a cancellation checkpoint: the subtree can be
-                // long-running and this loop is its only pull site. Cursors
-                // are infallible, so a cancelled pipeline just ends early;
-                // `materialize` turns the latch into the structured error
-                // before the truncated drain can pass for a complete result.
-                let mut checker = self.options.cancel.checker();
-                while let Some(t) = cursor.next(stats) {
-                    if checker.should_stop() {
-                        break;
-                    }
-                    out.push(t);
-                }
-                Ok(if node.ordered() {
-                    TripleSet::from_sorted_vec(out)
-                } else {
-                    TripleSet::from_vec(out)
-                })
-            }
-            // Sets carry no order: a sort is an emit-order directive for
-            // the cursor walk and the identity here.
-            PlanNode::Sort { input, .. } => self.materialize(input, stats),
+            } => self.path_nfa(relation, path, *max_hops, stats)?,
+            PlanNode::Sort { input, .. } => self.materialize(input, stats)?,
+            // The node's profiling shim counts and times the drain.
+            _ => return self.drain(node, stats),
+        };
+        // Re-check on the way out: a morsel fan-out cancelled mid-node
+        // delivers a truncated set, which must surface as the error, not as
+        // this node's result.
+        self.options.cancel.check()?;
+        if let (Some(profiler), Some(start)) = (&self.profiler, start) {
+            // Inclusive wall time: a parent's measurement covers its
+            // children (mirroring the cursor shim's semantics).
+            let timer = profiler.timer(node_key(node));
+            timer.add_full(start.elapsed());
+            timer.add_rows(result.len() as u64);
         }
+        Ok(result)
     }
 
-    /// A view of `set` sorted by the key component `component`, borrowing
-    /// where the order is already available: the set itself for component 0
-    /// (canonical order) or the store's cached permutation when `node` scans
-    /// a stored relation unfiltered; a sorted copy otherwise.
-    fn key_sorted_view<'s>(
-        &self,
-        node: &PlanNode,
-        set: &'s TripleSet,
-        component: usize,
-    ) -> Cow<'s, [Triple]>
-    where
-        'a: 's,
-    {
-        if component == 0 {
-            return Cow::Borrowed(set.as_slice());
-        }
-        if let PlanNode::IndexScan {
-            relation,
-            bound: None,
-            residual,
-            ..
-        } = node
-        {
-            if residual.is_empty() {
-                if let Some((base, index)) = self.store.relation_with_index(relation) {
-                    return Cow::Borrowed(
-                        index.permutation(base, Permutation::keyed_on(component)),
-                    );
-                }
+    /// Drains `node`'s cursor into a set, with evaluation stopping at a
+    /// limit or top-k boundary inside it. The loop is a cancellation
+    /// checkpoint: the pipeline can be long-running and this is its only
+    /// pull site. Cursors are infallible, so a cancelled pipeline just ends
+    /// early, and the latch surfaces as the error before the truncated
+    /// drain can pass for a complete result.
+    fn drain(&mut self, node: &PlanNode, stats: &mut EvalStats) -> Result<TripleSet> {
+        let mut cursor = self.cursor(node, stats)?;
+        // Seed capacity from the estimate, capped so a wild estimate cannot
+        // over-allocate.
+        let mut out = Vec::with_capacity(node.est().min(1 << 16));
+        let mut checker = self.options.cancel.checker();
+        while let Some(t) = cursor.next(stats) {
+            if checker.should_stop() {
+                break;
             }
+            out.push(t);
         }
-        let mut rows = set.as_slice().to_vec();
-        let perm = Permutation::keyed_on(component);
-        rows.sort_unstable_by_key(|t| perm.key(t));
-        Cow::Owned(rows)
+        self.options.cancel.check()?;
+        Ok(if node.ordered() {
+            TripleSet::from_sorted_vec(out)
+        } else {
+            TripleSet::from_vec(out)
+        })
     }
 
     /// Scans a relation, serving a pushed-down constant binding from the
@@ -980,8 +850,8 @@ impl<'a> Executor<'a> {
     fn index_scan(
         &self,
         relation: &str,
-        bound: Option<(usize, trial_core::ObjectId)>,
-        residual: &trial_core::Conditions,
+        bound: Option<(usize, ObjectId)>,
+        residual: &Conditions,
         stats: &mut EvalStats,
     ) -> Result<TripleSet> {
         let (base, index) = self
@@ -1014,21 +884,11 @@ impl<'a> Executor<'a> {
     }
 
     /// Runs a Proposition 5 reachability star over its materialised base.
-    fn star_reach(
-        &self,
-        base: &TripleSet,
-        same_label: bool,
-        stats: &mut EvalStats,
-    ) -> Result<TripleSet> {
+    fn star_reach(&self, base: &TripleSet, same_label: bool, stats: &mut EvalStats) -> TripleSet {
         // One BFS per `(x, ℓ)` source: the base size bounds the number of
         // sources, which is what the morsel fan-out partitions.
-        let cancel = &self.options.cancel;
         let degree = self.options.degree(base.len());
-        let result = reach::reach_star(base, same_label, degree, cancel, stats);
-        // A closure cut short by cancellation is a partial set: surface the
-        // error here so it never reaches downstream operators or caches.
-        cancel.check()?;
-        Ok(result)
+        reach::reach_star(base, same_label, degree, &self.options.cancel, stats)
     }
 
     /// Evaluates a [`PlanNode::PathNfa`] leaf: a product-graph BFS over the
@@ -1060,9 +920,10 @@ impl<'a> Executor<'a> {
 
 #[cfg(test)]
 mod tests {
-    //! The properties the two walks are held to, over a fixed corpus that
-    //! reaches every operator and over random stores × expressions × bounds,
-    //! each at threads 1/2/4 with the morsel threshold off.
+    //! The properties the cursor walk and the sets `materialize` computes
+    //! directly are held to, over a fixed corpus that reaches every operator and over random stores ×
+    //! expressions × bounds, each at threads 1/2/4 with the morsel threshold
+    //! off.
 
     use super::*;
     use crate::planner::tests::expression_zoo;
@@ -1070,7 +931,7 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::BTreeSet;
     use trial_core::builder::queries;
-    use trial_core::{output, Conditions, Expr, Pos, StarDirection, TriplestoreBuilder};
+    use trial_core::{output, Expr, Triple, TriplestoreBuilder};
 
     /// `(order, limit, top-k)` of one query.
     type Knobs = (Option<Permutation>, Option<usize>, Option<usize>);

@@ -57,37 +57,32 @@
 //!
 //! # Execution model
 //!
-//! The executor ([`exec`]) walks a plan in exactly two ways, and the plan
-//! shape and the consumer — never an option — pick between them:
+//! One walk; breakers own their set work. The executor ([`exec`]) compiles
+//! every physical operator into a [`Cursor`] ([`cursor`]) that yields one
+//! triple per pull and performs work only when pulled. The paper's Theorem 3
+//! prices evaluation per triple produced, and the pipeline makes that price
+//! real: a consumer that stops after ten triples pays for ten triples, not
+//! for the full intermediate relations. The walk runs behind every
+//! [`QueryStream`] ([`SmartEngine::stream`]), and a full result
+//! ([`SmartEngine::execute`]) is the root's cursor drained into a
+//! [`TripleSet`](trial_core::TripleSet).
 //!
-//! * **Compile to cursors** ([`cursor`]) — every physical operator becomes a
-//!   [`Cursor`] that yields one triple per pull and performs work only when
-//!   pulled. The paper's Theorem 3 prices evaluation per triple produced,
-//!   and the pipeline makes that price real: a consumer that stops after ten
-//!   triples pays for ten triples, not for the full intermediate relations.
-//!   This walk runs under every limit and top-k bound and behind every
-//!   [`QueryStream`] ([`SmartEngine::stream`]).
-//! * **Evaluate to a set** ([`ops`]) — every operator computes its full
-//!   [`TripleSet`](trial_core::TripleSet) with set-at-a-time kernels, which
-//!   also carry the morsel parallelism. This walk fills the blocking input
-//!   of a pipeline breaker and collects a full result
-//!   ([`SmartEngine::execute`]).
+//! A pipeline breaker fills its blocking input while its cursor is built,
+//! and that set work is the breaker's own: an index scan hands over its
+//! stored run (copied through a residual filter, [`ops::select`], when it
+//! has one), a memo slot its shared set, and a closure computes its set
+//! (semi-naive rounds, or the per-source Proposition 5 closures of
+//! [`reach`] and [`rpq`]). Any other input is its own cursor, drained.
+//! The reference that the differential suites hold the engine to is the
+//! independent [`NaiveEngine`], not a second mode of this engine.
 //!
-//! Both stay because each wins somewhere. Only cursors terminate early; and
-//! draining cursors into sets in place of the kernels was measured at 0.89×
-//! on a 500k-row join and 0.80× on a 600k-row union (the repo benchmark's
-//! `engine_mix` workload, whose bodies are top-k bounded, did not move:
-//! `latency_p50_ms` 19.9 → 19.2). The reference that the differential suites
-//! hold both walks to is the independent [`NaiveEngine`], not a second mode
-//! of this engine.
-//!
-//! **Joins see only the positions they use.** In both walks every keyed
-//! join reads each side through its U-projection: a probe row whose
-//! projection already probed is skipped, and build sides and merge groups
-//! keep one row per projection (the U rule, stated in [`ops`]). The plan
-//! does not change, and neither does the order in which distinct rows
-//! arrive; only `pairs_considered` and `triples_emitted` fall. This is what
-//! holds TriAL⁼ joins to Proposition 4's O(|O|·|T|) on dense stores.
+//! **Joins see only the positions they use.** Every keyed join reads each
+//! side through its U-projection: a probe row whose projection already
+//! probed is skipped, and build sides and merge groups keep one row per
+//! projection (the U rule, stated in [`ops`]). The plan does not change,
+//! and neither does the order in which distinct rows arrive; only
+//! `pairs_considered` and `triples_emitted` fall. This is what holds TriAL⁼
+//! joins to Proposition 4's O(|O|·|T|) on dense stores.
 //!
 //! **Streaming operators** (first row costs O(1) beyond their children):
 //! index scans (over the store's cached SPO/POS/OSP permutation runs,
@@ -131,9 +126,6 @@
 //!   an index nested-loop probe is still chosen when its outer side is ≫
 //!   smaller than the two linear scans (factor 8 in the cost gate), and
 //!   the planner never *inserts a sort* just to enable a merge join.
-//!   The set-at-a-time executor runs merge joins morsel-parallel by carving
-//!   the left run at key-run boundaries (aligned sorted runs), each worker
-//!   binary-searching its matching right sub-run.
 //! * **Order delivery** ([`SmartEngine::plan_query`] with an order) —
 //!   requesting an output order rewrites the plan so the root streams in that permutation's key
 //!   order: unbound scans switch permutation, filters / difference and
@@ -207,48 +199,41 @@
 //! # Parallel execution
 //!
 //! [`EvalOptions::threads`]` = n` enables **morsel-driven intra-query
-//! parallelism** ([`parallel`]): operator inputs are carved into contiguous
-//! morsels and executed on a scoped `std::thread` worker pool, synchronising
-//! at the pipeline breakers that already exist in the streaming model. The
-//! default is 1 (the single-threaded path); `TRIAL_EVAL_THREADS` overrides
-//! the process default, which is how CI runs the suite a second time with
-//! parallelism on.
+//! parallelism** ([`parallel`]): set work is carved into contiguous morsels
+//! and executed on a scoped `std::thread` worker pool. The default is 1
+//! (the single-threaded path); `TRIAL_EVAL_THREADS` overrides the process
+//! default, which is how CI runs the suite a second time with parallelism
+//! on.
 //!
-//! The degree is an **argument**, not a second operator: there is one
-//! kernel per operator in [`ops`], and it runs its morsels inline when the
-//! degree is 1. `parallel::chunk` is the only splitter (of slices, of scanned
-//! permutation runs and of a stream's exchange fan-out), and
-//! [`EvalOptions::degree`] is the only rule for when an operator fans out.
+//! The degree is an **argument**, not a second operator: each set kernel
+//! runs its morsels inline when the degree is 1. `parallel::chunk` is the
+//! only splitter (of slices, of scanned permutation runs and of a stream's
+//! exchange fan-out), and [`EvalOptions::degree`] is the only rule for when
+//! an operator fans out.
 //!
-//! **What parallelises** (tagged `[parallel×N]` by `explain()`):
+//! **What fans out** (tagged `[parallel×N]` by `explain()`) is the set work
+//! that breakers own; cursors run on the thread that pulls them:
 //!
 //! * **hash joins** — the build side is sharded across workers and merged
-//!   shard-by-shard (bucket order identical to a sequential build); the
-//!   set-at-a-time probe partitions the probe side against the shared
-//!   read-only `JoinTable`;
-//! * **index / plain nested-loop joins** — the outer side partitions;
-//!   workers probe the store's cached permutation index concurrently;
-//! * **filtered scans and selections** — the scanned run splits into
-//!   morsels (order-preserving: morsel outputs concatenate in run order);
+//!   shard-by-shard (bucket order identical to a sequential build);
+//! * **filtered index scans** a breaker materialises — the scanned run
+//!   splits into morsels (order-preserving: morsel outputs concatenate in
+//!   run order);
 //! * **star fixpoints** — semi-naive rounds partition each round's delta
-//!   across workers probing the build-once hash table; the Proposition 5
-//!   walk partitions its `(x, ℓ)` sources over the shared SPO run;
-//! * **union / difference / intersection / complement** — the two sides
-//!   (for complement: the excluded input and the universe) materialise
-//!   concurrently on sibling executors sharing the memo slots, so a
-//!   repeated sub-expression is still computed exactly once.
+//!   across workers probing the build-once hash table;
+//! * **Proposition 5 closures** a breaker materialises — `StarReach` and
+//!   `PathNfa` partition their sources over the shared SPO run;
+//! * **the stream exchange** — [`QueryStream::channel`] runs an ordered,
+//!   morselizable root as one producer per morsel of its scan.
 //!
-//! **Fallback rules.** A [`PlanNode::Limit`] subtree always runs as one
-//! sequential pull-based pipeline — racing workers past a limit would
-//! forfeit early termination — and operators stay at degree 1 beneath
+//! **Fallback rules.** Operators stay at degree 1 beneath
 //! [`EvalOptions::parallel_min_rows`] (morsel overhead beats the work on
 //! small inputs; the heuristic default is a few thousand rows). Results are
 //! **identical** at every degree: morsels are contiguous and their outputs
 //! concatenate in input order, so even pre-deduplication row sequences match
-//! the single-threaded run. Work counters are **equal** at every degree: they
-//! are exact sums over the morsels, and the merge join counts its scan once
-//! from the two runs. `tests/parallel_differential.rs` holds both against
-//! the naive engine across `threads ∈ {1, 2, 4}`, with
+//! the single-threaded run. Work counters are **equal** at every degree:
+//! they are exact sums over the morsels. `tests/parallel_differential.rs`
+//! holds both against the naive engine across `threads ∈ {1, 2, 4}`, with
 //! [`EvalStats::parallel_morsels`] recording the fan-out.
 //!
 //! # Instrumentation

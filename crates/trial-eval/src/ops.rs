@@ -1,19 +1,19 @@
 //! Shared physical operators: selections, joins, and the universal relation.
 //!
-//! Engines are assembled from the primitives in this module; they differ only
-//! in *which* primitive the planner picks for a given operator and in how
-//! they iterate Kleene stars. Hash joins are split into an explicit build
+//! The set-at-a-time kernels here serve [`crate::NaiveEngine`], the
+//! semi-naive fixpoint and the filtered index scans the executor
+//! materialises; the cursors of [`crate::cursor`] share [`JoinTable`] and the
+//! projection filter with them. Hash joins are split into an explicit build
 //! phase ([`JoinTable::build`]) and probe phase ([`hash_join_probe`]) so that
 //! fixpoint iterations can hash their invariant side **once** and probe it
 //! every round.
 //!
 //! There is **one kernel per operator**, and the degree of parallelism is an
-//! argument of it. Each kernel carves its input with `parallel::chunk` (the
-//! merge join snaps those boundaries to key-run ends), runs one task per
-//! morsel through `parallel::run_tasks` and concatenates the morsel outputs
-//! in input order. At degree 1 there is one morsel and its task runs inline
-//! on the calling thread, so the sequential reference and the morsel
-//! executor are the same code. Work counters are exact sums of the morsels'
+//! argument of it. Each kernel carves its input with `parallel::chunk`, runs
+//! one task per morsel through `parallel::run_tasks` and concatenates the
+//! morsel outputs in input order. At degree 1 there is one morsel and its
+//! task runs inline on the calling thread, so the sequential reference and
+//! the morsel executor are the same code. Work counters are exact sums of the morsels'
 //! and therefore equal at every degree.
 //!
 //! # The U rule: a join sees only the positions it uses
@@ -23,15 +23,14 @@
 //! ([`used_positions`]). Two rows of one side that agree on U produce exactly
 //! the same output rows, so after projection a row meets at most |O|
 //! distinct partners: this is why TriAL⁼ runs in O(|e|·|O|·|T|)
-//! (Proposition 4). Every keyed join applies it, in both walks:
+//! (Proposition 4). Every keyed join applies it:
 //!
 //! * **probe and outer sides** (hash and index nested-loop joins) skip a row
-//!   whose projection was already probed. The set kernels drop repeats in
-//!   one pass before carving morsels; the cursors keep a seen-set;
+//!   whose projection was already probed. The cursors keep a seen-set;
+//!   [`hash_join_probe`] drops repeats in one pass before carving morsels;
 //! * **build and buffered sides** keep one row per projection: each hash
-//!   bucket after the shards merge, each right key run of a merge join;
-//! * **merge key runs** also keep one left row per projection, local to the
-//!   key run and therefore to its morsel.
+//!   bucket after the shards merge, each right key group of a merge join;
+//! * **merge key groups** also keep one left row per projection.
 //!
 //! Every filter keeps the first occurrence in input order, and every row it
 //! drops would have re-emitted rows already emitted. So the distinct rows of
@@ -49,9 +48,7 @@ use crate::parallel;
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
-use trial_core::{
-    Error, ObjectId, OutputSpec, Pos, RelationIndex, Result, Triple, TripleSet, Triplestore,
-};
+use trial_core::{Error, ObjectId, OutputSpec, Pos, Result, Triple, TripleSet, Triplestore};
 
 /// Runs `kernel` once per morsel on up to `threads` workers and concatenates
 /// the outputs in morsel order. A single morsel's output is moved, not
@@ -153,18 +150,6 @@ impl Distinct {
     pub(crate) fn clear(&mut self) {
         self.few.clear();
         self.many.clear();
-    }
-
-    /// `run` with every repeated projection dropped, in order: the run
-    /// itself when nothing can repeat, else a filtered copy in `buf`.
-    pub(crate) fn run<'r>(&mut self, run: &'r [Triple], buf: &'r mut Vec<Triple>) -> &'r [Triple] {
-        if self.used.is_full() || run.len() < 2 {
-            return run;
-        }
-        self.clear();
-        buf.clear();
-        buf.extend(run.iter().filter(|t| self.first(t)));
-        buf
     }
 }
 
@@ -398,161 +383,6 @@ pub fn hash_join_probe(
     ))
 }
 
-/// Index nested-loop join: probes a base relation's permutation index with
-/// each outer triple instead of building a hash table.
-///
-/// `probe` is the cross equality used for the index lookup — the outer
-/// triple's component at `probe.0` must equal the relation's component at
-/// `probe.1`. Remaining conditions (including further keys) are checked per
-/// candidate pair. The outer input plays the *left* role of the join and is
-/// the side carved into morsels; each distinct projection of it probes once.
-#[allow(clippy::too_many_arguments)]
-pub fn index_nested_loop_join(
-    outer: &TripleSet,
-    base: &TripleSet,
-    index: &RelationIndex,
-    probe: (Pos, Pos),
-    output: &OutputSpec,
-    cond: &CompiledConditions,
-    store: &Triplestore,
-    threads: usize,
-    cancel: &CancelToken,
-    stats: &mut EvalStats,
-) -> TripleSet {
-    stats.joins_executed += 1;
-    let (outer_pos, inner_pos) = probe;
-    debug_assert!(outer_pos.is_left() && inner_pos.is_right());
-    let inner_component = inner_pos.component_index();
-    // Build the probed permutation before the fan-out, so workers never
-    // contend on its lazy initialisation.
-    index.permutation(base, trial_core::Permutation::keyed_on(inner_component));
-    let [used, _] = used_positions(output, cond);
-    let outer = probe_rows(outer.as_slice(), used, stats);
-    let morsels = parallel::chunk(&outer, threads);
-    TripleSet::from_vec(per_morsel(
-        morsels,
-        threads,
-        cancel,
-        stats,
-        |morsel, stats| {
-            let mut out = Vec::with_capacity(morsel.len());
-            for l in morsel {
-                stats.triples_scanned += 1;
-                let value = l.0[outer_pos.component_index()];
-                for r in index.matching(base, inner_component, value) {
-                    stats.pairs_considered += 1;
-                    if cond.check_pair(store, l, r) {
-                        out.push(project(l, r, output));
-                        stats.triples_emitted += 1;
-                    }
-                }
-            }
-            out
-        },
-    ))
-}
-
-/// Sort-merge join over two runs sorted by (at least) their key components
-/// `lc` and `rc`: one synchronized forward pass expanding equal-key run
-/// pairs into cross products. No hash table, no build phase — the
-/// set-at-a-time twin of [`crate::cursor`]'s `MergeJoinCursor`. Each side of
-/// a key run pair keeps one row per projection before the product.
-///
-/// The left run is carved into key-aligned morsels (`key_aligned_morsels`)
-/// and each merges against the right rows of its own key range. The scan is
-/// counted once, from the two runs: a forward pass reads every row of
-/// either run whose key is at most the smaller of the two last keys before
-/// one run is exhausted. That count does not depend on where the morsels
-/// fall, so `triples_scanned` is the same at every degree.
-#[allow(clippy::too_many_arguments)]
-pub fn merge_join(
-    left: &[Triple],
-    right: &[Triple],
-    lc: usize,
-    rc: usize,
-    output: &OutputSpec,
-    cond: &CompiledConditions,
-    store: &Triplestore,
-    threads: usize,
-    cancel: &CancelToken,
-    stats: &mut EvalStats,
-) -> TripleSet {
-    stats.joins_executed += 1;
-    if let (Some(l), Some(r)) = (left.last(), right.last()) {
-        let end = l.0[lc].min(r.0[rc]);
-        let read =
-            left.partition_point(|t| t.0[lc] <= end) + right.partition_point(|t| t.0[rc] <= end);
-        stats.triples_scanned += read as u64;
-    }
-    let morsels = key_aligned_morsels(left, lc, threads);
-    let [left_used, right_used] = used_positions(output, cond);
-    TripleSet::from_vec(per_morsel(
-        morsels,
-        threads,
-        cancel,
-        stats,
-        |morsel, stats| {
-            let (mut left_seen, mut right_seen) =
-                (Distinct::new(left_used), Distinct::new(right_used));
-            let (mut left_buf, mut right_buf) = (Vec::new(), Vec::new());
-            // The right sub-run covering this morsel's key range.
-            let (lo, hi) = (morsel[0].0[lc], morsel[morsel.len() - 1].0[lc]);
-            let start = right.partition_point(|t| t.0[rc] < lo);
-            let right = &right[start..];
-            let right = &right[..right.partition_point(|t| t.0[rc] <= hi)];
-            let mut out = Vec::with_capacity(morsel.len().min(right.len()));
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < morsel.len() && j < right.len() {
-                let lk = morsel[i].0[lc];
-                let rk = right[j].0[rc];
-                if lk < rk {
-                    i += 1;
-                } else if rk < lk {
-                    j += 1;
-                } else {
-                    let i_end = i + morsel[i..].partition_point(|t| t.0[lc] == lk);
-                    let j_end = j + right[j..].partition_point(|t| t.0[rc] == rk);
-                    let right_run = right_seen.run(&right[j..j_end], &mut right_buf);
-                    for l in left_seen.run(&morsel[i..i_end], &mut left_buf) {
-                        for r in right_run {
-                            stats.pairs_considered += 1;
-                            if cond.check_pair(store, l, r) {
-                                out.push(project(l, r, output));
-                                stats.triples_emitted += 1;
-                            }
-                        }
-                    }
-                    i = i_end;
-                    j = j_end;
-                }
-            }
-            out
-        },
-    ))
-}
-
-/// `parallel::chunk`'s morsels of a key-sorted run with every boundary
-/// snapped forward to the end of the key run it cuts through, so each run of
-/// equal `component` values lands wholly inside one morsel and no worker
-/// sees half a cross product. Morsels are never empty; fewer than `parts`
-/// come back when key runs are wide.
-fn key_aligned_morsels(sorted: &[Triple], component: usize, parts: usize) -> Vec<&[Triple]> {
-    let mut morsels = Vec::new();
-    let (mut start, mut end) = (0, 0);
-    for chunk in parallel::chunk(sorted, parts) {
-        end += chunk.len();
-        if end <= start {
-            // Swallowed by the previous morsel's snap.
-            continue;
-        }
-        let key = sorted[end - 1].0[component];
-        let stop = end + sorted[end..].partition_point(|t| t.0[component] == key);
-        morsels.push(&sorted[start..stop]);
-        start = stop;
-    }
-    morsels
-}
-
 /// The store's active domain, checked against `options.max_universe`: the
 /// guard shared by the materialising [`universe`] and the streaming
 /// universe/complement cursors (which enumerate `adom³` lazily but must
@@ -680,31 +510,6 @@ mod tests {
     }
 
     #[test]
-    fn index_join_agrees_with_hash_join() {
-        let store = store();
-        let (base, index) = store.relation_with_index("E").unwrap();
-        let out_spec = OutputSpec::new(Pos::L1, Pos::L2, Pos::R3);
-        let cond = CompiledConditions::compile(&Conditions::new().obj_eq(Pos::L3, Pos::R1), &store);
-        let mut s1 = EvalStats::new();
-        let mut s2 = EvalStats::new();
-        let hj = hash_join(base, base, &out_spec, &cond, &store, &mut s1);
-        let inlj = index_nested_loop_join(
-            base,
-            base,
-            index,
-            (Pos::L3, Pos::R1),
-            &out_spec,
-            &cond,
-            &store,
-            1,
-            &none(),
-            &mut s2,
-        );
-        assert_eq!(hj, inlj);
-        assert_eq!(s1.pairs_considered, s2.pairs_considered);
-    }
-
-    #[test]
     fn prebuilt_tables_are_reusable() {
         let store = store();
         let e = rel(&store);
@@ -790,9 +595,7 @@ mod tests {
 
     /// Every kernel at degrees 2, 3 and 8 against itself at degree 1: the
     /// same rows, the same bucket for every probe, and the same work
-    /// counters. The merge join runs on a right run whose keys fall between
-    /// the left morsels, which a forward pass reads but no morsel's key range
-    /// covers.
+    /// counters.
     #[test]
     fn every_kernel_is_degree_invariant() {
         let mut b = TriplestoreBuilder::new();
@@ -806,22 +609,11 @@ mod tests {
         ] {
             b.add_triple("E", s, p, o);
         }
-        // R first, so that k1 < k2 < … < k6 in id order.
-        for k in 1..=6 {
-            b.add_triple("R", format!("k{k}"), "r", "y");
-        }
-        for s in ["k1", "k5"] {
-            b.add_triple("L", s, "l", "x");
-        }
         let store = b.finish();
         let e = rel(&store);
-        let (base, index) = store.relation_with_index("E").unwrap();
-        let l = store.require_relation("L").unwrap();
-        let r = store.require_relation("R").unwrap();
         let out_spec = OutputSpec::new(Pos::L1, Pos::L2, Pos::R3);
         let compile = |c: Conditions| CompiledConditions::compile(&c, &store);
         let eq = compile(Conditions::new().obj_eq(Pos::L3, Pos::R1));
-        let same_key = compile(Conditions::new().obj_eq(Pos::L1, Pos::R1));
         let neq = compile(Conditions::new().obj_neq(Pos::L1, Pos::R1));
         let sel = compile(Conditions::new().obj_eq_const(Pos::L2, "p"));
         let keys = eq.cross_equalities();
@@ -835,50 +627,11 @@ mod tests {
             let rows = vec![
                 TripleSet::from_sorted_vec(select(e.as_slice(), &sel, &store, threads, cancel, s)),
                 hash_join_probe(&e, &table, &out_spec, &eq, &store, threads, cancel, s),
-                index_nested_loop_join(
-                    base,
-                    base,
-                    index,
-                    (Pos::L3, Pos::R1),
-                    &out_spec,
-                    &eq,
-                    &store,
-                    threads,
-                    cancel,
-                    s,
-                ),
                 nested_loop_join(&e, &e, &out_spec, &neq, &store, threads, cancel, s),
-                merge_join(
-                    l.as_slice(),
-                    r.as_slice(),
-                    0,
-                    0,
-                    &out_spec,
-                    &same_key,
-                    &store,
-                    threads,
-                    cancel,
-                    s,
-                ),
             ];
             (rows, buckets, stats)
         };
         let (rows, buckets, seq) = run(1);
-        // A forward pass reads k1 and k5 on the left and k1…k5 on the right.
-        let mut merge_only = EvalStats::new();
-        merge_join(
-            l.as_slice(),
-            r.as_slice(),
-            0,
-            0,
-            &out_spec,
-            &same_key,
-            &store,
-            1,
-            &none(),
-            &mut merge_only,
-        );
-        assert_eq!(merge_only.triples_scanned, 7);
         assert_eq!(seq.parallel_morsels, 0);
         for threads in [2usize, 3, 8] {
             let (par_rows, par_buckets, par) = run(threads);

@@ -11,20 +11,18 @@
 //! directly (no `Arc`-wrapping of per-query state), and a panicking worker
 //! propagates to the coordinating thread on join — nothing is swallowed.
 //!
-//! Three primitives cover every parallel operator in [`crate::exec`]:
+//! Two primitives cover every parallel operator in [`crate::exec`]:
 //!
 //! * `chunk` — split a slice into near-equal contiguous morsels. It is the
-//!   only splitter: the kernels of [`crate::ops`] carve their inputs with it,
-//!   and an index scan's morsel access carves its permutation run with it;
+//!   only splitter: the kernels of [`crate::ops`] and the closures carve
+//!   their inputs with it, and an index scan's morsel access carves
+//!   its permutation run with it;
 //! * `run_tasks` — execute a batch of morsel tasks on up to `threads`
 //!   workers pulling from a shared queue, returning results **in task
 //!   order** (concatenating them reproduces the sequential output exactly —
 //!   the determinism the differential suite relies on). At degree 1 the
 //!   tasks run inline, which is how each operator has one kernel for every
-//!   degree;
-//! * `join_pair` — overlap one blocking side computation (a
-//!   difference/intersection right side, a complement input) with the
-//!   current thread's own work.
+//!   degree.
 //!
 //! Every worker accumulates into its own [`EvalStats`] and the coordinator
 //! merges them after the join, so counters are exact sums regardless of the
@@ -161,35 +159,6 @@ where
         .into_iter()
         .map(|slot| slot.expect("every morsel task produces a result"))
         .collect()
-}
-
-/// Runs `near` on the current thread while `far` runs on one scoped worker,
-/// returning both results. This is how a pipeline's blocking side (a
-/// difference/intersection right side, a complement input) materialises
-/// concurrently with the left side instead of serialising behind it. The
-/// worker's counters merge into `stats` after the join; a panic in `far`
-/// propagates.
-pub(crate) fn join_pair<A, B, FA, FB>(near: FA, far: FB, stats: &mut EvalStats) -> (A, B)
-where
-    FA: FnOnce(&mut EvalStats) -> A,
-    FB: FnOnce(&mut EvalStats) -> B + Send,
-    B: Send,
-{
-    let (a, b, far_stats) = std::thread::scope(|scope| {
-        let handle = scope.spawn(move || {
-            let mut local = EvalStats::new();
-            let b = far(&mut local);
-            (b, local)
-        });
-        let a = near(stats);
-        let (b, far_stats) = handle
-            .join()
-            .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-        (a, b, far_stats)
-    });
-    stats.merge(&far_stats);
-    stats.parallel_morsels += 1;
-    (a, b)
 }
 
 /// Rows per batch sent through an exchange lane. Batching amortises the
@@ -358,25 +327,6 @@ mod tests {
         // No tasks at all is fine.
         let none: Vec<fn(&mut EvalStats) -> u32> = Vec::new();
         assert!(run_tasks(4, none, &CancelToken::none(), &mut stats).is_empty());
-    }
-
-    #[test]
-    fn join_pair_returns_both_sides_and_merges_stats() {
-        let mut stats = EvalStats::new();
-        let (a, b) = join_pair(
-            |s: &mut EvalStats| {
-                s.triples_scanned += 3;
-                "near"
-            },
-            |s: &mut EvalStats| {
-                s.triples_scanned += 4;
-                "far"
-            },
-            &mut stats,
-        );
-        assert_eq!((a, b), ("near", "far"));
-        assert_eq!(stats.triples_scanned, 7);
-        assert_eq!(stats.parallel_morsels, 1);
     }
 
     #[test]

@@ -406,27 +406,27 @@ impl PlanNode {
         self.ordering() == Some(Permutation::Spo)
     }
 
-    /// `true` if the set-at-a-time executor has a **morsel-parallel
-    /// strategy** for this operator: with [`crate::EvalOptions::threads`]
-    /// `> 1` (and an input large enough to beat spawn overhead) its work is
-    /// carved into contiguous morsels executed on a scoped worker pool.
+    /// `true` if the executor has a **morsel-parallel strategy** for this
+    /// operator: with [`crate::EvalOptions::threads`] `> 1` (and an input
+    /// large enough to beat spawn overhead) its set work is carved into
+    /// contiguous morsels executed on a scoped worker pool.
     ///
-    /// Parallel operators: hash joins (sharded build + partitioned probe,
-    /// sides evaluated concurrently), index and plain nested-loop joins
-    /// (partitioned outer/left side), filtered scans and standalone filters
-    /// (partitioned selection over storage-layer morsels), star fixpoints
-    /// (per-round delta partitioning / BFS fan-out), and the binary set
-    /// operations union/difference/intersection plus complement (the two
-    /// sides — for complement, the excluded input and the universe —
-    /// materialise concurrently). Plain scans, memo slots and limits stay
-    /// sequential — a limit's subtree runs as a pull-based pipeline whose
-    /// early termination a parallel drain would forfeit, so it falls back
-    /// explicitly.
+    /// Only breakers own set work, so only they fan out: hash joins (sharded
+    /// build), filtered index scans when a breaker materialises them
+    /// (partitioned residual check), semi-naive stars (per-round delta
+    /// partitioning) and the Proposition 5 closures, `StarReach` and
+    /// `PathNfa` (sources fanned out when a breaker materialises them).
+    /// Every other operator runs as a sequential cursor, since its work
+    /// happens as rows are pulled; the stream exchange
+    /// ([`crate::QueryStream::channel`]) fans out an ordered root on its own.
     pub fn parallelizable(&self) -> bool {
         match self {
             PlanNode::IndexScan { residual, .. } => !residual.is_empty(),
+            PlanNode::HashJoin { .. }
+            | PlanNode::StarSemiNaive { .. }
+            | PlanNode::StarReach { .. }
+            | PlanNode::PathNfa { .. } => true,
             PlanNode::Filter { .. }
-            | PlanNode::HashJoin { .. }
             | PlanNode::MergeJoin { .. }
             | PlanNode::IndexNestedLoopJoin { .. }
             | PlanNode::NestedLoopJoin { .. }
@@ -434,13 +434,7 @@ impl PlanNode {
             | PlanNode::Diff { .. }
             | PlanNode::Intersect { .. }
             | PlanNode::Complement { .. }
-            | PlanNode::StarSemiNaive { .. }
-            | PlanNode::StarReach { .. }
-            | PlanNode::PathNfa { .. } => true,
-            // Sort and top-k drain sequentially like limits (the heap and
-            // the sorted emit are inherently serial); breakers beneath them
-            // still parallelise inside their own materialisation.
-            PlanNode::Universe { .. }
+            | PlanNode::Universe { .. }
             | PlanNode::Empty
             | PlanNode::Memo { .. }
             | PlanNode::Limit { .. }
@@ -984,6 +978,21 @@ mod tests {
             est: 5,
         };
         assert!(!limit.parallelizable());
+        // Operators whose work happens as rows are pulled never fan out.
+        let filter = PlanNode::Filter {
+            input: Box::new(join.clone()),
+            cond: Conditions::new().obj_neq(Pos::L1, Pos::L3),
+            est: 5,
+        };
+        let union = PlanNode::Union {
+            left: Box::new(filter.clone()),
+            right: Box::new(filtered.clone()),
+            est: 10,
+        };
+        for streamed in [&filter, &union] {
+            assert!(!streamed.parallelizable());
+            assert!(!streamed.label_with_threads(4).contains("parallel"));
+        }
         // Labels carry the tag only at degree > 1.
         assert!(join.label_with_threads(4).contains("[parallel×4]"));
         assert!(!join.label_with_threads(1).contains("parallel"));
@@ -1125,7 +1134,8 @@ mod tests {
         };
         assert!(join.pipelined(), "merge joins must not break the pipeline");
         assert_eq!(join.ordering(), None, "projection scrambles the output");
-        assert!(join.parallelizable());
+        // Its work happens as rows are pulled: nothing to fan out.
+        assert!(!join.parallelizable());
         let label = join.label();
         assert!(label.contains("MergeJoin"), "{label}");
         assert!(label.contains("on 2=1'"), "{label}");

@@ -294,13 +294,15 @@ impl SmartEngine {
 
     /// Runs `plan` to its full result set.
     ///
-    /// Operators whose output is naturally a set (scans, set operations,
-    /// joins, stars) build it with the set-at-a-time kernels; a limited or
-    /// top-k subtree runs as a cursor pipeline and terminates the moment its
-    /// bound is reached. A limited result is the first `limit` distinct
-    /// triples that pipeline yields — for an ordered input exactly the
-    /// `limit` smallest under its order — and a top-k result is the `k`
-    /// smallest distinct triples under the permutation key.
+    /// The same walk as [`SmartEngine::stream`]: the root's cursor is
+    /// drained into a set, and the breakers beneath it own their set work
+    /// (index scans, memo slots and closures compute their sets directly,
+    /// and those fan out at [`EvalOptions::threads`]` > 1`). A limited or top-k subtree stops
+    /// pulling the moment its bound is reached. A limited result is the
+    /// first `limit` distinct triples that pipeline yields — for an ordered
+    /// input exactly the `limit` smallest under its order — and a top-k
+    /// result is the `k` smallest distinct triples under the permutation
+    /// key.
     pub fn execute(&self, plan: &Plan, store: &Triplestore) -> Result<Evaluation> {
         let mut stats = EvalStats::new();
         let mut executor = Executor::new(store, self.options.clone(), plan, false);
@@ -315,20 +317,20 @@ impl SmartEngine {
     ///
     /// Comparing actuals to the per-node `est` exposes the selectivity
     /// mis-estimates that would mislead morsel sizing (and build-side
-    /// choices). Node indexing follows
-    /// [`PlanNode::preorder`] of the returned plan; a node is `None` when it
-    /// was not individually materialised — the subtree beneath a
-    /// [`PlanNode::Limit`] runs as one pull-based pipeline and only the
-    /// limit node itself observes a row count.
+    /// choices). Node indexing follows [`PlanNode::preorder`] of the
+    /// returned plan. A node's actual is the number of rows it produced: its
+    /// set's size when the executor computed the set directly, else the rows
+    /// pulled through its cursor — beneath a [`PlanNode::Limit`], the
+    /// rows it yielded before the limit stopped pulling.
     pub fn analyze(&self, plan: Plan, store: &Triplestore) -> Result<AnalyzedEvaluation> {
         let mut stats = EvalStats::new();
         let mut executor = Executor::new(store, self.options.clone(), &plan, true);
         let result = executor.materialize(&plan.root, &mut stats)?;
-        let actuals = executor.node_actuals(&plan);
         let profiles = executor
             .query_profile(&plan)
             .map(|profile| profile.snapshot())
             .unwrap_or_default();
+        let actuals = profiles.iter().map(|profile| profile.rows).collect();
         Ok(AnalyzedEvaluation {
             plan,
             evaluation: Evaluation { result, stats },
@@ -347,15 +349,12 @@ pub struct AnalyzedEvaluation {
     /// Result triples and work counters.
     pub evaluation: Evaluation,
     /// Actual output rows per plan node, indexed by the node's position in
-    /// [`PlanNode::preorder`] over `plan.root`. `None` marks nodes executed
-    /// only as part of a streaming pipeline (beneath a limit boundary)
-    /// rather than individually materialised.
+    /// [`PlanNode::preorder`] over `plan.root`. `None` marks nodes that
+    /// never ran (the input of a memo node whose slot another node filled).
     pub actuals: Vec<Option<u64>>,
     /// Per-node wall-clock profiles (exact — `EXPLAIN ANALYZE` runs the
-    /// profiler at stride 1), indexed like `actuals`. Unlike an actual, a
-    /// profile's [`NodeProfile::rows`](crate::NodeProfile) is also present
-    /// for streamed nodes: it counts the rows pulled through the node's
-    /// cursor.
+    /// profiler at stride 1), indexed like `actuals`; each profile's
+    /// [`NodeProfile::rows`](crate::NodeProfile) is the node's actual.
     pub profiles: Vec<crate::NodeProfile>,
 }
 
@@ -1224,7 +1223,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::naive::NaiveEngine;
     use trial_core::builder::{queries, ExprBuilderExt};
-    use trial_core::{Conditions, TriplestoreBuilder};
+    use trial_core::{output, Conditions, TriplestoreBuilder};
 
     fn figure1() -> Triplestore {
         let mut b = TriplestoreBuilder::new();
@@ -1765,11 +1764,10 @@ pub(crate) mod tests {
 
     #[test]
     fn parallel_sides_share_memo_slots() {
-        // Both union sides are the same memoizable star: with overlapping
-        // side evaluation the sibling executors must share the memo slot, so
-        // the closure is computed exactly once (one side computes under the
-        // slot lock, the other blocks and then hits) and work counters stay
-        // identical to the single-threaded run.
+        // Both union sides are the same memoizable star: at every degree the
+        // closure is computed exactly once (one side fills the memo slot,
+        // the other hits it) and work counters stay identical to the
+        // single-threaded run.
         let store = figure1();
         let q = queries::reach_forward("E").union(queries::reach_forward("E"));
         let seq = SmartEngine::with_options(EvalOptions {
@@ -1800,24 +1798,31 @@ pub(crate) mod tests {
     #[test]
     fn explain_tags_parallel_operators() {
         let store = figure1();
-        let q = queries::example2("E");
-        let parallel = SmartEngine::with_options(EvalOptions {
-            threads: 4,
-            ..EvalOptions::default()
-        });
-        let text = parallel
-            .plan_query(&q, &store, None, None, None)
+        let explain = |threads: usize, q: &Expr| {
+            SmartEngine::with_options(EvalOptions {
+                threads,
+                ..EvalOptions::default()
+            })
+            .plan_query(q, &store, None, None, None)
             .unwrap()
-            .explain();
-        assert!(text.contains("[parallel×4]"), "missing tag in:\n{text}");
-        let sequential = SmartEngine::with_options(EvalOptions {
-            threads: 1,
-            ..EvalOptions::default()
-        });
-        let text = sequential
-            .plan_query(&q, &store, None, None, None)
-            .unwrap()
-            .explain();
+            .explain()
+        };
+        // Filtered sides force a hash join, whose build shards across
+        // workers.
+        let side = Expr::rel("E").select(Conditions::new().obj_neq(Pos::L1, Pos::L3));
+        let hop = Conditions::new().obj_eq(Pos::L3, Pos::R1);
+        let q = side
+            .clone()
+            .join(side, output(Pos::L1, Pos::L2, Pos::R3), hop);
+        let text = explain(4, &q);
+        let join = text.lines().next().unwrap();
+        assert!(join.starts_with("HashJoin"), "{text}");
+        assert!(join.contains("[parallel×4]"), "missing tag in:\n{text}");
+        let text = explain(1, &q);
+        assert!(!text.contains("parallel"), "unexpected tag in:\n{text}");
+        // A merge join does its work as rows are pulled: nothing fans out.
+        let text = explain(4, &queries::example2("E"));
+        assert!(text.contains("MergeJoin"), "{text}");
         assert!(!text.contains("parallel"), "unexpected tag in:\n{text}");
     }
 
@@ -1838,12 +1843,13 @@ pub(crate) mod tests {
         );
         // The analyzed run returns the same result as a plain evaluation.
         assert_eq!(analyzed.evaluation.result, engine.run(&q, &store).unwrap());
-        // Under a limit, the limit node reports its actual while the
-        // streamed subtree beneath it reports None.
+        // Under a limit, the limit node reports its actual and every node
+        // beneath it the rows it yielded before the limit stopped pulling.
         let analyzed = analyze(&engine, &q, &store, Some(1));
         assert!(matches!(analyzed.plan.root, PlanNode::Limit { .. }));
         assert_eq!(analyzed.actuals[0], Some(1));
-        assert!(analyzed.actuals[1..].iter().all(Option::is_none));
+        assert!(analyzed.actuals[1..].iter().all(Option::is_some));
+        assert_eq!(analyzed.actuals[1], Some(1));
         // Actual collection also works on a parallel run.
         let parallel = SmartEngine::with_options(EvalOptions {
             threads: 4,
@@ -1863,24 +1869,30 @@ pub(crate) mod tests {
         let analyzed = analyze(&engine, &q, &store, None);
         let nodes = analyzed.plan.root.preorder();
         assert_eq!(analyzed.profiles.len(), nodes.len());
-        // Materialised analyze: profile rows mirror the actuals exactly.
+        // Profile rows are the actuals.
         for (profile, actual) in analyzed.profiles.iter().zip(&analyzed.actuals) {
             assert_eq!(profile.rows, *actual);
         }
-        // Inclusive timing: no child can have spent longer than the root.
-        let root_us = analyzed.profiles[0].elapsed_us;
-        assert!(analyzed
-            .profiles
-            .iter()
-            .all(|p| p.elapsed_us <= root_us.max(1)));
-        // Under a limit the subtree streams: actuals are None but the
-        // profiles still report rows pulled through each cursor, and the
-        // root's streamed row count equals the limit.
+        // Inclusive timing: no child can have spent longer than the root,
+        // also when the root is a breaker that fills a child while its
+        // cursor is built.
+        let side = Expr::rel("E").select(Conditions::new().obj_neq(Pos::L1, Pos::L3));
+        let hop = Conditions::new().obj_eq(Pos::L3, Pos::R1);
+        let hash = side
+            .clone()
+            .join(side, output(Pos::L1, Pos::L2, Pos::R3), hop);
+        let hashed = analyze(&engine, &hash, &store, None);
+        assert!(matches!(hashed.plan.root, PlanNode::HashJoin { .. }));
+        for profiles in [&analyzed.profiles, &hashed.profiles] {
+            let root_us = profiles[0].elapsed_us;
+            assert!(profiles.iter().all(|p| p.elapsed_us <= root_us.max(1)));
+        }
+        // Under a limit the profiles report the rows pulled through each
+        // cursor, and the root's row count equals the limit.
         let analyzed = analyze(&engine, &q, &store, Some(1));
         assert!(matches!(analyzed.plan.root, PlanNode::Limit { .. }));
         assert_eq!(analyzed.profiles[0].rows, Some(1));
         assert!(analyzed.profiles.iter().all(|p| p.rows.is_some()));
-        assert!(analyzed.actuals[1..].iter().all(Option::is_none));
     }
 
     #[test]

@@ -12,14 +12,16 @@
 //!
 //! # Semantics
 //!
-//! * **Inclusive times.** A node's `elapsed` includes its children — the
-//!   cursor wrapper times a `next()` call end-to-end, and the materialised
-//!   interpreter times the whole sub-evaluation. The root therefore reads as
-//!   total evaluation time, and a child's share is read by subtraction.
-//! * **Build time** is recorded separately for pipeline breakers: the
-//!   blocking work a breaker performs at cursor-construction time (hash-join
-//!   build sides, star fixpoints, difference/intersection right sides,
-//!   sorts, memo fills) before the first row is pulled.
+//! * **Inclusive times.** A node's `elapsed` includes its children — it
+//!   covers building the node's cursor and every `next()` call end-to-end,
+//!   and a set the executor computes directly is timed whole. The root therefore
+//!   reads as total evaluation time, and a child's share is read by
+//!   subtraction.
+//! * **Build time** is also reported on its own for pipeline breakers: the
+//!   part of `elapsed` spent on the blocking work a breaker performs at
+//!   cursor-construction time (hash-join build sides, star fixpoints,
+//!   difference/intersection right sides, sorts, memo fills) before the
+//!   first row is pulled.
 //! * **Parallel operators sum worker time.** Morsel instances share their
 //!   node's timer, so `elapsed` aggregates across workers — closer to CPU
 //!   time than wall time for the parallel stretches.
@@ -34,17 +36,15 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Wall-clock and row counters for a single plan node. All fields are
-/// relaxed atomics: timers are shared across sibling executors and morsel
+/// relaxed atomics: timers are shared across exchange producers and morsel
 /// workers, and profiling must never serialise them.
 #[derive(Debug, Default)]
 pub(crate) struct NodeTimer {
-    /// Rows of the node's individually materialised result (the `actual`
-    /// of `EXPLAIN ANALYZE`); unset for nodes that only ever streamed.
-    mat_rows: AtomicU64,
-    mat_known: AtomicBool,
-    /// Rows pulled through the node's cursor(s), summed across morsels.
-    cur_rows: AtomicU64,
-    cur_known: AtomicBool,
+    /// Rows the node produced (the `actual` of `EXPLAIN ANALYZE`): its
+    /// set's size when the executor computed the set directly, else the rows
+    /// pulled through its cursor(s), summed across morsels.
+    rows: AtomicU64,
+    rows_known: AtomicBool,
     /// Nanoseconds measured on unsampled paths (materialised evaluation,
     /// stride-1 cursors).
     full_ns: AtomicU64,
@@ -57,14 +57,9 @@ pub(crate) struct NodeTimer {
 }
 
 impl NodeTimer {
-    pub(crate) fn set_mat_rows(&self, rows: u64) {
-        self.mat_rows.store(rows, Ordering::Relaxed);
-        self.mat_known.store(true, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_cur_rows(&self, rows: u64) {
-        self.cur_rows.fetch_add(rows, Ordering::Relaxed);
-        self.cur_known.store(true, Ordering::Relaxed);
+    pub(crate) fn add_rows(&self, rows: u64) {
+        self.rows.fetch_add(rows, Ordering::Relaxed);
+        self.rows_known.store(true, Ordering::Relaxed);
     }
 
     pub(crate) fn add_full(&self, elapsed: Duration) {
@@ -83,18 +78,11 @@ impl NodeTimer {
         self.build_known.store(true, Ordering::Relaxed);
     }
 
-    pub(crate) fn mat_rows(&self) -> Option<u64> {
-        self.mat_known
-            .load(Ordering::Relaxed)
-            .then(|| self.mat_rows.load(Ordering::Relaxed))
-    }
-
     fn profile(&self, stride: u32) -> NodeProfile {
-        let rows = self.mat_rows().or_else(|| {
-            self.cur_known
-                .load(Ordering::Relaxed)
-                .then(|| self.cur_rows.load(Ordering::Relaxed))
-        });
+        let rows = self
+            .rows_known
+            .load(Ordering::Relaxed)
+            .then(|| self.rows.load(Ordering::Relaxed));
         let full = self.full_ns.load(Ordering::Relaxed);
         let sampled = self
             .sampled_ns
@@ -111,10 +99,11 @@ impl NodeTimer {
     }
 }
 
-/// The timer table one evaluation shares across its executor tree: sibling
-/// executors (worker threads) and morsel cursors all record into the same
-/// per-node timers. The map lock is taken once per *operator* (at cursor
-/// construction / sub-evaluation entry), never per row.
+/// The timer table of one evaluation: its executor and every cursor it
+/// compiles, morsel cursors on exchange producers included, record into the
+/// same per-node timers, and a [`QueryProfile`] reads them afterwards. The
+/// map lock is taken once per *operator* (at cursor construction or when a
+/// set is computed), never per row.
 #[derive(Debug, Clone)]
 pub(crate) struct Profiler {
     timers: Arc<Mutex<HashMap<usize, Arc<NodeTimer>>>>,
@@ -143,12 +132,6 @@ impl Profiler {
         Arc::clone(timers.entry(key).or_default())
     }
 
-    /// The node's materialised cardinality, if it was individually recorded
-    /// (the `actual` of `EXPLAIN ANALYZE`).
-    pub(crate) fn mat_rows_of(&self, key: usize) -> Option<u64> {
-        self.get(key).and_then(|timer| timer.mat_rows())
-    }
-
     fn get(&self, key: usize) -> Option<Arc<NodeTimer>> {
         let timers = self
             .timers
@@ -163,19 +146,18 @@ impl Profiler {
 /// [`PlanNode::preorder`](crate::PlanNode::preorder) over the plan root.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NodeProfile {
-    /// Rows the node produced: its materialised cardinality when it ran
-    /// set-at-a-time, the rows pulled through its cursor when it streamed
-    /// (for a partially drained pipeline this is the partial count).
-    /// `None` when the node never executed (e.g. a memo hit short-circuited
-    /// it).
+    /// Rows the node produced: its set's size when the executor computed the
+    /// set directly, the rows pulled through its cursor otherwise (for a
+    /// partially drained pipeline this is the partial count). `None` when
+    /// the node never executed (e.g. a memo hit short-circuited it).
     pub rows: Option<u64>,
     /// Wall-clock microseconds spent in the node **including its children**
     /// (and, for parallel operators, summed across morsel workers). Under a
     /// sampling stride `n > 1` this is an `n`-scaled estimate.
     pub elapsed_us: u64,
-    /// Blocking cursor-construction work for pipeline breakers (hash-join
-    /// builds, star fixpoints, blocking right sides, sorts); `None` for
-    /// fully streaming operators.
+    /// The part of `elapsed_us` spent on blocking cursor-construction work
+    /// for pipeline breakers (hash-join builds, star fixpoints, blocking
+    /// right sides, sorts); `None` for fully streaming operators.
     pub build_us: Option<u64>,
 }
 
@@ -244,13 +226,14 @@ mod tests {
     }
 
     #[test]
-    fn materialised_rows_win_over_cursor_counts() {
+    fn row_counts_sum_across_instances() {
         let t = NodeTimer::default();
-        t.add_cur_rows(7);
-        assert_eq!(t.profile(1).rows, Some(7));
-        t.set_mat_rows(5);
-        assert_eq!(t.profile(1).rows, Some(5));
-        assert_eq!(t.mat_rows(), Some(5));
+        assert_eq!(t.profile(1).rows, None);
+        t.add_rows(0);
+        assert_eq!(t.profile(1).rows, Some(0));
+        t.add_rows(7);
+        t.add_rows(5);
+        assert_eq!(t.profile(1).rows, Some(12));
     }
 
     #[test]
@@ -258,7 +241,7 @@ mod tests {
         let p = Profiler::new(0); // clamped to 1
         assert_eq!(p.stride(), 1);
         p.timer(42).add_build(Duration::from_micros(3));
-        p.timer(42).add_cur_rows(2);
+        p.timer(42).add_rows(2);
         let t = p.timer(42);
         let profile = t.profile(p.stride());
         assert_eq!(profile.build_us, Some(3));

@@ -148,6 +148,10 @@ fn plus(pairs: Expr) -> Expr {
 /// | `p+`        | `STAR(P ✶^{1,1,3'}_{3=1'})` (right star) |
 /// | `p*`        | `ident ∪ p+` |
 /// | `p?`        | `ident ∪ P` |
+///
+/// A closure directly over a closure lowers as the one closure they amount
+/// to: `+` over `+` is `+`, `?` over `?` is `?`, and every other pair is
+/// `*`, so `p**` is one star fixpoint rather than a star over `ident ∪ p+`.
 pub fn lower(path: &PathExpr, relation: &str) -> Expr {
     match path {
         PathExpr::Atom(label) => {
@@ -165,9 +169,32 @@ pub fn lower(path: &PathExpr, relation: &str) -> Expr {
             .map(|p| lower(p, relation))
             .reduce(Expr::union)
             .expect("Alt has at least one part"),
-        PathExpr::Star(inner) => ident(relation).union(plus(lower(inner, relation))),
-        PathExpr::Plus(inner) => plus(lower(inner, relation)),
-        PathExpr::Opt(inner) => ident(relation).union(lower(inner, relation)),
+        PathExpr::Star(_) | PathExpr::Plus(_) | PathExpr::Opt(_) => {
+            // The stack may skip its operand if any level may, and repeat it
+            // if any level may.
+            let (mut skip, mut repeat, mut operand) = (false, false, path);
+            while let Some((s, r, inner)) = closure(operand) {
+                (skip, repeat, operand) = (skip || s, repeat || r, inner);
+            }
+            let once = lower(operand, relation);
+            let body = if repeat { plus(once) } else { once };
+            if skip {
+                ident(relation).union(body)
+            } else {
+                body
+            }
+        }
+    }
+}
+
+/// A closure's operand with whether the closure may skip it and whether it
+/// may repeat it; `None` when `path` is not a closure.
+fn closure(path: &PathExpr) -> Option<(bool, bool, &PathExpr)> {
+    match path {
+        PathExpr::Star(inner) => Some((true, true, inner)),
+        PathExpr::Plus(inner) => Some((false, true, inner)),
+        PathExpr::Opt(inner) => Some((true, false, inner)),
+        PathExpr::Atom(_) | PathExpr::Seq(_) | PathExpr::Alt(_) => None,
     }
 }
 
@@ -826,6 +853,18 @@ mod tests {
         // Root n_i reads the 40 - i edges below it and answers 41 - i rows.
         let (rows, edges, emitted) = run(&stacked, None);
         assert_eq!((rows.len(), edges, emitted), (861, 820, 861));
+    }
+
+    #[test]
+    fn stacked_closures_lower_to_the_single_closure() {
+        let lowered = |text: &str| lower(&parse_path(text).unwrap(), "E");
+        for text in ["next**", "(next?)+", "(next+)?", "(next+)*"] {
+            assert_eq!(lowered(text), lowered("next*"), "`{text}`");
+        }
+        assert_eq!(lowered("next++"), lowered("next+"));
+        assert_eq!(lowered("next??"), lowered("next?"));
+        // Only a closure directly over a closure collapses.
+        assert_ne!(lowered("(next*/next)*"), lowered("(next/next)*"));
     }
 
     #[test]

@@ -178,8 +178,8 @@
 //!
 //! # Evaluate this query on 8 worker threads (same result, same counters —
 //! # only wall-clock changes); plans show which operators ran [parallel×8].
-//! curl -s "localhost:7878/query?threads=8" -d "(E JOIN[1,3',3 | 2=1'] E)"
-//! curl -s "localhost:7878/explain?threads=8" -d "(E JOIN[1,3',3 | 2=1'] E)"
+//! curl -s "localhost:7878/query?threads=8" -d "(SELECT[1!=3](E) JOIN[1,2,3' | 3=1'] SELECT[1!=3](E))"
+//! curl -s "localhost:7878/explain?threads=8" -d "(SELECT[1!=3](E) JOIN[1,2,3' | 3=1'] SELECT[1!=3](E))"
 //!
 //! # EXPLAIN ANALYZE: run the (bounded) query and report actual per-node
 //! # rows next to the planner's estimates in the structured tree.
